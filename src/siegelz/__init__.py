@@ -10,7 +10,8 @@ from .arith import (
     gauss_primary_decompose,
     kronecker_char,
     legendre,
-    series_combine,
+    series_add,
+    series_mul,
 )
 from .cmform import EllipticQExpansion, a_p, g_expansion, hecke_Tp_check
 from .lfactors import (
@@ -48,7 +49,7 @@ from .theta import (
 
 __all__ = [
     "GaussInt", "IntPolynomial", "QuarterSeries", "gauss_primary_decompose",
-    "kronecker_char", "legendre", "series_combine",
+    "kronecker_char", "legendre", "series_add", "series_mul",
     "EllipticQExpansion", "a_p", "g_expansion", "hecke_Tp_check",
     "EulerFactor", "ae_quartic", "euler_factor", "h2_lpoly",
     "lefschetz_check", "spin_identity_check",

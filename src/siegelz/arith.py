@@ -11,6 +11,8 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
+import numpy as np
+
 
 # ---------------------------------------------------------------------------
 # primes and quadratic symbols
@@ -148,7 +150,8 @@ class GaussInt:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # equal to its int when real, as __eq__ requires
+        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
 
     def conj(self) -> "GaussInt":
         return GaussInt(self.re, -self.im)
@@ -269,6 +272,13 @@ class QuarterSeries:
         key = 0 if genus == 1 else (0, 0, 0)
         return cls(genus, order, {key: ONE})
 
+    @classmethod
+    def _unchecked(cls, genus: int, order: int, coeffs: dict) -> "QuarterSeries":
+        """A series from nonzero GaussInt coefficients at indices that fit order."""
+        out = cls.__new__(cls)
+        out.genus, out.order, out.coeffs = genus, order, coeffs
+        return out
+
     # -- basic queries
 
     def is_zero(self) -> bool:
@@ -326,56 +336,70 @@ class QuarterSeries:
         return total
 
 
-def series_combine(a: QuarterSeries, b: QuarterSeries, op: str,
-                   order: int | None = None) -> QuarterSeries:
-    """Exact sum or truncated convolution of two series of equal genus."""
-    if a.genus != b.genus:
-        raise ValueError(f"genus mismatch: {a.genus} vs {b.genus}")
-    if order is None:
-        order = min(a.order, b.order)
-    if op == "add":
-        if order > min(a.order, b.order):
-            raise ValueError("sum not valid beyond the smaller input order")
-        out = dict(a.truncate(order).coeffs)
-        for key, val in b.truncate(order).coeffs.items():
-            out[key] = out.get(key, GaussInt(0, 0)) + val
-        return QuarterSeries(a.genus, order, out)
-    if op == "mul":
-        if order > min(a.order, b.order):
-            raise ValueError("product not valid beyond the smaller input order")
-        if a.genus == 1:
-            return _mul_genus1(a, b, order)
-        return _mul_genus2(a, b, order)
-    raise ValueError(f"unknown op {op!r}")
-
-
 def series_add(a: QuarterSeries, b: QuarterSeries,
                order: int | None = None) -> QuarterSeries:
-    return series_combine(a, b, "add", order)
+    """Exact sum of two series of equal genus, truncated to order."""
+    order = _result_order(a, b, order, "sum")
+    out = dict(a.truncate(order).coeffs)
+    for key, val in b.truncate(order).coeffs.items():
+        out[key] = out.get(key, GaussInt(0, 0)) + val
+    return QuarterSeries(a.genus, order, out)
 
 
 def series_mul(a: QuarterSeries, b: QuarterSeries,
                order: int | None = None) -> QuarterSeries:
-    return series_combine(a, b, "mul", order)
+    """Exact truncated product of two series of equal genus.
+
+    Every series product in the package goes through here.  Genus 1 runs
+    the schoolbook loop for small products and Kronecker substitution for
+    larger ones; genus 2 runs an int64 numpy kernel whenever its overflow
+    bound holds, and the schoolbook loop otherwise.
+    """
+    order = _result_order(a, b, order, "product")
+    if a.genus == 1:
+        if len(a.coeffs) * len(b.coeffs) <= _SCHOOLBOOK_PAIRS_PER_INDEX * (order + 1):
+            terms = [[(e, e, c) for e, c in s.coeffs.items()] for s in (a, b)]
+            return QuarterSeries(1, order, _mul_schoolbook(*terms, order))
+        return _mul_genus1_packed(a, b, order)
+    return _mul_genus2(a, b, order)
 
 
-_DICT_MUL_CUTOFF = 250_000
+def _result_order(a: QuarterSeries, b: QuarterSeries, order: int | None,
+                  what: str) -> int:
+    if a.genus != b.genus:
+        raise ValueError(f"genus mismatch: {a.genus} vs {b.genus}")
+    if order is None:
+        return min(a.order, b.order)
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    if order > min(a.order, b.order):
+        raise ValueError(f"{what} not valid beyond the smaller input order")
+    return order
 
 
-def _mul_genus1(a: QuarterSeries, b: QuarterSeries, order: int) -> QuarterSeries:
-    if len(a.coeffs) * len(b.coeffs) <= _DICT_MUL_CUTOFF:
-        out: dict = {}
-        for e1, c1 in a.coeffs.items():
-            if e1 > order:
-                continue
-            for e2, c2 in b.coeffs.items():
-                e = e1 + e2
-                if e > order:
-                    continue
-                prev = out.get(e)
-                out[e] = c1 * c2 if prev is None else prev + c1 * c2
-        return QuarterSeries(1, order, out)
-    return _mul_genus1_packed(a, b, order)
+# The schoolbook loop costs about one microsecond per coefficient pair, and
+# Kronecker substitution about five per output index up to order.  Genus-1
+# products with at most this many pairs per output index run the loop.
+_SCHOOLBOOK_PAIRS_PER_INDEX = 5
+
+
+def _mul_schoolbook(small: list, big: list, order: int) -> dict:
+    """Exact product of two term lists [(index, degree, coeff)], as a dict.
+
+    Indices add under multiplication, and a pair is kept when its degrees
+    sum to at most order.  Coefficients are exact Python integers.
+    """
+    big = sorted(big, key=lambda term: term[1])
+    out: dict = {}
+    for k1, d1, c1 in small:
+        room = order - d1
+        for k2, d2, c2 in big:
+            if d2 > room:
+                break
+            k = k1 + k2
+            prev = out.get(k)
+            out[k] = c1 * c2 if prev is None else prev + c1 * c2
+    return out
 
 
 def _mul_genus1_packed(a: QuarterSeries, b: QuarterSeries,
@@ -383,19 +407,20 @@ def _mul_genus1_packed(a: QuarterSeries, b: QuarterSeries,
     """Dense genus-1 product via big-integer packing (Kronecker substitution)."""
     are, aim = _coeff_arrays(a, order)
     bre, bim = _coeff_arrays(b, order)
+    # No output field of a real convolution exceeds the number of terms of a
+    # times the largest parts of a and b, so fields of `bits` bits never carry.
     bound = min(order + 1, max(len(a.coeffs), 1)) * _max_abs(are, aim) * _max_abs(bre, bim)
-    bits = max(8, 2 * bound.bit_length() + 4)
-    rr = _conv(are, bre, bits, order)
-    ii = _conv(aim, bim, bits, order)
-    ri = _conv(are, bim, bits, order)
-    ir = _conv(aim, bre, bits, order)
+    bits = 8 * ((bound.bit_length() + 7) // 8)
+    apacks = [_pack_signed(v, bits) for v in (are, aim)]
+    bpacks = [_pack_signed(v, bits) for v in (bre, bim)]
+    (rr, ri), (ir, ii) = [[_conv(x, y, bits, order) for y in bpacks] for x in apacks]
     out = {}
     for e in range(order + 1):
         re = rr[e] - ii[e]
         im = ri[e] + ir[e]
         if re or im:
             out[e] = GaussInt(re, im)
-    return QuarterSeries(1, order, out)
+    return QuarterSeries._unchecked(1, order, out)
 
 
 def _coeff_arrays(s: QuarterSeries, order: int):
@@ -418,48 +443,123 @@ def _max_abs(*arrays) -> int:
 
 
 def _pack(arr: list[int], bits: int) -> int:
-    total = 0
-    for v in reversed(arr):
-        total = (total << bits) | v
-    return total
+    """sum(arr[k] << (bits * k)) for nonnegative arr[k] < 2**bits, bits % 8 == 0."""
+    width = bits // 8
+    return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in arr), "little")
 
 
 def _unpack(n: int, bits: int, count: int) -> list[int]:
-    mask = (1 << bits) - 1
-    return [(n >> (bits * k)) & mask for k in range(count)]
+    """The lowest count fields of n, each bits wide, bits % 8 == 0."""
+    width = bits // 8
+    data = (n & ((1 << (bits * count)) - 1)).to_bytes(width * count, "little")
+    return [int.from_bytes(data[k:k + width], "little")
+            for k in range(0, width * count, width)]
 
 
-def _conv(a: list[int], b: list[int], bits: int, order: int) -> list[int]:
-    """Exact integer convolution, truncated to indices <= order."""
-    apos = [max(v, 0) for v in a]
-    aneg = [max(-v, 0) for v in a]
-    bpos = [max(v, 0) for v in b]
-    bneg = [max(-v, 0) for v in b]
-    pp = _pack(apos, bits) * _pack(bpos, bits)
-    nn = _pack(aneg, bits) * _pack(bneg, bits)
-    pn = _pack(apos, bits) * _pack(bneg, bits)
-    np_ = _pack(aneg, bits) * _pack(bpos, bits)
-    plus = _unpack(pp + nn, bits, order + 1)
-    minus = _unpack(pn + np_, bits, order + 1)
+def _pack_signed(arr: list[int], bits: int) -> tuple[int, int]:
+    """The packed positive and negative parts of arr."""
+    return (_pack([max(v, 0) for v in arr], bits),
+            _pack([max(-v, 0) for v in arr], bits))
+
+
+def _conv(a: tuple[int, int], b: tuple[int, int], bits: int, order: int) -> list[int]:
+    """Exact integer convolution of two packed signed arrays, truncated to
+    indices <= order."""
+    (apos, aneg), (bpos, bneg) = a, b
+    plus = _unpack(apos * bpos + aneg * bneg, bits, order + 1)
+    minus = _unpack(apos * bneg + aneg * bpos, bits, order + 1)
     return [x - y for x, y in zip(plus, minus)]
 
 
+# Pairs formed between two reductions of the genus-2 kernel, which bounds
+# its working memory to about a megabyte beyond the output.
+_CHUNK_PAIRS = 1 << 14
+_INT64_SAFE = 1 << 62
+
+
 def _mul_genus2(a: QuarterSeries, b: QuarterSeries, order: int) -> QuarterSeries:
+    """Genus-2 product on int64 arrays, exact under a proven bound.
+
+    Each exponent triple is encoded as one integer index, linear in the
+    triple, so that indices add under multiplication.  Every product
+    triple lies in a box read off the inputs (e2 may be negative), and its
+    index is its position in that box.
+
+    For a fixed term of the smaller series, distinct terms of the larger
+    one give distinct product triples.  So every product, and every partial
+    sum of an output coefficient, is at most l1(small) * linf(big) in
+    absolute value, where a coefficient measures |re| + |im|.  With that
+    bound and the box size below 2**62, and the exponents and the order
+    below 2**60, nothing overflows int64; otherwise the exact schoolbook
+    loop runs on the same indices.
+    """
     small, big = (a, b) if len(a.coeffs) <= len(b.coeffs) else (b, a)
-    out: dict = {}
-    big_items = list(big.coeffs.items())
-    for (f1, f2, f3), cs in small.coeffs.items():
-        room = order - f1 - f3
-        if room < 0:
+    if not small.coeffs:
+        return QuarterSeries.zero(2, order)
+    boxes = [[(min(col), max(col)) for col in zip(*s.coeffs)] for s in (small, big)]
+    lows = [ls + lb for (ls, _), (lb, _) in zip(*boxes)]
+    highs = [hs + hb for (_, hs), (_, hb) in zip(*boxes)]
+    w1, w2, w3 = (hi - lo + 1 for lo, hi in zip(lows, highs))
+    size = sum(abs(c.re) + abs(c.im) for c in small.coeffs.values()) * max(
+        abs(c.re) + abs(c.im) for c in big.coeffs.values())
+    exponents = [order, *lows, *highs, *(v for box in boxes for lh in box for v in lh)]
+    fits = max(size, w1 * w2 * w3, 4 * max(map(abs, exponents))) < _INT64_SAFE
+
+    def encode(e1, e2, e3, box):
+        return ((e1 - box[0][0]) * w2 + (e2 - box[1][0])) * w3 + (e3 - box[2][0])
+
+    if not fits:
+        terms = [[(encode(*e, box), e[0] + e[2], c) for e, c in s.coeffs.items()]
+                 for s, box in zip((small, big), boxes)]
+        out = {}
+        for k, c in _mul_schoolbook(*terms, order).items():
+            rest, e3 = divmod(k, w3)
+            e1, e2 = divmod(rest, w2)
+            out[(e1 + lows[0], e2 + lows[1], e3 + lows[2])] = c
+        return QuarterSeries(2, order, out)
+
+    def arrays(s, box):
+        e = np.array(list(s.coeffs), dtype=np.int64)
+        vals = list(s.coeffs.values())
+        return (encode(e[:, 0], e[:, 1], e[:, 2], box), e[:, 0] + e[:, 2],
+                np.array([c.re for c in vals], dtype=np.int64),
+                np.array([c.im for c in vals], dtype=np.int64))
+
+    sidx, sdeg, sre, sim = arrays(small, boxes[0])
+    big_arrays = arrays(big, boxes[1])
+    perm = np.argsort(big_arrays[1], kind="stable")
+    bidx, bdeg, bre, bim = (x[perm] for x in big_arrays)
+    # big is sorted by degree, so the partners of each small term are a prefix
+    room = np.searchsorted(bdeg, order - sdeg, side="right")
+    empty = np.zeros(0, dtype=np.int64)
+    acc, chunk, pending = (empty, empty, empty), [], 0
+    for k, n, cr, ci in zip(sidx.tolist(), room.tolist(), sre.tolist(), sim.tolist()):
+        if not n:
             continue
-        for (e1, e2, e3), cb in big_items:
-            if e1 + e3 > room:
-                continue
-            key = (e1 + f1, e2 + f2, e3 + f3)
-            prod = cs * cb
-            prev = out.get(key)
-            out[key] = prod if prev is None else prev + prod
-    return QuarterSeries(2, order, out)
+        r, i = bre[:n], bim[:n]
+        chunk.append((bidx[:n] + k, cr * r - ci * i, cr * i + ci * r))
+        pending += n
+        if pending >= _CHUNK_PAIRS:
+            acc, chunk, pending = _sum_equal_keys([acc, *chunk]), [], 0
+    keys, re, im = _sum_equal_keys([acc, *chunk])
+    keep = (re != 0) | (im != 0)
+    keys, re, im = keys[keep], re[keep], im[keep]
+    rest, e3 = np.divmod(keys, w3)
+    e1, e2 = np.divmod(rest, w2)
+    triples = zip((e1 + lows[0]).tolist(), (e2 + lows[1]).tolist(), (e3 + lows[2]).tolist())
+    return QuarterSeries._unchecked(2, order, {
+        t: GaussInt(r, i) for t, r, i in zip(triples, re.tolist(), im.tolist())})
+
+
+def _sum_equal_keys(parts: list) -> tuple:
+    """Sorted unique keys of the (keys, re, im) parts, with values summed."""
+    keys, re, im = (np.concatenate([part[j] for part in parts]) for j in range(3))
+    if not keys.size:
+        return keys, re, im
+    perm = np.argsort(keys)
+    keys = keys[perm]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return keys[starts], np.add.reduceat(re[perm], starts), np.add.reduceat(im[perm], starts)
 
 
 # ---------------------------------------------------------------------------

@@ -78,7 +78,7 @@ def _report(suite, claim, ok, residual=None, started=None, **details):
         claim=claim,
         status="pass" if ok else "fail",
         residual=residual,
-        runtime=round(time.time() - started, 3) if started else 0.0,
+        runtime=round(time.perf_counter() - started, 3) if started is not None else 0.0,
         details=details,
     )
 
@@ -88,7 +88,7 @@ def _measured(suite, claim, started=None, **details):
         suite=suite,
         claim=claim,
         status="measured",
-        runtime=round(time.time() - started, 3) if started else 0.0,
+        runtime=round(time.perf_counter() - started, 3) if started is not None else 0.0,
         details=details,
     )
 
@@ -101,11 +101,11 @@ def suite_counts(cfg: RunConfig):
     from .pointcount import count_variety, verify_birational_map, verify_count_formulas
 
     out = []
-    t0 = time.time()
+    t0 = time.perf_counter()
     f3 = count_variety("FermatSurface", 3)
     out.append(_report("counts", "|F(F_3)| = 16", f3 == 16, abs(f3 - 16), t0, count=f3))
     for p in cfg.prime_list:
-        t0 = time.time()
+        t0 = time.perf_counter()
         rep = verify_count_formulas(p, a_p(p))
         res = rep["residuals"]
         keys = ("cone", "satake", "resolution", "u1_complement", "u2_complement",
@@ -118,13 +118,13 @@ def suite_counts(cfg: RunConfig):
             residuals={k: res[k] for k in keys},
         ))
     for p in (3, 5, 7):
-        t0 = time.time()
+        t0 = time.perf_counter()
         naive = count_variety("Zsatake", p, "naive")
         charsum = count_variety("Zsatake", p, "charsum")
         out.append(_report("counts", "naive and character-sum counts agree on Z",
                            naive == charsum, abs(naive - charsum), t0,
                            p=p, naive=naive, charsum=charsum))
-    t0 = time.time()
+    t0 = time.perf_counter()
     bij = verify_birational_map(3)
     out.append(_report("counts", "coordinate map is a bijection U1 -> U2",
                        bij["bijective"], None, t0, **bij))
@@ -137,7 +137,7 @@ def suite_fermat(cfg: RunConfig):
 
     out = []
     for p in cfg.prime_list:
-        t0 = time.time()
+        t0 = time.perf_counter()
         rep = verify_count_formulas(p, a_p(p))
         r = rep["residuals"]["fermat_corrected"]
         out.append(_report(
@@ -160,7 +160,7 @@ def suite_g_triple(cfg: RunConfig):
     from .arith import odd_primes
 
     out = []
-    t0 = time.time()
+    t0 = time.perf_counter()
     order = cfg.series_order
     ga = g_expansion("theta_product", order)
     gb = g_expansion("gauss_sum", order)
@@ -170,7 +170,7 @@ def suite_g_triple(cfg: RunConfig):
                        "theta-product, lattice-sum, and Hecke expansions agree",
                        ok, 0.0 if ok else 1.0, t0, order=order,
                        gauss_convention=resolve_gauss_convention()))
-    t0 = time.time()
+    t0 = time.perf_counter()
     cm = all(a_p(p) == 0 for p in odd_primes(200) if p % 4 == 3)
     weil = all(abs(a_p(p)) <= 2 * p for p in odd_primes(200))
     support = all(n % 4 == 1 for n, v in ga.a.items() if v)
@@ -186,7 +186,7 @@ def suite_hecke(cfg: RunConfig):
     out = []
     check_order = 24
     for p in odd_primes(50):
-        t0 = time.time()
+        t0 = time.perf_counter()
         res = hecke_Tp_check(p, check_order)
         out.append(_report("hecke", "T_p g = a_p g", not res.a,
                            0.0 if not res.a else 1.0, t0, p=p, a_p=a_p(p),
@@ -220,7 +220,7 @@ def suite_theta_table(cfg: RunConfig):
     evens = even_characteristics(2)
     pts = [siegel_point(2j, 0, 2j), siegel_point(2j, 0.5j, 2j)]
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     worst = 0.0
     for M in random_gamma2_elements(20, seed=1):
         for tau in pts:
@@ -229,7 +229,7 @@ def suite_theta_table(cfg: RunConfig):
                        "squared transformation law over the level-2 group",
                        worst < tol, worst, t0, matrices=20, points=2))
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     tau = siegel_point(1.9j + 0.2, 0.4j + 0.1, 2.3j - 0.15)
     worst = 0.0
     exact_ok = True
@@ -248,7 +248,7 @@ def suite_theta_table(cfg: RunConfig):
                        "pair characters on the ten generators (45 even pairs)",
                        worst < tol and exact_ok, worst, t0))
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     allchars = [(a, b, c, d) for a in (0, 1) for b in (0, 1)
                 for c in (0, 1) for d in (0, 1)]
     mixed_bad = []
@@ -273,7 +273,7 @@ def suite_theta_table(cfg: RunConfig):
                        note="mixed-parity pairs pick up -1 at the central "
                             "element; equal-parity pairs agree everywhere"))
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     worst = 0.0
     for gamma in gammaZ_generators() + random_gamma48_elements(10, seed=2):
         for tau in pts:
@@ -292,7 +292,7 @@ def suite_orbits(cfg: RunConfig):
     from .theta import FZ_TUPLE, fz_orbit, orbit_decomposition
 
     out = []
-    t0 = time.time()
+    t0 = time.perf_counter()
     orbits = orbit_decomposition()
     sizes = sorted(len(o) for o in orbits)
     ok = len(orbits) == 3 and sum(sizes) == 210
@@ -301,7 +301,7 @@ def suite_orbits(cfg: RunConfig):
                        "the six-theta orbit has 15 members",
                        ok and len(orbit) == 15, None, t0,
                        orbits=len(orbits), sizes=sizes, fz_orbit_size=len(orbit)))
-    t0 = time.time()
+    t0 = time.perf_counter()
     fz = frozenset(FZ_TUPLE)
     exceptions = [
         sorted("".join(map(str, m)) for m in t)
@@ -334,7 +334,7 @@ def suite_fz_phi(cfg: RunConfig):
 
     out = []
     order = cfg.series_order
-    t0 = time.time()
+    t0 = time.perf_counter()
     phi = phi_after_g0(fz_expansion(order))
     target = QuarterSeries.one(1, order)
     for m in ((0, 0), (0, 1), (1, 0)):
@@ -346,7 +346,7 @@ def suite_fz_phi(cfg: RunConfig):
                        "theta00^2 theta01^2 theta10^2 exactly",
                        ok, 0.0 if ok else 1.0, t0, order=order))
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     killed = []
     for tup in sorted(fz_orbit(), key=sorted):
         if tup == frozenset(FZ_TUPLE):
@@ -357,7 +357,7 @@ def suite_fz_phi(cfg: RunConfig):
                        "the degeneration kills every other orbit member",
                        all(killed), None, t0, members=len(killed)))
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     tau1 = 0.3 + 0.9j
     t_aux = 8.0
     vals = {}
@@ -382,7 +382,7 @@ def suite_lfactors(cfg: RunConfig):
 
     out = []
     for p in cfg.prime_list:
-        t0 = time.time()
+        t0 = time.perf_counter()
         h = h2_lpoly(p)
         ok = h.degree() == 21 and h.poly[1] == -trace_h2(p)
         gf = euler_factor("g", p)
@@ -400,7 +400,7 @@ def suite_lefschetz(cfg: RunConfig):
 
     out = []
     for p in cfg.prime_list:
-        t0 = time.time()
+        t0 = time.perf_counter()
         r = lefschetz_check(p)
         out.append(_report("lefschetz",
                            "alternating cohomology trace equals the point count "
@@ -416,7 +416,7 @@ def suite_spin(cfg: RunConfig):
     out = []
     table = []
     worst_ok = True
-    t0 = time.time()
+    t0 = time.perf_counter()
     for p in odd_primes(50):
         residual, info = spin_identity_check(p)
         worst_ok = worst_ok and residual.is_zero() and info["delta_matches_nebentypus"]
@@ -441,14 +441,14 @@ def suite_ez(cfg: RunConfig):
     from .theta import gammaZ_generators, random_gamma48_elements
 
     out = []
-    t0 = time.time()
+    t0 = time.perf_counter()
     conv = resolve_ez_convention()
     out.append(_measured("ez", "resolved lattice-sum conventions", t0,
                          pairing=conv.pairing, scale=conv.scale,
                          z2_sign=conv.z2_sign, resolved_by=conv.resolved_by))
     tol = 1e-6
     pts = EZ_SAMPLE_POINTS
-    t0 = time.time()
+    t0 = time.perf_counter()
     worst48 = max(
         ez_two_form_check(g, tau, 1e-8)
         for g in random_gamma48_elements(10, seed=3, small_c=True)
@@ -458,7 +458,7 @@ def suite_ez(cfg: RunConfig):
                        worst48 < tol, worst48, t0, points=len(pts), samples=10))
     names = ("e1e4", "e1e6", "e1e9^2", "e8^2e3", "e2e10^2")
     for name, g in zip(names, gammaZ_generators()):
-        t0 = time.time()
+        t0 = time.perf_counter()
         r = max(ez_two_form_check(g, tau, 1e-8) for tau in pts)
         det = {}
         if r >= tol:
@@ -469,7 +469,7 @@ def suite_ez(cfg: RunConfig):
             det["residual_against_minus"] = float(np.abs(pulled + hv).max())
         out.append(_report("ez", f"2-form invariance under stabilizer generator {name}",
                            r < tol, r, t0, **det))
-    t0 = time.time()
+    t0 = time.perf_counter()
     m = ez_phi_match(max(260, cfg.series_order))  # at least 20 shared terms
     out.append(_report("ez",
                        "the first-component degeneration matches the six-theta "

@@ -357,11 +357,6 @@ def theta_expansion(m, order: int) -> QuarterSeries:
     return QuarterSeries(2, order, coeffs)
 
 
-@lru_cache(maxsize=None)
-def _theta_expansion_cached(m, order):
-    return theta_expansion(m, order)
-
-
 @lru_cache(maxsize=16)
 def fz_expansion(order: int) -> QuarterSeries:
     """Exact expansion of the six-theta product attached to the 15-orbit."""
@@ -371,7 +366,7 @@ def fz_expansion(order: int) -> QuarterSeries:
 def six_tuple_expansion(ms, order: int) -> QuarterSeries:
     prod = QuarterSeries.one(2, order)
     for m in ms:
-        prod = series_mul(prod, _theta_expansion_cached(tuple(m), order))
+        prod = series_mul(prod, theta_expansion(m, order))
     return prod
 
 

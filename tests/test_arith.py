@@ -1,7 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from siegelz import arith
 from siegelz.arith import (
     FpElement,
     GaussInt,
@@ -14,7 +16,6 @@ from siegelz.arith import (
     legendre,
     odd_primes,
     series_add,
-    series_combine,
     series_mul,
 )
 
@@ -107,6 +108,14 @@ def test_gauss_basic():
     assert (z * w).exact_div(w) == z
 
 
+def test_gauss_real_hashes_as_its_int():
+    assert GaussInt(3, 0) == 3
+    assert hash(GaussInt(3, 0)) == hash(3)
+    assert hash(GaussInt(-7)) == hash(-7)
+    assert len({GaussInt(3, 0), 3}) == 1
+    assert len({GaussInt(3, 1), 3}) == 2
+
+
 def test_gauss_norm_multiplicative():
     rng = random.Random(11)
     for _ in range(200):
@@ -159,12 +168,22 @@ def brute_mul_g1(a, b, order):
     return QuarterSeries(1, order, out)
 
 
+def brute_mul_g2(a, b, order):
+    out = {}
+    for (f1, f2, f3), c1 in a.coeffs.items():
+        for (e1, e2, e3), c2 in b.coeffs.items():
+            key = (f1 + e1, f2 + e2, f3 + e3)
+            if key[0] + key[2] <= order:
+                out[key] = out.get(key, GaussInt()) + c1 * c2
+    return QuarterSeries(2, order, out)
+
+
 def test_series_identities():
     s = QuarterSeries(2, 10, {(4, 0, 0): 2, (0, 2, 2): GaussInt(0, 1)})
     zero = QuarterSeries.zero(2, 10)
     one = QuarterSeries.one(2, 10)
-    assert series_combine(s, zero, "add") == s
-    assert series_combine(s, one, "mul") == s
+    assert series_add(s, zero) == s
+    assert series_mul(s, one) == s
 
 
 def test_theta00_square_order8():
@@ -206,7 +225,7 @@ def test_series_mul_packed_matches_dict():
     b = QuarterSeries(
         1, order, {e: GaussInt(rng.randrange(-20, 21), rng.randrange(-20, 21)) for e in range(order + 1)}
     )
-    assert len(a.coeffs) * len(b.coeffs) > 250_000
+    assert len(a.coeffs) * len(b.coeffs) > arith._SCHOOLBOOK_PAIRS_PER_INDEX * (order + 1)
     packed = series_mul(a, b)
     assert packed == brute_mul_g1(a, b, order)
 
@@ -222,11 +241,125 @@ def test_series_mul_genus2():
     assert prod.coefficient((6, 0, 4)) == GaussInt(0)
 
 
+def test_series_mul_genus2_cancellation_and_empty():
+    a = QuarterSeries(2, 6, {(0, 0, 0): 1, (1, -1, 1): GaussInt(0, 1)})
+    b = QuarterSeries(2, 6, {(0, 0, 0): 1, (1, -1, 1): GaussInt(0, -1)})
+    # (1 + iX)(1 - iX) = 1 + X^2: the X terms cancel and leave no entry
+    assert series_mul(a, b).coeffs == {(0, 0, 0): GaussInt(1), (2, -2, 2): GaussInt(1)}
+    assert series_mul(a, QuarterSeries.zero(2, 6)).is_zero()
+    assert series_mul(QuarterSeries.zero(2, 6), a).is_zero()
+    far = QuarterSeries(2, 6, {(3, 0, 3): 5})
+    assert series_mul(far, far).is_zero()  # every pair truncated away
+
+
+def test_series_mul_genus2_beyond_int64_is_exact():
+    rng = random.Random(4)
+    big = 1 << 40
+    a = QuarterSeries(2, 20, {(i, rng.randrange(-9, 10), 1): GaussInt(big + i, -big)
+                              for i in range(8)})
+    b = QuarterSeries(2, 20, {(1, rng.randrange(-9, 10), i): GaussInt(-big, big - i)
+                              for i in range(8)})
+    prod = series_mul(a, b)
+    assert prod == brute_mul_g2(a, b, 20)
+    assert max(abs(c.re) + abs(c.im) for c in prod.coeffs.values()) > 1 << 63
+    # exponents beyond int64 once added also take the exact path
+    far = QuarterSeries(2, 4, {(1 << 62, 3, -(1 << 62)): 2, (0, 0, 0): 1})
+    assert series_mul(far, far) == brute_mul_g2(far, far, 4)
+    with pytest.raises(ValueError):
+        series_mul(far, far, -1)
+
+
+@pytest.mark.parametrize("x, y", [
+    (1 << 30, (1 << 31) - 1),  # l1 * linf just below 2**62: int64 kernel
+    (1 << 30, 1 << 31),        # exactly 2**62: exact fallback
+    (1 << 31, 1 << 31),        # a coefficient of 2**63 does not fit int64
+    (GaussInt(1 << 29, 1 << 29), GaussInt(-(1 << 30), (1 << 30) - 1)),
+    (GaussInt(1 << 30, -(1 << 30)), GaussInt(1 << 30, 1 << 30)),
+])
+def test_series_mul_genus2_at_the_overflow_bound(x, y):
+    # both pairs land on (1, 2, 1), whose coefficient is 2xy: the bound is tight
+    a = QuarterSeries(2, 4, {(0, -1, 1): x, (1, 2, 0): x})
+    b = QuarterSeries(2, 4, {(1, 3, 0): y, (0, 0, 1): y})
+    prod = series_mul(a, b)
+    assert prod == brute_mul_g2(a, b, 4)
+    assert prod.coefficient((1, 2, 1)) == GaussInt(2) * x * y
+
+
+def _g2_series(order, exps, coeff):
+    key = st.tuples(st.integers(-3, exps), st.integers(-2 * exps, 2 * exps),
+                    st.integers(-3, exps)).filter(lambda k: k[0] + k[2] <= order)
+    return st.dictionaries(key, coeff, max_size=12).map(
+        lambda d: QuarterSeries(2, order, d))
+
+
+_gauss = st.builds(GaussInt, st.integers(-3, 3), st.integers(-3, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(0, 16))
+def test_series_mul_genus2_matches_bruteforce(data, order):
+    exps = data.draw(st.sampled_from([3, 8, 16]))
+    a = data.draw(_g2_series(order, exps, _gauss))
+    b = data.draw(_g2_series(order, exps, _gauss))
+    cut = data.draw(st.integers(0, order))
+    for o in (order, cut):
+        prod = series_mul(a, b, o)
+        assert prod == brute_mul_g2(a, b, o)
+        assert all(prod.coeffs.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(0, 12))
+def test_series_mul_genus2_large_coefficients(data, order):
+    # up to 2**42: the int64 bound holds for some inputs and fails for others
+    huge = st.builds(GaussInt, st.integers(-(1 << 42), 1 << 42), st.integers(-(1 << 42), 1 << 42))
+    a = data.draw(_g2_series(order, 8, huge))
+    b = data.draw(_g2_series(order, 8, huge))
+    assert series_mul(a, b) == brute_mul_g2(a, b, order)
+
+
+def _g1_series(order, max_terms):
+    coeff = st.builds(GaussInt, st.integers(-(1 << 70), 1 << 70), st.integers(-(1 << 70), 1 << 70))
+    return st.dictionaries(st.integers(0, order), coeff, max_size=max_terms).map(
+        lambda d: QuarterSeries(1, order, d))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.integers(0, 60))
+def test_series_mul_genus1_paths_beyond_64_bits(data, order):
+    # few terms select the schoolbook loop, many the packed path
+    terms = data.draw(st.sampled_from([3, order + 1]))
+    a = data.draw(_g1_series(order, terms))
+    b = data.draw(_g1_series(order, terms))
+    expected = brute_mul_g1(a, b, order)
+    assert series_mul(a, b) == expected
+    assert arith._mul_genus1_packed(a, b, order) == expected
+
+
+def test_series_mul_genus1_both_sides_of_the_cutoff(monkeypatch):
+    packed = []
+    real = arith._mul_genus1_packed
+    monkeypatch.setattr(arith, "_mul_genus1_packed",
+                        lambda *args: packed.append(1) or real(*args))
+    rng = random.Random(8)
+    cutoff = arith._SCHOOLBOOK_PAIRS_PER_INDEX
+    order = 300
+    big = lambda: GaussInt(rng.randrange(-(1 << 80), 1 << 80), rng.randrange(-(1 << 80), 1 << 80))
+    for n in (10, 30, 300):
+        a = QuarterSeries(1, order, {rng.randrange(order + 1): big() for _ in range(n)})
+        b = QuarterSeries(1, order, {rng.randrange(order + 1): big() for _ in range(n)})
+        pairs_per_index = len(a.coeffs) * len(b.coeffs) / (order + 1)
+        assert (pairs_per_index > cutoff) == (n > 30)
+        packed.clear()
+        assert series_mul(a, b) == brute_mul_g1(a, b, order)
+        assert bool(packed) == (n > 30)
+
+
 def test_series_genus_mismatch_rejected():
     a = QuarterSeries(1, 4, {0: 1})
     b = QuarterSeries(2, 4, {(0, 0, 0): 1})
     with pytest.raises(ValueError):
-        series_combine(a, b, "add")
+        series_add(a, b)
 
 
 def test_series_mul_associative_commutative():

@@ -40,8 +40,6 @@ class RunConfig:
     prime_list: list = field(default_factory=lambda: [3, 5, 7, 11, 13])
     series_order: int = 200
     numeric_tol: float = 1e-8
-    lattice_radius2: float = 12.0
-    sample_points: int = 3
     output_path: str | None = None
     selected_suites: list = field(default_factory=lambda: ["all"])
 
@@ -55,8 +53,8 @@ class RunConfig:
                 raise ValueError(f"prime {p} exceeds the Satake counting cap (13)")
         if self.series_order < 1:
             raise ValueError("series order must be positive")
-        if self.numeric_tol <= 0 or self.lattice_radius2 <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.numeric_tol <= 0:
+            raise ValueError("the numeric tolerance must be positive")
         for s in self.selected_suites:
             if s != "all" and s not in SUITES:
                 raise ValueError(f"unknown suite {s!r}")
@@ -531,9 +529,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tol", type=float,
                         default=float(_env("tol", "1e-8")),
                         help="numeric tolerance (default 1e-8)")
-    parser.add_argument("--radius2", type=float,
-                        default=float(_env("radius2", "12")),
-                        help="minimum squared lattice radius (default 12)")
     parser.add_argument("--out", default=_env("out", None),
                         help="path for the JSON report")
     return parser
@@ -555,7 +550,6 @@ def main(argv=None) -> int:
             prime_list=[int(p) for p in str(args.primes).split(",") if p],
             series_order=args.order,
             numeric_tol=args.tol,
-            lattice_radius2=args.radius2,
             output_path=args.out,
             selected_suites=suites,
         )
@@ -570,7 +564,6 @@ def main(argv=None) -> int:
             "primes": cfg.prime_list,
             "order": cfg.series_order,
             "tol": cfg.numeric_tol,
-            "radius2": cfg.lattice_radius2,
             "suites": suites,
         },
         "reports": [asdict(r) for r in reports],

@@ -9,6 +9,7 @@ residuals, never as floating point.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +19,7 @@ from .arith import is_prime, kronecker_char, legendre
 NAIVE_Z_CAP = 7      # P^7 enumeration is p^7-sized; keep it small
 CHARSUM_Z_CAP = 13   # fiber loop over F_p^4
 SURFACE_CAP = 41
+CHART_ROWS = 1 << 16  # larger affine charts are enumerated in slices
 
 VARIETIES = (
     "FermatSurface",
@@ -111,7 +113,11 @@ def big_quadrics(x0, x1, x2, x3, p):
 # enumeration helpers
 
 def _projective_points(p: int, n: int):
-    """Yield chart arrays covering P^n(F_p): first nonzero coordinate 1."""
+    """Yield chart arrays covering P^n(F_p): first nonzero coordinate 1.
+
+    A chart of more than CHART_ROWS points comes in slices, one per value
+    of its leading free coordinates, so memory stays bounded.
+    """
     for k in range(n + 1):
         m = n - k
         if m == 0:
@@ -119,11 +125,16 @@ def _projective_points(p: int, n: int):
             coords[0, k] = 1
             yield coords
             continue
-        grid = np.indices((p,) * m, dtype=np.int64).reshape(m, -1).T
-        coords = np.zeros((grid.shape[0], n + 1), dtype=np.int64)
-        coords[:, k] = 1
-        coords[:, k + 1:] = grid
-        yield coords
+        lead = 0
+        while m - lead > 1 and p ** (m - lead) > CHART_ROWS:
+            lead += 1
+        grid = np.indices((p,) * (m - lead), dtype=np.int64).reshape(m - lead, -1).T
+        for prefix in itertools.product(range(p), repeat=lead):
+            coords = np.zeros((grid.shape[0], n + 1), dtype=np.int64)
+            coords[:, k] = 1
+            coords[:, k + 1:k + 1 + lead] = prefix
+            coords[:, k + 1 + lead:] = grid
+            yield coords
 
 
 def _count_projective(p: int, n: int, predicate) -> int:

@@ -1,17 +1,28 @@
 """The explicit vector-valued Eisenstein series of weight (3, 1).
 
-A three-component convergent lattice sum over pairs (z1, z2) of Gaussian
+E_Z is a three-component lattice sum over pairs (z1, z2) of Gaussian
 numbers, z1 running over the shifted coset (1+i)/2 + Z[i] and z2 over
-Z[i], weighted by a parity sign and polynomial kernels conj(z1)^(2-i)
-conj(z2)^i.  Modularity is tested through the associated holomorphic
-2-form (a coordinate-free pullback, no matrix weight factor), and the
-degeneration of the first component is matched exactly against the
-genus-1 image of the six-theta product.
+Z[i], weighted by a parity sign and polynomial kernels conj(z1)^(2-j)
+conj(z2)^j.  Writing z1 = u1 + i v1 and z2 = u2 + i sigma v2 splits the
+exponent, the sign and the kernels over u = (u1, u2) and v = (v1, v2), both
+in (1/2 + Z) x Z, so ez_eval evaluates it as products of the moments of
+degree <= 2 of two 2-D theta-type sums P (over u) and Q (over v), each with
+a proven tail bound carried through the products.  This holds for every
+convention below.  On the resolved one P = Q and P0 = 0 (an odd theta
+constant), so E_Z = Sym^2(S) with S = -grad_z theta[1011](tau, 0) / 2 pi,
+the gradient of an odd theta function.  The 4-D sum itself survives only
+as a test oracle.
+
+Modularity is tested through the associated holomorphic 2-form (a
+coordinate-free pullback, no matrix weight factor), and the degeneration of
+the first component is matched exactly against the genus-1 image of the
+six-theta product.
 
 Two conventions the construction leaves open, the pairing in the Fourier
-index (conj or plain product) and the overall exponent scale, are
-resolved once against the decisive oracles (level-(4,8) invariance and
-the degeneration match) and recorded.
+index (conj or plain product) and the overall exponent scale, together with
+the reading of the z2 parity character, are resolved once against the
+decisive oracles (level-(4,8) invariance and the degeneration match) and
+recorded.
 """
 
 from __future__ import annotations
@@ -47,162 +58,144 @@ Z2_SIGN_RULES = ("x2", "x2+y2", "y2", "1")
 
 
 @dataclass(frozen=True)
-class SchwartzWeight:
-    """Support and sign of the finite-place weight function.
-
-    z1 = (1/2 + x1) + (1/2 + y1) i with x1, y1 in Z; z2 = x2 + y2 i in Z[i];
-    the value on the support is (i/2) (-1)^(x1 + y1) times a parity
-    character of z2.  The z2 character is written (-1)^x2 in coordinates
-    of an unspecified lattice identification, so every parity reading is
-    admitted and the modularity oracles decide (see EzConvention).
-    """
-
-    @staticmethod
-    def supports(z1: complex, z2: complex) -> bool:
-        def half_int(v):
-            return abs(v - round(v)) == 0.5
-
-        def integer(v):
-            return v == round(v)
-
-        return (
-            half_int(z1.real) and half_int(z1.imag)
-            and integer(z2.real) and integer(z2.imag)
-        )
-
-    @staticmethod
-    def sign(z1: complex, z2: complex, z2_rule: str = "x2") -> complex:
-        x1 = round(z1.real - 0.5)
-        y1 = round(z1.imag - 0.5)
-        return 0.5j * (-1) ** ((x1 + y1) % 2) * _z2_sign(
-            round(z2.real), round(z2.imag), z2_rule
-        )
-
-
-def _z2_sign(x2: int, y2: int, rule: str) -> int:
-    if rule == "x2":
-        return -1 if x2 % 2 else 1
-    if rule == "y2":
-        return -1 if y2 % 2 else 1
-    if rule == "x2+y2":
-        return -1 if (x2 + y2) % 2 else 1
-    if rule == "1":
-        return 1
-    raise ValueError(f"unknown z2 sign rule {rule!r}")
-
-
-@dataclass(frozen=True)
 class EzConvention:
+    """One reading of the open conventions.  The z2 parity character is
+    written (-1)^x2 in coordinates of an unspecified lattice identification,
+    so every reading in Z2_SIGN_RULES is admitted and the modularity oracles
+    decide (resolve_ez_convention)."""
+
     pairing: str        # "conj": Re(z1 conj(z2));  "plain": Re(z1 z2)
     scale: int          # exponent exp(pi i * scale * tr(tau T))
     z2_sign: str = "x2"
     resolved_by: str = ""
 
 
-def fourier_index(z1: complex, z2: complex, pairing: str = "conj"):
-    """The 2x2 Gram-type index [[N(z1), r/2], [r/2, N(z2)]]."""
-    n1 = abs(z1) ** 2
-    n2 = abs(z2) ** 2
-    r = (z1 * z2.conjugate()).real if pairing == "conj" else (z1 * z2).real
-    return np.array([[n1, r], [r, n2]])
-
-
 # ---------------------------------------------------------------------------
-# support enumeration
+# the two factor sums
 
-@lru_cache(maxsize=32)
-def _support_arrays(radius2_times4: int):
-    """Flat arrays over the support with N(z1) + N(z2) <= radius2.
+# half the diagonal of a unit cell of (1/2 + Z) x Z
+_HALF_DIAG = math.sqrt(0.5)
+# coefficients, lowest degree first, of (s + 2c)^d (s + c) with c = _HALF_DIAG
+_TAIL_POLY = (
+    (_HALF_DIAG, 1.0),
+    (1.0, 3 * _HALF_DIAG, 1.0),
+    (2 * _HALF_DIAG, 4.0, 5 * _HALF_DIAG, 1.0),
+)
+_MAX_RADIUS2 = 1 << 14  # about 51 000 lattice points per factor
 
-    Returns (x1, y1, x2, y2, sign1) with x1, y1 half-integers as floats and
-    sign1 = (-1)^(x1 + y1 - 1) the z1 parity weight; z2 sign rules are
-    applied by the caller.
+
+def _moment_tails(a: float, radius2: float) -> list[float]:
+    """Bounds, for d = 0, 1, 2, on the sum of |u|^d exp(-a |u|^2) over u in
+    (1/2 + Z) x Z with |u|^2 > radius2.
+
+    Each such u owns the unit square around it; on that square
+    |u| <= |w| + c and |u| >= |w| - c >= 0 (c = _HALF_DIAG, radius >= 2c), so
+    the sum is at most the integral of (|w| + c)^d exp(-a (|w| - c)^2) over
+    |w| > radius - c, which is 2 pi int_{radius - 2c} (s + 2c)^d (s + c)
+    exp(-a s^2) ds in closed form.
     """
-    radius2 = radius2_times4 / 4.0
-    m1 = int(math.isqrt(int(4 * radius2))) // 2 + 2
-    z1s = []
-    for a in range(-m1, m1):
-        for b in range(-m1, m1):
-            x, y = a + 0.5, b + 0.5
-            if x * x + y * y <= radius2:
-                z1s.append((x, y, (-1) ** ((a + b) % 2)))
-    m2 = int(math.isqrt(int(radius2))) + 1
-    z2s = [
-        (a, b)
-        for a in range(-m2, m2 + 1)
-        for b in range(-m2, m2 + 1)
-        if a * a + b * b <= radius2
+    if radius2 < 2:
+        raise ValueError("tail bound needs radius2 >= 2")
+    s0 = max(0.0, math.sqrt(radius2) - 2 * _HALF_DIAG)
+    # int_{s0}^inf s^k exp(-a s^2) ds for k = 0..3
+    e = math.exp(-a * s0 * s0)
+    g0 = 0.5 * math.sqrt(math.pi / a) * math.erfc(math.sqrt(a) * s0)
+    g = (g0, e / (2 * a), (s0 * e + g0) / (2 * a), (s0 * s0 + 1 / a) * e / (2 * a))
+    return [2 * math.pi * sum(c * gk for c, gk in zip(poly, g)) for poly in _TAIL_POLY]
+
+
+def _moment_totals(a: float) -> list[float]:
+    """Bounds on the full sums of |u|^d exp(-a |u|^2) over (1/2 + Z) x Z: the
+    six points with |u|^2 <= 2 exactly, the rest through _moment_tails."""
+    return [
+        2 * 0.5 ** d * math.exp(-a / 4) + 4 * 1.25 ** (d / 2) * math.exp(-1.25 * a) + tail
+        for d, tail in enumerate(_moment_tails(a, 2.0))
     ]
-    x1 = np.array([t[0] for t in z1s])[:, None]
-    y1 = np.array([t[1] for t in z1s])[:, None]
-    s1 = np.array([t[2] for t in z1s])[:, None]
-    x2 = np.array([float(t[0]) for t in z2s])[None, :]
-    y2 = np.array([float(t[1]) for t in z2s])[None, :]
-    n1 = x1 * x1 + y1 * y1
-    n2 = x2 * x2 + y2 * y2
-    keep = (n1 + n2) <= radius2
-    return (
-        np.broadcast_to(x1, keep.shape)[keep],
-        np.broadcast_to(y1, keep.shape)[keep],
-        np.broadcast_to(x2, keep.shape)[keep],
-        np.broadcast_to(y2, keep.shape)[keep],
-        np.broadcast_to(s1, keep.shape)[keep].astype(float),
-    )
 
 
-def _auto_radius2(lam: float, scale: int, tol: float) -> float:
-    """Radius making the Gaussian tail provably below tol.
+def _product_error(a: float, radius2: float, totals: list[float]) -> float:
+    """Error bound on every component when both factors drop |u|^2 > radius2.
 
-    Terms beyond N1 + N2 = S carry exp(-pi scale lam S); the shell at S
-    holds at most ~10 S pairs with kernel at most S, and the shells are
-    summed against the geometric ratio exp(-pi scale lam).
+    Each component is (i/2) times moment products P_a Q_b of total degree 2
+    with coefficients of modulus 1, 2, 1 (or 1, 1, 1, 1), and
+    P Q - P~ Q~ = (P - P~) Q + P~ (Q - Q~) with |Q|, |P~| <= totals.
     """
-    rate = math.pi * scale * lam
-    geom = 1.0 / max(1e-12, 1.0 - math.exp(-rate))
-    r2 = 12.0
-    while 10.0 * (r2 + geom) ** 2 * geom * math.exp(-rate * r2) >= tol:
-        r2 += 25.0
-        if r2 > 1400:
+    eps = _moment_tails(a, radius2)
+    return eps[2] * totals[0] + totals[2] * eps[0] + 2 * eps[1] * totals[1]
+
+
+def _factor_radius2(a: float, tol: float) -> int:
+    """Smallest integer radius2 >= 2 with _product_error <= tol."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    totals = _moment_totals(a)
+    hi = 2
+    while _product_error(a, hi, totals) > tol:
+        hi *= 2
+        if hi > _MAX_RADIUS2:
             raise ValueError(
                 "tolerance unreachable: transformed point too ill-conditioned "
-                f"(min eigenvalue {lam:.4g})"
+                f"(decay rate {a:.4g})"
             )
-    return r2
+    lo = hi // 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _product_error(a, mid, totals) > tol:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def _factor_moments(tau: np.ndarray, scale: int, radius2: float,
+                    parities: tuple) -> np.ndarray:
+    """Rows: the moments 1, u1, u2, u1^2, u1 u2, u2^2 of
+    chi(u) exp(pi i scale u^T tau u) over u in (1/2 + Z) x Z with
+    |u|^2 <= radius2.  Column j has chi(u) = (-1)^(u1 - 1/2), times
+    (-1)^u2 when parities[j] is true."""
+    m = math.isqrt(int(radius2)) + 1
+    k1 = np.arange(-m, m)[:, None]
+    k2 = np.arange(-m, m + 1)[None, :]
+    u1 = k1 + 0.5
+    keep = u1 * u1 + k2 * k2 <= radius2
+    u1 = np.broadcast_to(u1, keep.shape)[keep]
+    u2 = np.broadcast_to(k2, keep.shape)[keep].astype(float)
+    sign1 = np.broadcast_to(1 - 2 * (k1 & 1), keep.shape)[keep]
+    sign2 = np.broadcast_to(1 - 2 * (k2 & 1), keep.shape)[keep]
+    t1, t2, t3 = tau[0, 0], tau[0, 1], tau[1, 1]
+    wave = np.exp(1j * math.pi * scale * (u1 * u1 * t1 + 2 * u1 * u2 * t2 + u2 * u2 * t3))
+    weights = np.stack([wave * (sign1 * sign2 if p else sign1) for p in parities], axis=1)
+    monomials = np.stack([np.ones_like(u1), u1, u2, u1 * u1, u1 * u2, u2 * u2])
+    return monomials @ weights
 
 
 def ez_eval(tau, tol: float = 1e-10, radius2: float | None = None,
             convention: EzConvention | None = None) -> VectorValue:
-    """The three components (h0, h1, h2) at a point of the upper half space."""
+    """The three components (h0, h1, h2) at a point of the upper half space,
+    each within tol (an explicit radius2 bounds |u|^2 in both factor sums
+    and replaces the tail bound)."""
     if convention is None:
         convention = resolve_ez_convention()
+    if convention.z2_sign not in Z2_SIGN_RULES:
+        raise ValueError(f"unknown z2 sign rule {convention.z2_sign!r}")
+    if convention.pairing not in ("conj", "plain"):
+        raise ValueError(f"unknown pairing {convention.pairing!r}")
     tau = np.asarray(tau, dtype=complex)
     check_siegel_point(tau)
-    lam = float(np.linalg.eigvalsh(tau.imag).min())
     if radius2 is None:
-        radius2 = _auto_radius2(lam, convention.scale, tol)
-    x1, y1, x2, y2, sgn = _support_arrays(int(4 * radius2))
-    if convention.z2_sign == "x2":
-        sgn = sgn * (1.0 - 2.0 * (np.abs(x2) % 2))
-    elif convention.z2_sign == "y2":
-        sgn = sgn * (1.0 - 2.0 * (np.abs(y2) % 2))
-    elif convention.z2_sign == "x2+y2":
-        sgn = sgn * (1.0 - 2.0 * (np.abs(x2 + y2) % 2))
-    elif convention.z2_sign != "1":
-        raise ValueError(f"unknown z2 sign rule {convention.z2_sign!r}")
-    n1 = x1 * x1 + y1 * y1
-    n2 = x2 * x2 + y2 * y2
-    if convention.pairing == "conj":
-        r = x1 * x2 + y1 * y2
-    else:
-        r = x1 * x2 - y1 * y2
-    t1, t2, t3 = tau[0, 0], tau[0, 1], tau[1, 1]
-    phase = np.exp(1j * math.pi * convention.scale * (n1 * t1 + 2 * r * t2 + n2 * t3))
-    zbar1 = x1 - 1j * y1
-    zbar2 = x2 - 1j * y2
-    weight = 0.5j * sgn * phase
-    h0 = (weight * zbar1 * zbar1).sum()
-    h1 = (weight * zbar1 * zbar2).sum()
-    h2 = (weight * zbar2 * zbar2).sum()
+        lam = float(np.linalg.eigvalsh(tau.imag).min())
+        radius2 = _factor_radius2(math.pi * convention.scale * lam, tol)
+    P, Q = _factor_moments(tau, convention.scale, radius2, (
+        convention.z2_sign in ("x2", "x2+y2"),
+        convention.z2_sign in ("y2", "x2+y2"),
+    )).T
+    P0, P1, P2, P11, P12, P22 = P
+    Q0, Q1, Q2, Q11, Q12, Q22 = Q
+    # conj(z1) = u1 - i v1 and conj(z2) = u2 - i sigma v2
+    sigma = 1 if convention.pairing == "conj" else -1
+    h0 = 0.5j * (P11 * Q0 - 2j * P1 * Q1 - P0 * Q11)
+    h1 = 0.5j * (P12 * Q0 - 1j * sigma * P1 * Q2 - 1j * P2 * Q1 - sigma * P0 * Q12)
+    h2 = 0.5j * (P22 * Q0 - 2j * sigma * P2 * Q2 - P0 * Q22)
     return VectorValue(complex(h0), complex(h1), complex(h2))
 
 

@@ -1,7 +1,10 @@
+import numpy as np
 import pytest
 
 from siegelz.cmform import a_p
 from siegelz.pointcount import (
+    CHART_ROWS,
+    _projective_points,
     count_variety,
     count_z_slice_x0_zero,
     count_z_slice_x0_nonzero_x3_zero,
@@ -13,6 +16,17 @@ from siegelz.pointcount import (
 )
 
 PRIMES = (3, 5, 7, 11, 13)
+
+
+def test_projective_points_cover_once_in_bounded_slices():
+    p, n = 5, 7  # the first chart has 5^7 > CHART_ROWS points
+    charts = list(_projective_points(p, n))
+    assert max(len(c) for c in charts) <= CHART_ROWS < p ** n
+    rows = np.concatenate(charts)
+    assert len(rows) == (p ** (n + 1) - 1) // (p - 1)
+    assert len(np.unique(rows, axis=0)) == len(rows)
+    leading = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
+    assert np.all(leading == 1) and rows.min() >= 0 and rows.max() < p
 
 
 def test_fermat_surface_at_three():

@@ -1,41 +1,169 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from siegelz.soudry import (
     EZ_SAMPLE_POINTS,
+    Z2_SIGN_RULES,
     EzConvention,
-    SchwartzWeight,
     ez_eval,
     ez_phi_match,
     ez_phi_stratum,
     ez_two_form_check,
-    fourier_index,
     resolve_ez_convention,
     two_form_pullback,
-    _support_arrays,
 )
-from siegelz.theta import E6, gammaZ_generators, random_gamma48_elements
+from siegelz.theta import (
+    E6,
+    apply_moebius,
+    character_value,
+    gammaZ_generators,
+    pair_character_any_parity,
+    random_gamma48_elements,
+)
+
+GENERATOR_NAMES = ("e1e4", "e1e6", "e1e9^2", "e8^2e3", "e2e10^2")
+GENERIC_POINT = np.array([[0.31 + 1.1j, -0.17 + 0.23j], [-0.17 + 0.23j, 0.42 + 0.95j]])
+ODD_CHAR = (1, 0, 1, 1)
 
 
-def test_schwartz_support_and_sign():
-    assert SchwartzWeight.supports(0.5 + 0.5j, 1 + 2j)
-    assert SchwartzWeight.supports(-0.5 + 2.5j, 0)
-    assert not SchwartzWeight.supports(1 + 0.5j, 0)
-    assert not SchwartzWeight.supports(0.5 + 0.5j, 0.5)
-    assert SchwartzWeight.sign(0.5 + 0.5j, 0) == 0.5j
-    assert SchwartzWeight.sign(1.5 + 0.5j, 0) == -0.5j
-    assert SchwartzWeight.sign(0.5 + 0.5j, 1, z2_rule="x2") == -0.5j
-    assert abs(SchwartzWeight.sign(0.5 - 1.5j, 2 + 1j, z2_rule="x2+y2")) == 0.5
+# ---------------------------------------------------------------------------
+# the 4-D lattice sum, kept here as an independent oracle for ez_eval
+
+def _oracle_radius2(lam: float, scale: int, tol: float) -> float:
+    """Bound on N(z1) + N(z2) making the Gaussian tail provably below tol.
+
+    Terms beyond N1 + N2 = S carry exp(-pi scale lam S); the shell at S
+    holds at most ~10 S pairs with kernel at most S, and the shells are
+    summed against the geometric ratio exp(-pi scale lam).
+    """
+    rate = math.pi * scale * lam
+    geom = 1.0 / max(1e-12, 1.0 - math.exp(-rate))
+    r2 = 12.0
+    while 10.0 * (r2 + geom) ** 2 * geom * math.exp(-rate * r2) >= tol:
+        r2 += 25.0
+        assert r2 <= 1400, "oracle tolerance unreachable"
+    return r2
 
 
-def test_fourier_index_psd_on_support():
-    for z1 in (0.5 + 0.5j, 1.5 - 0.5j, -2.5 + 1.5j):
-        for z2 in (0, 1, 1 + 1j, -2 + 1j):
-            T = fourier_index(z1, z2)
-            assert T[0, 0] >= 0.5
-            assert np.linalg.det(T) >= -1e-12
-            doubled = 2 * T[0, 0]
-            assert abs(doubled - round(doubled)) < 1e-12  # N(z1) half-integral
+def _chi2(x2, y2, rule):
+    parity = {"x2": x2, "y2": y2, "x2+y2": x2 + y2, "1": 0 * x2}[rule]
+    return 1 - 2 * (parity % 2)
+
+
+def ez_oracle(tau, convention, tol=1e-10, z2_zero=False):
+    """E_Z as the 4-D sum over its support, in z1 chunks.
+
+    z1 = (1/2 + x1) + (1/2 + y1) i and z2 = x2 + y2 i with x1, y1, x2, y2 in
+    Z; the weight is (i/2) (-1)^(x1 + y1) times the z2 parity character, the
+    kernel conj(z1)^(2-j) conj(z2)^j, the exponent
+    pi i scale (N(z1) tau1 + 2 r tau2 + N(z2) tau3) with r = Re(z1 conj z2)
+    (conj pairing) or Re(z1 z2) (plain).  With z2_zero only the z2 = 0
+    layer is summed.
+    """
+    tau = np.asarray(tau, dtype=complex)
+    lam = float(np.linalg.eigvalsh(tau.imag).min())
+    r2 = _oracle_radius2(lam, convention.scale, tol)
+    m = math.isqrt(int(r2)) + 1
+    x, y = (g.ravel() for g in np.meshgrid(np.arange(-m - 1, m + 1), np.arange(-m - 1, m + 1)))
+    z1 = (x + 0.5) + 1j * (y + 0.5)
+    keep1 = np.abs(z1) ** 2 <= r2
+    z1, sign1 = z1[keep1], (1 - 2 * ((x + y) % 2))[keep1]
+    keep2 = (x * x + y * y <= r2) & ((x == 0) & (y == 0) | (not z2_zero))
+    z2 = (x + 1j * y)[keep2]
+    chi2 = _chi2(x[keep2], y[keep2], convention.z2_sign)
+    t1, t2, t3 = tau[0, 0], tau[0, 1], tau[1, 1]
+    h = np.zeros(3, dtype=complex)
+    for start in range(0, len(z1), 64):
+        w1 = z1[start:start + 64, None]
+        n1, n2 = np.abs(w1) ** 2, np.abs(z2) ** 2
+        paired = w1 * (z2.conjugate() if convention.pairing == "conj" else z2)
+        phase = np.exp(1j * math.pi * convention.scale * (n1 * t1 + 2 * paired.real * t2 + n2 * t3))
+        weight = 0.5j * sign1[start:start + 64, None] * chi2 * phase * (n1 + n2 <= r2)
+        c1, c2 = w1.conjugate(), z2.conjugate()
+        h += [(weight * c1 * c1).sum(), (weight * c1 * c2).sum(), (weight * c2 * c2).sum()]
+    return h
+
+
+def _vec(v):
+    return np.array([v.h0, v.h1, v.h2])
+
+
+def _ill_conditioned_points(count=3):
+    """The points where the suites evaluate E_Z with the smallest eigenvalue
+    of Im tau: images of the sample points under the level-(4,8) samples
+    and the stabilizer generators."""
+    gammas = random_gamma48_elements(10, seed=3, small_c=True) + gammaZ_generators()
+    pts = [apply_moebius(g, tau) for g in gammas for tau in EZ_SAMPLE_POINTS]
+    pts.sort(key=lambda t: float(np.linalg.eigvalsh(t.imag).min()))
+    return pts[:count]
+
+
+def test_factored_sum_matches_4d_oracle():
+    # every (pairing, scale, z2 rule) reading factors, so the oracle pins the
+    # support (half-integral z1, integral z2) and the sign of the weight
+    worst = 0.0
+    for pairing in ("conj", "plain"):
+        for scale in (1, 2):
+            for rule in Z2_SIGN_RULES:
+                conv = EzConvention(pairing, scale, rule)
+                for tau in (*EZ_SAMPLE_POINTS, GENERIC_POINT):
+                    diff = _vec(ez_eval(tau, 1e-13, convention=conv)) - ez_oracle(tau, conv, 1e-13)
+                    worst = max(worst, float(np.abs(diff).max()))
+    assert worst < 1e-12
+
+
+def test_oracle_is_rank_one_on_the_resolved_convention():
+    h0, h1, h2 = ez_oracle(GENERIC_POINT, resolve_ez_convention(), 1e-13)
+    assert min(abs(h0), abs(h1), abs(h2)) > 1e-3
+    assert abs(h1 * h1 - h0 * h2) < 1e-12 * max(abs(h0), abs(h2)) ** 2
+
+
+def test_oracle_z2_zero_layer_is_a_square():
+    # the z2 = 0 layer feeds only h0, and h0 there is the square of the
+    # genus-1 odd-theta gradient sum_x (-1)^(x - 1/2) x exp(pi i tau1 x^2)
+    tau1 = GENERIC_POINT[0, 0]
+    x = np.arange(-40, 40) + 0.5
+    grad = ((1 - 2 * (np.arange(-40, 40) % 2)) * x * np.exp(1j * math.pi * tau1 * x * x)).sum()
+    assert abs(grad) > 1e-2
+    for rule in Z2_SIGN_RULES:
+        h0, h1, h2 = ez_oracle(GENERIC_POINT, EzConvention("conj", 1, rule), 1e-13, z2_zero=True)
+        assert h1 == 0 and h2 == 0
+        assert abs(h0 - grad * grad) < 1e-13
+
+
+@pytest.fixture(scope="module")
+def ill_conditioned_with_oracle():
+    return [(tau, ez_oracle(tau, resolve_ez_convention(), 1e-10))
+            for tau in _ill_conditioned_points()]
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-9])
+def test_tail_bound_against_tighter_evaluations(tol, ill_conditioned_with_oracle):
+    for tau, oracle in ill_conditioned_with_oracle:
+        assert float(np.linalg.eigvalsh(tau.imag).min()) < 0.03
+        got = _vec(ez_eval(tau, tol))
+        tighter = _vec(ez_eval(tau, tol * 1e-4))
+        assert float(np.abs(got - tighter).max()) <= tol
+        assert float(np.abs(got - oracle).max()) <= tol
+
+
+def test_e1e6_sign_is_the_odd_theta_pair_character():
+    # E_Z = Sym^2 of the gradient of theta[1011], so each element acts on
+    # the 2-form by exp(2 pi i t) with t the pair character of that odd
+    # theta: 1/2 on e1e6 (the 8b failure), 0 elsewhere
+    tau = EZ_SAMPLE_POINTS[1]
+    here = _vec(ez_eval(tau, 1e-9))
+    elements = list(zip(GENERATOR_NAMES, gammaZ_generators()))
+    elements += [(f"g48[{k}]", g) for k, g in
+                 enumerate(random_gamma48_elements(10, seed=3, small_c=True))]
+    for name, g in elements:
+        t = pair_character_any_parity(ODD_CHAR, ODD_CHAR, g)
+        assert t == (Fraction(1, 2) if name == "e1e6" else 0), (name, t)
+        pulled = two_form_pullback(g, tau, 1e-9)
+        assert float(np.abs(pulled - character_value(t) * here).max()) < 1e-6, name
 
 
 def test_resolved_convention():
@@ -98,14 +226,6 @@ def test_e1e6_and_e6_act_by_minus_one():
         assert float(np.abs(pulled + hv).max()) < 1e-9
 
 
-def test_strata_of_h1_h2_vanish():
-    # kernel carries conj(z2)^i, so the z2 = 0 layer only feeds h0
-    x1, y1, x2, y2, sgn = _support_arrays(4 * 20)
-    mask = (x2 == 0) & (y2 == 0)
-    zb2 = x2[mask] - 1j * y2[mask]
-    assert np.all(zb2 == 0)
-
-
 def test_phi_stratum_leading_exponent():
     s = ez_phi_stratum(40)
     assert min(s.coeffs) == 2  # u^2 = exp(pi i tau1 / 2), i.e. N(z1) = 1/2
@@ -128,3 +248,5 @@ def test_ez_eval_validation():
     with pytest.raises(ValueError):
         ez_eval(np.asarray(EZ_SAMPLE_POINTS[0]), 1e-8,
                 convention=EzConvention("conj", 1, "bogus"))
+    with pytest.raises(ValueError, match="unreachable"):
+        ez_eval(np.array([[1e-5j, 0], [0, 1j]]), 1e-8)

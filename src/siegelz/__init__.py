@@ -23,7 +23,6 @@ from .lfactors import (
     spin_identity_check,
 )
 from .pointcount import (
-    PointCountReport,
     count_variety,
     verify_birational_map,
     verify_boundary_lines,
@@ -53,7 +52,7 @@ __all__ = [
     "EllipticQExpansion", "a_p", "g_expansion", "hecke_Tp_check",
     "EulerFactor", "ae_quartic", "euler_factor", "h2_lpoly",
     "lefschetz_check", "spin_identity_check",
-    "PointCountReport", "count_variety", "verify_birational_map",
+    "count_variety", "verify_birational_map",
     "verify_boundary_lines", "verify_count_formulas",
     "EzConvention", "ez_eval", "ez_phi_match", "ez_two_form_check",
     "resolve_ez_convention",

@@ -1,9 +1,9 @@
 """Exact base arithmetic.
 
-Prime-field elements, quadratic residue symbols, Gaussian integers,
-truncated Fourier series with quarter-integer exponent unit, and integer
-polynomials in one variable.  Everything here is exact: no floats enter
-until a series or polynomial is explicitly evaluated.
+Primes, quadratic residue symbols, Gaussian integers, truncated Fourier
+series with quarter-integer exponent unit, and integer polynomials in one
+variable.  Everything here is exact: no floats enter until a series or
+polynomial is explicitly evaluated.
 """
 
 from __future__ import annotations
@@ -65,43 +65,6 @@ def kronecker_char(d: int, n: int) -> int:
     if d == -2:
         return kronecker_char(-1, n) * kronecker_char(2, n)
     raise ValueError(f"unsupported discriminant {d}")
-
-
-@dataclass(frozen=True)
-class FpElement:
-    """An element of the prime field F_p, p an odd prime."""
-
-    value: int
-    p: int
-
-    def __post_init__(self):
-        if self.p % 2 == 0 or not is_prime(self.p):
-            raise ValueError(f"{self.p} is not an odd prime")
-        object.__setattr__(self, "value", self.value % self.p)
-
-    def _check(self, other: "FpElement"):
-        if self.p != other.p:
-            raise ValueError("mixed moduli")
-
-    def __add__(self, other):
-        self._check(other)
-        return FpElement(self.value + other.value, self.p)
-
-    def __sub__(self, other):
-        self._check(other)
-        return FpElement(self.value - other.value, self.p)
-
-    def __mul__(self, other):
-        self._check(other)
-        return FpElement(self.value * other.value, self.p)
-
-    def inverse(self) -> "FpElement":
-        if self.value == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return FpElement(pow(self.value, self.p - 2, self.p), self.p)
-
-    def is_square(self) -> bool:
-        return legendre(self.value, self.p) >= 0
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,10 @@ residuals, never as floating point.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arith import is_prime, kronecker_char, legendre
+from .arith import is_prime, kronecker_char
 
 NAIVE_Z_CAP = 7      # P^7 enumeration is p^7-sized; keep it small
 CHARSUM_Z_CAP = 13   # fiber loop over F_p^4
@@ -30,16 +29,6 @@ VARIETIES = (
     "U2c",
     "Ztilde",
 )
-
-
-@dataclass
-class PointCountReport:
-    variety: str
-    p: int
-    count_naive: int | None = None
-    count_charsum: int | None = None
-    formula_value: int | None = None
-    residuals: dict = field(default_factory=dict)
 
 
 def _check_odd_prime(p: int):

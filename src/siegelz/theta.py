@@ -198,8 +198,11 @@ def sp2z_generators() -> list[np.ndarray]:
     return gens
 
 
+GAMMAZ_GENERATOR_NAMES = ("e1e4", "e1e6", "e1e9^2", "e8^2e3", "e2e10^2")
+
+
 def gammaZ_generators() -> list[np.ndarray]:
-    """The five products e1e4, e1e6, e1e9^2, e8^2e3, e2e10^2."""
+    """The five products named in ``GAMMAZ_GENERATOR_NAMES``, in that order."""
     return [
         E1 @ E4,
         E1 @ E6,

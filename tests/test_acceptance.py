@@ -1,45 +1,37 @@
 """Acceptance criteria, one verdict line per criterion.
 
-Every tolerance is pinned here.  Two sub-clauses are known to be
-unsatisfiable as stated and fail honestly with an analysis in the
-failure message: the orbit-membership overclaim (criterion 5) and the
-invariance of the vector-valued series under the fifth stabilizer
-generator (criterion 8); see notes in the companion module tests.
+Each claim is stated once, in a ``verify`` suite of ``siegelz.cli``.  One
+run of the default configuration (primes 3..13, order 200, tol 1e-8)
+produces the reports, and each criterion asserts on the reports it covers,
+selected by suite and claim text.  Every tolerance is pinned here: where a
+report carries a residual, the criterion tests the residual itself, so a
+suite check loosened or forced to pass still fails here.
+
+Two sub-clauses are known to be unsatisfiable as stated and fail honestly
+with an analysis in the failure message: the orbit-membership overclaim
+(criterion 5) and the invariance of the vector-valued series under the
+fifth stabilizer generator (criterion 8); see notes in the companion module
+tests.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the verdict lines.
 """
 
-import time
+import pytest
 
-import numpy as np
+from siegelz.cli import RunConfig, run
 
-from siegelz.arith import odd_primes, series_mul, QuarterSeries
-from siegelz.cmform import a_p, g_expansion, hecke_Tp_check
-from siegelz.lfactors import h2_lpoly, lefschetz_check, spin_identity_check, trace_h2
-from siegelz.pointcount import count_variety, verify_count_formulas
-from siegelz.soudry import EZ_SAMPLE_POINTS, ez_phi_match, ez_two_form_check
-from siegelz.theta import (
-    FZ_TUPLE,
-    apply_moebius,
-    cocycle,
-    even_characteristics,
-    fz_eval,
-    fz_expansion,
-    fz_orbit,
-    gammaZ_generators,
-    orbit_decomposition,
-    phi_after_g0,
-    random_gamma2_elements,
-    random_gamma48_elements,
-    siegel_point,
-    six_tuple_expansion,
-    table1_char,
-    theta_eval,
-    theta_expansion,
-    verify_igusa_transformation,
-)
+PRIMES = [3, 5, 7, 11, 13]
+ODD_PRIMES_TO_50 = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
-PRIMES = (3, 5, 7, 11, 13)
+
+@pytest.fixture(scope="module")
+def reports():
+    return run(RunConfig())[0]
+
+
+def select(reports, suite, claim=""):
+    """The reports of one suite whose claim text starts with ``claim``."""
+    return [r for r in reports if r.suite == suite and r.claim.startswith(claim)]
 
 
 def verdict(tag: str, ok: bool, detail: str = "") -> bool:
@@ -48,76 +40,63 @@ def verdict(tag: str, ok: bool, detail: str = "") -> bool:
     return ok
 
 
-def test_criterion_1_point_counts():
-    t0 = time.time()
-    ok = count_variety("FermatSurface", 3) == 16
-    worst = 0
-    for p in PRIMES:
-        rep = verify_count_formulas(p, a_p(p))
-        for key in ("cone", "satake", "resolution", "u1_complement", "u2_complement"):
-            worst = max(worst, abs(rep["residuals"][key]))
-    elapsed = time.time() - t0
-    ok = ok and worst == 0 and elapsed <= 60
+def test_criterion_1_point_counts(reports):
+    (f3,) = select(reports, "counts", "|F(F_3)| = 16")
+    closed = select(reports, "counts", "|Cone| = p|F|+1")
+    keys = {"cone", "satake", "resolution", "u1_complement", "u2_complement"}
+    worst = max(abs(v) for r in closed for v in r.details["residuals"].values())
+    elapsed = sum(r.runtime for r in select(reports, "counts"))
+    ok = (f3.details["count"] == 16
+          and [r.details["p"] for r in closed] == PRIMES
+          and all(keys <= r.details["residuals"].keys() for r in closed)
+          and worst == 0 and elapsed <= 60)
     assert verdict("criterion 1: point counts and closed forms, residual 0",
                    ok, f"worst residual {worst}, {elapsed:.1f}s")
 
 
-def test_criterion_2_corrected_fermat_trace():
-    worst = 0
-    for p in PRIMES:
-        rep = verify_count_formulas(p, a_p(p))
-        worst = max(worst, abs(rep["residuals"]["fermat_corrected"]))
-    measured3 = verify_count_formulas(3, a_p(3))["measured_frobenius_trace"]
-    ok = worst == 0 and measured3 == 0
+def test_criterion_2_corrected_fermat_trace(reports):
+    corrected = select(reports, "fermat", "|F(F_p)|")
+    (trace3,) = select(reports, "fermat", "Frobenius trace")
+    measured3 = trace3.details["measured"]
+    ok = ([r.details["p"] for r in corrected] == PRIMES
+          and all(r.residual == 0 for r in corrected)
+          and trace3.status == "measured" and measured3 == 0)
     assert verdict("criterion 2: corrected quartic-surface trace formula",
                    ok, f"measured trace at 3 is {measured3}")
 
 
-def test_criterion_3_g_triple():
-    order = 200
-    ga = g_expansion("theta_product", order)
-    gb = g_expansion("gauss_sum", order)
-    gc = g_expansion("hecke_character", order)
-    ok = ga.agrees_with(gb, order) and ga.agrees_with(gc, order)
-    for p in odd_primes(50):
-        ok = ok and not hecke_Tp_check(p, 20).a
-    for p in odd_primes(200):
-        ok = ok and abs(a_p(p)) <= 2 * p
-        if p % 4 == 3:
-            ok = ok and a_p(p) == 0
+def test_criterion_3_g_triple(reports):
+    (triple, cm) = select(reports, "g-triple")
+    hecke = select(reports, "hecke", "T_p g = a_p g")
+    order = triple.details["order"]
+    ok = (triple.status == cm.status == "pass" and triple.residual == 0
+          and order == 200
+          and [r.details["p"] for r in hecke] == ODD_PRIMES_TO_50
+          and all(r.status == "pass" and r.residual == 0
+                  and r.details["order"] >= 20 for r in hecke))
     assert verdict("criterion 3: three newform constructions, eigenform property",
                    ok, f"order {order}, odd p <= 50")
 
 
-def test_criterion_4_phi_identity():
-    order = 200
-    phi = phi_after_g0(fz_expansion(order))
-    target = QuarterSeries.one(1, order)
-    for m in ((0, 0), (0, 1), (1, 0)):
-        t = theta_expansion(m, order)
-        target = series_mul(target, series_mul(t, t))
-    ok = phi == target
-    killed = all(
-        phi_after_g0(six_tuple_expansion(tuple(sorted(tup)), 40)).is_zero()
-        for tup in fz_orbit() if tup != frozenset(FZ_TUPLE)
-    )
-    ok = ok and killed
+def test_criterion_4_phi_identity(reports):
+    (identity,) = select(reports, "fz-phi", "the degeneration of the six-theta")
+    (killed,) = select(reports, "fz-phi", "the degeneration kills")
+    members = killed.details["members"]
+    ok = (identity.status == killed.status == "pass" and identity.residual == 0
+          and identity.details["order"] == 200 and members == 14)
     assert verdict("criterion 4: degeneration identity and orbit vanishing",
-                   ok, f"exact to order {order}; 14 members killed")
+                   ok, f"exact to order 200; {members} members killed")
 
 
-def test_criterion_5_orbit_structure():
-    orbits = orbit_decomposition()
-    orbit = fz_orbit()
-    ok = (
-        sum(len(o) for o in orbits) == 210
-        and len(orbits) == 3
-        and len(orbit) == 15
-    )
+def test_criterion_5_orbit_structure(reports):
+    (split,) = select(reports, "orbits", "210 six-tuples")
+    d = split.details
+    ok = (split.status == "pass" and sum(d["sizes"]) == 210
+          and d["orbits"] == 3 and d["fz_orbit_size"] == 15)
     assert verdict("criterion 5a: 210 six-tuples, 3 orbits, orbit size 15", ok)
 
 
-def test_criterion_5_membership_clause():
+def test_criterion_5_membership_clause(reports):
     """Known source defect: one of the fourteen other members contains
     neither the 1111 nor the 1001 characteristic.
 
@@ -127,83 +106,54 @@ def test_criterion_5_membership_clause():
     still vanishes because of the first-entry-1 members 1000 and 1100, so
     the consequence the membership claim feeds (criterion 4) holds.
     """
-    orbit = fz_orbit()
-    fz = frozenset(FZ_TUPLE)
-    missing = [t for t in orbit
-               if t != fz and (1, 1, 1, 1) not in t and (1, 0, 0, 1) not in t]
-    ok = not missing
+    (membership,) = select(reports, "orbits", "every other orbit member")
+    missing = membership.details["exceptions"]
+    ok = membership.status == "pass" and not missing
     assert verdict(
         "criterion 5b: every other member contains theta_1111 or theta_1001",
         ok,
-        f"{len(missing)} exception(s): "
-        + "; ".join(",".join(sorted("".join(map(str, m)) for m in t)) for t in missing),
+        f"{len(missing)} exception(s): " + "; ".join(",".join(t) for t in missing),
     )
 
 
-def test_criterion_6_transformation_laws():
+def test_criterion_6_transformation_laws(reports):
     tol = 1e-8
-    evens = even_characteristics(2)
-    pts = [siegel_point(2j, 0, 2j), siegel_point(2j, 0.5j, 2j)]
-    worst_sq = 0.0
-    for M in random_gamma2_elements(20, max_entry=8, seed=1):
-        for tau in pts:
-            worst_sq = max(worst_sq, verify_igusa_transformation(evens, M, tau, 1e-13))
-    import itertools
-
-    from siegelz.theta import E_GENERATORS
-
-    tau = siegel_point(1.9j + 0.2, 0.4j + 0.1, 2.3j - 0.15)
-    worst_table = 0.0
-    for i, M in enumerate(E_GENERATORS, start=1):
-        mtau = apply_moebius(M, tau)
-        detj = complex(np.linalg.det(cocycle(M, tau)))
-        th_m = {m: theta_eval(m, mtau, 1e-13) for m in evens}
-        th_0 = {m: theta_eval(m, tau, 1e-13) for m in evens}
-        for m1, m2 in itertools.combinations(evens, 2):
-            ratio = th_m[m1] * th_m[m2] / (th_0[m1] * th_0[m2] * detj)
-            worst_table = max(worst_table, abs(ratio - table1_char(m1, m2, i).to_complex()))
-    worst_fz = 0.0
-    for gamma in gammaZ_generators():
-        for pt in pts:
-            gtau = apply_moebius(gamma, pt)
-            detj = complex(np.linalg.det(cocycle(gamma, pt)))
-            worst_fz = max(worst_fz, abs(fz_eval(gtau, 1e-13) / detj ** 3 - fz_eval(pt, 1e-13)))
-    ok = worst_sq < tol and worst_table < tol and worst_fz < tol
+    (squared,) = select(reports, "theta-table", "squared transformation law")
+    (pairs,) = select(reports, "theta-table", "pair characters on the ten")
+    (six,) = select(reports, "theta-table", "six-theta product is fixed")
+    ok = (all(r.status == "pass" for r in (squared, pairs, six))
+          and max(squared.residual, pairs.residual, six.residual) < tol)
     assert verdict("criterion 6: transformation laws at 1e-8",
-                   ok, f"squared {worst_sq:.1e}, pairs {worst_table:.1e}, "
-                       f"six-theta {worst_fz:.1e}")
+                   ok, f"squared {squared.residual:.1e}, pairs {pairs.residual:.1e}, "
+                       f"six-theta {six.residual:.1e}")
 
 
-def test_criterion_7_l_factors():
-    ok = True
-    for p in PRIMES:
-        h = h2_lpoly(p)
-        ok = ok and h.degree() == 21 and h.poly[1] == -trace_h2(p)
-        ok = ok and lefschetz_check(p) == 0
-    for p in odd_primes(50):
-        residual, _ = spin_identity_check(p)
-        ok = ok and residual.is_zero()
+def test_criterion_7_l_factors(reports):
+    lfactors = select(reports, "lfactors")
+    lefschetz = select(reports, "lefschetz")
+    (spin,) = select(reports, "spin")
+    ok = ([r.details["p"] for r in lfactors] == PRIMES
+          and [r.details["p"] for r in lefschetz] == PRIMES
+          and all(r.status == "pass" for r in lfactors + lefschetz + [spin])
+          and all(r.residual == 0 for r in lefschetz)
+          and [row["p"] for row in spin.details["solved"]] == ODD_PRIMES_TO_50)
     assert verdict("criterion 7: local L-factors, trace and spin identities", ok)
 
 
-def test_criterion_8_ez_invariance_and_match():
-    t0 = time.time()
+def test_criterion_8_ez_invariance_and_match(reports):
     tol = 1e-6
-    worst48 = max(
-        ez_two_form_check(g, tau, 1e-8)
-        for g in random_gamma48_elements(10, seed=3, small_c=True)
-        for tau in EZ_SAMPLE_POINTS
-    )
-    m = ez_phi_match(260)
-    elapsed = time.time() - t0
-    ok = (worst48 < tol and m["residual"] < 1e-8 and m["n_exponents"] >= 20
+    (level48,) = select(reports, "ez", "2-form invariance under the level-(4,8)")
+    (match,) = select(reports, "ez", "the first-component degeneration")
+    elapsed = sum(r.runtime for r in select(reports, "ez"))
+    ok = (level48.status == match.status == "pass" and level48.residual < tol
+          and match.residual < 1e-8 and match.details["terms"] >= 20
           and elapsed <= 300)
     assert verdict("criterion 8a: level-(4,8) invariance and degeneration match",
-                   ok, f"invariance {worst48:.1e}, match scalar {m['scalar']}, "
-                       f"{elapsed:.0f}s")
+                   ok, f"invariance {level48.residual:.1e}, "
+                       f"match scalar {match.details['scalar']}, {elapsed:.0f}s")
 
 
-def test_criterion_8_stabilizer_generators():
+def test_criterion_8_stabilizer_generators(reports):
     """Known source defect: the fifth stabilizer generator is not an
     invariance of the displayed lattice sum.
 
@@ -216,12 +166,10 @@ def test_criterion_8_stabilizer_generators():
     invariances.
     """
     tol = 1e-6
-    names = ("e1e4", "e1e6", "e1e9^2", "e8^2e3", "e2e10^2")
     residuals = {
-        name: max(ez_two_form_check(g, tau, 1e-8) for tau in EZ_SAMPLE_POINTS)
-        for name, g in zip(names, gammaZ_generators())
+        r.claim.split()[-1]: r.residual
+        for r in select(reports, "ez", "2-form invariance under stabilizer generator")
     }
-    worst = max(residuals.values())
-    ok = worst < tol
+    ok = len(residuals) == 5 and max(residuals.values()) < tol
     assert verdict("criterion 8b: 2-form fixed by the five stabilizer generators",
                    ok, " ".join(f"{n}={r:.1e}" for n, r in residuals.items()))

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from siegelz import arith
 from siegelz.arith import (
-    FpElement,
     GaussInt,
     IntPolynomial,
     QuarterSeries,
@@ -81,17 +80,6 @@ def test_kronecker_agrees_with_legendre_at_odd_primes():
 def test_kronecker_rejects_even():
     with pytest.raises(ValueError):
         kronecker_char(-1, 4)
-
-
-def test_fp_element():
-    a = FpElement(9, 7)
-    b = FpElement(5, 7)
-    assert a.value == 2
-    assert (a + b).value == 0
-    assert (a * b).value == 3
-    assert (a.inverse() * a).value == 1
-    with pytest.raises(ValueError):
-        FpElement(1, 9)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from siegelz.cli import RunConfig, SUITES, build_parser, main, run
+from siegelz.cli import RunConfig, build_parser, main, run
 
 
 def test_run_config_validation():
@@ -68,10 +68,14 @@ def test_reports_deterministic():
     assert strip(reports1) == strip(reports2)
 
 
-def test_every_suite_is_registered():
-    from siegelz.cli import SUITE_RUNNERS
+def test_ez_suite_passes_at_the_given_tolerance():
+    def level48_status(tol):
+        reports, _ = run(RunConfig(selected_suites=["ez"], numeric_tol=tol))
+        (r,) = [r for r in reports if "level-(4,8)" in r.claim]
+        return r.status
 
-    assert set(SUITES) == set(SUITE_RUNNERS)
+    assert level48_status(1e-15) == "fail"
+    assert level48_status(1e-8) == "pass"
 
 
 def test_parser_defaults():

@@ -17,6 +17,7 @@ from siegelz.soudry import (
 )
 from siegelz.theta import (
     E6,
+    GAMMAZ_GENERATOR_NAMES,
     apply_moebius,
     character_value,
     gammaZ_generators,
@@ -24,7 +25,6 @@ from siegelz.theta import (
     random_gamma48_elements,
 )
 
-GENERATOR_NAMES = ("e1e4", "e1e6", "e1e9^2", "e8^2e3", "e2e10^2")
 GENERIC_POINT = np.array([[0.31 + 1.1j, -0.17 + 0.23j], [-0.17 + 0.23j, 0.42 + 0.95j]])
 ODD_CHAR = (1, 0, 1, 1)
 
@@ -156,7 +156,7 @@ def test_e1e6_sign_is_the_odd_theta_pair_character():
     # theta: 1/2 on e1e6 (the 8b failure), 0 elsewhere
     tau = EZ_SAMPLE_POINTS[1]
     here = _vec(ez_eval(tau, 1e-9))
-    elements = list(zip(GENERATOR_NAMES, gammaZ_generators()))
+    elements = list(zip(GAMMAZ_GENERATOR_NAMES, gammaZ_generators()))
     elements += [(f"g48[{k}]", g) for k, g in
                  enumerate(random_gamma48_elements(10, seed=3, small_c=True))]
     for name, g in elements:
@@ -201,11 +201,9 @@ def test_invariance_level48():
 
 
 def test_invariance_stabilizer_generators_except_structural():
-    gens = gammaZ_generators()
-    names = ("e1e4", "e1e6", "e1e9^2", "e8^2e3", "e2e10^2")
     residuals = {
         name: max(ez_two_form_check(g, tau, 1e-8) for tau in EZ_SAMPLE_POINTS)
-        for name, g in zip(names, gens)
+        for name, g in zip(GAMMAZ_GENERATOR_NAMES, gammaZ_generators())
     }
     for name in ("e1e4", "e1e9^2", "e8^2e3", "e2e10^2"):
         assert residuals[name] < 1e-6, (name, residuals[name])

@@ -70,10 +70,23 @@ def _report(suite, claim, ok, residual=None, started=None, **details):
 
 # ---------------------------------------------------------------------------
 # suites
+#
+# Each runner takes the run's config and a dict shared by the suites of one
+# run(), which holds results that more than one suite reads.
 
-def suite_counts(cfg: RunConfig):
+def _count_formulas(shared: dict, p: int) -> dict:
+    """``verify_count_formulas`` at p, evaluated once per run()."""
     from .cmform import a_p
-    from .pointcount import count_variety, verify_birational_map, verify_count_formulas
+    from .pointcount import verify_count_formulas
+
+    key = ("count_formulas", p)
+    if key not in shared:
+        shared[key] = verify_count_formulas(p, a_p(p))
+    return shared[key]
+
+
+def suite_counts(cfg: RunConfig, shared: dict):
+    from .pointcount import count_variety, verify_birational_map
 
     out = []
     t0 = time.perf_counter()
@@ -81,7 +94,7 @@ def suite_counts(cfg: RunConfig):
     out.append(_report("counts", "|F(F_3)| = 16", f3 == 16, abs(f3 - 16), t0, count=f3))
     for p in cfg.prime_list:
         t0 = time.perf_counter()
-        rep = verify_count_formulas(p, a_p(p))
+        rep = _count_formulas(shared, p)
         res = rep["residuals"]
         keys = ("cone", "satake", "resolution", "u1_complement", "u2_complement",
                 "slice_x0_zero", "slice_x3_zero")
@@ -106,14 +119,13 @@ def suite_counts(cfg: RunConfig):
     return out
 
 
-def suite_fermat(cfg: RunConfig):
+def suite_fermat(cfg: RunConfig, shared: dict):
     from .cmform import a_p
-    from .pointcount import verify_count_formulas
 
     out = []
     for p in cfg.prime_list:
         t0 = time.perf_counter()
-        rep = verify_count_formulas(p, a_p(p))
+        rep = _count_formulas(shared, p)
         r = rep["residuals"]["fermat_corrected"]
         out.append(_report(
             "fermat",
@@ -122,7 +134,7 @@ def suite_fermat(cfg: RunConfig):
             measured_trace=rep["measured_frobenius_trace"],
         ))
     t0 = time.perf_counter()
-    rep3 = verify_count_formulas(3, a_p(3))
+    rep3 = _count_formulas(shared, 3)
     out.append(_report(
         "fermat", "Frobenius trace on the transcendental part at p = 3",
         None, None, t0, measured=rep3["measured_frobenius_trace"],
@@ -131,7 +143,7 @@ def suite_fermat(cfg: RunConfig):
     return out
 
 
-def suite_g_triple(cfg: RunConfig):
+def suite_g_triple(cfg: RunConfig, shared: dict):
     from .cmform import a_p, g_expansion, resolve_gauss_convention
     from .arith import odd_primes
 
@@ -155,7 +167,7 @@ def suite_g_triple(cfg: RunConfig):
     return out
 
 
-def suite_hecke(cfg: RunConfig):
+def suite_hecke(cfg: RunConfig, shared: dict):
     from .arith import odd_primes
     from .cmform import a_p, hecke_Tp_check
 
@@ -170,7 +182,7 @@ def suite_hecke(cfg: RunConfig):
     return out
 
 
-def suite_theta_table(cfg: RunConfig):
+def suite_theta_table(cfg: RunConfig, shared: dict):
     import itertools
 
     from .theta import (
@@ -181,6 +193,7 @@ def suite_theta_table(cfg: RunConfig):
         even_characteristics,
         fz_eval,
         gammaZ_generators,
+        igusa_residuals,
         pair_character_any_parity,
         parity,
         random_gamma2_elements,
@@ -189,7 +202,6 @@ def suite_theta_table(cfg: RunConfig):
         slash_character_exact,
         table1_char,
         theta_eval,
-        verify_igusa_transformation,
     )
 
     tol = cfg.numeric_tol
@@ -199,12 +211,16 @@ def suite_theta_table(cfg: RunConfig):
 
     t0 = time.perf_counter()
     worst = 0.0
+    tuple_checks = 0
     for M in random_gamma2_elements(20, seed=1):
         for tau in pts:
-            worst = max(worst, verify_igusa_transformation(evens, M, tau, 1e-13))
+            squared, tup = igusa_residuals(evens, M, tau, 1e-13)
+            worst = max(worst, squared, tup or 0.0)
+            tuple_checks += tup is not None
     out.append(_report("theta-table",
                        "squared transformation law over the level-2 group",
-                       worst < tol, worst, t0, matrices=20, points=2))
+                       worst < tol, worst, t0, matrices=20, points=2,
+                       tuple_checks=tuple_checks))
 
     t0 = time.perf_counter()
     tau = siegel_point(1.9j + 0.2, 0.4j + 0.1, 2.3j - 0.15)
@@ -262,7 +278,7 @@ def suite_theta_table(cfg: RunConfig):
     return out
 
 
-def suite_orbits(cfg: RunConfig):
+def suite_orbits(cfg: RunConfig, shared: dict):
     from .theta import FZ_TUPLE, fz_orbit, orbit_decomposition
 
     out = []
@@ -290,7 +306,7 @@ def suite_orbits(cfg: RunConfig):
     return out
 
 
-def suite_fz_phi(cfg: RunConfig):
+def suite_fz_phi(cfg: RunConfig, shared: dict):
     from .arith import series_mul, QuarterSeries
     from .theta import (
         FZ_TUPLE,
@@ -351,7 +367,7 @@ def suite_fz_phi(cfg: RunConfig):
     return out
 
 
-def suite_lfactors(cfg: RunConfig):
+def suite_lfactors(cfg: RunConfig, shared: dict):
     from .lfactors import euler_factor, h2_lpoly, trace_h2
 
     out = []
@@ -369,7 +385,7 @@ def suite_lfactors(cfg: RunConfig):
     return out
 
 
-def suite_lefschetz(cfg: RunConfig):
+def suite_lefschetz(cfg: RunConfig, shared: dict):
     from .lfactors import lefschetz_check
 
     out = []
@@ -383,7 +399,7 @@ def suite_lefschetz(cfg: RunConfig):
     return out
 
 
-def suite_spin(cfg: RunConfig):
+def suite_spin(cfg: RunConfig, shared: dict):
     from .arith import odd_primes
     from .lfactors import spin_identity_check
 
@@ -403,7 +419,7 @@ def suite_spin(cfg: RunConfig):
     return out
 
 
-def suite_ez(cfg: RunConfig):
+def suite_ez(cfg: RunConfig, shared: dict):
     from .soudry import (
         EZ_SAMPLE_POINTS,
         ez_eval,
@@ -474,8 +490,9 @@ def run(cfg: RunConfig) -> tuple[list[VerificationReport], int]:
     cfg.validate()
     selected = list(SUITES) if "all" in cfg.selected_suites else cfg.selected_suites
     reports = []
+    shared: dict = {}
     for name in selected:
-        reports.extend(SUITE_RUNNERS[name](cfg))
+        reports.extend(SUITE_RUNNERS[name](cfg, shared))
     failed = any(r.status == "fail" for r in reports)
     return reports, (1 if failed else 0)
 

@@ -1,8 +1,11 @@
 """Theta characteristics and theta constants in genus 1 and 2.
 
 Exact truncated expansions, numeric lattice-sum evaluation with a tail
-bound, the transformation machinery (characteristic action, eighth-integer
-phase, kappa^2 on the level-2 group), the ten standard generator matrices
+bound, the transformation machinery (one vectorized pass gives, for every
+characteristic of a tuple, the unreduced image m M^-1 + (diag CD^T,
+diag AB^T) and the eighth-integer phase; with kappa^2 and the reduction
+signs these give the exact characters on the level-2 group, and the
+numeric check of the transformation law), the ten standard generator matrices
 e_1..e_10 of Gamma(2)/Gamma(4,8) with their pair characters, the congruence
 predicates cutting out the stabilizer group of the six-theta product F_Z,
 the orbit split of six-tuples of even characteristics, F_Z itself, and the
@@ -61,14 +64,6 @@ def even_characteristics(genus: int) -> list[Characteristic]:
     return [m for m in it if parity(m) == "even"]
 
 
-def char_to_string(m) -> str:
-    return "".join(str(x) for x in m)
-
-
-def char_from_string(s: str) -> Characteristic:
-    return tuple(int(c) for c in s)
-
-
 # the six-tuple generating the 15-element orbit
 FZ_TUPLE: tuple = (
     (0, 0, 0, 0),
@@ -103,11 +98,6 @@ def is_symplectic(M: np.ndarray) -> bool:
     return bool(np.array_equal(M @ J @ M.T, J))
 
 
-def sp_inverse(M: np.ndarray) -> np.ndarray:
-    A, B, C, D = blocks(M)
-    return np.block([[D.T, -B.T], [-C.T, A.T]])
-
-
 def in_gamma(M: np.ndarray, n: int) -> bool:
     """Principal congruence condition M = 1 mod n (with -1 counted at n <= 2)."""
     size = M.shape[0]
@@ -128,14 +118,6 @@ def in_igusa_group(M: np.ndarray, n: int) -> bool:
 
 def in_gamma2(M) -> bool:
     return in_gamma(M, 2)
-
-
-def in_gamma4(M) -> bool:
-    return in_gamma(M, 4)
-
-
-def in_gamma24(M) -> bool:
-    return in_igusa_group(M, 2)
 
 
 def in_gamma48(M) -> bool:
@@ -454,76 +436,66 @@ def fz_eval(tau, tol: float = 1e-12) -> complex:
     return val
 
 
-def six_tuple_eval(ms, tau, tol: float = 1e-12) -> complex:
-    val = 1.0 + 0j
-    for m in ms:
-        val *= theta_eval(m, tau, tol)
-    return val
-
-
 # ---------------------------------------------------------------------------
 # transformation machinery
 
-def characteristic_action_raw(M: np.ndarray, m) -> np.ndarray:
-    """Unreduced action m -> m M^-1 + (diag(C D^T), diag(A B^T))."""
-    if not is_symplectic(M):
-        raise ValueError("matrix is not symplectic")
-    A, B, C, D = blocks(M)
-    mv = np.array(m, dtype=np.int64)
-    shift = np.concatenate([np.diag(C @ D.T), np.diag(A @ B.T)])
-    return mv @ sp_inverse(M) + shift
+def _action(M: np.ndarray, ms) -> tuple[np.ndarray, np.ndarray]:
+    """Unreduced images m M^-1 + (diag(C D^T), diag(A B^T)) of the rows of
+    ms, and the phases of the theta transformation law in eighths, mod 8.
 
-
-def phase_phi(M: np.ndarray, m) -> Fraction:
-    """The eighth-integer phase of the theta transformation law, mod 1."""
-    if not is_symplectic(M):
-        raise ValueError("matrix is not symplectic")
+    With m = (m', m'') the phase is (2 lin - quad)/8, where
+    quad = m' D^T B m' - 2 m' B^T C m'' + m'' C^T A m'' and
+    lin = (m' D^T - m'' C^T) . diag(A B^T).  M is not validated here.
+    """
     A, B, C, D = blocks(M)
     g = A.shape[0]
-    mp = np.array(m[:g], dtype=np.int64)
-    mpp = np.array(m[g:], dtype=np.int64)
-    quad = (
-        int(mp @ (D.T @ B) @ mp)
-        - 2 * int(mp @ (B.T @ C) @ mpp)
-        + int(mpp @ (C.T @ A) @ mpp)
-    )
-    lin = int((mp @ D.T - mpp @ C.T) @ np.diag(A @ B.T))
-    return (Fraction(-quad, 8) + Fraction(lin, 4)) % 1
+    m = np.asarray(ms, dtype=np.int64).reshape(-1, 2 * g)
+    mp, mpp = m[:, :g], m[:, g:]
+    ab = np.diag(A @ B.T)
+    first = mp @ D.T - mpp @ C.T
+    raw = np.hstack([first + np.diag(C @ D.T), mpp @ A.T - mp @ B.T + ab])
+    quad = (((mp @ (D.T @ B)) * mp).sum(1)
+            - 2 * ((mp @ (B.T @ C)) * mpp).sum(1)
+            + ((mpp @ (C.T @ A)) * mpp).sum(1))
+    return raw, (2 * (first @ ab) - quad) % 8
 
 
 def characteristic_action(M: np.ndarray, m):
     """(M . m reduced mod 2, phase) for the theta transformation law."""
-    raw = characteristic_action_raw(M, m)
-    return tuple(int(v) % 2 for v in raw), phase_phi(M, m)
+    if not is_symplectic(M):
+        raise ValueError("matrix is not symplectic")
+    raw, eighths = _action(M, [m])
+    return tuple((raw[0] % 2).tolist()), Fraction(int(eighths[0]), 8)
 
 
-def reduction_sign(raw, reduced=None) -> int:
-    """Sign relating the theta constant at an unreduced integral
-    characteristic to the one at its mod-2 reduction.
-
-    Shifting m'' by 2k'' multiplies the series by (-1)^(m'.k''); shifts of
-    m' are invisible.
-    """
-    raw = [int(v) for v in raw]
-    g = len(raw) // 2
-    if reduced is None:
-        reduced = [v % 2 for v in raw]
-    total = 0
-    for j in range(g):
-        k = (raw[g + j] - reduced[g + j]) // 2
-        total += (reduced[j] % 2) * k
-    return -1 if total % 2 else 1
+def _kappa_flip(M: np.ndarray) -> int:
+    """1 where kappa(M)^2 = (-1)^(trace(D - 1)/2) is -1, else 0; level 2 only."""
+    g = M.shape[0] // 2
+    return (int(np.trace(M[g:, g:])) - g) // 2 % 2
 
 
 def kappa_squared(M: np.ndarray) -> int:
     """kappa(M)^2 = (-1)^(trace(D - 1)/2), valid on the level-2 group."""
     if not in_gamma2(M):
         raise ValueError("kappa^2 formula requires a level-2 matrix")
-    _, _, _, D = blocks(M)
-    g = D.shape[0]
-    t = int(np.trace(D) - g)
-    assert t % 2 == 0
-    return -1 if (t // 2) % 2 else 1
+    return -1 if _kappa_flip(M) else 1
+
+
+def _level2_phases(M: np.ndarray, ms) -> tuple[np.ndarray, int]:
+    """The phases in eighths of the rows of ms under M in the level-2 group
+    (not validated here), and 8 t mod 8 for the exact character t of their
+    theta product."""
+    m = np.asarray(ms, dtype=np.int64).reshape(-1, M.shape[0])
+    raw, eighths = _action(M, m)
+    if np.any((raw - m) % 2):
+        raise AssertionError("level-2 matrix must fix characteristics mod 2")
+    g = M.shape[0] // 2
+    red = raw % 2
+    # shifting m'' by 2k'' multiplies theta by (-1)^(m'.k''); shifts of m'
+    # are invisible
+    flips = int((red[:, :g] * ((raw[:, g:] - red[:, g:]) // 2)).sum())
+    t = int(eighths.sum()) + 4 * flips + 4 * (len(m) // 2) * _kappa_flip(M)
+    return eighths, t % 8
 
 
 def slash_character_exact(ms, M: np.ndarray) -> Fraction:
@@ -537,19 +509,7 @@ def slash_character_exact(ms, M: np.ndarray) -> Fraction:
         raise ValueError("need an even number of characteristics")
     if not in_gamma2(M):
         raise ValueError("character only defined on the level-2 group")
-    r = len(ms) // 2
-    t = Fraction(0)
-    if kappa_squared(M) == -1 and r % 2 == 1:
-        t += Fraction(1, 2)
-    for m in ms:
-        raw = characteristic_action_raw(M, m)
-        red = [int(v) % 2 for v in raw]
-        if tuple(red) != tuple(int(v) % 2 for v in m):
-            raise AssertionError("level-2 matrix must fix characteristics mod 2")
-        t += phase_phi(M, m)
-        if reduction_sign(raw, red) == -1:
-            t += Fraction(1, 2)
-    return t % 1
+    return Fraction(_level2_phases(M, ms)[1], 8)
 
 
 def character_value(t: Fraction) -> complex:
@@ -630,7 +590,6 @@ def sp2_embed_genus3(M: np.ndarray) -> np.ndarray:
     out[3:5, 3:5] = D
     out[2, 2] = 1
     out[5, 5] = 1
-    assert is_symplectic(out)
     return out
 
 
@@ -641,20 +600,26 @@ def pair_character_any_parity(m1, m2, M: np.ndarray) -> Fraction:
     theta is not identically zero, and the exact character of the embedded
     matrix is computed there.
     """
-    M3 = sp2_embed_genus3(M)
-    return slash_character_exact((evenize_genus3(m1), evenize_genus3(m2)), M3)
+    if not in_gamma2(M):
+        raise ValueError("character only defined on the level-2 group")
+    ms = (evenize_genus3(m1), evenize_genus3(m2))
+    return Fraction(_level2_phases(sp2_embed_genus3(M), ms)[1], 8)
 
 
 # ---------------------------------------------------------------------------
 # numeric verification of the transformation law
 
-def verify_igusa_transformation(ms, M: np.ndarray, tau, tol: float = 1e-12) -> float:
-    """Max residual of the squared transformation law over a tuple of even
-    characteristics, plus the tuple-ratio against the exact character.
+def igusa_residuals(ms, M: np.ndarray, tau, tol: float = 1e-12) -> tuple:
+    """Residuals of the theta transformation law at tau over a tuple of even
+    characteristics, for M in the level-2 group (where M.m = m mod 2).
 
-    Checks, per characteristic m:
-        theta_{M.m}(M tau)^2 = kappa^2 e^(4 pi i phi_m) det(C tau + D) theta_m(tau)^2
-    and for the tuple the slash ratio against the exact character value.
+    The first is the squared law, max over m of the absolute difference
+        theta_m(M tau)^2 - kappa^2 e^(4 pi i phi_m) det(C tau + D) theta_m(tau)^2.
+    The second is the normalized slash ratio of the tuple product against
+    its exact character.  It is None for an odd or empty tuple, and where a
+    factor is below tol on either side: there the product vanishes at
+    evaluation precision (the ten-theta product on the diagonal locus, say)
+    and the check could not fail.
     """
     for m in ms:
         if parity(m) != "even":
@@ -664,28 +629,25 @@ def verify_igusa_transformation(ms, M: np.ndarray, tau, tol: float = 1e-12) -> f
     tau = np.asarray(tau, dtype=complex)
     mtau = apply_moebius(M, tau)
     det_j = complex(np.linalg.det(cocycle(M, tau)))
-    ksq = kappa_squared(M)
-    residual = 0.0
-    for m in ms:
-        red, phi = characteristic_action(M, m)
-        lhs = theta_eval(red, mtau, tol) ** 2
-        rhs = (
-            ksq
-            * cmath.exp(4j * cmath.pi * float(phi))
-            * det_j
-            * theta_eval(m, tau, tol) ** 2
-        )
-        residual = max(residual, abs(lhs - rhs))
-    if len(ms) % 2 == 0 and len(ms) > 0:
-        # division-free (the tuple product can vanish at special points,
-        # e.g. the ten-theta product on the diagonal locus) but normalized,
-        # since the cocycle determinant power inflates the magnitudes
-        r = len(ms) // 2
-        num = six_tuple_eval(ms, mtau, tol)
-        den = six_tuple_eval(ms, tau, tol) * det_j ** r
-        chi = character_value(slash_character_exact(ms, M))
-        residual = max(residual, abs(num - chi * den) / max(1.0, abs(num), abs(den)))
-    return residual
+    eighths, t = _level2_phases(M, ms)
+    ksq = -1 if _kappa_flip(M) else 1
+    th_m = np.array([theta_eval(tuple(v % 2 for v in m), mtau, tol) for m in ms])
+    th_0 = np.array([theta_eval(m, tau, tol) for m in ms])
+    phases = np.exp(1j * np.pi * eighths / 2)
+    squared = float(np.abs(th_m ** 2 - ksq * phases * det_j * th_0 ** 2).max(initial=0.0))
+    if not ms or len(ms) % 2 or min(np.abs(th_m).min(), np.abs(th_0).min()) <= tol:
+        return squared, None
+    # normalized, since the cocycle determinant power inflates the magnitudes
+    num = np.prod(th_m)
+    den = np.prod(th_0) * det_j ** (len(ms) // 2)
+    chi = character_value(Fraction(t, 8))
+    return squared, float(abs(num - chi * den) / max(1.0, abs(num), abs(den)))
+
+
+def verify_igusa_transformation(ms, M: np.ndarray, tau, tol: float = 1e-12) -> float:
+    """The larger of the two residuals of ``igusa_residuals``."""
+    squared, tup = igusa_residuals(ms, M, tau, tol)
+    return squared if tup is None else max(squared, tup)
 
 
 # ---------------------------------------------------------------------------
@@ -713,10 +675,11 @@ def gammaZ_tuple_predicate(ms) -> bool:
 
 def char_permutation(M: np.ndarray) -> dict:
     """The induced permutation of the ten even characteristics (mod 2)."""
-    perm = {}
-    for m in even_characteristics(2):
-        red, _ = characteristic_action(M, m)
-        perm[m] = red
+    if not is_symplectic(M):
+        raise ValueError("matrix is not symplectic")
+    evens = even_characteristics(2)
+    raw, _ = _action(M, evens)
+    perm = dict(zip(evens, map(tuple, (raw % 2).tolist())))
     if set(perm.values()) != set(perm.keys()):
         raise AssertionError("action does not permute the even characteristics")
     return perm

@@ -82,3 +82,21 @@ def test_parser_defaults():
     args = build_parser().parse_args([])
     assert args.order == 200
     assert args.tol == 1e-8
+
+
+def test_count_formulas_run_once_per_prime_per_run(monkeypatch):
+    from siegelz import pointcount
+
+    calls = []
+    real = pointcount.verify_count_formulas
+
+    def spy(p, a_p):
+        calls.append(p)
+        return real(p, a_p)
+
+    monkeypatch.setattr(pointcount, "verify_count_formulas", spy)
+    for primes in ([3, 5], [5]):
+        calls.clear()
+        reports, code = run(RunConfig(prime_list=primes, selected_suites=["counts", "fermat"]))
+        assert code == 0 and len(reports) == 2 * len(primes) + 6
+        assert sorted(calls) == sorted({3, *primes})

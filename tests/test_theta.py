@@ -1,8 +1,11 @@
 import cmath
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from siegelz.arith import GaussInt, QuarterSeries, series_mul
 from siegelz.theta import (
@@ -13,13 +16,11 @@ from siegelz.theta import (
     G0,
     J4,
     apply_moebius,
-    char_from_string,
-    char_to_string,
     character_as_gauss,
     character_value,
     characteristic_action,
-    characteristic_action_raw,
     cocycle,
+    evenize_genus3,
     even_characteristics,
     fz_eval,
     fz_expansion,
@@ -27,24 +28,24 @@ from siegelz.theta import (
     gammaZ_generators,
     gammaZ_tuple_predicate,
     gl_embed,
+    igusa_residuals,
+    in_gamma,
     in_gamma2,
-    in_gamma4,
-    in_gamma24,
     in_gamma48,
+    in_igusa_group,
     is_symplectic,
     kappa_squared,
     orbit_decomposition,
     pair_character_any_parity,
     parity,
-    phase_phi,
     phi_after_g0,
     random_gamma2_elements,
     random_gamma48_elements,
     rescale4,
     siegel_point,
-    six_tuple_eval,
     six_tuple_expansion,
     slash_character_exact,
+    sp2_embed_genus3,
     sp2z_generators,
     table1_char,
     table1_char_tuple,
@@ -53,6 +54,7 @@ from siegelz.theta import (
     translation,
     verify_igusa_transformation,
 )
+from siegelz import theta
 
 TAU_A = siegel_point(2j, 0, 2j)
 TAU_B = siegel_point(2j, 0.5j, 2j)
@@ -73,11 +75,6 @@ def test_ten_even_characteristics():
     evens = even_characteristics(2)
     assert len(evens) == 10
     assert len(even_characteristics(1)) == 3
-
-
-def test_char_serialization():
-    assert char_to_string((0, 1, 1, 0)) == "0110"
-    assert char_from_string("0110") == (0, 1, 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -155,10 +152,10 @@ def test_generators_are_symplectic_level2():
 
 def test_congruence_predicates():
     t8 = translation([[8, 0], [0, 8]])
-    assert in_gamma48(t8) and in_gamma4(t8) and in_gamma24(t8)
+    assert in_gamma48(t8) and in_gamma(t8, 4) and in_igusa_group(t8, 2)
     t4 = translation([[4, 0], [0, 4]])
-    assert in_gamma4(t4) and not in_gamma48(t4)
-    assert in_gamma24(translation([[4, 2], [2, 4]]))
+    assert in_gamma(t4, 4) and not in_gamma48(t4)
+    assert in_igusa_group(translation([[4, 2], [2, 4]]), 2)
 
 
 def test_characteristic_action_identity_and_minus():
@@ -207,6 +204,19 @@ def test_verify_igusa_rejects_odd_and_outside_level2():
         verify_igusa_transformation([(0, 0, 0, 0)], J4, TAU_A)
 
 
+def test_wrong_character_fails_the_tuple_part_off_the_vanishing_locus(monkeypatch):
+    """The ten-theta product vanishes on the diagonal, so the tuple part is
+    skipped there; at TAU_B it is checked, and i chi in place of chi fails."""
+    evens = even_characteristics(2)
+    words = random_gamma2_elements(20, seed=1)
+    assert all(igusa_residuals(evens, M, TAU_A, 1e-13)[1] is None for M in words)
+    right = max(igusa_residuals(evens, M, TAU_B, 1e-13)[1] for M in words)
+    real = theta.character_value
+    monkeypatch.setattr(theta, "character_value", lambda t: 1j * real(t))
+    wrong = max(igusa_residuals(evens, M, TAU_B, 1e-13)[1] for M in words)
+    assert right < 1e-12 and wrong > 1e-4
+
+
 def test_kappa_squared_values():
     assert kappa_squared(E5) == 1
     for M in random_gamma2_elements(10, seed=4):
@@ -227,8 +237,6 @@ def test_table1_spec_values():
 
 
 def test_table1_matches_exact_character():
-    import itertools
-
     evens = even_characteristics(2)
     for i, M in enumerate(E_GENERATORS, start=1):
         for m1, m2 in itertools.combinations(evens, 2):
@@ -237,8 +245,6 @@ def test_table1_matches_exact_character():
 
 
 def test_table1_matches_numeric_ratio():
-    import itertools
-
     evens = even_characteristics(2)
     tau = TAU_GENERIC
     for i, M in enumerate(E_GENERATORS, start=1):
@@ -266,8 +272,6 @@ def test_odd_pairs_via_genus3_embedding():
     ten generators; mixed-parity pairs agree except at the central element,
     where the odd member contributes its sign under negation.
     """
-    import itertools
-
     allchars = [(a, b, c, d) for a in (0, 1) for b in (0, 1)
                 for c in (0, 1) for d in (0, 1)]
     for i, M in enumerate(E_GENERATORS, start=1):
@@ -278,6 +282,76 @@ def test_odd_pairs_via_genus3_embedding():
             if mixed and i == 5:
                 expected = expected * GaussInt(-1)
             assert chi3 == expected, (i, m1, m2)
+
+
+def _reference_term(M, m) -> Fraction:
+    """Igusa's law for one characteristic, transcribed as a test-only
+    reference: the phase -quad/8 + lin/4 of m under M, plus 1/2 when the
+    unreduced image M.m = m M^-1 + (diag CD^T, diag AB^T) differs from its
+    mod-2 reduction by a sign (-1)^(m'.k'') with k'' the shift of m''/2."""
+    g = M.shape[0] // 2
+    A, B, C, D = M[:g, :g], M[:g, g:], M[g:, :g], M[g:, g:]
+    mp, mpp = np.array(m[:g]), np.array(m[g:])
+    inverse = np.block([[D.T, -B.T], [-C.T, A.T]])
+    raw = np.array(m) @ inverse + np.concatenate([np.diag(C @ D.T), np.diag(A @ B.T)])
+    red = raw % 2
+    quad = (int(mp @ (D.T @ B) @ mp) - 2 * int(mp @ (B.T @ C) @ mpp)
+            + int(mpp @ (C.T @ A) @ mpp))
+    lin = int((mp @ D.T - mpp @ C.T) @ np.diag(A @ B.T))
+    sign = int(red[:g] @ ((raw[g:] - red[g:]) // 2)) % 2
+    return Fraction(-quad, 8) + Fraction(lin, 4) + Fraction(sign, 2)
+
+
+def _reference_character(ms, M, terms) -> Fraction:
+    g = M.shape[0] // 2
+    kappa_odd = (int(np.trace(M[g:, g:])) - g) // 2 % 2
+    t = Fraction(kappa_odd * (len(ms) // 2), 2)
+    for m in ms:
+        if m not in terms:
+            terms[m] = _reference_term(M, m)
+        t += terms[m]
+    return t % 1
+
+
+def test_exact_character_matches_the_per_characteristic_reference():
+    """13,125 cases: 35 matrices (the ten generators, 20 level-2 words and
+    the five stabilizer generators) times 45 even pairs, 120 any-parity
+    pairs through the genus-3 embedding and 210 six-tuples."""
+    evens = even_characteristics(2)
+    allchars = list(itertools.product((0, 1), repeat=4))
+    mats = list(E_GENERATORS) + random_gamma2_elements(20, seed=1) + gammaZ_generators()
+    cases = 0
+    for M in mats:
+        terms, terms3 = {}, {}
+        M3 = sp2_embed_genus3(M)
+        for ms in itertools.chain(itertools.combinations(evens, 2),
+                                  itertools.combinations(evens, 6)):
+            assert slash_character_exact(ms, M) == _reference_character(ms, M, terms), ms
+            cases += 1
+        for m1, m2 in itertools.combinations(allchars, 2):
+            lifted = (evenize_genus3(m1), evenize_genus3(m2))
+            want = _reference_character(lifted, M3, terms3)
+            assert pair_character_any_parity(m1, m2, M) == want, (m1, m2)
+            cases += 1
+    assert cases == 13125
+
+
+_WORDS = st.lists(st.integers(0, 9), min_size=1, max_size=4).map(
+    lambda word: np.linalg.multi_dot([np.eye(4, dtype=np.int64)]
+                                     + [E_GENERATORS[i] for i in word]))
+_EVEN_TUPLES = st.sampled_from([2, 4, 6]).flatmap(
+    lambda k: st.lists(st.sampled_from(even_characteristics(2)), min_size=k, max_size=k))
+_ANY_CHAR = st.tuples(*[st.integers(0, 1)] * 4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_WORDS, _WORDS, _EVEN_TUPLES, _ANY_CHAR, _ANY_CHAR)
+def test_exact_character_is_a_homomorphism_on_gamma2(M1, M2, ms, m1, m2):
+    assert in_gamma2(M1) and in_gamma2(M2)
+    chi = slash_character_exact
+    assert chi(ms, M1 @ M2) == (chi(ms, M1) + chi(ms, M2)) % 1
+    pair = pair_character_any_parity
+    assert pair(m1, m2, M1 @ M2) == (pair(m1, m2, M1) + pair(m1, m2, M2)) % 1
 
 
 # ---------------------------------------------------------------------------
@@ -429,16 +503,16 @@ def test_g0_is_symplectic_gl_type():
 
 
 def test_phase_phi_eighth_integers():
-    from fractions import Fraction
-
     for M in E_GENERATORS:
-        for m in even_characteristics(2):
-            phi = phase_phi(M, m)
+        _, eighths = theta._action(M, even_characteristics(2))
+        for e in eighths.tolist():
+            phi = Fraction(e, 8)
             assert (phi * 8).denominator == 1
 
 
 def test_raw_action_reduces_to_fixed_char_on_level2():
+    evens = even_characteristics(2)
     for M in random_gamma2_elements(8, seed=7):
-        for m in even_characteristics(2):
-            raw = characteristic_action_raw(M, m)
-            assert tuple(int(v) % 2 for v in raw) == m
+        raw, _ = theta._action(M, evens)
+        for m, row in zip(evens, raw.tolist()):
+            assert tuple(v % 2 for v in row) == m

@@ -2,13 +2,18 @@
 
 Primes, quadratic residue symbols, Gaussian integers, truncated Fourier
 series with quarter-integer exponent unit, and integer polynomials in one
-variable.  Everything here is exact: no floats enter until a series or
-polynomial is explicitly evaluated.
+variable.  A series stores its terms in sorted numpy arrays (int64 where a
+proven bound allows, Python ints otherwise), and its products run on those
+arrays; `QuarterSeries.coeffs` reads them as a mapping of GaussInts.
+Everything here is exact: no floats enter until a series or polynomial is
+explicitly evaluated.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,139 +197,182 @@ def gauss_primary_decompose(p: int) -> GaussInt:
 # Genus 2: index (e1, e2, e3) means exp(pi*i*(e1*tau1 + e2*tau2 + e3*tau3)/4);
 # truncation keeps e1 + e3 <= order (e2 is controlled by positive
 # semidefiniteness, |e2| <= e1 + e3, for every series built from thetas).
+#
+# A series keeps its nonzero terms in read-only arrays sorted by index
+# (genus 2 lexicographically): one exponent column per index entry, and the
+# real and imaginary parts of the coefficients.  An array is int64 when every
+# entry is below 2**62 in absolute value, so that two entries sum without
+# overflow, and holds Python ints otherwise.
+
+_INT64_SAFE = 1 << 62
+
+
+def _as_index(genus: int, key) -> tuple | None:
+    """key as a tuple of exponents, or None if it is no index of that genus."""
+    index = (key,) if genus == 1 else key
+    ok = isinstance(index, tuple) and len(index) == 2 * genus - 1
+    return index if ok and all(isinstance(e, int) for e in index) else None
+
+
+def _int_array(values) -> np.ndarray:
+    """values as int64 if every |v| < 2**62, else as an array of Python ints."""
+    arr = np.asarray(values, dtype=values.dtype if isinstance(values, np.ndarray) else object)
+    small = not arr.size or max(-int(arr.min()), int(arr.max())) < _INT64_SAFE
+    return arr.astype(np.int64 if small else object, copy=False)
+
 
 class QuarterSeries:
-    """Exact truncated Fourier series with exponent unit pi*i*tau/4."""
+    """Exact truncated Fourier series with exponent unit pi*i*tau/4.
 
-    __slots__ = ("genus", "order", "coeffs")
+    `exps` holds the exponent columns and `re` and `im` the coefficient
+    parts; `coeffs` reads them as a mapping {index: GaussInt}.
+    """
 
-    def __init__(self, genus: int, order: int, coeffs: dict | None = None):
+    __slots__ = ("genus", "order", "exps", "re", "im")
+
+    def __init__(self, genus: int, order: int, coeffs=None):
         if genus not in (1, 2):
             raise ValueError(f"genus must be 1 or 2, got {genus}")
+        coeffs = coeffs or {}
+        indices = [_as_index(genus, key) for key in coeffs]
+        for key, index in zip(coeffs, indices):
+            if index is None or sum(index[::2]) > order:  # the degree, e or e1 + e3
+                raise ValueError(f"index {key} exceeds truncation order {order}")
+        cols = [_int_array([index[j] for index in indices]) for j in range(2 * genus - 1)]
+        vals = [_as_gauss(v) for v in coeffs.values()]
+        re, im = (_int_array([getattr(v, part) for v in vals]) for part in ("re", "im"))
+        self._set(genus, order, *_summed([(cols, re, im)]))
+
+    def _set(self, genus, order, exps, re, im):
+        """Store the nonzero ones of terms sorted by distinct indices."""
         if order < 0:
             raise ValueError("order must be nonnegative")
-        self.genus = genus
-        self.order = order
-        clean: dict = {}
-        for key, val in (coeffs or {}).items():
-            val = _as_gauss(val)
-            if not val:
-                continue
-            if not self._fits(key):
-                raise ValueError(f"index {key} exceeds truncation order {order}")
-            clean[key] = val
-        self.coeffs = clean
+        keep = (re != 0) | (im != 0)
+        arrays = [_int_array(x[keep]) for x in (*exps, re, im)]
+        for x in arrays:
+            x.flags.writeable = False
+        self.genus, self.order = genus, order
+        self.exps, self.re, self.im = tuple(arrays[:-2]), *arrays[-2:]
 
-    def _fits(self, key) -> bool:
-        if self.genus == 1:
-            return isinstance(key, int) and key <= self.order
-        return (
-            isinstance(key, tuple)
-            and len(key) == 3
-            and key[0] + key[2] <= self.order
-        )
-
-    # -- constructors
+    @classmethod
+    def from_arrays(cls, genus: int, order: int, exps, re, im) -> "QuarterSeries":
+        """The series of terms sorted by distinct indices that fit order."""
+        out = cls.__new__(cls)
+        out._set(genus, order, exps, re, im)
+        return out
 
     @classmethod
     def zero(cls, genus: int, order: int) -> "QuarterSeries":
-        return cls(genus, order, {})
+        return cls(genus, order)
 
     @classmethod
     def one(cls, genus: int, order: int) -> "QuarterSeries":
-        key = 0 if genus == 1 else (0, 0, 0)
-        return cls(genus, order, {key: ONE})
+        return cls(genus, order, {0 if genus == 1 else (0, 0, 0): ONE})
 
-    @classmethod
-    def _unchecked(cls, genus: int, order: int, coeffs: dict) -> "QuarterSeries":
-        """A series from nonzero GaussInt coefficients at indices that fit order."""
-        out = cls.__new__(cls)
-        out.genus, out.order, out.coeffs = genus, order, coeffs
-        return out
-
-    # -- basic queries
+    @property
+    def coeffs(self) -> "SeriesCoeffs":
+        return SeriesCoeffs(self)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not len(self.re)
 
     def coefficient(self, key) -> GaussInt:
         return self.coeffs.get(key, GaussInt(0, 0))
 
-    def truncate(self, order: int) -> "QuarterSeries":
-        if order >= self.order:
-            return QuarterSeries(self.genus, order, dict(self.coeffs))
-        if self.genus == 1:
-            kept = {e: c for e, c in self.coeffs.items() if e <= order}
-        else:
-            kept = {e: c for e, c in self.coeffs.items() if e[0] + e[2] <= order}
-        return QuarterSeries(self.genus, order, kept)
+    def _degrees(self) -> np.ndarray:
+        """The truncation degree of each term: e, or e1 + e3."""
+        return self.exps[0] if self.genus == 1 else self.exps[0] + self.exps[2]
 
-    def scale(self, factor) -> "QuarterSeries":
-        factor = _as_gauss(factor)
-        return QuarterSeries(
-            self.genus, self.order, {k: factor * v for k, v in self.coeffs.items()}
-        )
+    def truncate(self, order: int) -> "QuarterSeries":
+        keep = self._degrees() <= order
+        exps = [x[keep] for x in self.exps]
+        return QuarterSeries.from_arrays(self.genus, order, exps, self.re[keep], self.im[keep])
 
     def __eq__(self, other):
         if not isinstance(other, QuarterSeries):
             return NotImplemented
-        return (
-            self.genus == other.genus
-            and self.order == other.order
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.genus, self.order, frozenset(self.coeffs.items())))
+        return (self.genus, self.order) == (other.genus, other.order) and all(map(
+            np.array_equal, (*self.exps, self.re, self.im), (*other.exps, other.re, other.im)))
 
     def __repr__(self):
-        n = len(self.coeffs)
-        return f"QuarterSeries(genus={self.genus}, order={self.order}, {n} terms)"
-
-    # -- evaluation
+        return f"QuarterSeries(genus={self.genus}, order={self.order}, {len(self.re)} terms)"
 
     def evaluate(self, tau) -> complex:
         """Numeric value at tau (complex scalar for genus 1, 2x2 for genus 2)."""
-        quarter = cmath.pi * 1j / 4
-        if self.genus == 1:
-            t = complex(tau)
-            return sum(
-                c.to_complex() * cmath.exp(quarter * e * t)
-                for e, c in self.coeffs.items()
-            )
-        t1, t2, t3 = complex(tau[0][0]), complex(tau[0][1]), complex(tau[1][1])
-        total = 0j
-        for (e1, e2, e3), c in self.coeffs.items():
-            total += c.to_complex() * cmath.exp(quarter * (e1 * t1 + e2 * t2 + e3 * t3))
-        return total
+        t = (tau,) if self.genus == 1 else (tau[0][0], tau[0][1], tau[1][1])
+        phase = sum(e.astype(float) * complex(v) for e, v in zip(self.exps, t))
+        return complex(np.sum((self.re + 1j * self.im) * np.exp(cmath.pi * 1j / 4 * phase)))
+
+
+class SeriesCoeffs(Mapping):
+    """Read-only mapping {index: GaussInt} over the arrays of a series: its
+    length costs nothing, a GaussInt is built only when a value is read, and
+    a lookup is a binary search in each exponent column."""
+
+    def __init__(self, series: QuarterSeries):
+        self._s = series
+
+    def __len__(self):
+        return len(self._s.re)
+
+    def __iter__(self):
+        cols = [c.tolist() for c in self._s.exps]
+        return iter(cols[0]) if len(cols) == 1 else zip(*cols)
+
+    def __getitem__(self, key):
+        s, index = self._s, _as_index(self._s.genus, key)
+        if index is None:
+            raise KeyError(key)
+        lo, hi = 0, len(s.re)
+        for col, v in zip(s.exps, index):
+            block = col[lo:hi]
+            lo, hi = [lo + int(np.searchsorted(block, v, side)) for side in ("left", "right")]
+        if lo == hi:
+            raise KeyError(key)
+        return GaussInt(int(s.re[lo]), int(s.im[lo]))
+
+    def items(self):
+        return _Items(self)
+
+    def values(self):
+        return _Values(self)
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+
+class _Items(ItemsView):
+    def __iter__(self):
+        return zip(self._mapping, self._mapping.values())
+
+
+class _Values(ValuesView):
+    def __iter__(self):
+        return map(GaussInt, self._mapping._s.re.tolist(), self._mapping._s.im.tolist())
 
 
 def series_add(a: QuarterSeries, b: QuarterSeries,
                order: int | None = None) -> QuarterSeries:
     """Exact sum of two series of equal genus, truncated to order."""
     order = _result_order(a, b, order, "sum")
-    out = dict(a.truncate(order).coeffs)
-    for key, val in b.truncate(order).coeffs.items():
-        out[key] = out.get(key, GaussInt(0, 0)) + val
-    return QuarterSeries(a.genus, order, out)
+    a, b = a.truncate(order), b.truncate(order)
+    # each index occurs at most twice, so int64 sums cannot overflow
+    terms = _summed([(a.exps, a.re, a.im), (b.exps, b.re, b.im)])
+    return QuarterSeries.from_arrays(a.genus, order, *terms)
 
 
 def series_mul(a: QuarterSeries, b: QuarterSeries,
                order: int | None = None) -> QuarterSeries:
     """Exact truncated product of two series of equal genus.
 
-    Every series product in the package goes through here.  Genus 1 runs
-    the schoolbook loop for small products and Kronecker substitution for
-    larger ones; genus 2 runs an int64 numpy kernel whenever its overflow
-    bound holds, and the schoolbook loop otherwise.
+    Every series product in the package goes through here.  Genus 1 sums
+    over coefficient pairs for small products and runs Kronecker
+    substitution for larger ones; genus 2 always sums over pairs.
     """
     order = _result_order(a, b, order, "product")
-    if a.genus == 1:
-        if len(a.coeffs) * len(b.coeffs) <= _SCHOOLBOOK_PAIRS_PER_INDEX * (order + 1):
-            terms = [[(e, e, c) for e, c in s.coeffs.items()] for s in (a, b)]
-            return QuarterSeries(1, order, _mul_schoolbook(*terms, order))
+    if a.genus == 1 and len(a.re) * len(b.re) > _SCHOOLBOOK_PAIRS_PER_INDEX * (order + 1):
         return _mul_genus1_packed(a, b, order)
-    return _mul_genus2(a, b, order)
+    return _mul_schoolbook(a, b, order)
 
 
 def _result_order(a: QuarterSeries, b: QuarterSeries, order: int | None,
@@ -340,153 +388,63 @@ def _result_order(a: QuarterSeries, b: QuarterSeries, order: int | None,
     return order
 
 
-# The schoolbook loop costs about one microsecond per coefficient pair, and
-# Kronecker substitution about five per output index up to order.  Genus-1
-# products with at most this many pairs per output index run the loop.
+def _summed(parts: list) -> tuple:
+    """The terms of the (exps, re, im) parts as (exps, re, im) again, sorted
+    by index, with the coefficients of equal indices summed."""
+    cols = [np.concatenate(col) for col in zip(*(part[0] for part in parts))]
+    re, im = (np.concatenate([part[j] for part in parts]) for j in (1, 2))
+    if not len(re):
+        return cols, re, im
+    perm = np.argsort(cols[0], kind="stable") if len(cols) == 1 else np.lexsort(cols[::-1])
+    cols = [c[perm] for c in cols]
+    same = np.ones(len(re) - 1, dtype=bool)
+    for c in cols:
+        same &= c[1:] == c[:-1]
+    starts = np.flatnonzero(np.concatenate(([True], ~same)))
+    return ([c[starts] for c in cols],
+            np.add.reduceat(re[perm], starts), np.add.reduceat(im[perm], starts))
+
+
+# Genus-1 products with at most this many pairs per output index sum over
+# pairs.  Kronecker substitution costs more per index at higher orders: the
+# two kernels break even near 5 pairs per index at order 600, 40 at 2400.
 _SCHOOLBOOK_PAIRS_PER_INDEX = 5
 
-
-def _mul_schoolbook(small: list, big: list, order: int) -> dict:
-    """Exact product of two term lists [(index, degree, coeff)], as a dict.
-
-    Indices add under multiplication, and a pair is kept when its degrees
-    sum to at most order.  Coefficients are exact Python integers.
-    """
-    big = sorted(big, key=lambda term: term[1])
-    out: dict = {}
-    for k1, d1, c1 in small:
-        room = order - d1
-        for k2, d2, c2 in big:
-            if d2 > room:
-                break
-            k = k1 + k2
-            prev = out.get(k)
-            out[k] = c1 * c2 if prev is None else prev + c1 * c2
-    return out
-
-
-def _mul_genus1_packed(a: QuarterSeries, b: QuarterSeries,
-                       order: int) -> QuarterSeries:
-    """Dense genus-1 product via big-integer packing (Kronecker substitution)."""
-    are, aim = _coeff_arrays(a, order)
-    bre, bim = _coeff_arrays(b, order)
-    # No output field of a real convolution exceeds the number of terms of a
-    # times the largest parts of a and b, so fields of `bits` bits never carry.
-    bound = min(order + 1, max(len(a.coeffs), 1)) * _max_abs(are, aim) * _max_abs(bre, bim)
-    bits = 8 * ((bound.bit_length() + 7) // 8)
-    apacks = [_pack_signed(v, bits) for v in (are, aim)]
-    bpacks = [_pack_signed(v, bits) for v in (bre, bim)]
-    (rr, ri), (ir, ii) = [[_conv(x, y, bits, order) for y in bpacks] for x in apacks]
-    out = {}
-    for e in range(order + 1):
-        re = rr[e] - ii[e]
-        im = ri[e] + ir[e]
-        if re or im:
-            out[e] = GaussInt(re, im)
-    return QuarterSeries._unchecked(1, order, out)
-
-
-def _coeff_arrays(s: QuarterSeries, order: int):
-    re = [0] * (order + 1)
-    im = [0] * (order + 1)
-    for e, c in s.coeffs.items():
-        if e <= order:
-            re[e] = c.re
-            im[e] = c.im
-    return re, im
-
-
-def _max_abs(*arrays) -> int:
-    m = 1
-    for arr in arrays:
-        for v in arr:
-            if abs(v) > m:
-                m = abs(v)
-    return m
-
-
-def _pack(arr: list[int], bits: int) -> int:
-    """sum(arr[k] << (bits * k)) for nonnegative arr[k] < 2**bits, bits % 8 == 0."""
-    width = bits // 8
-    return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in arr), "little")
-
-
-def _unpack(n: int, bits: int, count: int) -> list[int]:
-    """The lowest count fields of n, each bits wide, bits % 8 == 0."""
-    width = bits // 8
-    data = (n & ((1 << (bits * count)) - 1)).to_bytes(width * count, "little")
-    return [int.from_bytes(data[k:k + width], "little")
-            for k in range(0, width * count, width)]
-
-
-def _pack_signed(arr: list[int], bits: int) -> tuple[int, int]:
-    """The packed positive and negative parts of arr."""
-    return (_pack([max(v, 0) for v in arr], bits),
-            _pack([max(-v, 0) for v in arr], bits))
-
-
-def _conv(a: tuple[int, int], b: tuple[int, int], bits: int, order: int) -> list[int]:
-    """Exact integer convolution of two packed signed arrays, truncated to
-    indices <= order."""
-    (apos, aneg), (bpos, bneg) = a, b
-    plus = _unpack(apos * bpos + aneg * bneg, bits, order + 1)
-    minus = _unpack(apos * bneg + aneg * bpos, bits, order + 1)
-    return [x - y for x, y in zip(plus, minus)]
-
-
-# Pairs formed between two reductions of the genus-2 kernel, which bounds
-# its working memory to about a megabyte beyond the output.
+# The pair kernel sums equal indices once the pairs formed since its last
+# sum reach this many or that sum's size, so its memory stays near its output.
 _CHUNK_PAIRS = 1 << 14
-_INT64_SAFE = 1 << 62
 
 
-def _mul_genus2(a: QuarterSeries, b: QuarterSeries, order: int) -> QuarterSeries:
-    """Genus-2 product on int64 arrays, exact under a proven bound.
+def _mul_schoolbook(a: QuarterSeries, b: QuarterSeries, order: int) -> QuarterSeries:
+    """Exact truncated product over all coefficient pairs, in either genus.
 
-    Each exponent triple is encoded as one integer index, linear in the
-    triple, so that indices add under multiplication.  Every product
-    triple lies in a box read off the inputs (e2 may be negative), and its
-    index is its position in that box.
+    Each index is coded as its position in a box that holds every product
+    index, so that codes add under multiplication.  Each term of the
+    smaller series is multiplied against all of the larger one at once.
 
     For a fixed term of the smaller series, distinct terms of the larger
-    one give distinct product triples.  So every product, and every partial
-    sum of an output coefficient, is at most l1(small) * linf(big) in
-    absolute value, where a coefficient measures |re| + |im|.  With that
-    bound and the box size below 2**62, and the exponents and the order
-    below 2**60, nothing overflows int64; otherwise the exact schoolbook
-    loop runs on the same indices.
+    one give distinct product indices.  So every product, and every partial
+    sum of an output coefficient, is at most l1(small) * linf(big), where a
+    coefficient measures |re| + |im|.  With that bound and the box size
+    below 2**62, and the entries and the order below 2**60, the kernel runs
+    on int64; otherwise on Python ints.
     """
-    small, big = (a, b) if len(a.coeffs) <= len(b.coeffs) else (b, a)
-    if not small.coeffs:
-        return QuarterSeries.zero(2, order)
-    boxes = [[(min(col), max(col)) for col in zip(*s.coeffs)] for s in (small, big)]
-    lows = [ls + lb for (ls, _), (lb, _) in zip(*boxes)]
-    highs = [hs + hb for (_, hs), (_, hb) in zip(*boxes)]
-    w1, w2, w3 = (hi - lo + 1 for lo, hi in zip(lows, highs))
-    size = sum(abs(c.re) + abs(c.im) for c in small.coeffs.values()) * max(
-        abs(c.re) + abs(c.im) for c in big.coeffs.values())
+    small, big = (a, b) if len(a.re) <= len(b.re) else (b, a)
+    if small.is_zero():
+        return QuarterSeries.zero(a.genus, order)
+    boxes = [[(int(c.min()), int(c.max())) for c in s.exps] for s in (small, big)]
+    lows, highs = ([bs[j] + bb[j] for bs, bb in zip(*boxes)] for j in (0, 1))
+    widths = [hi - lo + 1 for lo, hi in zip(lows, highs)]
+    size = sum(_norms(small).tolist()) * int(_norms(big).max())
     exponents = [order, *lows, *highs, *(v for box in boxes for lh in box for v in lh)]
-    fits = max(size, w1 * w2 * w3, 4 * max(map(abs, exponents))) < _INT64_SAFE
-
-    def encode(e1, e2, e3, box):
-        return ((e1 - box[0][0]) * w2 + (e2 - box[1][0])) * w3 + (e3 - box[2][0])
-
-    if not fits:
-        terms = [[(encode(*e, box), e[0] + e[2], c) for e, c in s.coeffs.items()]
-                 for s, box in zip((small, big), boxes)]
-        out = {}
-        for k, c in _mul_schoolbook(*terms, order).items():
-            rest, e3 = divmod(k, w3)
-            e1, e2 = divmod(rest, w2)
-            out[(e1 + lows[0], e2 + lows[1], e3 + lows[2])] = c
-        return QuarterSeries(2, order, out)
+    fits = max(size, math.prod(widths), 4 * max(map(abs, exponents))) < _INT64_SAFE
+    dtype = np.int64 if fits else object
 
     def arrays(s, box):
-        e = np.array(list(s.coeffs), dtype=np.int64)
-        vals = list(s.coeffs.values())
-        return (encode(e[:, 0], e[:, 1], e[:, 2], box), e[:, 0] + e[:, 2],
-                np.array([c.re for c in vals], dtype=np.int64),
-                np.array([c.im for c in vals], dtype=np.int64))
+        code = np.zeros(len(s.re), dtype)
+        for col, (lo, _), w in zip(s.exps, box, widths):
+            code = code * w + (col.astype(dtype) - lo)
+        return code, s._degrees().astype(dtype), s.re.astype(dtype), s.im.astype(dtype)
 
     sidx, sdeg, sre, sim = arrays(small, boxes[0])
     big_arrays = arrays(big, boxes[1])
@@ -494,35 +452,91 @@ def _mul_genus2(a: QuarterSeries, b: QuarterSeries, order: int) -> QuarterSeries
     bidx, bdeg, bre, bim = (x[perm] for x in big_arrays)
     # big is sorted by degree, so the partners of each small term are a prefix
     room = np.searchsorted(bdeg, order - sdeg, side="right")
-    empty = np.zeros(0, dtype=np.int64)
-    acc, chunk, pending = (empty, empty, empty), [], 0
+    acc, chunk, pending = ([np.zeros(0, dtype)], np.zeros(0, dtype), np.zeros(0, dtype)), [], 0
     for k, n, cr, ci in zip(sidx.tolist(), room.tolist(), sre.tolist(), sim.tolist()):
         if not n:
             continue
         r, i = bre[:n], bim[:n]
-        chunk.append((bidx[:n] + k, cr * r - ci * i, cr * i + ci * r))
+        chunk.append(([bidx[:n] + k], cr * r - ci * i, cr * i + ci * r))
         pending += n
-        if pending >= _CHUNK_PAIRS:
-            acc, chunk, pending = _sum_equal_keys([acc, *chunk]), [], 0
-    keys, re, im = _sum_equal_keys([acc, *chunk])
-    keep = (re != 0) | (im != 0)
-    keys, re, im = keys[keep], re[keep], im[keep]
-    rest, e3 = np.divmod(keys, w3)
-    e1, e2 = np.divmod(rest, w2)
-    triples = zip((e1 + lows[0]).tolist(), (e2 + lows[1]).tolist(), (e3 + lows[2]).tolist())
-    return QuarterSeries._unchecked(2, order, {
-        t: GaussInt(r, i) for t, r, i in zip(triples, re.tolist(), im.tolist())})
+        if pending >= max(_CHUNK_PAIRS, len(acc[1])):
+            acc, chunk, pending = _summed([acc, *chunk]), [], 0
+    (keys,), re, im = _summed([acc, *chunk])
+    cols = []
+    for lo, w in zip(reversed(lows), reversed(widths)):
+        keys, col = keys // w, keys % w
+        cols.insert(0, col + lo)
+    return QuarterSeries.from_arrays(a.genus, order, cols, re, im)
 
 
-def _sum_equal_keys(parts: list) -> tuple:
-    """Sorted unique keys of the (keys, re, im) parts, with values summed."""
-    keys, re, im = (np.concatenate([part[j] for part in parts]) for j in range(3))
-    if not keys.size:
-        return keys, re, im
-    perm = np.argsort(keys)
-    keys = keys[perm]
-    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    return keys[starts], np.add.reduceat(re[perm], starts), np.add.reduceat(im[perm], starts)
+def _norms(s: QuarterSeries) -> np.ndarray:
+    """|re| + |im| of every coefficient, exactly (each part is below 2**62
+    in int64)."""
+    return np.abs(s.re) + np.abs(s.im)
+
+
+def _mul_genus1_packed(a: QuarterSeries, b: QuarterSeries,
+                       order: int) -> QuarterSeries:
+    """Dense genus-1 product by Kronecker substitution: the dense coefficient
+    arrays become big integers, one entry per field of `width` bytes, and
+    three big-integer products give the real and imaginary parts of the
+    product (Gauss's trick)."""
+    if a.is_zero() or b.is_zero() or a.exps[0][0] + b.exps[0][0] > order:
+        return QuarterSeries.zero(1, order)
+    lo = int(a.exps[0][0]) + int(b.exps[0][0])
+    count = order - lo + 1
+    # Each output entry sums at most min(len(a), len(b)) products, each at most
+    # linf(a) * linf(b) as in _mul_schoolbook; two spare bits per field let _unpack read it.
+    bound = min(len(a.re), len(b.re)) * int(_norms(a).max()) * int(_norms(b).max())
+    width = (bound.bit_length() + 9) // 8
+    ar, ai, br, bi = (_pack(x, width) for s in (a, b) for x in _dense(s, count))
+    k1, k2, k3 = br * (ar + ai), ar * (bi - br), ai * (br + bi)
+    return QuarterSeries.from_arrays(1, order, [lo + np.arange(count)],
+                                     _unpack(k1 - k3, width, count), _unpack(k1 + k2, width, count))
+
+
+def _dense(s: QuarterSeries, count: int) -> list:
+    """re and im of s as dense arrays over the count indices from its lowest."""
+    e = s.exps[0] - s.exps[0][0]
+    keep = e < count
+    dense = [np.zeros(count, x.dtype) for x in (s.re, s.im)]
+    dense[0][e[keep]], dense[1][e[keep]] = s.re[keep], s.im[keep]
+    return dense
+
+
+def _pack(x: np.ndarray, width: int) -> int:
+    """sum(x[k] << (8 * width * k)) for |x[k]| < 256**width, through
+    (len(x), width) byte arrays when x is int64."""
+    total = 0
+    for sign in (1, -1):
+        part = np.maximum(sign * x, 0)
+        if part.dtype == object:
+            data = b"".join(v.to_bytes(width, "little") for v in part)
+        else:
+            fields = np.zeros((len(part), width), np.uint8)
+            fields[:, :8] = part.astype("<u8").view(np.uint8).reshape(-1, 8)[:, :width]
+            data = fields.tobytes()
+        total += sign * int.from_bytes(data, "little")
+    return total
+
+
+def _unpack(n: int, width: int, count: int) -> np.ndarray:
+    """c[:count] from n = sum(c[k] << (8 * width * k)) with all |c[k]| <
+    2**(8 * width - 2), read through a byte view when width <= 8: c[k] is
+    field k of n read as a signed number, plus 1 where field k - 1 is
+    negative (the two spare bits keep that borrow from reaching further)."""
+    data = (n & ((1 << 8 * width * count) - 1)).to_bytes(width * count, "little")
+    if width > 8:
+        s = np.array([int.from_bytes(data[k:k + width], "little", signed=True)
+                      for k in range(0, len(data), width)], dtype=object)
+    else:
+        fields = np.frombuffer(data, np.uint8).reshape(count, width)
+        wide = np.empty((count, 8), np.uint8)
+        wide[:, :width] = fields
+        wide[:, width:] = (fields[:, -1:] >> 7) * 255  # sign extension
+        s = wide.view("<i8").ravel()
+    s[1:] += s[:-1] < 0
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -543,10 +557,6 @@ class IntPolynomial:
         if not cs:
             cs = [0]
         self.coeffs = tuple(cs)
-
-    @classmethod
-    def zero(cls) -> "IntPolynomial":
-        return cls([0])
 
     @classmethod
     def one(cls) -> "IntPolynomial":
@@ -586,22 +596,12 @@ class IntPolynomial:
             return NotImplemented
         return self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def is_zero(self) -> bool:
         return self.degree() == -1
 
     def substitute_scaled(self, factor: int) -> "IntPolynomial":
         """T -> factor * T, exactly."""
         return IntPolynomial([c * factor ** k for k, c in enumerate(self.coeffs)])
-
-    def __call__(self, t: complex) -> complex:
-        total = 0j
-        for c in reversed(self.coeffs):
-            cval = c.to_complex() if isinstance(c, GaussInt) else complex(c)
-            total = total * t + cval
-        return total
 
     def __repr__(self):
         return f"IntPolynomial({list(self.coeffs)})"

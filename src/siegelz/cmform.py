@@ -65,21 +65,17 @@ def _g_theta_product(order: int) -> EllipticQExpansion:
         t = theta_expansion(m, u_order)
         prod = series_mul(prod, series_mul(t, t))
     scaled = rescale4(prod)
-    coeffs = {}
-    for e, c in scaled.coeffs.items():
-        if e % 8:
-            raise AssertionError("unexpected exponent off the q-lattice")
-        if c.im:
-            raise AssertionError("theta product left the rational integers")
-        coeffs[e // 8] = c.re
-    lead = coeffs.get(1)
+    e, re = scaled.exps[0], scaled.re
+    if (e % 8).any():
+        raise AssertionError("unexpected exponent off the q-lattice")
+    if scaled.im.any():
+        raise AssertionError("theta product left the rational integers")
+    lead = scaled.coefficient(8).re
     if not lead:
         raise AssertionError("missing leading coefficient")
-    out = {}
-    for n, v in coeffs.items():
-        if v % lead:
-            raise AssertionError("leading coefficient does not divide the series")
-        out[n] = v // lead
+    if (re % lead).any():
+        raise AssertionError("leading coefficient does not divide the series")
+    out = dict(zip((e // 8).tolist(), (re // lead).tolist()))
     return EllipticQExpansion(order, out)
 
 

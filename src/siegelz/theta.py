@@ -87,23 +87,30 @@ def blocks(M: np.ndarray):
     return M[:g, :g], M[:g, g:], M[g:, :g], M[g:, g:]
 
 
+def _symplectic_form(g: int) -> np.ndarray:
+    eye = np.eye(g, dtype=np.int64)
+    return np.block([[0 * eye, -eye], [eye, 0 * eye]])
+
+
+# built once, since the congruence tests of the package run on genus-2 matrices
+J4 = _symplectic_form(2)
+_EYE4 = np.eye(4, dtype=np.int64)
+J4.flags.writeable = _EYE4.flags.writeable = False
+
+
 def is_symplectic(M: np.ndarray) -> bool:
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] % 2:
         return False
-    g = M.shape[0] // 2
-    J = np.zeros_like(M)
-    J[:g, g:] = -np.eye(g, dtype=M.dtype)
-    J[g:, :g] = np.eye(g, dtype=M.dtype)
+    J = J4 if M.shape[0] == 4 else _symplectic_form(M.shape[0] // 2)
     return bool(np.array_equal(M @ J @ M.T, J))
 
 
 def in_gamma(M: np.ndarray, n: int) -> bool:
     """Principal congruence condition M = 1 mod n (with -1 counted at n <= 2)."""
-    size = M.shape[0]
+    eye = _EYE4 if M.shape[0] == 4 else np.eye(M.shape[0], dtype=np.int64)
     return is_symplectic(M) and bool(
-        np.all((M - np.eye(size, dtype=np.int64)) % n == 0)
-        or (n <= 2 and np.all((M + np.eye(size, dtype=np.int64)) % n == 0))
+        np.all((M - eye) % n == 0) or (n <= 2 and np.all((M + eye) % n == 0))
     )
 
 
@@ -143,8 +150,6 @@ G0 = np.block([[_S2, np.zeros((2, 2), dtype=np.int64)],
                [np.zeros((2, 2), dtype=np.int64), _S2]])
 G2 = np.block([[_S2, np.zeros((2, 2), dtype=np.int64)],
                [_mat([[0, 0], [2, 0]]), _S2]])
-
-J4 = _mat([[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]])
 
 
 def translation(b) -> np.ndarray:
@@ -363,18 +368,19 @@ def phi_after_g0(f: QuarterSeries) -> QuarterSeries:
     """
     if f.genus != 2:
         raise ValueError("expected a genus-2 series")
-    out = {}
-    for (e1, e2, e3), c in f.coeffs.items():
-        if e1 == 0 and e2 == 0:
-            out[e3] = c
-    return QuarterSeries(1, f.order, out)
+    e1, e2, e3 = f.exps
+    keep = (e1 == 0) & (e2 == 0)  # a run of the sorted terms, ascending in e3
+    return QuarterSeries.from_arrays(1, f.order, [e3[keep]], f.re[keep], f.im[keep])
 
 
 def rescale4(f: QuarterSeries) -> QuarterSeries:
     """Substitution tau -> 4 tau on a genus-1 series (index map e -> 4e)."""
     if f.genus != 1:
         raise ValueError("expected a genus-1 series")
-    return QuarterSeries(1, 4 * f.order, {4 * e: c for e, c in f.coeffs.items()})
+    e = f.exps[0]
+    wide = e.dtype == object or np.abs(e).max(initial=0) >= 1 << 60
+    return QuarterSeries.from_arrays(1, 4 * f.order, [4 * e.astype(object if wide else np.int64)],
+                                     f.re, f.im)
 
 
 # ---------------------------------------------------------------------------
@@ -615,11 +621,11 @@ def igusa_residuals(ms, M: np.ndarray, tau, tol: float = 1e-12) -> tuple:
 
     The first is the squared law, max over m of the absolute difference
         theta_m(M tau)^2 - kappa^2 e^(4 pi i phi_m) det(C tau + D) theta_m(tau)^2.
-    The second is the normalized slash ratio of the tuple product against
-    its exact character.  It is None for an odd or empty tuple, and where a
-    factor is below tol on either side: there the product vanishes at
-    evaluation precision (the ten-theta product on the diagonal locus, say)
-    and the check could not fail.
+    The second compares the tuple product at M tau with its exact character
+    times the cocycle power at tau, relative to the larger side.  It is None
+    for an odd or empty tuple, and where a factor is below tol on either
+    side: there the product vanishes at evaluation precision (the ten-theta
+    product on the diagonal locus, say) and the check could not fail.
     """
     for m in ms:
         if parity(m) != "even":
@@ -637,11 +643,12 @@ def igusa_residuals(ms, M: np.ndarray, tau, tol: float = 1e-12) -> tuple:
     squared = float(np.abs(th_m ** 2 - ksq * phases * det_j * th_0 ** 2).max(initial=0.0))
     if not ms or len(ms) % 2 or min(np.abs(th_m).min(), np.abs(th_0).min()) <= tol:
         return squared, None
-    # normalized, since the cocycle determinant power inflates the magnitudes
+    # relative to the larger side, so that a wrong root of unity reads O(1)
+    # however small the product, and the cocycle power inflates nothing
     num = np.prod(th_m)
     den = np.prod(th_0) * det_j ** (len(ms) // 2)
     chi = character_value(Fraction(t, 8))
-    return squared, float(abs(num - chi * den) / max(1.0, abs(num), abs(den)))
+    return squared, float(abs(num - chi * den) / max(abs(num), abs(den)))
 
 
 def verify_igusa_transformation(ms, M: np.ndarray, tau, tol: float = 1e-12) -> float:

@@ -1,5 +1,7 @@
+import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -360,6 +362,103 @@ def test_series_mul_associative_commutative():
     assert series_mul(a, b) == series_mul(b, a)
     assert series_mul(series_mul(a, b), c) == series_mul(a, series_mul(b, c))
     assert series_add(a, b) == series_add(b, a)
+
+
+# parts up to 2**70 put some coefficients, and so some arrays, beyond int64;
+# the sampled ones sit at the 2**62 limit of int64 storage
+_part = st.one_of(st.integers(-3, 3), st.integers(-(1 << 70), 1 << 70),
+                  st.sampled_from([(1 << 62) - 1, 1 << 62, (1 << 63) - 1, -(1 << 62)]))
+_mixed = st.builds(GaussInt, _part, _part)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_mixed, _mixed, _mixed, st.integers(-5, 5))
+def test_gauss_ring_laws(x, y, z, n):
+    assert x + y == y + x and x * y == y * x
+    assert (x + y) + z == x + (y + z) and (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert x - y == x + (-y) and x + 0 == x and x * 1 == x and n * x == x * GaussInt(n)
+    assert (x * y).norm() == x.norm() * y.norm()
+
+
+def _ring_series(genus, order):
+    if genus == 1:
+        key = st.integers(0, order)
+    else:
+        key = st.tuples(st.integers(0, order), st.integers(-2 * order, 2 * order),
+                        st.integers(0, order)).filter(lambda k: k[0] + k[2] <= order)
+    return st.dictionaries(key, _mixed, max_size=order + 3).map(
+        lambda d: QuarterSeries(genus, order, d))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from([1, 2]), st.integers(0, 12))
+def test_series_ring_laws_under_truncation(data, genus, order):
+    """Commutativity, associativity and distributivity hold exactly for
+    series of nonnegative degree, at every truncation order."""
+    a, b, c = (data.draw(_ring_series(genus, order)) for _ in range(3))
+    cut = data.draw(st.integers(0, order))
+    for o in (order, cut):
+        assert series_mul(a, b, o) == series_mul(b, a, o)
+        assert series_add(a, b, o) == series_add(b, a, o)
+        assert series_mul(series_mul(a, b), c, o) == series_mul(a, series_mul(b, c), o)
+        assert series_add(series_add(a, b), c, o) == series_add(a, series_add(b, c), o)
+        assert series_mul(a, series_add(b, c), o) == series_add(series_mul(a, b), series_mul(a, c), o)
+    reference = brute_mul_g1 if genus == 1 else brute_mul_g2
+    assert series_mul(a, b) == reference(a, b, order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from([1, 2]), st.integers(0, 12))
+def test_series_round_trip_through_the_mapping_view(data, genus, order):
+    s = data.draw(_ring_series(genus, order))
+    assert QuarterSeries(genus, order, dict(s.coeffs)) == s
+    assert dict(s.coeffs.items()) == dict(s.coeffs) and len(s.coeffs) == len(dict(s.coeffs))
+    assert list(s.coeffs.values()) == [s.coeffs[k] for k in s.coeffs]
+    # an array is int64 exactly when every entry is below 2**62
+    for x in (*s.exps, s.re, s.im):
+        small = all(abs(int(v)) < 1 << 62 for v in x)
+        assert x.dtype == (np.int64 if small else object)
+        assert not x.flags.writeable
+    with pytest.raises(TypeError):
+        s.coeffs[0 if genus == 1 else (0, 0, 0)] = GaussInt(1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.integers(1, 9))
+def test_pack_unpack_at_every_field_width(data, width):
+    """Fields of 1 to 8 bytes go through byte views on int64, 9 bytes the
+    exact path; signed entries below 2**(8 * width - 2) round-trip, and so
+    do exact convolutions that stay in that range."""
+    limit = 1 << (8 * width - 2)
+    entries = st.lists(st.integers(-limit + 1, limit - 1), min_size=1, max_size=20)
+    values = data.draw(entries)
+    unpacked = arith._unpack(arith._pack(arith._int_array(values), width), width, len(values))
+    assert unpacked.tolist() == values
+    assert unpacked.dtype == (np.int64 if width <= 8 else object)
+    small = [v % 7 - 3 for v in values]  # int64 input at any width
+    assert arith._unpack(arith._pack(np.array(small), width), width, len(small)).tolist() == small
+    # a convolution whose entries stay below the limit
+    k = len(values)
+    root = math.isqrt((limit - 1) // k)
+    x = data.draw(st.lists(st.integers(-root, root), min_size=k, max_size=k))
+    y = data.draw(st.lists(st.integers(-root, root), min_size=k, max_size=k))
+    conv = [sum(x[i] * y[n - i] for i in range(n + 1)) for n in range(k)]
+    packed = arith._pack(arith._int_array(x), width) * arith._pack(arith._int_array(y), width)
+    assert arith._unpack(packed, width, k).tolist() == conv
+
+
+@pytest.mark.parametrize("bits", [8, 16, 62, 63, 64, 72])
+def test_packed_product_is_exact_where_its_bound_is_tight(bits):
+    # with every coefficient m, the product's top entry n * m**2 reaches the
+    # field bound, whose bit length is `bits`
+    n = 40
+    m = math.isqrt(((1 << bits) - 1) // n)
+    assert (n * m * m).bit_length() == bits
+    a = QuarterSeries(1, n - 1, {e: m for e in range(n)})
+    b = QuarterSeries(1, n - 1, {e: -m for e in range(n)})
+    expected = QuarterSeries(1, n - 1, {e: -(e + 1) * m * m for e in range(n)})
+    assert arith._mul_genus1_packed(a, b, n - 1) == expected
 
 
 # ---------------------------------------------------------------------------

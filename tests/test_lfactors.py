@@ -6,7 +6,6 @@ from siegelz.lfactors import (
     ae_quartic,
     euler_factor,
     h2_lpoly,
-    lefschetz_check,
     spin_identity_check,
     spin_quartic_target,
     trace_h2,
@@ -50,11 +49,6 @@ def test_g_factor_root_magnitudes():
     # product of the two reciprocal roots has absolute value p^2
     for p in odd_primes(50):
         assert abs(euler_factor("g", p).poly[2]) == p * p
-
-
-def test_lefschetz_zero():
-    for p in (3, 5, 7, 11, 13):
-        assert lefschetz_check(p) == 0
 
 
 def test_ae_quartic_examples():

@@ -217,6 +217,22 @@ def test_wrong_character_fails_the_tuple_part_off_the_vanishing_locus(monkeypatc
     assert right < 1e-12 and wrong > 1e-4
 
 
+def test_wrong_character_fails_the_tuple_part_where_the_product_is_small(monkeypatch):
+    """At (4i, 0.5i, 4i) the ten-theta product is below the default --tol,
+    yet no factor is near the evaluation tolerance: the tuple part is checked
+    on every word, and i chi in place of chi reads O(1), not the product's size."""
+    evens = even_characteristics(2)
+    words = random_gamma2_elements(20, seed=1)
+    tau = siegel_point(4j, 0.5j, 4j)
+    factors = np.abs([theta_eval(m, tau, 1e-13) for m in evens])
+    assert np.prod(factors) < 1e-8 and factors.min() > 1e-3
+    right = [igusa_residuals(evens, M, tau, 1e-13)[1] for M in words]
+    real = theta.character_value
+    monkeypatch.setattr(theta, "character_value", lambda t: 1j * real(t))
+    wrong = [igusa_residuals(evens, M, tau, 1e-13)[1] for M in words]
+    assert max(right) < 1e-8 and min(wrong) > 0.1
+
+
 def test_kappa_squared_values():
     assert kappa_squared(E5) == 1
     for M in random_gamma2_elements(10, seed=4):

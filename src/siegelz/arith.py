@@ -370,7 +370,7 @@ def series_mul(a: QuarterSeries, b: QuarterSeries,
     substitution for larger ones; genus 2 always sums over pairs.
     """
     order = _result_order(a, b, order, "product")
-    if a.genus == 1 and len(a.re) * len(b.re) > _SCHOOLBOOK_PAIRS_PER_INDEX * (order + 1):
+    if a.genus == 1 and len(a.re) * len(b.re) > _schoolbook_pairs_per_index(order) * (order + 1):
         return _mul_genus1_packed(a, b, order)
     return _mul_schoolbook(a, b, order)
 
@@ -405,10 +405,13 @@ def _summed(parts: list) -> tuple:
             np.add.reduceat(re[perm], starts), np.add.reduceat(im[perm], starts))
 
 
-# Genus-1 products with at most this many pairs per output index sum over
-# pairs.  Kronecker substitution costs more per index at higher orders: the
-# two kernels break even near 5 pairs per index at order 600, 40 at 2400.
-_SCHOOLBOOK_PAIRS_PER_INDEX = 5
+def _schoolbook_pairs_per_index(order: int) -> int:
+    """Genus-1 products with at most this many pairs per output index sum
+    over pairs.  Kronecker substitution costs more per index at higher
+    orders: on random inputs with coefficients below 100 the two kernels
+    break even near 5 pairs per index at orders 300 and 600, 20 at 1200, 40
+    at 2400, 60 at 4000 and 80 to 90 at 6000."""
+    return max(5, order // 60 - 5)
 
 # The pair kernel sums equal indices once the pairs formed since its last
 # sum reach this many or that sum's size, so its memory stays near its output.

@@ -308,29 +308,47 @@ def verify_count_formulas(p: int, a_p: int) -> dict:
 # ---------------------------------------------------------------------------
 # the birational map between the cone and Z
 
-def phi_image(t: int, z: tuple, p: int) -> tuple:
-    """Image of a cone point [t : Z] with t != 0 and Z0^2 + Z1^2 != 0."""
-    z0, z1, z2, z3 = (v % p for v in z)
+def _inverse_mod(x, p: int):
+    """x^(p-2) mod p entrywise: the inverse of each nonzero x, and 0 for 0."""
+    out = np.ones_like(x)
+    base = x % p
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * base % p
+        base = base * base % p
+        e >>= 1
+    return out
+
+
+def phi_image(t, z, p: int) -> tuple:
+    """Image of cone points [t : Z] with t != 0 and Z0^2 + Z1^2 != 0.
+
+    t and the four entries of z are ints, giving one point and a tuple of
+    ints, or integer arrays, one point per position, giving a tuple of
+    eight arrays of their common shape.
+    """
+    t, z0, z1, z2, z3 = np.broadcast_arrays(*(np.asarray(v, dtype=np.int64) % p for v in (t, *z)))
     s01 = (z0 * z0 + z1 * z1) % p
     s23 = (z2 * z2 + z3 * z3) % p
-    if t % p == 0 or s01 == 0:
+    if np.any(t == 0) or np.any(s01 == 0):
         raise ValueError("point outside the domain of the map")
-    tinv = pow(t % p, p - 2, p)
-    s01inv = pow(s01, p - 2, p)
-    return (
+    tinv = _inverse_mod(t, p)
+    w = (
         (2 * z0) % p,
         (2 * z1) % p,
         (2 * z2) % p,
         (2 * z3) % p,
         (s01 * tinv) % p,
         ((z3 * z3 - z2 * z2) * tinv) % p,
-        ((t % p) * s23 * s01inv) % p,
-        t % p,
+        (t * s23 % p * _inverse_mod(s01, p)) % p,
+        t,
     )
+    return w if t.ndim else tuple(int(v) for v in w)
 
 
 def phi_inverse(w: tuple, p: int) -> tuple:
-    """[Y:X] -> [X3 : Y0/2 : Y1/2 : Y2/2 : Y3/2]."""
+    """[Y:X] -> [X3 : Y0/2 : Y1/2 : Y2/2 : Y3/2], on ints or integer arrays."""
     half = pow(2, p - 2, p)
     return (
         w[7] % p,
@@ -341,63 +359,59 @@ def phi_inverse(w: tuple, p: int) -> tuple:
     )
 
 
-def _proj_normalize(point: tuple, p: int) -> tuple:
-    for v in point:
-        if v % p:
-            inv = pow(v % p, p - 2, p)
-            return tuple((x * inv) % p for x in point)
-    raise ValueError("zero vector is not projective")
-
-
-def _u1_points(p: int):
-    """Affine representatives [1 : Z] of U1: quartic zeros with Z0^2+Z1^2 != 0."""
-    for z0 in range(p):
-        for z1 in range(p):
-            if (z0 * z0 + z1 * z1) % p == 0:
-                continue
-            lhs = (pow(z0, 4, p) - pow(z1, 4, p)) % p
-            for z2 in range(p):
-                z2_4 = pow(z2, 4, p)
-                for z3 in range(p):
-                    if (lhs + z2_4 - pow(z3, 4, p)) % p == 0:
-                        yield (z0, z1, z2, z3)
-
-
-def _zsatake_satisfied(w: tuple, p: int) -> bool:
-    y = [(v * v) % p for v in w[:4]]
-    q = z_quadrics(*(np.int64(v) for v in w[4:]), p)
-    return all((y[j] - int(q[j])) % p == 0 for j in range(4))
+def _proj_normalize(rows: np.ndarray, p: int) -> np.ndarray:
+    """The rows scaled so that their first nonzero entry is 1; zero rows stay 0."""
+    rows = rows % p
+    lead = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
+    return rows * _inverse_mod(lead, p)[:, None] % p
 
 
 def verify_birational_map(p: int) -> dict:
     """Enumerate U1(F_p), push every point through the map, check the image
-    equations and the printed inverse, and compare |U1| with |U2|."""
+    equations and the printed inverse, and compare |U1| with |U2|.
+
+    The points [1 : Z] of U1 run in lexicographic order of Z, and a failed
+    check names the first point that fails any check, with the first check
+    it fails: the target equations, then the inverse, then landing in U2.
+    """
     _check_odd_prime(p)
     if p > CHARSUM_Z_CAP:
         raise ValueError(f"birational check capped at p <= {CHARSUM_Z_CAP}")
-    images = set()
-    n_u1 = 0
-    for z in _u1_points(p):
-        n_u1 += 1
-        w = phi_image(1, z, p)
-        if not _zsatake_satisfied(w, p):
-            raise AssertionError(f"image of {z} misses the target equations")
-        back = _proj_normalize(phi_inverse(w, p), p)
-        if back != _proj_normalize((1,) + z, p):
-            raise AssertionError(f"inverse fails at {z}")
-        # image must land in U2: Y0^2 + Y1^2 != 0 and X3 != 0
-        if (w[0] * w[0] + w[1] * w[1]) % p == 0 or w[7] % p == 0:
-            raise AssertionError(f"image of {z} outside U2")
-        images.add(_proj_normalize(w, p))
+    # U1 as a boolean mask over F_p^4: Z0^4 - Z1^4 = Z3^4 - Z2^4, Z0^2 + Z1^2 != 0
+    x = np.arange(p, dtype=np.int64)
+    x4 = _pow4(x, p)
+    diff = (x4[:, None] - x4[None, :]) % p
+    lhs = np.where((x[:, None] ** 2 + x[None, :] ** 2) % p != 0, diff, -1)
+    z = np.argwhere(lhs[:, :, None, None] == diff.T[None, None])
+    w = np.stack(phi_image(1, z.T, p), axis=1)
+    back = _proj_normalize(np.stack(phi_inverse(w.T, p), axis=1), p)
+    misses = ~zsatake_vanishes(w, p)
+    wrong = np.any(back != np.hstack([np.ones((len(z), 1), dtype=np.int64), z]), axis=1)
+    # image must land in U2: Y0^2 + Y1^2 != 0 and X3 != 0
+    outside = ((w[:, 0] * w[:, 0] + w[:, 1] * w[:, 1]) % p == 0) | (w[:, 7] % p == 0)
+    failed = np.flatnonzero(misses | wrong | outside)
+    if len(failed):
+        k = failed[0]
+        pt = tuple(z[k].tolist())
+        if misses[k]:
+            raise AssertionError(f"image of {pt} misses the target equations")
+        if not back[k].any():
+            raise ValueError("zero vector is not projective")
+        if wrong[k]:
+            raise AssertionError(f"inverse fails at {pt}")
+        raise AssertionError(f"image of {pt} outside U2")
+    n_u1 = len(z)
     n_u2 = count_variety("Zsatake", p, "charsum") - count_variety("U2c", p, "charsum")
     n_cone_side = count_variety("ConeF", p) - count_variety("U1c", p)
+    # a set, not np.unique, which imports numpy.ma (about 1 MB resident)
+    distinct = len({tuple(row) for row in _proj_normalize(w, p).tolist()})
     return {
         "p": p,
         "u1_count": n_u1,
         "u2_count": n_u2,
         "cone_minus_u1c": n_cone_side,
-        "distinct_images": len(images),
-        "bijective": n_u1 == n_u2 == len(images) == n_cone_side,
+        "distinct_images": distinct,
+        "bijective": n_u1 == n_u2 == distinct == n_cone_side,
         "coordinate_matching": "identity",
     }
 
@@ -443,13 +457,12 @@ def verify_boundary_lines(p: int, rational_only: bool = False) -> dict:
     identically along it (tested at every parameter value in P^1(F_p))."""
     _check_odd_prime(p)
     lines = _line_catalog(p, rational_only)
-    params = [(1, v) for v in range(p)] + [(0, 1)]
-    report = {}
-    for name, param in lines:
-        vanishing = set(range(10))
-        for u, v in params:
-            pt = param(u, v)
-            q = big_quadrics(*(np.int64(c) for c in pt), p)
-            vanishing &= {k for k in range(10) if int(q[k]) % p == 0}
-        report[name] = sorted(vanishing)
-    return report
+    # the parameters (1, v) for v in F_p and (0, 1), for every line at once
+    u = np.append(np.ones(p, dtype=np.int64), 0)
+    v = np.append(np.arange(p, dtype=np.int64), 1)
+    pts = np.concatenate([np.stack(np.broadcast_arrays(*param(u, v)), axis=1)
+                          for _, param in lines])
+    q = np.stack(big_quadrics(*pts.T, p)) % p
+    vanishing = np.all(q.reshape(10, len(lines), p + 1) == 0, axis=2)
+    return {name: np.flatnonzero(vanishing[:, k]).tolist()
+            for k, (name, _) in enumerate(lines)}

@@ -4,8 +4,9 @@ Exact truncated expansions, numeric lattice-sum evaluation with a tail
 bound, the transformation machinery (one vectorized pass gives, for every
 characteristic of a tuple, the unreduced image m M^-1 + (diag CD^T,
 diag AB^T) and the eighth-integer phase; with kappa^2 and the reduction
-signs these give the exact characters on the level-2 group, and the
-numeric check of the transformation law), the ten standard generator matrices
+signs these give, once per level-2 matrix and cached, a table of each
+characteristic's share of the exact character, which the characters and
+the numeric check of the transformation law read), the ten standard generator matrices
 e_1..e_10 of Gamma(2)/Gamma(4,8) with their pair characters, the congruence
 predicates cutting out the stabilizer group of the six-theta product F_Z,
 the orbit split of six-tuples of even characteristics, F_Z itself, and the
@@ -15,9 +16,12 @@ degeneration operator sending a genus-2 expansion to a genus-1 one.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -278,17 +282,34 @@ def siegel_point(t1: complex, t2: complex, t3: complex) -> np.ndarray:
     return tau
 
 
+def _isclose(x: complex, y: complex) -> bool:
+    """np.isclose(x, y) at its defaults, rtol 1e-5 and atol 1e-8, on scalars."""
+    return x == y or (cmath.isfinite(y) and abs(x - y) <= 1e-8 + 1e-5 * abs(y))
+
+
 def check_siegel_point(tau: np.ndarray):
+    """Raise ValueError unless tau is a point of the upper half plane, or a
+    2x2 period matrix that is symmetric (by np.allclose(tau, tau.T)) with
+    positive definite imaginary part."""
     tau = np.asarray(tau, dtype=complex)
     if tau.shape == ():
         if tau.imag <= 0:
             raise ValueError("imaginary part must be positive")
         return
-    if not np.allclose(tau, tau.T):
+    if tau.shape != (2, 2):
+        raise ValueError("period matrix must be 2x2")
+    t = tau.tolist()
+    if not all(_isclose(t[i][j], t[j][i]) for i in (0, 1) for j in (0, 1)):
         raise ValueError("period matrix must be symmetric")
-    Y = tau.imag
-    # leading principal minors
-    if Y[0, 0] <= 0 or np.linalg.det(Y) <= 0:
+    (y00, y01), (y10, y11) = ((v.imag for v in row) for row in t)
+    # leading principal minors; where rounding could flip the sign of the
+    # determinant (within 8 eps of its two products, or not finite), the LU
+    # determinant decides, so exactly the points np.linalg.det accepts pass
+    det = y00 * y11 - y01 * y10
+    if y00 > 0 and not abs(det) > 8 * sys.float_info.epsilon * (
+            abs(y00 * y11) + abs(y01 * y10)) + 1e-300:
+        det = np.linalg.det(tau.imag)
+    if y00 <= 0 or det <= 0:
         raise ValueError("imaginary part must be positive definite")
 
 
@@ -487,21 +508,66 @@ def kappa_squared(M: np.ndarray) -> int:
     return -1 if _kappa_flip(M) else 1
 
 
-def _level2_phases(M: np.ndarray, ms) -> tuple[np.ndarray, int]:
-    """The phases in eighths of the rows of ms under M in the level-2 group
-    (not validated here), and 8 t mod 8 for the exact character t of their
-    theta product."""
-    m = np.asarray(ms, dtype=np.int64).reshape(-1, M.shape[0])
-    raw, eighths = _action(M, m)
-    if np.any((raw - m) % 2):
-        raise AssertionError("level-2 matrix must fix characteristics mod 2")
-    g = M.shape[0] // 2
+class _Table(NamedTuple):
+    """The exact transformation data of one level-2 matrix, per characteristic
+    mod 2 (indexed by its bits read as a binary number, first entry highest)."""
+    fixes: bool      # M.m = m mod 2 for every characteristic
+    eighths: tuple   # the phase of the transformation law, in eighths
+    weights: tuple   # the phase plus 4 x the reduction sign flip, mod 8
+    kappa: int       # 1 where kappa(M)^2 = -1, else 0
+
+
+@lru_cache(maxsize=64)
+def _table(key: bytes, shape: tuple) -> _Table | None:
+    """The table of the int64 matrix with these bytes and shape, or None when
+    it is not in the level-2 group.
+
+    The character of a theta product is the sum of its factors' weights plus
+    4 r kappa for r pairs; a weight depends on its characteristic only mod 2,
+    since shifting m'' by 2k'' multiplies theta by the constant (-1)^(m'.k'')
+    and shifts of m' are invisible.
+    """
+    M = np.frombuffer(key, dtype=np.int64).reshape(shape)
+    if not in_gamma2(M):
+        return None
+    n = M.shape[0]
+    g = n // 2
+    chars = np.array(list(itertools.product((0, 1), repeat=n)), dtype=np.int64)
+    raw, eighths = _action(M, chars)
     red = raw % 2
-    # shifting m'' by 2k'' multiplies theta by (-1)^(m'.k''); shifts of m'
-    # are invisible
-    flips = int((red[:, :g] * ((raw[:, g:] - red[:, g:]) // 2)).sum())
-    t = int(eighths.sum()) + 4 * flips + 4 * (len(m) // 2) * _kappa_flip(M)
-    return eighths, t % 8
+    flips = (red[:, :g] * ((raw[:, g:] - red[:, g:]) // 2)).sum(1) % 2
+    return _Table(bool(np.all(red == chars)), tuple(eighths.tolist()),
+                  tuple(((eighths + 4 * flips) % 8).tolist()), _kappa_flip(M))
+
+
+def _level2_table(M) -> _Table | None:
+    """The cached table of M, read afresh from M's current entries."""
+    A = np.asarray(M)
+    Mi = A.astype(np.int64, copy=False)
+    if Mi is not A and not np.array_equal(Mi, A):
+        return None  # not integral, so not in the level-2 group
+    return _table(Mi.tobytes(), Mi.shape)
+
+
+def _code(m, n: int) -> int:
+    """The index of the characteristic m mod 2 in a table of n-entry ones."""
+    if len(m) != n:
+        raise ValueError(f"characteristic {tuple(m)} does not have {n} entries")
+    code = 0
+    for v in m:
+        code = 2 * code + (int(v) & 1)
+    return code
+
+
+def _exponent(table: _Table, ms, n: int) -> Fraction:
+    """The exact character t of the product over ms (pairs of n-entry
+    characteristics) under the table's matrix."""
+    if not table.fixes:
+        raise AssertionError("level-2 matrix must fix characteristics mod 2")
+    t = 4 * (len(ms) // 2) * table.kappa
+    for m in ms:
+        t += table.weights[_code(m, n)]
+    return Fraction(t % 8, 8)
 
 
 def slash_character_exact(ms, M: np.ndarray) -> Fraction:
@@ -513,9 +579,10 @@ def slash_character_exact(ms, M: np.ndarray) -> Fraction:
     """
     if len(ms) % 2:
         raise ValueError("need an even number of characteristics")
-    if not in_gamma2(M):
+    table = _level2_table(M)
+    if table is None:
         raise ValueError("character only defined on the level-2 group")
-    return Fraction(_level2_phases(M, ms)[1], 8)
+    return _exponent(table, ms, np.shape(M)[0])
 
 
 def character_value(t: Fraction) -> complex:
@@ -573,43 +640,20 @@ def table1_char(m1, m2, i: int) -> GaussInt:
     return table1_char_tuple((tuple(m1), tuple(m2)), i)
 
 
-def evenize_genus3(m):
-    """Embed a genus-2 characteristic as an even genus-3 one.
-
-    Odd characteristics get the extra coordinate pair (1, 1), even ones
-    (0, 0); the block period matrix diag(tau, i) then carries the pair
-    character of the original characteristic.
-    """
-    a, b, c, d = m
-    extra = 1 if parity(m) == "odd" else 0
-    return (a, b, extra, c, d, extra)
-
-
-def sp2_embed_genus3(M: np.ndarray) -> np.ndarray:
-    """Block embedding of a 4x4 symplectic matrix into genus 3, fixing the
-    third coordinate."""
-    A, B, C, D = blocks(M)
-    out = np.zeros((6, 6), dtype=np.int64)
-    out[:2, :2] = A
-    out[:2, 3:5] = B
-    out[3:5, :2] = C
-    out[3:5, 3:5] = D
-    out[2, 2] = 1
-    out[5, 5] = 1
-    return out
-
-
 def pair_character_any_parity(m1, m2, M: np.ndarray) -> Fraction:
     """Exact pair character for arbitrary-parity genus-2 characteristics.
 
-    Both characteristics are evenized into genus 3, where the product
-    theta is not identically zero, and the exact character of the embedded
-    matrix is computed there.
+    The pair product of odd characteristics vanishes identically in genus
+    2, so the character is that of the even genus-3 product over the lifts
+    (a, b, e, c, d, e), e the parity, under M embedded in genus 3 with the
+    identity on the third coordinate.  That coordinate adds no phase and no
+    reduction sign, and kappa^2 is unchanged (trace D3 - 3 = trace D - 2),
+    so the genus-2 table of M gives it.
     """
-    if not in_gamma2(M):
+    table = _level2_table(M)
+    if table is None:
         raise ValueError("character only defined on the level-2 group")
-    ms = (evenize_genus3(m1), evenize_genus3(m2))
-    return Fraction(_level2_phases(sp2_embed_genus3(M), ms)[1], 8)
+    return _exponent(table, (m1, m2), 4)
 
 
 # ---------------------------------------------------------------------------
@@ -630,13 +674,16 @@ def igusa_residuals(ms, M: np.ndarray, tau, tol: float = 1e-12) -> tuple:
     for m in ms:
         if parity(m) != "even":
             raise ValueError(f"odd characteristic {m} vanishes identically")
-    if not in_gamma2(M):
+    table = _level2_table(M)
+    if table is None:
         raise ValueError("the squared law is pinned down on the level-2 group")
+    n = np.shape(M)[0]
+    eighths = np.array([table.eighths[_code(m, n)] for m in ms], dtype=np.int64)
+    t = _exponent(table, ms, n)
     tau = np.asarray(tau, dtype=complex)
     mtau = apply_moebius(M, tau)
     det_j = complex(np.linalg.det(cocycle(M, tau)))
-    eighths, t = _level2_phases(M, ms)
-    ksq = -1 if _kappa_flip(M) else 1
+    ksq = -1 if table.kappa else 1
     th_m = np.array([theta_eval(tuple(v % 2 for v in m), mtau, tol) for m in ms])
     th_0 = np.array([theta_eval(m, tau, tol) for m in ms])
     phases = np.exp(1j * np.pi * eighths / 2)
@@ -647,7 +694,7 @@ def igusa_residuals(ms, M: np.ndarray, tau, tol: float = 1e-12) -> tuple:
     # however small the product, and the cocycle power inflates nothing
     num = np.prod(th_m)
     den = np.prod(th_0) * det_j ** (len(ms) // 2)
-    chi = character_value(Fraction(t, 8))
+    chi = character_value(t)
     return squared, float(abs(num - chi * den) / max(abs(num), abs(den)))
 
 

@@ -215,7 +215,8 @@ def test_series_mul_packed_matches_dict():
     b = QuarterSeries(
         1, order, {e: GaussInt(rng.randrange(-20, 21), rng.randrange(-20, 21)) for e in range(order + 1)}
     )
-    assert len(a.coeffs) * len(b.coeffs) > arith._SCHOOLBOOK_PAIRS_PER_INDEX * (order + 1)
+    pairs = len(a.coeffs) * len(b.coeffs)
+    assert pairs > arith._schoolbook_pairs_per_index(order) * (order + 1)
     packed = series_mul(a, b)
     assert packed == brute_mul_g1(a, b, order)
 
@@ -332,17 +333,20 @@ def test_series_mul_genus1_both_sides_of_the_cutoff(monkeypatch):
     monkeypatch.setattr(arith, "_mul_genus1_packed",
                         lambda *args: packed.append(1) or real(*args))
     rng = random.Random(8)
-    cutoff = arith._SCHOOLBOOK_PAIRS_PER_INDEX
-    order = 300
     big = lambda: GaussInt(rng.randrange(-(1 << 80), 1 << 80), rng.randrange(-(1 << 80), 1 << 80))
-    for n in (10, 30, 300):
-        a = QuarterSeries(1, order, {rng.randrange(order + 1): big() for _ in range(n)})
-        b = QuarterSeries(1, order, {rng.randrange(order + 1): big() for _ in range(n)})
-        pairs_per_index = len(a.coeffs) * len(b.coeffs) / (order + 1)
-        assert (pairs_per_index > cutoff) == (n > 30)
-        packed.clear()
-        assert series_mul(a, b) == brute_mul_g1(a, b, order)
-        assert bool(packed) == (n > 30)
+    # at order 3000 the cutoff is 45 pairs per index: 20 pairs per index sum
+    # over pairs there, though at order 300 (cutoff 5) they would be packed
+    for order, sizes in ((300, (10, 30, 300)), (3000, (245, 500))):
+        cutoff = arith._schoolbook_pairs_per_index(order)
+        for n in sizes:
+            a = QuarterSeries(1, order, {rng.randrange(order + 1): big() for _ in range(n)})
+            b = QuarterSeries(1, order, {rng.randrange(order + 1): big() for _ in range(n)})
+            pairs_per_index = len(a.coeffs) * len(b.coeffs) / (order + 1)
+            assert (pairs_per_index > cutoff) == (n in (300, 500))
+            assert (pairs_per_index > 5) == (n not in (10, 30))
+            packed.clear()
+            assert series_mul(a, b) == brute_mul_g1(a, b, order)
+            assert bool(packed) == (n in (300, 500))
 
 
 def test_series_genus_mismatch_rejected():

@@ -1,10 +1,15 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from siegelz import pointcount
 from siegelz.cmform import a_p
 from siegelz.pointcount import (
     CHART_ROWS,
+    _line_catalog,
     _projective_points,
+    big_quadrics,
     count_variety,
     count_z_slice_x0_zero,
     count_z_slice_x0_nonzero_x3_zero,
@@ -13,6 +18,7 @@ from siegelz.pointcount import (
     verify_birational_map,
     verify_boundary_lines,
     verify_count_formulas,
+    z_quadrics,
 )
 
 PRIMES = (3, 5, 7, 11, 13)
@@ -112,6 +118,95 @@ def test_birational_map_small_primes():
         assert rep["coordinate_matching"] == "identity"
     rep3 = verify_birational_map(3)
     assert rep3["u1_count"] == count_variety("ConeF", 3) - count_variety("U1c", 3)
+
+
+def _reference_normalize(point, p):
+    for v in point:
+        if v % p:
+            inv = pow(v % p, p - 2, p)
+            return tuple((x * inv) % p for x in point)
+    raise ValueError("zero vector is not projective")
+
+
+def _reference_birational_map(p):
+    """verify_birational_map transcribed as a loop over the points of U1,
+    one at a time, as a test-only reference."""
+    images = set()
+    n_u1 = 0
+    for z0, z1, z2, z3 in itertools.product(range(p), repeat=4):
+        if (z0 * z0 + z1 * z1) % p == 0 or (z0 ** 4 - z1 ** 4 + z2 ** 4 - z3 ** 4) % p:
+            continue
+        z = (z0, z1, z2, z3)
+        n_u1 += 1
+        w = pointcount.phi_image(1, z, p)
+        q = z_quadrics(*(np.int64(v) for v in w[4:]), p)
+        if not all((w[j] * w[j] - int(q[j])) % p == 0 for j in range(4)):
+            raise AssertionError(f"image of {z} misses the target equations")
+        if _reference_normalize(pointcount.phi_inverse(w, p), p) != (1,) + z:
+            raise AssertionError(f"inverse fails at {z}")
+        if (w[0] * w[0] + w[1] * w[1]) % p == 0 or w[7] % p == 0:
+            raise AssertionError(f"image of {z} outside U2")
+        images.add(_reference_normalize(w, p))
+    n_u2 = count_variety("Zsatake", p, "charsum") - count_variety("U2c", p, "charsum")
+    n_cone_side = count_variety("ConeF", p) - count_variety("U1c", p)
+    return {
+        "p": p,
+        "u1_count": n_u1,
+        "u2_count": n_u2,
+        "cone_minus_u1c": n_cone_side,
+        "distinct_images": len(images),
+        "bijective": n_u1 == n_u2 == len(images) == n_cone_side,
+        "coordinate_matching": "identity",
+    }
+
+
+def _reference_boundary_lines(p, rational_only=False):
+    """verify_boundary_lines transcribed as a loop over lines and parameters."""
+    report = {}
+    for name, param in _line_catalog(p, rational_only):
+        vanishing = set(range(10))
+        for u, v in [(1, v) for v in range(p)] + [(0, 1)]:
+            q = big_quadrics(*(np.int64(c) for c in param(u, v)), p)
+            vanishing &= {k for k in range(10) if int(q[k]) % p == 0}
+        report[name] = sorted(vanishing)
+    return report
+
+
+def _raised(fn, *args):
+    try:
+        fn(*args)
+    except (AssertionError, ValueError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_birational_map_matches_the_pointwise_loop(monkeypatch):
+    for p in PRIMES:
+        got = verify_birational_map(p)
+        assert got == _reference_birational_map(p)
+        assert all(type(v) is int for k, v in got.items() if k.endswith(("count", "images", "u1c")))
+    real = pointcount.phi_image
+    unhalved = lambda w, p: (w[7] % p, *(v % p for v in w[:4]))
+    zero = lambda w, p: (0 * w[7],) * 5
+    swapped = lambda t, z, p: (lambda w: w[:4] + (w[6], w[5], w[4], w[7]))(real(t, z, p))
+    for name, patch, expected in (("phi_inverse", unhalved, AssertionError),
+                                  ("phi_inverse", zero, ValueError),
+                                  ("phi_image", swapped, AssertionError)):
+        monkeypatch.undo()
+        monkeypatch.setattr(pointcount, name, patch)
+        for p in PRIMES:
+            error = _raised(verify_birational_map, p)
+            assert error is not None and error[0] is expected
+            assert error == _raised(_reference_birational_map, p)
+
+
+def test_boundary_lines_match_the_pointwise_loop():
+    for p in [q for q in range(3, 42, 2) if all(q % d for d in range(3, q, 2))]:
+        assert verify_boundary_lines(p, True) == _reference_boundary_lines(p, True)
+        if p % 4 == 1:
+            got = verify_boundary_lines(p)
+            assert got == _reference_boundary_lines(p)
+            assert list(got) == [name for name, _ in _line_catalog(p)]
 
 
 def test_phi_image_and_inverse_pointwise():

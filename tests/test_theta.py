@@ -19,8 +19,8 @@ from siegelz.theta import (
     character_as_gauss,
     character_value,
     characteristic_action,
+    check_siegel_point,
     cocycle,
-    evenize_genus3,
     even_characteristics,
     fz_eval,
     fz_expansion,
@@ -45,7 +45,6 @@ from siegelz.theta import (
     siegel_point,
     six_tuple_expansion,
     slash_character_exact,
-    sp2_embed_genus3,
     sp2z_generators,
     table1_char,
     table1_char_tuple,
@@ -138,6 +137,72 @@ def test_theta_eval_rejects_bad_tau():
         theta_eval((0, 0), -1j, 1e-10)
     with pytest.raises(ValueError):
         theta_eval((0, 0, 0, 0), np.array([[1j, 0], [0, -2j]]), 1e-10)
+
+
+def test_theta_tail_bound_against_a_tighter_evaluation():
+    """The lattice radius for tol keeps the dropped tail below tol: at the
+    theta-table points, their images under the ten generators, and a poorly
+    conditioned point (smallest eigenvalue of Im tau 0.05)."""
+    points = [TAU_A, TAU_B, TAU_GENERIC]
+    points += [apply_moebius(M, TAU_GENERIC) for M in E_GENERATORS]
+    points.append(siegel_point(0.3j + 0.1, 0.25j, 0.3j - 0.2))
+    assert min(np.linalg.eigvalsh(points[-1].imag)) < 0.06
+    for tau in points:
+        for m in even_characteristics(2):
+            tight = theta_eval(m, tau, 1e-15)
+            for tol in (1e-4, 1e-8, 1e-13):
+                assert abs(theta_eval(m, tau, tol) - tight) < tol, (m, tol)
+    for t in (1j, 0.05j + 0.3):
+        for m in even_characteristics(1):
+            tight = theta_eval(m, t, 1e-15)
+            for tol in (1e-4, 1e-8, 1e-13):
+                assert abs(theta_eval(m, t, tol) - tight) < tol, (m, tol)
+
+
+def _reference_siegel_check(tau) -> bool:
+    """The acceptance rule of check_siegel_point transcribed as it was on
+    numpy: np.allclose for symmetry, then the leading minors by np.linalg.det."""
+    tau = np.asarray(tau, dtype=complex)
+    Y = tau.imag
+    return bool(np.allclose(tau, tau.T)) and not (Y[0, 0] <= 0 or np.linalg.det(Y) <= 0)
+
+
+def test_check_siegel_point_accepts_what_the_numpy_rule_accepts():
+    rng = np.random.default_rng(5)
+    cases = []
+    for _ in range(400):
+        y00, y11 = rng.uniform(-0.5, 3, 2)
+        y01 = rng.uniform(-2, 2)
+        re = rng.uniform(-1, 1, 3)
+        cases.append([[re[0] + 1j * y00, re[1] + 1j * y01], [re[1] + 1j * y01, re[2] + 1j * y11]])
+    for scale in (1e-160, 1e-3, 1.0, 1e150):
+        for rel in (-1e-9, -1e-15, -3e-16, 0.0, 3e-16, 1e-15, 1e-9):
+            # a determinant at the edge of rounding: y11 = y01^2 / y00 (1 + rel)
+            y00, y01 = 0.7 * scale, 1.3 * scale
+            y11 = y01 * y01 / y00 * (1 + rel)
+            cases.append([[1j * y00, 1j * y01], [1j * y01, 1j * y11]])
+    base = complex(0.4, 1.1)
+    for step in (1e-8, 1e-5 * abs(base), 1e-8 + 1e-5 * abs(base)):
+        for k in (0.999, 1.0, 1.001):
+            # off-diagonal entries at the edge of the symmetry tolerance
+            cases.append([[2j, base], [base + k * step, 2j]])
+            cases.append([[2j, base + k * step], [base, 2j]])
+    for bad in (np.nan, np.inf, -np.inf, complex(0, np.nan), complex(0, np.inf)):
+        for i, j in ((0, 0), (0, 1), (1, 1)):
+            tau = np.array([[2j, 0.5j], [0.5j, 2j]])
+            tau[i, j] = bad
+            tau[j, i] = bad
+            cases.append(tau)
+    with np.errstate(all="ignore"):
+        for tau in cases:
+            try:
+                check_siegel_point(tau)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == _reference_siegel_check(tau), tau
+    with pytest.raises(ValueError):
+        check_siegel_point(np.eye(3) * 1j)
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +383,20 @@ def _reference_term(M, m) -> Fraction:
     return Fraction(-quad, 8) + Fraction(lin, 4) + Fraction(sign, 2)
 
 
+def _evenize_genus3(m):
+    """The even genus-3 lift (a, b, e, c, d, e) of m, e its parity."""
+    a, b, c, d = m
+    extra = 1 if parity(m) == "odd" else 0
+    return (a, b, extra, c, d, extra)
+
+
+def _embed_genus3(M):
+    """M in genus 3, with the identity on the third coordinate."""
+    out = np.eye(6, dtype=np.int64)
+    out[np.ix_([0, 1, 3, 4], [0, 1, 3, 4])] = M
+    return out
+
+
 def _reference_character(ms, M, terms) -> Fraction:
     g = M.shape[0] // 2
     kappa_odd = (int(np.trace(M[g:, g:])) - g) // 2 % 2
@@ -339,13 +418,13 @@ def test_exact_character_matches_the_per_characteristic_reference():
     cases = 0
     for M in mats:
         terms, terms3 = {}, {}
-        M3 = sp2_embed_genus3(M)
+        M3 = _embed_genus3(M)
         for ms in itertools.chain(itertools.combinations(evens, 2),
                                   itertools.combinations(evens, 6)):
             assert slash_character_exact(ms, M) == _reference_character(ms, M, terms), ms
             cases += 1
         for m1, m2 in itertools.combinations(allchars, 2):
-            lifted = (evenize_genus3(m1), evenize_genus3(m2))
+            lifted = (_evenize_genus3(m1), _evenize_genus3(m2))
             want = _reference_character(lifted, M3, terms3)
             assert pair_character_any_parity(m1, m2, M) == want, (m1, m2)
             cases += 1
@@ -368,6 +447,71 @@ def test_exact_character_is_a_homomorphism_on_gamma2(M1, M2, ms, m1, m2):
     assert chi(ms, M1 @ M2) == (chi(ms, M1) + chi(ms, M2)) % 1
     pair = pair_character_any_parity
     assert pair(m1, m2, M1 @ M2) == (pair(m1, m2, M1) + pair(m1, m2, M2)) % 1
+
+
+def test_unreduced_characteristics_give_the_same_character():
+    """theta[m + 2k] is a constant multiple of theta[m], so the character of
+    a product depends on its characteristics only mod 2; the numeric slash
+    ratio of the unreduced product agrees."""
+    rng = np.random.default_rng(3)
+    evens = even_characteristics(2)
+    allchars = list(itertools.product((0, 1), repeat=4))
+    tau = TAU_GENERIC
+    for M in list(E_GENERATORS) + random_gamma2_elements(8, seed=5):
+        mtau = apply_moebius(M, tau)
+        detj = complex(np.linalg.det(cocycle(M, tau)))
+        for k in (2, 4, 6):
+            ms = [evens[i] for i in rng.integers(0, 10, k)]
+            shifted = [tuple(int(v) for v in np.array(m) + 2 * rng.integers(-3, 4, 4)) for m in ms]
+            t = slash_character_exact(ms, M)
+            assert slash_character_exact(shifted, M) == t
+            if k == 2:
+                num = np.prod([theta_eval(m, mtau, 1e-13) for m in shifted])
+                den = np.prod([theta_eval(m, tau, 1e-13) for m in shifted]) * detj
+                assert abs(num / den - character_value(t)) < 1e-8
+        m1, m2 = (allchars[i] for i in rng.integers(0, 16, 2))
+        shifted = [tuple(int(v) for v in np.array(m) + 2 * rng.integers(-3, 4, 4))
+                   for m in (m1, m2)]
+        assert pair_character_any_parity(*shifted, M) == pair_character_any_parity(m1, m2, M)
+        # tuples mixing odd characteristics match the reference too
+        odd = [allchars[i] for i in rng.integers(0, 16, 4)]
+        assert slash_character_exact(odd, M) == _reference_character(odd, M, {})
+
+
+def test_character_follows_a_matrix_mutated_in_place():
+    pair, odd_pair = ((1, 0, 0, 0), (0, 0, 0, 0)), ((1, 1, 1, 1), (0, 0, 0, 1))
+    E1 = E_GENERATORS[0]
+    assert slash_character_exact(pair, E1) != slash_character_exact(pair, E6)
+    assert pair_character_any_parity(*odd_pair, E1) != pair_character_any_parity(*odd_pair, E6)
+    M = E1.copy()
+    assert slash_character_exact(pair, M) == slash_character_exact(pair, E1)
+    assert pair_character_any_parity(*odd_pair, M) == pair_character_any_parity(*odd_pair, E1)
+    M[...] = E6
+    assert slash_character_exact(pair, M) == slash_character_exact(pair, E6)
+    assert pair_character_any_parity(*odd_pair, M) == pair_character_any_parity(*odd_pair, E6)
+    M[...] = J4  # symplectic, not level 2
+    with pytest.raises(ValueError):
+        slash_character_exact(pair, M)
+    with pytest.raises(ValueError):
+        pair_character_any_parity(*odd_pair, M)
+
+
+def test_non_level2_matrices_are_rejected_on_every_call():
+    E1 = E_GENERATORS[0]
+    # float matrices whose entries truncate to E1 and to the identity
+    near_e1 = E1 + np.where(E1 < 0, -0.3, 0.3)
+    for M in (J4, translation([[1, 0], [0, 0]]), near_e1, np.eye(4) + 0.25):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                slash_character_exact(((0, 0, 0, 0), (0, 0, 0, 1)), M)
+            with pytest.raises(ValueError):
+                pair_character_any_parity((1, 1, 1, 1), (0, 0, 0, 1), M)
+            with pytest.raises(ValueError):
+                igusa_residuals([(0, 0, 0, 0)], M, TAU_A)
+    # an integral level-2 matrix given as floats is accepted
+    assert slash_character_exact(FZ_TUPLE, E6.astype(float)) == slash_character_exact(FZ_TUPLE, E6)
+    with pytest.raises(ValueError):
+        slash_character_exact(((0, 0, 0), (0, 0, 0)), E6)
 
 
 # ---------------------------------------------------------------------------

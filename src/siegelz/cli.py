@@ -516,11 +516,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="additional suite to run (repeatable)")
     parser.add_argument("--primes", default=_env("primes", "3,5,7,11,13"),
                         help="comma-separated odd primes (default 3,5,7,11,13)")
-    parser.add_argument("--order", type=int,
-                        default=int(_env("order", "200")),
+    # string defaults go through type= when parsed, so a bad environment
+    # value is a usage error (exit code 2), as on the command line
+    parser.add_argument("--order", type=int, default=_env("order", "200"),
                         help="series truncation order (default 200)")
-    parser.add_argument("--tol", type=float,
-                        default=float(_env("tol", "1e-8")),
+    parser.add_argument("--tol", type=float, default=_env("tol", "1e-8"),
                         help="numeric tolerance (default 1e-8)")
     parser.add_argument("--out", default=_env("out", None),
                         help="path for the JSON report")

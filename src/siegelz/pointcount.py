@@ -1,15 +1,15 @@
 """Point counts over prime fields for the Fermat quartic tower.
 
-Exhaustive projective enumeration and fiberwise character sums for the
-quartic surface, its tangent cone, the four-quadric model of the Satake
-variety Z in P^7, the blown-up model, and the thirty boundary lines.
-Counts are exact integers; closed-form predictions are checked as integer
-residuals, never as floating point.
+Naive counts and fiberwise character sums for the quartic surface, its
+tangent cone, the four-quadric model of the Satake variety Z in P^7, the
+blown-up model, and the thirty boundary lines. A naive count tests each
+projective point once, by one equality between a function of its leading
+coordinates and one of its trailing ones (`_count_split`). Counts are
+exact integers; closed-form predictions are checked as integer residuals,
+never as floating point.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from .arith import is_prime, kronecker_char
 NAIVE_Z_CAP = 7      # P^7 enumeration is p^7-sized; keep it small
 CHARSUM_Z_CAP = 13   # fiber loop over F_p^4
 SURFACE_CAP = 41
-CHART_ROWS = 1 << 16  # larger affine charts are enumerated in slices
 
 VARIETIES = (
     "FermatSurface",
@@ -44,16 +43,9 @@ def _pow4(x: np.ndarray, p: int) -> np.ndarray:
     return (sq * sq) % p
 
 
-def fermat_surface_vanishes(z: np.ndarray, p: int) -> np.ndarray:
-    """Z0^4 - Z1^4 + Z2^4 - Z3^4 = 0 on rows [Z0, Z1, Z2, Z3]."""
-    v = (_pow4(z[:, 0], p) - _pow4(z[:, 1], p) + _pow4(z[:, 2], p) - _pow4(z[:, 3], p)) % p
-    return v == 0
-
-
-def fermat_curve_vanishes(x: np.ndarray, p: int) -> np.ndarray:
-    """x0^4 + x2^4 - x1^4 = 0 on rows [x0, x1, x2]."""
-    v = (_pow4(x[:, 0], p) + _pow4(x[:, 2], p) - _pow4(x[:, 1], p)) % p
-    return v == 0
+def _quartic_diff(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a^4 - b^4 mod p, entrywise, in [0, p)."""
+    return (_pow4(a, p) - _pow4(b, p)) % p
 
 
 def z_quadrics(x0, x1, x2, x3, p):
@@ -101,36 +93,37 @@ def big_quadrics(x0, x1, x2, x3, p):
 # ---------------------------------------------------------------------------
 # enumeration helpers
 
-def _projective_points(p: int, n: int):
-    """Yield chart arrays covering P^n(F_p): first nonzero coordinate 1.
+def _grid(p: int, k: int) -> np.ndarray:
+    """Every point of F_p^k, one row each, in lexicographic order."""
+    return np.indices((p,) * k, dtype=np.int64).reshape(k, p ** k).T
 
-    A chart of more than CHART_ROWS points comes in slices, one per value
-    of its leading free coordinates, so memory stays bounded.
+
+def _projective_reps(p: int, m: int) -> np.ndarray:
+    """One row per point of P^m(F_p), scaled so its first nonzero entry is 1."""
+    charts = []
+    for k in range(m + 1):
+        rest = _grid(p, m - k)
+        lead = np.zeros((len(rest), k + 1), dtype=np.int64)
+        lead[:, k] = 1
+        charts.append(np.hstack([lead, rest]))
+    return np.concatenate(charts)
+
+
+def _count_split(p: int, n: int, s: int, left, right) -> int:
+    """Number of points of P^n(F_p) where left(head) == right(tail).
+
+    The head is the first s coordinates and the tail the other n + 1 - s
+    (1 <= s <= n). left and right map an array of rows to one integer per
+    row; right's values are >= 0, and left returns -1 where a condition
+    on the head excludes the point. Each point is tested once: a nonzero
+    head, scaled so that its first nonzero entry is 1, against every tail
+    in F_p^(n+1-s), and the zero head against one representative of each
+    point of P^(n-s).
     """
-    for k in range(n + 1):
-        m = n - k
-        if m == 0:
-            coords = np.zeros((1, n + 1), dtype=np.int64)
-            coords[0, k] = 1
-            yield coords
-            continue
-        lead = 0
-        while m - lead > 1 and p ** (m - lead) > CHART_ROWS:
-            lead += 1
-        grid = np.indices((p,) * (m - lead), dtype=np.int64).reshape(m - lead, -1).T
-        for prefix in itertools.product(range(p), repeat=lead):
-            coords = np.zeros((grid.shape[0], n + 1), dtype=np.int64)
-            coords[:, k] = 1
-            coords[:, k + 1:k + 1 + lead] = prefix
-            coords[:, k + 1 + lead:] = grid
-            yield coords
-
-
-def _count_projective(p: int, n: int, predicate) -> int:
-    total = 0
-    for chart in _projective_points(p, n):
-        total += int(predicate(chart, p).sum())
-    return total
+    pairs = ((_projective_reps(p, s - 1), _grid(p, n + 1 - s)),
+             (np.zeros((1, s), dtype=np.int64), _projective_reps(p, n - s)))
+    return sum(int(np.count_nonzero(left(heads)[:, None] == right(tails)[None, :]))
+               for heads, tails in pairs)
 
 
 def _chi_table(p: int) -> np.ndarray:
@@ -186,7 +179,11 @@ def count_variety(variety: str, p: int, method: str = "naive") -> int:
             return count_zsatake_charsum(p)
         if p > NAIVE_Z_CAP:
             raise ValueError(f"naive P^7 enumeration capped at p <= {NAIVE_Z_CAP}")
-        return _count_projective(p, 7, zsatake_vanishes)
+        # [Y : X], Y^2 = Q(X) coordinatewise: equal base-p codes of the four
+        # values in [0, p) on each side are the four equations
+        code = p ** np.arange(4, dtype=np.int64)
+        return _count_split(p, 7, 4, lambda y: (y * y % p) @ code,
+                            lambda x: np.stack(z_quadrics(*x.T, p), axis=1) @ code)
 
     if variety == "U2c":
         # Z cap {X0 X3 = 0}, counted fiberwise over the X locus
@@ -203,31 +200,27 @@ def count_variety(variety: str, p: int, method: str = "naive") -> int:
     if variety == "FermatSurface":
         if p > SURFACE_CAP:
             raise ValueError(f"surface enumeration capped at p <= {SURFACE_CAP}")
-        return _count_projective(p, 3, fermat_surface_vanishes)
+        # [Z0 : Z1 : Z2 : Z3], Z0^4 - Z1^4 = Z3^4 - Z2^4
+        return _count_split(p, 3, 2, lambda h: _quartic_diff(h[:, 0], h[:, 1], p),
+                            lambda t: _quartic_diff(t[:, 1], t[:, 0], p))
 
     if variety == "FermatCurve":
         if p > SURFACE_CAP:
             raise ValueError(f"curve enumeration capped at p <= {SURFACE_CAP}")
-        return _count_projective(p, 2, fermat_curve_vanishes)
+        # [x0 : x1 : x2], x0^4 = x1^4 - x2^4
+        return _count_split(p, 2, 1, lambda h: _pow4(h[:, 0], p),
+                            lambda t: _quartic_diff(t[:, 0], t[:, 1], p))
 
-    if variety == "ConeF":
+    if variety in ("ConeF", "U1c"):
+        # [t : Z0 : Z1 : Z2 : Z3] on the same quartic, t free; U1c keeps
+        # the cone points with t = 0 or Z0^2 + Z1^2 = 0
         if p > CHARSUM_Z_CAP:
             raise ValueError(f"cone enumeration capped at p <= {CHARSUM_Z_CAP}")
-        pred = lambda w, q: fermat_surface_vanishes(w[:, 1:], q)
-        return _count_projective(p, 4, pred)
-
-    if variety == "U1c":
-        # cone points with t = 0 or Z0^2 + Z1^2 = 0
-        if p > CHARSUM_Z_CAP:
-            raise ValueError(f"cone enumeration capped at p <= {CHARSUM_Z_CAP}")
-
-        def pred(w, q):
-            on = fermat_surface_vanishes(w[:, 1:], q)
-            t = w[:, 0]
-            s = (w[:, 1] * w[:, 1] + w[:, 2] * w[:, 2]) % q
-            return on & ((t % q == 0) | (s == 0))
-
-        return _count_projective(p, 4, pred)
+        cone = lambda h: _quartic_diff(h[:, 1], h[:, 2], p)
+        u1c = lambda h: np.where((h[:, 0] == 0) | ((h[:, 1] ** 2 + h[:, 2] ** 2) % p == 0),
+                                 cone(h), -1)
+        return _count_split(p, 4, 3, cone if variety == "ConeF" else u1c,
+                            lambda t: _quartic_diff(t[:, 1], t[:, 0], p))
 
     # Ztilde: blow-up along the two singular lines; each proper transform is
     # a copy of the quartic surface replacing a P^1

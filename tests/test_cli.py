@@ -84,6 +84,23 @@ def test_parser_defaults():
     assert args.tol == 1e-8
 
 
+def test_bad_environment_defaults_are_usage_errors(monkeypatch, capsys):
+    monkeypatch.setenv("SIEGELZ_ORDER", "150")
+    monkeypatch.setenv("SIEGELZ_TOL", "1e-6")
+    args = build_parser().parse_args([])
+    assert (args.order, args.tol) == (150, 1e-6)
+    for name, value in (("ORDER", "abc"), ("TOL", "x")):
+        monkeypatch.setenv(f"SIEGELZ_{name}", value)
+        with pytest.raises(SystemExit) as exc:
+            main(["fermat"])
+        assert exc.value.code == 2
+        assert f"invalid {'int' if name == 'ORDER' else 'float'} value: '{value}'" in capsys.readouterr().err
+        monkeypatch.delenv(f"SIEGELZ_{name}")
+    with pytest.raises(SystemExit) as exc:
+        main(["fermat", "--order", "abc"])
+    assert exc.value.code == 2
+
+
 def test_count_formulas_run_once_per_prime_per_run(monkeypatch):
     from siegelz import pointcount
 

@@ -1,4 +1,7 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,9 +9,12 @@ import pytest
 from siegelz import pointcount
 from siegelz.cmform import a_p
 from siegelz.pointcount import (
-    CHART_ROWS,
+    CHARSUM_Z_CAP,
+    NAIVE_Z_CAP,
+    SURFACE_CAP,
+    _count_split,
     _line_catalog,
-    _projective_points,
+    _projective_reps,
     big_quadrics,
     count_variety,
     count_z_slice_x0_zero,
@@ -19,20 +25,113 @@ from siegelz.pointcount import (
     verify_boundary_lines,
     verify_count_formulas,
     z_quadrics,
+    zsatake_vanishes,
 )
 
 PRIMES = (3, 5, 7, 11, 13)
+ODD_PRIMES_TO_41 = [q for q in range(3, 42, 2) if all(q % d for d in range(3, q, 2))]
 
 
-def test_projective_points_cover_once_in_bounded_slices():
-    p, n = 5, 7  # the first chart has 5^7 > CHART_ROWS points
-    charts = list(_projective_points(p, n))
-    assert max(len(c) for c in charts) <= CHART_ROWS < p ** n
-    rows = np.concatenate(charts)
-    assert len(rows) == (p ** (n + 1) - 1) // (p - 1)
-    assert len(np.unique(rows, axis=0)) == len(rows)
-    leading = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
-    assert np.all(leading == 1) and rows.min() >= 0 and rows.max() < p
+def _normalized(rows, p):
+    """The rows scaled so that their first nonzero entry is 1."""
+    inverse = np.array([0] + [pow(v, p - 2, p) for v in range(1, p)], dtype=np.int64)
+    lead = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
+    return rows * inverse[lead][:, None] % p
+
+
+def test_projective_reps_are_distinct_with_leading_one():
+    for p, m in ((3, 0), (3, 1), (5, 3), (3, 6), (7, 3)):
+        reps = _projective_reps(p, m)
+        assert len(reps) == (p ** (m + 1) - 1) // (p - 1) and reps.shape[1] == m + 1
+        assert len({tuple(r) for r in reps.tolist()}) == len(reps)
+        leading = reps[np.arange(len(reps)), (reps != 0).argmax(axis=1)]
+        assert np.all(leading == 1) and reps.min() >= 0 and reps.max() < p
+
+
+def test_count_split_covers_projective_space_once():
+    zero = lambda rows: np.zeros(len(rows), dtype=np.int64)
+    for n, primes in ((2, (3, 5, 7)), (3, (3, 5, 7)), (4, (3, 5)), (7, (3, 5))):
+        for p in primes:
+            for s in range(1, n + 1):
+                assert _count_split(p, n, s, zero, zero) == (p ** (n + 1) - 1) // (p - 1)
+    # the points the split tests, rebuilt from what each side is given, are
+    # one representative of every point of P^n
+    for p, n in ((3, 2), (3, 4), (5, 3), (3, 7)):
+        for s in range(1, n + 1):
+            seen = []  # heads and tails alternate, as each comparison reads them
+            spy = lambda rows: seen.append(rows) or zero(rows)
+            _count_split(p, n, s, spy, spy)
+            points = np.concatenate([np.hstack([np.repeat(h, len(t), axis=0), np.tile(t, (len(h), 1))])
+                                     for h, t in zip(seen[::2], seen[1::2])])
+            assert len(points) == (p ** (n + 1) - 1) // (p - 1)
+            assert points.any(axis=1).all()
+            assert len({tuple(r) for r in _normalized(points, p).tolist()}) == len(points)
+
+
+def _reference_chart_rows(p, n):
+    """P^n(F_p) chart by chart, first nonzero coordinate 1, each chart in
+    slices of at most p^4 rows: a test-only reference."""
+    for k in range(n + 1):
+        m = n - k
+        lead = max(0, m - 4)
+        grid = np.indices((p,) * (m - lead), dtype=np.int64).reshape(m - lead, p ** (m - lead)).T
+        for prefix in itertools.product(range(p), repeat=lead):
+            rows = np.zeros((len(grid), n + 1), dtype=np.int64)
+            rows[:, k] = 1
+            rows[:, k + 1:k + 1 + lead] = prefix
+            rows[:, k + 1 + lead:] = grid
+            yield rows
+
+
+def _pow4(x, p):
+    return x ** 4 % p
+
+
+def fermat_surface_vanishes(z, p):
+    """Z0^4 - Z1^4 + Z2^4 - Z3^4 = 0 on rows [Z0, Z1, Z2, Z3]."""
+    return (_pow4(z[:, 0], p) - _pow4(z[:, 1], p) + _pow4(z[:, 2], p) - _pow4(z[:, 3], p)) % p == 0
+
+
+def fermat_curve_vanishes(x, p):
+    """x0^4 + x2^4 - x1^4 = 0 on rows [x0, x1, x2]."""
+    return (_pow4(x[:, 0], p) + _pow4(x[:, 2], p) - _pow4(x[:, 1], p)) % p == 0
+
+
+def _u1c_predicate(w, p):
+    t, s = w[:, 0], (w[:, 1] * w[:, 1] + w[:, 2] * w[:, 2]) % p
+    return fermat_surface_vanishes(w[:, 1:], p) & ((t == 0) | (s == 0))
+
+
+REFERENCE_COUNTS = {
+    # variety: (n, row predicate, the largest prime its cap accepts)
+    "Zsatake": (7, zsatake_vanishes, NAIVE_Z_CAP),
+    "ConeF": (4, lambda w, p: fermat_surface_vanishes(w[:, 1:], p), CHARSUM_Z_CAP),
+    "U1c": (4, _u1c_predicate, CHARSUM_Z_CAP),
+    "FermatSurface": (3, fermat_surface_vanishes, SURFACE_CAP),
+    "FermatCurve": (2, fermat_curve_vanishes, SURFACE_CAP),
+}
+
+
+def test_naive_counts_match_the_row_predicates():
+    for variety, (n, predicate, cap) in REFERENCE_COUNTS.items():
+        for p in [q for q in ODD_PRIMES_TO_41 if q <= cap]:
+            expected = sum(int(predicate(rows, p).sum()) for rows in _reference_chart_rows(p, n))
+            got = count_variety(variety, p)
+            assert type(got) is int and got == expected, (variety, p)
+
+
+def test_counting_does_not_import_numpy_ma():
+    # np.unique imports numpy.ma, about 1 MB of resident memory
+    script = ("import sys\n"
+              "from siegelz import cli\n"
+              "reports, code = cli.run(cli.RunConfig(selected_suites=['counts']))\n"
+              "assert code == 0 and reports\n"
+              "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(pointcount.__file__))] + sys.path))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_fermat_surface_at_three():
@@ -201,7 +300,7 @@ def test_birational_map_matches_the_pointwise_loop(monkeypatch):
 
 
 def test_boundary_lines_match_the_pointwise_loop():
-    for p in [q for q in range(3, 42, 2) if all(q % d for d in range(3, q, 2))]:
+    for p in ODD_PRIMES_TO_41:
         assert verify_boundary_lines(p, True) == _reference_boundary_lines(p, True)
         if p % 4 == 1:
             got = verify_boundary_lines(p)

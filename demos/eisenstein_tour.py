@@ -42,7 +42,7 @@ for p in (5, 13):
 
 print("\n== the weight-(3,1) lattice sum ==")
 conv = resolve_ez_convention()
-print("resolved conventions:", conv)
+print("fixed conventions (evidence in the package tests):", conv)
 tau = siegel_point(1.6j, 0.3j, 1.9j)
 v = ez_eval(np.asarray(tau), 1e-10)
 print(f"value at a sample point: ({v.h0:.6f}, {v.h1:.6f}, {v.h2:.6f})")

@@ -144,7 +144,7 @@ def suite_fermat(cfg: RunConfig, shared: dict):
 
 
 def suite_g_triple(cfg: RunConfig, shared: dict):
-    from .cmform import a_p, g_expansion, resolve_gauss_convention
+    from .cmform import a_p, g_expansion
     from .arith import odd_primes
 
     out = []
@@ -157,7 +157,10 @@ def suite_g_triple(cfg: RunConfig, shared: dict):
     out.append(_report("g-triple",
                        "theta-product, lattice-sum, and Hecke expansions agree",
                        ok, 0.0 if ok else 1.0, t0, order=order,
-                       gauss_convention=resolve_gauss_convention()))
+                       gauss_convention={
+                           "kernel": "zbar_sq", "sign": "parity_int_shift",
+                           "tied_with": "kernel ix_plus_y_sq, the identical series",
+                       }))
     t0 = time.perf_counter()
     cm = all(a_p(p) == 0 for p in odd_primes(200) if p % 4 == 3)
     weil = all(abs(a_p(p)) <= 2 * p for p in odd_primes(200))
@@ -435,7 +438,9 @@ def suite_ez(cfg: RunConfig, shared: dict):
     conv = resolve_ez_convention()
     out.append(_report("ez", "resolved lattice-sum conventions", None, None, t0,
                        pairing=conv.pairing, scale=conv.scale,
-                       z2_sign=conv.z2_sign, resolved_by=conv.resolved_by))
+                       z2_sign=conv.z2_sign, tied_with="conj/1/1",
+                       tie_broken_by="the display's nontrivial z2 parity",
+                       resolved_by=conv.resolved_by))
     tol = cfg.numeric_tol
     pts = EZ_SAMPLE_POINTS
     t0 = time.perf_counter()

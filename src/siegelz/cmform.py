@@ -4,16 +4,22 @@ Three independent constructions of the same q-expansion: a product of six
 genus-1 theta constants, a Gaussian-integer lattice sum over a shifted
 half-integral coset, and the multiplicative Hecke build from split-prime
 eigenvalues.  The first is the exact oracle the other two are matched
-against; the eigenvalue sign convention and the lattice-sum sign rule are
-resolved once against it and then frozen.
+against.  The lattice sum reads the displayed sign (-1)^((x+y)/2) as the
+integer-shift parity (-1)^(x+y-1) with the kernel conj(z)^2, and a_p is
+2(x^2 - y^2) of the primary x + iy; the package tests show that the other
+readings of the sign leave Z[i] and that the (ix - y)^2 kernel gives the
+identical series.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .arith import GaussInt, QuarterSeries, gauss_primary_decompose, is_prime, kronecker_char, series_mul
+import numpy as np
+
+from .arith import QuarterSeries, gauss_primary_decompose, is_prime, kronecker_char, series_mul
 from .theta import rescale4, theta_expansion
 
 
@@ -37,10 +43,6 @@ class EllipticQExpansion:
         return sorted(self.a.items())
 
 
-GAUSS_SIGN_RULES = ("parity_int_shift", "i_power", "floor_half")
-GAUSS_KERNELS = ("zbar_sq", "ix_plus_y_sq")
-
-
 def g_expansion(source: str, order: int) -> EllipticQExpansion:
     """The normalized newform coefficients a_1..a_order, three ways."""
     if order < 1:
@@ -48,8 +50,7 @@ def g_expansion(source: str, order: int) -> EllipticQExpansion:
     if source == "theta_product":
         return _g_theta_product(order)
     if source == "gauss_sum":
-        kernel, sign = resolve_gauss_convention()
-        return _g_gauss_sum(order, kernel, sign)
+        return _g_gauss_sum(order)
     if source == "hecke_character":
         return _g_hecke(order)
     raise ValueError(f"unknown source {source!r}")
@@ -79,94 +80,46 @@ def _g_theta_product(order: int) -> EllipticQExpansion:
     return EllipticQExpansion(order, out)
 
 
-def _gauss_sum_raw(order: int, kernel: str, sign: str) -> dict | None:
-    """Eight times the lattice-sum coefficients, or None if they leave Z[i]/8.
+def odd_coset_sum(bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts, indexed by e = 0..bound, of the sum of
+    i (-1)^((X+Y)/2 - 1) (X - iY)^2 over odd X, Y with X^2 + Y^2 = e.
 
-    Sums (i/2) * kernel(z) * sign(z) over z = x + iy with x, y in 1/2 + Z and
-    q-exponent n = 2(x^2 + y^2); working with X = 2x, Y = 2y keeps it exact.
+    With z = (X + iY)/2 in the coset (1 + i)/2 + Z[i] this is eight times
+    the weight (i/2)(-1)^(x+y-1) conj(z)^2 at the exponent 4 N(z) = e: the
+    newform's lattice sum and the z2 = 0 stratum of E_Z.
     """
-    acc: dict[int, GaussInt] = {}
-    xmax = 1
-    while (xmax * xmax + 1) <= 2 * order:
-        xmax += 2
-    for X in range(-xmax, xmax + 1, 2):
-        for Y in range(-xmax, xmax + 1, 2):
-            n2 = X * X + Y * Y  # = 4(x^2+y^2) = 2n
-            if n2 > 4 * order:
-                continue
-            n = n2 // 2
-            if kernel == "zbar_sq":
-                ker = GaussInt(X, -Y) * GaussInt(X, -Y)
-            else:
-                ker = GaussInt(-Y, X) * GaussInt(-Y, X)  # (i x + y)^2 scaled by 2
-            s = (X + Y) // 2  # the integer x + y
-            if sign == "parity_int_shift":
-                eps = GaussInt(-1 if (s - 1) % 2 else 1, 0)
-            elif sign == "i_power":
-                eps = GaussInt(0, 1) if s % 4 == 1 else (
-                    GaussInt(0, -1) if s % 4 == 3 else GaussInt(1 if s % 4 == 0 else -1, 0))
-            else:  # floor_half
-                eps = GaussInt(-1 if (s // 2) % 2 else 1, 0)
-            term = GaussInt(0, 1) * ker * eps  # i * (2z-bar)^2 * eps = 8 * (i/2) zbar^2 eps
-            acc[n] = acc.get(n, GaussInt()) + term
-    out = {}
-    for n, v in acc.items():
-        if not v:
-            continue
-        if v.re % 8 or v.im % 8:
-            return None
-        if v.im:
-            return None
-        out[n] = v.re // 8
-    return out
+    # each term has |re|, |im| <= X^2 + Y^2 <= bound, and there are at most
+    # (sqrt(bound) + 1)^2 points, so below 2^30 every int64 sum is exact
+    if not 0 <= bound < 1 << 30:
+        raise ValueError(f"bound {bound} outside [0, 2^30)")
+    r = math.isqrt(bound)
+    v = np.arange(-r - 1, r + 2)
+    v = v[v % 2 == 1]
+    X, Y = v[:, None], v[None, :]
+    e = X * X + Y * Y
+    keep = e <= bound
+    eps = 1 - 2 * (((X + Y) // 2 - 1) % 2)
+    re, im = np.zeros(bound + 1, dtype=np.int64), np.zeros(bound + 1, dtype=np.int64)
+    # i (X - iY)^2 = 2XY + i (X^2 - Y^2)
+    np.add.at(re, e[keep], (eps * 2 * X * Y)[keep])
+    np.add.at(im, e[keep], (eps * (X * X - Y * Y))[keep])
+    return re, im
 
 
-@lru_cache(maxsize=1)
-def resolve_gauss_convention() -> tuple:
-    """Pick the (kernel, sign-rule) pair matching the theta-product oracle.
-
-    The half-integral exponent in the displayed sign (-1)^((x+y)/2) is
-    ambiguous; every reading is built and the one agreeing with the exact
-    theta product is kept.
-    """
-    probe = 60
-    oracle = _g_theta_product(probe)
-    for kernel in GAUSS_KERNELS:
-        for sign in GAUSS_SIGN_RULES:
-            raw = _gauss_sum_raw(probe, kernel, sign)
-            if raw is None:
-                continue
-            if all(raw.get(n, 0) == oracle.coeff(n) for n in range(probe + 1)):
-                return kernel, sign
-    raise AssertionError("no sign convention reproduces the theta product")
-
-
-def _g_gauss_sum(order: int, kernel: str, sign: str) -> EllipticQExpansion:
-    raw = _gauss_sum_raw(order, kernel, sign)
-    if raw is None:
-        raise AssertionError("lattice sum left the integers under the resolved convention")
-    return EllipticQExpansion(order, raw)
+def _g_gauss_sum(order: int) -> EllipticQExpansion:
+    """The lattice sum at q = t^2, that is X^2 + Y^2 = 2n, divided by 8."""
+    re, im = (part[::2] for part in odd_coset_sum(2 * order))
+    if im.any() or (re % 8).any():
+        raise AssertionError("lattice sum left the integers")
+    return EllipticQExpansion(order, dict(enumerate((re // 8).tolist())))
 
 
 # ---------------------------------------------------------------------------
 # Hecke eigenvalues from the split-prime decomposition
 
-@lru_cache(maxsize=1)
-def _ap_sign() -> int:
-    """Match the primary-decomposition eigenvalue at p = 5 to the oracle."""
-    oracle = _g_theta_product(5).coeff(5)
-    pi = gauss_primary_decompose(5)
-    cand = 2 * (pi.re * pi.re - pi.im * pi.im)
-    if cand == oracle:
-        return 1
-    if cand == -oracle:
-        return -1
-    raise AssertionError(f"primary eigenvalue {cand} does not match oracle {oracle}")
-
-
 def a_p(p: int) -> int:
     """Eigenvalue of the newform at an odd prime: 0 at inert primes,
-    plus-or-minus 2(x^2 - y^2) from the primary x + iy of norm p."""
+    2(x^2 - y^2) from the primary x + iy of norm p."""
     if p == 2:
         raise ValueError("p = 2 is ramified; the eigenvalue is not defined here")
     if not is_prime(p) or p % 2 == 0:
@@ -174,7 +127,7 @@ def a_p(p: int) -> int:
     if p % 4 == 3:
         return 0
     pi = gauss_primary_decompose(p)
-    val = _ap_sign() * 2 * (pi.re * pi.re - pi.im * pi.im)
+    val = 2 * (pi.re * pi.re - pi.im * pi.im)
     assert abs(val) <= 2 * p
     return val
 

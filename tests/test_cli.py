@@ -117,3 +117,20 @@ def test_count_formulas_run_once_per_prime_per_run(monkeypatch):
         reports, code = run(RunConfig(prime_list=primes, selected_suites=["counts", "fermat"]))
         assert code == 0 and len(reports) == 2 * len(primes) + 6
         assert sorted(calls) == sorted({3, *primes})
+
+
+def test_z_fibers_built_once_per_prime_per_run(monkeypatch):
+    from siegelz import pointcount
+
+    builds = []
+    real = pointcount._chi_table
+
+    def spy(p):  # called once by each build of the fiber array
+        builds.append(p)
+        return real(p)
+
+    monkeypatch.setattr(pointcount, "_chi_table", spy)
+    pointcount._z_fibers.cache_clear()
+    reports, code = run(RunConfig(selected_suites=["counts", "lefschetz"]))
+    assert code == 0 and reports
+    assert sorted(builds) == [3, 5, 7, 11, 13]

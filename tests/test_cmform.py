@@ -2,13 +2,12 @@ import math
 
 import pytest
 
-from siegelz.arith import odd_primes
+from siegelz.arith import GaussInt, odd_primes
 from siegelz.cmform import (
     EllipticQExpansion,
     a_p,
     g_expansion,
     hecke_Tp_check,
-    resolve_gauss_convention,
 )
 from siegelz.pointcount import verify_count_formulas
 
@@ -43,11 +42,49 @@ def test_cm_support():
     assert all(n % 4 == 1 for n, v in g.a.items() if v)
 
 
+# the readings of the lattice sum's displayed sign (-1)^((x+y)/2), as
+# functions of the integer s = x + y, and of its kernel, scaled by 2
+GAUSS_SIGNS = {
+    "parity_int_shift": lambda s: GaussInt(-1 if (s - 1) % 2 else 1, 0),
+    "i_power": lambda s: (GaussInt(1, 0), GaussInt(0, 1), GaussInt(-1, 0), GaussInt(0, -1))[s % 4],
+    "floor_half": lambda s: GaussInt(-1 if (s // 2) % 2 else 1, 0),
+}
+GAUSS_KERNELS = {
+    "zbar_sq": lambda X, Y: GaussInt(X, -Y) * GaussInt(X, -Y),
+    # (iX - Y)^2 = -(X + iY)^2
+    "ix_plus_y_sq": lambda X, Y: GaussInt(-Y, X) * GaussInt(-Y, X),
+}
+
+
+def _gauss_sum_reading(order, kernel, sign):
+    """The q-coefficients of the sum of (i/2) kernel(z) sign(x + y) over
+    z = x + iy, x, y in 1/2 + Z, at q^(2 N(z)); None if one leaves Z."""
+    acc = {}
+    r = math.isqrt(2 * order) | 1
+    for X in range(-r, r + 1, 2):
+        for Y in range(-r, r + 1, 2):
+            n = (X * X + Y * Y) // 2
+            if n <= order:
+                term = GaussInt(0, 1) * GAUSS_KERNELS[kernel](X, Y) * GAUSS_SIGNS[sign]((X + Y) // 2)
+                acc[n] = acc.get(n, GaussInt()) + term
+    if any(v.im or v.re % 8 for v in acc.values()):
+        return None
+    return EllipticQExpansion(order, {n: v.re // 8 for n, v in acc.items()})
+
+
 def test_resolved_gauss_convention():
-    kernel, sign = resolve_gauss_convention()
-    # the conjugate-square kernel with the integer-shift parity wins
-    assert kernel == "zbar_sq"
-    assert sign == "parity_int_shift"
+    """The evidence for the fixed reading of the lattice sum: the other sign
+    readings leave Z[i]/8 under both kernels, and the other kernel with the
+    integer-shift parity gives the identical series."""
+    order = 60
+    oracle = g_expansion("theta_product", order)
+    fixed = _gauss_sum_reading(order, "zbar_sq", "parity_int_shift")
+    assert fixed.a == g_expansion("gauss_sum", order).a
+    assert fixed.agrees_with(oracle, order)
+    assert _gauss_sum_reading(order, "ix_plus_y_sq", "parity_int_shift").a == fixed.a
+    for kernel in GAUSS_KERNELS:
+        for sign in ("i_power", "floor_half"):
+            assert _gauss_sum_reading(order, kernel, sign) is None, (kernel, sign)
 
 
 def test_ap_examples():

@@ -4,7 +4,11 @@ Primes, quadratic residue symbols, Gaussian integers, truncated Fourier
 series with quarter-integer exponent unit, and integer polynomials in one
 variable.  A series stores its terms in sorted numpy arrays (int64 where a
 proven bound allows, Python ints otherwise), and its products run on those
-arrays; `QuarterSeries.coeffs` reads them as a mapping of GaussInts.
+arrays: pair products are summed in a dense box of product indices,
+compressed by the common stride of each exponent column and filled in
+slabs of bounded size, and dense genus-1 products use Kronecker
+substitution.  `QuarterSeries.coeffs` reads the arrays as a mapping of
+GaussInts.
 Everything here is exact: no floats enter until a series or polynomial is
 explicitly evaluated.
 """
@@ -15,6 +19,7 @@ import cmath
 import math
 from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -409,67 +414,133 @@ def _schoolbook_pairs_per_index(order: int) -> int:
     """Genus-1 products with at most this many pairs per output index sum
     over pairs.  Kronecker substitution costs more per index at higher
     orders: on random inputs with coefficients below 100 the two kernels
-    break even near 5 pairs per index at orders 300 and 600, 20 at 1200, 40
-    at 2400, 60 at 4000 and 80 to 90 at 6000."""
-    return max(5, order // 60 - 5)
+    break even near 5 pairs per index at order 600, 30 at 1200, 95 at 2400,
+    250 at 4000 and 450 to 550 at 6000, and Kronecker substitution is faster
+    even at one pair per index below order 300."""
+    return max(1, order * order // 60000)
 
-# The pair kernel sums equal indices once the pairs formed since its last
-# sum reach this many or that sum's size, so its memory stays near its output.
-_CHUNK_PAIRS = 1 << 14
+
+# The pair kernel's dense accumulator holds at most this many cells at once
+# (or one degree of its box, if that is more); a larger box is summed in slabs.
+_BOX_CELLS = 1 << 20
+
+
+class _Axis(NamedTuple):
+    """One axis of the pair kernel's box: a product index whose code column
+    has the value base + step * k, with 0 <= k < width, sits at k along it.
+    k is the sum of (c - offset) // step over its two terms, with the offset
+    of the smaller series first."""
+    base: int
+    step: int
+    width: int
+    offsets: tuple
 
 
 def _mul_schoolbook(a: QuarterSeries, b: QuarterSeries, order: int) -> QuarterSeries:
     """Exact truncated product over all coefficient pairs, in either genus.
 
-    Each index is coded as its position in a box that holds every product
-    index, so that codes add under multiplication.  Each term of the
-    smaller series is multiplied against all of the larger one at once.
+    Each product index is coded as its cell in a dense box, so that codes
+    add under multiplication.  Each term of the smaller series is
+    multiplied against all of the larger one at once, and the products are
+    added into their cells with `np.add.at`; no sort is needed.
+
+    The box has one axis per code column: the degree d (e, or e1 + e3)
+    first, then e1 and e2 in genus 2 (e3 = d - e1).  An axis steps by the
+    gcd of its column's differences over both inputs (4 or 8 for theta
+    products).  It spans only the values that a pair of degree at most the
+    order can reach: c <= order + max(c - d) and c >= min(c + d) - order,
+    each extremum summed over the two inputs.  For theta products that clips
+    d, e1 and e3 to [0, order] and e2 to [-order, order].
+
+    The box is filled in slabs of consecutive degrees, each of at most
+    _BOX_CELLS cells (or of one degree, if that is more), so memory stays
+    bounded as the order grows.  Within a slab the partners of each term
+    are a run of the larger series sorted by degree, and every such pair
+    lies inside the box; degrees that no pair reaches are skipped.
 
     For a fixed term of the smaller series, distinct terms of the larger
-    one give distinct product indices.  So every product, and every partial
-    sum of an output coefficient, is at most l1(small) * linf(big), where a
-    coefficient measures |re| + |im|.  With that bound and the box size
-    below 2**62, and the entries and the order below 2**60, the kernel runs
+    one give distinct cells, so each cell gains at most one product per
+    term of the smaller series, whatever order the cells are summed in.
+    So every product, and every partial sum of an output coefficient, is at
+    most l1(small) * linf(big), where a coefficient measures |re| + |im|.  With that bound and every cell code below 2**62,
+    and four times the exponents and the order below 2**62, the kernel runs
     on int64; otherwise on Python ints.
     """
     small, big = (a, b) if len(a.re) <= len(b.re) else (b, a)
     if small.is_zero():
         return QuarterSeries.zero(a.genus, order)
-    boxes = [[(int(c.min()), int(c.max())) for c in s.exps] for s in (small, big)]
-    lows, highs = ([bs[j] + bb[j] for bs, bb in zip(*boxes)] for j in (0, 1))
-    widths = [hi - lo + 1 for lo, hi in zip(lows, highs)]
+    exps = [int(x) for s in (small, big) for c in s.exps for x in (c.min(), c.max())]
+    dtype = np.int64 if 4 * max(order, *map(abs, exps)) < _INT64_SAFE else object
+    cols = [[c.astype(dtype) for c in s.exps] for s in (small, big)]
+    cols = [[c[0]] if a.genus == 1 else [c[0] + c[2], c[0], c[1]] for c in cols]
+    axes = [_axis(cs, cb, cols[0][0], cols[1][0], order) for cs, cb in zip(*cols)]
+    if any(ax.width < 1 for ax in axes):
+        return QuarterSeries.zero(a.genus, order)
+    radix = [math.prod(ax.width for ax in axes[j + 1:]) for j in range(len(axes))]
+    digits = [[(c - ax.offsets[side]) // ax.step for c, ax in zip(x, axes)]
+              for side, x in enumerate(cols)]
+    reach = max(sum(max(-int(d.min()), int(d.max())) * r for d, r in zip(ds, radix))
+                for ds in digits)
     size = sum(_norms(small).tolist()) * int(_norms(big).max())
-    exponents = [order, *lows, *highs, *(v for box in boxes for lh in box for v in lh)]
-    fits = max(size, math.prod(widths), 4 * max(map(abs, exponents))) < _INT64_SAFE
-    dtype = np.int64 if fits else object
+    dtype = dtype if max(size, reach, axes[0].width * radix[0]) < _INT64_SAFE else object
 
-    def arrays(s, box):
-        code = np.zeros(len(s.re), dtype)
-        for col, (lo, _), w in zip(s.exps, box, widths):
-            code = code * w + (col.astype(dtype) - lo)
-        return code, s._degrees().astype(dtype), s.re.astype(dtype), s.im.astype(dtype)
+    def arrays(s, digits):
+        """The degree steps, cell codes and coefficients of a series."""
+        code = sum(d.astype(dtype) * r for d, r in zip(digits, radix))
+        return digits[0], code, s.re.astype(dtype), s.im.astype(dtype)
 
-    sidx, sdeg, sre, sim = arrays(small, boxes[0])
-    big_arrays = arrays(big, boxes[1])
-    perm = np.argsort(big_arrays[1], kind="stable")
-    bidx, bdeg, bre, bim = (x[perm] for x in big_arrays)
-    # big is sorted by degree, so the partners of each small term are a prefix
-    room = np.searchsorted(bdeg, order - sdeg, side="right")
-    acc, chunk, pending = ([np.zeros(0, dtype)], np.zeros(0, dtype), np.zeros(0, dtype)), [], 0
-    for k, n, cr, ci in zip(sidx.tolist(), room.tolist(), sre.tolist(), sim.tolist()):
-        if not n:
-            continue
-        r, i = bre[:n], bim[:n]
-        chunk.append(([bidx[:n] + k], cr * r - ci * i, cr * i + ci * r))
-        pending += n
-        if pending >= max(_CHUNK_PAIRS, len(acc[1])):
-            acc, chunk, pending = _summed([acc, *chunk]), [], 0
-    (keys,), re, im = _summed([acc, *chunk])
-    cols = []
-    for lo, w in zip(reversed(lows), reversed(widths)):
-        keys, col = keys // w, keys % w
-        cols.insert(0, col + lo)
-    return QuarterSeries.from_arrays(a.genus, order, cols, re, im)
+    sdeg, sidx, sre, sim = arrays(small, digits[0])
+    big_arrays = arrays(big, digits[1])
+    perm = np.argsort(big_arrays[0], kind="stable")
+    bdeg, bidx, bre, bim = (x[perm] for x in big_arrays)
+    rows, inner = axes[0].width, radix[0]
+    out, row = [], 0
+    while True:
+        # the partners of each small term from degree step `row` on start at first
+        first = np.searchsorted(bdeg, row - sdeg)
+        live = first < len(bdeg)
+        if not live.any():
+            break
+        row = int((sdeg[live] + bdeg[first[live]]).min())
+        if row >= rows:
+            break
+        end = min(row + max(1, _BOX_CELLS // inner), rows)
+        last = np.searchsorted(bdeg, end - sdeg)
+        re, im = (np.zeros((end - row) * inner, dtype) for _ in range(2))
+        for k, i, j, cr, ci in zip((sidx - row * inner).tolist(), first.tolist(),
+                                   last.tolist(), sre.tolist(), sim.tolist()):
+            if i < j:
+                cells = (bidx[i:j] + k).astype(np.intp, copy=False)
+                r, m = bre[i:j], bim[i:j]
+                np.add.at(re, cells, cr * r - ci * m)
+                np.add.at(im, cells, cr * m + ci * r)
+        keep = np.flatnonzero((re != 0) | (im != 0))
+        out.append((keep.astype(dtype) + row * inner, re[keep], im[keep]))
+        row = end
+    code, re, im = (np.concatenate([part[j] for part in out] or [np.zeros(0, dtype)])
+                    for j in range(3))
+    exps = []
+    for ax, r in zip(axes, radix):
+        exps.append(ax.base + ax.step * (code // r))
+        code = code % r
+    if a.genus == 1:
+        return QuarterSeries.from_arrays(1, order, exps, re, im)
+    d, e1, e2 = exps
+    exps = [e1, e2, d - e1]
+    perm = np.lexsort(exps[::-1])
+    return QuarterSeries.from_arrays(2, order, [e[perm] for e in exps], re[perm], im[perm])
+
+
+def _axis(cs: np.ndarray, cb: np.ndarray, ds: np.ndarray, db: np.ndarray,
+          order: int) -> _Axis:
+    """The box axis of a code column with values cs in the smaller series
+    and cb in the larger, whose degrees are ds and db."""
+    lows = [int(cs.min()), int(cb.min())]
+    step = math.gcd(*(int(np.gcd.reduce(c - lo)) for c, lo in zip((cs, cb), lows))) or 1
+    hi = min(int(cs.max()) + int(cb.max()), order + int((cs - ds).max()) + int((cb - db).max()))
+    lo = max(sum(lows), int((cs + ds).min()) + int((cb + db).min()) - order)
+    base = sum(lows) - (sum(lows) - lo) // step * step  # lo rounded up to the lattice
+    return _Axis(base, step, (hi - base) // step + 1, (lows[0], base - lows[0]))
 
 
 def _norms(s: QuarterSeries) -> np.ndarray:

@@ -134,43 +134,37 @@ def a_p(p: int) -> int:
 
 @lru_cache(maxsize=8)
 def _g_hecke(order: int) -> EllipticQExpansion:
-    """Multiplicative build: a_1 = 1, prime powers by the weight-3 recursion
-    a_{p^(k+1)} = a_p a_{p^k} - chi_-1(p) p^2 a_{p^(k-1)}, a_{2^k} = 0."""
-    coeffs = {1: 1}
-    prime_power: dict[int, dict[int, int]] = {}
-    for p in range(2, order + 1):
-        if not is_prime(p):
-            continue
-        table = {0: 1}
-        if p == 2:
-            k = 1
-            while p ** k <= order:
-                table[k] = 0
-                k += 1
-        else:
-            ap = a_p(p)
-            chi = kronecker_char(-1, p)
-            table[1] = ap
-            k = 1
-            while p ** (k + 1) <= order:
-                table[k + 1] = ap * table[k] - chi * p * p * table[k - 1]
-                k += 1
-        prime_power[p] = table
+    """Multiplicative build: a_1 = 1, a_mn = a_m a_n for coprime m and n, and
+    prime powers by the weight-3 recursion a_{p^(k+1)} = a_p a_{p^k} -
+    chi_-1(p) p^2 a_{p^(k-1)}, with a_{2^k} = 0.  A smallest-prime-factor
+    sieve splits each n into the power of its smallest prime and the rest."""
+    spf = _smallest_prime_factors(order).tolist()
+    a = [0] * (order + 1)
+    a[1] = 1
+    rest = [1] * (order + 1)  # n with every factor spf[n] removed
     for n in range(2, order + 1):
-        m, val = n, 1
-        for p, table in prime_power.items():
-            if p > m:
-                break
-            k = 0
-            while m % p == 0:
-                m //= p
-                k += 1
-            if k:
-                val *= table.get(k, 0)
-        if m != 1:  # leftover prime factor > order cannot happen for n <= order
-            raise AssertionError("factorization incomplete")
-        coeffs[n] = val
-    return EllipticQExpansion(order, coeffs)
+        p, m = spf[n], n // spf[n]
+        rest[n] = rest[m] if spf[m] == p else m
+        if rest[n] > 1:
+            a[n] = a[rest[n]] * a[n // rest[n]]
+        elif p == 2:
+            a[n] = 0
+        elif m == 1:
+            a[n] = a_p(p)
+        else:
+            a[n] = a[p] * a[m] - kronecker_char(-1, p) * p * p * a[m // p]
+    return EllipticQExpansion(order, dict(enumerate(a)))
+
+
+def _smallest_prime_factors(bound: int) -> np.ndarray:
+    """spf[n] for 0 <= n <= bound: the smallest prime dividing n (0 and 1
+    map to themselves)."""
+    spf = np.arange(bound + 1)
+    for p in range(2, math.isqrt(bound) + 1):
+        if spf[p] == p:
+            multiples = spf[p * p::p]
+            multiples[multiples == np.arange(p * p, bound + 1, p)] = p
+    return spf
 
 
 # ---------------------------------------------------------------------------

@@ -501,13 +501,6 @@ def _kappa_flip(M: np.ndarray) -> int:
     return (int(np.trace(M[g:, g:])) - g) // 2 % 2
 
 
-def kappa_squared(M: np.ndarray) -> int:
-    """kappa(M)^2 = (-1)^(trace(D - 1)/2), valid on the level-2 group."""
-    if not in_gamma2(M):
-        raise ValueError("kappa^2 formula requires a level-2 matrix")
-    return -1 if _kappa_flip(M) else 1
-
-
 class _Table(NamedTuple):
     """The exact transformation data of one level-2 matrix, per characteristic
     mod 2 (indexed by its bits read as a binary number, first entry highest)."""

@@ -1,5 +1,6 @@
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from siegelz.arith import (
     series_add,
     series_mul,
 )
+from siegelz.theta import FZ_TUPLE, six_tuple_expansion, theta_expansion
 
 
 def brute_legendre(a, p):
@@ -309,6 +311,74 @@ def test_series_mul_genus2_large_coefficients(data, order):
     assert series_mul(a, b) == brute_mul_g2(a, b, order)
 
 
+def _strided_g2_series(order, steps, offsets):
+    """Genus-2 series whose exponent columns are offsets + steps * k, with
+    negative k allowed, so e2 (and e1, e3) take negative values too."""
+    key = st.tuples(*(st.integers(-3, 4).map(lambda k, o=o, s=s: o + s * k)
+                      for o, s in zip(offsets, steps))).filter(lambda k: k[0] + k[2] <= order)
+    return st.dictionaries(key, _gauss, min_size=1, max_size=10).map(
+        lambda d: QuarterSeries(2, order, d))
+
+
+_steps = st.tuples(*[st.sampled_from([1, 2, 4, 8])] * 3)
+_offsets = st.tuples(*[st.integers(-5, 7)] * 3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.integers(0, 40), st.sampled_from([1 << 20, 1]))
+def test_series_mul_genus2_strided_columns(data, order, budget):
+    # strides 1, 2, 4 and 8 per column and per series, with nonzero offsets:
+    # the box steps by their gcd and starts at the sum of the lowest values;
+    # a budget of one cell sums each degree in its own slab
+    a = data.draw(_strided_g2_series(order, data.draw(_steps), data.draw(_offsets)))
+    b = data.draw(_strided_g2_series(order, data.draw(_steps), data.draw(_offsets)))
+    cut = data.draw(st.integers(0, order))
+    with mock.patch.object(arith, "_BOX_CELLS", budget):
+        for o in (order, cut):
+            assert series_mul(a, b, o) == brute_mul_g2(a, b, o)
+
+
+def test_series_mul_theta_strides_and_clipped_box():
+    # theta columns step by 4 or 8 from offsets 0 or 1.  Unclipped, e1 would
+    # span [1, 61] and e2 [-54, 54]; a pair of degree at most 40 has e3 >= 2,
+    # so e1 <= 38, and |e2| <= 38
+    t1, t2 = (theta_expansion(m, 40) for m in ((0, 1, 1, 0), (1, 1, 0, 0)))
+    cols = [[s.exps[0] + s.exps[2], s.exps[0], s.exps[1]] for s in (t1, t2)]
+    axes = [arith._axis(cs, cb, cols[0][0], cols[1][0], 40) for cs, cb in zip(*cols)]
+    assert [(ax.base, ax.step, ax.width) for ax in axes] == [(3, 4, 10), (1, 4, 10), (-38, 4, 20)]
+    assert series_mul(t1, t2) == brute_mul_g2(t1, t2, 40)
+
+
+def test_series_mul_empty_clipped_box():
+    # every pair has degree 6 > 4, so the degree axis of the box is empty
+    a = QuarterSeries(2, 4, {(5, -2, -1): 3, (2, 0, 2): GaussInt(1, 1)})
+    b = QuarterSeries(2, 4, {(1, 7, 1): 1, (3, -1, 1): 2})
+    d = [s.exps[0] + s.exps[2] for s in (a, b)]
+    assert arith._axis(*d, *d, 4).width < 1
+    assert series_mul(a, b).is_zero() and series_mul(a, b, 0).is_zero()
+    g1 = QuarterSeries(1, 10, {6: 1, 9: 2})
+    assert arith._axis(g1.exps[0], g1.exps[0], g1.exps[0], g1.exps[0], 10).width < 1
+    assert series_mul(g1, g1).is_zero()
+
+
+def test_series_mul_in_slabs_matches_one_slab(monkeypatch):
+    order = 200
+    monkeypatch.setattr(arith, "_BOX_CELLS", 1 << 40)
+    whole = six_tuple_expansion(FZ_TUPLE, order)
+    real_zeros = np.zeros
+    # the last product's box has 50 degrees of 50 * 99 cells: a slab holds
+    # four of them under a budget of 20000 cells, and one under a budget of 1
+    for budget, largest in ((20000, 4 * 4950), (1, 4950)):
+        sizes = []
+        monkeypatch.setattr(arith, "_BOX_CELLS", budget)
+        monkeypatch.setattr(np, "zeros", lambda n, *args, **kwargs:
+                            sizes.append(n) or real_zeros(n, *args, **kwargs))
+        assert six_tuple_expansion(FZ_TUPLE, order) == whole
+        monkeypatch.setattr(np, "zeros", real_zeros)
+        assert max(sizes) == largest
+        assert len(sizes) >= 2 * -(-50 * 4950 // largest)  # re and im per slab
+
+
 def _g1_series(order, max_terms):
     coeff = st.builds(GaussInt, st.integers(-(1 << 70), 1 << 70), st.integers(-(1 << 70), 1 << 70))
     return st.dictionaries(st.integers(0, order), coeff, max_size=max_terms).map(
@@ -334,19 +404,19 @@ def test_series_mul_genus1_both_sides_of_the_cutoff(monkeypatch):
                         lambda *args: packed.append(1) or real(*args))
     rng = random.Random(8)
     big = lambda: GaussInt(rng.randrange(-(1 << 80), 1 << 80), rng.randrange(-(1 << 80), 1 << 80))
-    # at order 3000 the cutoff is 45 pairs per index: 20 pairs per index sum
-    # over pairs there, though at order 300 (cutoff 5) they would be packed
-    for order, sizes in ((300, (10, 30, 300)), (3000, (245, 500))):
+    # at order 2000 the cutoff is 66 pairs per index: 20 pairs per index sum
+    # over pairs there, though at order 300 (cutoff 1) they would be packed
+    for order, sizes in ((300, (10, 30, 300)), (2000, (245, 500))):
         cutoff = arith._schoolbook_pairs_per_index(order)
         for n in sizes:
             a = QuarterSeries(1, order, {rng.randrange(order + 1): big() for _ in range(n)})
             b = QuarterSeries(1, order, {rng.randrange(order + 1): big() for _ in range(n)})
             pairs_per_index = len(a.coeffs) * len(b.coeffs) / (order + 1)
-            assert (pairs_per_index > cutoff) == (n in (300, 500))
-            assert (pairs_per_index > 5) == (n not in (10, 30))
+            assert (pairs_per_index > cutoff) == (n in (30, 300, 500))
+            assert (pairs_per_index > 1) == (n != 10)
             packed.clear()
             assert series_mul(a, b) == brute_mul_g1(a, b, order)
-            assert bool(packed) == (n in (300, 500))
+            assert bool(packed) == (n in (30, 300, 500))
 
 
 def test_series_genus_mismatch_rejected():

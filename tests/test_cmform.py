@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from siegelz.arith import GaussInt, odd_primes
+from siegelz import cmform
+from siegelz.arith import GaussInt, is_prime, kronecker_char, odd_primes
 from siegelz.cmform import (
     EllipticQExpansion,
     a_p,
@@ -19,6 +20,53 @@ def test_triple_agreement_order_600():
     gc = g_expansion("hecke_character", 600)
     assert ga.agrees_with(gb, 600)
     assert ga.agrees_with(gc, 600)
+
+
+def _hecke_by_trial_division(order):
+    """The multiplicative build with every n factored by trial division over
+    the primes up to it: the reference for the sieve build."""
+    prime_power = {}
+    for p in range(2, order + 1):
+        if not is_prime(p):
+            continue
+        table = {0: 1}
+        k = 1
+        while p ** k <= order:
+            if p == 2:
+                table[k] = 0
+            elif k == 1:
+                table[k] = a_p(p)
+            else:
+                table[k] = a_p(p) * table[k - 1] - kronecker_char(-1, p) * p * p * table[k - 2]
+            k += 1
+        prime_power[p] = table
+    coeffs = {1: 1}
+    for n in range(2, order + 1):
+        m, val = n, 1
+        for p, table in prime_power.items():
+            if p > m:
+                break
+            k = 0
+            while m % p == 0:
+                m //= p
+                k += 1
+            val *= table[k]
+        coeffs[n] = val
+    return coeffs
+
+
+@pytest.mark.parametrize("order", [60, 200, 3000, 6000])
+def test_hecke_build_matches_trial_division(order):
+    cmform._g_hecke.cache_clear()
+    expected = {n: v for n, v in _hecke_by_trial_division(order).items() if v}
+    assert g_expansion("hecke_character", order).a == expected
+
+
+def test_smallest_prime_factors():
+    spf = cmform._smallest_prime_factors(500).tolist()
+    assert spf[:2] == [0, 1]
+    for n in range(2, 501):
+        assert spf[n] == min(p for p in range(2, n + 1) if n % p == 0)
 
 
 def test_normalization_and_first_coefficients():

@@ -34,7 +34,6 @@ from siegelz.theta import (
     in_gamma48,
     in_igusa_group,
     is_symplectic,
-    kappa_squared,
     orbit_decomposition,
     pair_character_any_parity,
     parity,
@@ -298,10 +297,23 @@ def test_wrong_character_fails_the_tuple_part_where_the_product_is_small(monkeyp
     assert max(right) < 1e-8 and min(wrong) > 0.1
 
 
+def kappa_squared(M: np.ndarray) -> int:
+    """kappa(M)^2 = (-1)^(trace(D - 1)/2), valid on the level-2 group."""
+    if not in_gamma2(M):
+        raise ValueError("kappa^2 formula requires a level-2 matrix")
+    g = M.shape[0] // 2
+    return (-1) ** ((int(np.trace(M[g:, g:])) - g) // 2)
+
+
 def test_kappa_squared_values():
     assert kappa_squared(E5) == 1
+    values = set()
     for M in random_gamma2_elements(10, seed=4):
-        assert kappa_squared(M) in (-1, 1)
+        values.add(kappa_squared(M))
+        assert theta._level2_table(M).kappa == (kappa_squared(M) == -1)
+    assert values == {-1, 1}
+    with pytest.raises(ValueError):
+        kappa_squared(np.eye(4, dtype=np.int64) * 3)
 
 
 # ---------------------------------------------------------------------------

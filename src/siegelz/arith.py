@@ -422,17 +422,18 @@ def _schoolbook_pairs_per_index(order: int) -> int:
 
 # The pair kernel's dense accumulator holds at most this many cells at once
 # (or one degree of its box, if that is more); a larger box is summed in slabs.
-_BOX_CELLS = 1 << 20
+_BOX_CELLS = 1 << 18
 
 
-class _Axis(NamedTuple):
-    """One axis of the pair kernel's box: a product index whose code column
-    has the value base + step * k, with 0 <= k < width, sits at k along it.
-    k is the sum of (c - offset) // step over its two terms, with the offset
-    of the smaller series first."""
-    base: int
-    step: int
-    width: int
+class _Box(NamedTuple):
+    """The pair kernel's box, one entry per code column (see _code_columns).
+    A product index whose column j has the value base[j] + step[j] * k,
+    with 0 <= k < width[j], sits at k along axis j.  k is the sum of
+    (c - offset) // step[j] over the index's two terms, with offsets[0] for
+    the smaller series and offsets[1] for the larger."""
+    base: np.ndarray
+    step: np.ndarray
+    width: np.ndarray
     offsets: tuple
 
 
@@ -454,46 +455,47 @@ def _mul_schoolbook(a: QuarterSeries, b: QuarterSeries, order: int) -> QuarterSe
 
     The box is filled in slabs of consecutive degrees, each of at most
     _BOX_CELLS cells (or of one degree, if that is more), so memory stays
-    bounded as the order grows.  Within a slab the partners of each term
-    are a run of the larger series sorted by degree, and every such pair
-    lies inside the box; degrees that no pair reaches are skipped.
+    bounded until one degree alone exceeds the budget (near order 1450 for
+    theta products).  Within a slab the partners of each term are a run of
+    the larger series sorted by degree, and every such pair lies inside the
+    box; degrees that no pair reaches are skipped.
 
     For a fixed term of the smaller series, distinct terms of the larger
     one give distinct cells, so each cell gains at most one product per
     term of the smaller series, whatever order the cells are summed in.
     So every product, and every partial sum of an output coefficient, is at
-    most l1(small) * linf(big), where a coefficient measures |re| + |im|.  With that bound and every cell code below 2**62,
-    and four times the exponents and the order below 2**62, the kernel runs
-    on int64; otherwise on Python ints.
+    most l1(small) * linf(big), where a coefficient measures |re| + |im|.
+    With that bound, every cell code, and four times every exponent and
+    the order below 2**62, the kernel runs on int64; otherwise on Python
+    ints.
     """
     small, big = (a, b) if len(a.re) <= len(b.re) else (b, a)
     if small.is_zero():
         return QuarterSeries.zero(a.genus, order)
-    exps = [int(x) for s in (small, big) for c in s.exps for x in (c.min(), c.max())]
-    dtype = np.int64 if 4 * max(order, *map(abs, exps)) < _INT64_SAFE else object
-    cols = [[c.astype(dtype) for c in s.exps] for s in (small, big)]
-    cols = [[c[0]] if a.genus == 1 else [c[0] + c[2], c[0], c[1]] for c in cols]
-    axes = [_axis(cs, cb, cols[0][0], cols[1][0], order) for cs, cb in zip(*cols)]
-    if any(ax.width < 1 for ax in axes):
+    cols = [_code_columns(s) for s in (small, big)]
+    extremes = [int(v) for x in cols for v in (x.min(), x.max())]
+    dtype = np.int64 if 4 * max(order, *map(abs, extremes)) < _INT64_SAFE else object
+    cols = [x.astype(dtype, copy=False) for x in cols]
+    box = _box(*cols, order)
+    widths = box.width.tolist()
+    if min(widths) < 1:
         return QuarterSeries.zero(a.genus, order)
-    radix = [math.prod(ax.width for ax in axes[j + 1:]) for j in range(len(axes))]
-    digits = [[(c - ax.offsets[side]) // ax.step for c, ax in zip(x, axes)]
-              for side, x in enumerate(cols)]
-    reach = max(sum(max(-int(d.min()), int(d.max())) * r for d, r in zip(ds, radix))
-                for ds in digits)
+    radix = [math.prod(widths[j + 1:]) for j in range(len(widths))]
+    steps = [(x - off[:, None]) // box.step[:, None] for x, off in zip(cols, box.offsets)]
+    reach = max(sum(r * v for r, v in zip(radix, abs(k).max(1).tolist())) for k in steps)
     size = sum(_norms(small).tolist()) * int(_norms(big).max())
-    dtype = dtype if max(size, reach, axes[0].width * radix[0]) < _INT64_SAFE else object
+    dtype = dtype if max(size, reach, widths[0] * radix[0]) < _INT64_SAFE else object
 
-    def arrays(s, digits):
+    def arrays(s, k):
         """The degree steps, cell codes and coefficients of a series."""
-        code = sum(d.astype(dtype) * r for d, r in zip(digits, radix))
-        return digits[0], code, s.re.astype(dtype), s.im.astype(dtype)
+        code = sum(r * row for r, row in zip(radix, k.astype(dtype, copy=False)))
+        return k[0], code, s.re.astype(dtype, copy=False), s.im.astype(dtype, copy=False)
 
-    sdeg, sidx, sre, sim = arrays(small, digits[0])
-    big_arrays = arrays(big, digits[1])
+    sdeg, sidx, sre, sim = arrays(small, steps[0])
+    big_arrays = arrays(big, steps[1])
     perm = np.argsort(big_arrays[0], kind="stable")
     bdeg, bidx, bre, bim = (x[perm] for x in big_arrays)
-    rows, inner = axes[0].width, radix[0]
+    rows, inner = widths[0], radix[0]
     out, row = [], 0
     while True:
         # the partners of each small term from degree step `row` on start at first
@@ -517,11 +519,10 @@ def _mul_schoolbook(a: QuarterSeries, b: QuarterSeries, order: int) -> QuarterSe
         keep = np.flatnonzero((re != 0) | (im != 0))
         out.append((keep.astype(dtype) + row * inner, re[keep], im[keep]))
         row = end
-    code, re, im = (np.concatenate([part[j] for part in out] or [np.zeros(0, dtype)])
-                    for j in range(3))
+    code, re, im = (np.concatenate([part[j] for part in out]) for j in range(3))
     exps = []
-    for ax, r in zip(axes, radix):
-        exps.append(ax.base + ax.step * (code // r))
+    for base, step, r in zip(box.base.tolist(), box.step.tolist(), radix):
+        exps.append(base + step * (code // r))
         code = code % r
     if a.genus == 1:
         return QuarterSeries.from_arrays(1, order, exps, re, im)
@@ -531,16 +532,23 @@ def _mul_schoolbook(a: QuarterSeries, b: QuarterSeries, order: int) -> QuarterSe
     return QuarterSeries.from_arrays(2, order, [e[perm] for e in exps], re[perm], im[perm])
 
 
-def _axis(cs: np.ndarray, cb: np.ndarray, ds: np.ndarray, db: np.ndarray,
-          order: int) -> _Axis:
-    """The box axis of a code column with values cs in the smaller series
-    and cb in the larger, whose degrees are ds and db."""
-    lows = [int(cs.min()), int(cb.min())]
-    step = math.gcd(*(int(np.gcd.reduce(c - lo)) for c, lo in zip((cs, cb), lows))) or 1
-    hi = min(int(cs.max()) + int(cb.max()), order + int((cs - ds).max()) + int((cb - db).max()))
-    lo = max(sum(lows), int((cs + ds).min()) + int((cb + db).min()) - order)
-    base = sum(lows) - (sum(lows) - lo) // step * step  # lo rounded up to the lattice
-    return _Axis(base, step, (hi - base) // step + 1, (lows[0], base - lows[0]))
+def _code_columns(s: QuarterSeries) -> np.ndarray:
+    """The exponent columns of the box axes, as rows: the degree (e, or
+    e1 + e3, which fits int64 as each part is below 2**62), then e1 and e2."""
+    e = s.exps
+    return np.stack([e[0]] if s.genus == 1 else [e[0] + e[2], e[0], e[1]])
+
+
+def _box(xs: np.ndarray, xb: np.ndarray, order: int) -> _Box:
+    """The box of the products of pairs of degree at most the order, from the
+    code columns of the smaller and the larger series."""
+    lows = [x.min(1) for x in (xs, xb)]
+    step = np.maximum(np.gcd(*(np.gcd.reduce(x - lo[:, None], axis=1)
+                               for x, lo in zip((xs, xb), lows))), 1)
+    hi = np.minimum(xs.max(1) + xb.max(1), order + (xs - xs[0]).max(1) + (xb - xb[0]).max(1))
+    lo = np.maximum(lows[0] + lows[1], (xs + xs[0]).min(1) + (xb + xb[0]).min(1) - order)
+    base = lows[0] + lows[1] - (lows[0] + lows[1] - lo) // step * step  # lo up to the lattice
+    return _Box(base, step, (hi - base) // step + 1, (lows[0], base - lows[0]))
 
 
 def _norms(s: QuarterSeries) -> np.ndarray:

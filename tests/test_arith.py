@@ -343,9 +343,8 @@ def test_series_mul_theta_strides_and_clipped_box():
     # span [1, 61] and e2 [-54, 54]; a pair of degree at most 40 has e3 >= 2,
     # so e1 <= 38, and |e2| <= 38
     t1, t2 = (theta_expansion(m, 40) for m in ((0, 1, 1, 0), (1, 1, 0, 0)))
-    cols = [[s.exps[0] + s.exps[2], s.exps[0], s.exps[1]] for s in (t1, t2)]
-    axes = [arith._axis(cs, cb, cols[0][0], cols[1][0], 40) for cs, cb in zip(*cols)]
-    assert [(ax.base, ax.step, ax.width) for ax in axes] == [(3, 4, 10), (1, 4, 10), (-38, 4, 20)]
+    box = arith._box(*(arith._code_columns(s) for s in (t1, t2)), 40)
+    assert [x.tolist() for x in box[:3]] == [[3, 1, -38], [4, 4, 4], [10, 10, 20]]
     assert series_mul(t1, t2) == brute_mul_g2(t1, t2, 40)
 
 
@@ -353,11 +352,10 @@ def test_series_mul_empty_clipped_box():
     # every pair has degree 6 > 4, so the degree axis of the box is empty
     a = QuarterSeries(2, 4, {(5, -2, -1): 3, (2, 0, 2): GaussInt(1, 1)})
     b = QuarterSeries(2, 4, {(1, 7, 1): 1, (3, -1, 1): 2})
-    d = [s.exps[0] + s.exps[2] for s in (a, b)]
-    assert arith._axis(*d, *d, 4).width < 1
+    assert arith._box(arith._code_columns(a), arith._code_columns(b), 4).width[0] < 1
     assert series_mul(a, b).is_zero() and series_mul(a, b, 0).is_zero()
     g1 = QuarterSeries(1, 10, {6: 1, 9: 2})
-    assert arith._axis(g1.exps[0], g1.exps[0], g1.exps[0], g1.exps[0], 10).width < 1
+    assert arith._box(arith._code_columns(g1), arith._code_columns(g1), 10).width[0] < 1
     assert series_mul(g1, g1).is_zero()
 
 

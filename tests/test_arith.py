@@ -325,7 +325,7 @@ _offsets = st.tuples(*[st.integers(-5, 7)] * 3)
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.data(), st.integers(0, 40), st.sampled_from([1 << 20, 1]))
+@given(st.data(), st.integers(0, 40), st.sampled_from([arith._BOX_CELLS, 1]))
 def test_series_mul_genus2_strided_columns(data, order, budget):
     # strides 1, 2, 4 and 8 per column and per series, with nonzero offsets:
     # the box steps by their gcd and starts at the sum of the lowest values;

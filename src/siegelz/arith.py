@@ -4,11 +4,10 @@ Primes, quadratic residue symbols, Gaussian integers, truncated Fourier
 series with quarter-integer exponent unit, and integer polynomials in one
 variable.  A series stores its terms in sorted numpy arrays (int64 where a
 proven bound allows, Python ints otherwise), and its products run on those
-arrays: pair products are summed in a dense box of product indices,
-compressed by the common stride of each exponent column and filled in
-slabs of bounded size, and dense genus-1 products use Kronecker
-substitution.  `QuarterSeries.coeffs` reads the arrays as a mapping of
-GaussInts.
+arrays: in both genera, pair products are summed in a dense box of
+product indices, compressed by the common stride of each exponent column
+and filled in slabs of bounded size.  `QuarterSeries.coeffs` reads the
+arrays as a mapping of GaussInts.
 Everything here is exact: no floats enter until a series or polynomial is
 explicitly evaluated.
 """
@@ -370,14 +369,10 @@ def series_mul(a: QuarterSeries, b: QuarterSeries,
                order: int | None = None) -> QuarterSeries:
     """Exact truncated product of two series of equal genus.
 
-    Every series product in the package goes through here.  Genus 1 sums
-    over coefficient pairs for small products and runs Kronecker
-    substitution for larger ones; genus 2 always sums over pairs.
+    Every series product in the package goes through here, and in both
+    genera it sums over coefficient pairs (`_mul_schoolbook`).
     """
-    order = _result_order(a, b, order, "product")
-    if a.genus == 1 and len(a.re) * len(b.re) > _schoolbook_pairs_per_index(order) * (order + 1):
-        return _mul_genus1_packed(a, b, order)
-    return _mul_schoolbook(a, b, order)
+    return _mul_schoolbook(a, b, _result_order(a, b, order, "product"))
 
 
 def _result_order(a: QuarterSeries, b: QuarterSeries, order: int | None,
@@ -408,16 +403,6 @@ def _summed(parts: list) -> tuple:
     starts = np.flatnonzero(np.concatenate(([True], ~same)))
     return ([c[starts] for c in cols],
             np.add.reduceat(re[perm], starts), np.add.reduceat(im[perm], starts))
-
-
-def _schoolbook_pairs_per_index(order: int) -> int:
-    """Genus-1 products with at most this many pairs per output index sum
-    over pairs.  Kronecker substitution costs more per index at higher
-    orders: on random inputs with coefficients below 100 the two kernels
-    break even near 5 pairs per index at order 600, 30 at 1200, 95 at 2400,
-    250 at 4000 and 450 to 550 at 6000, and Kronecker substitution is faster
-    even at one pair per index below order 300."""
-    return max(1, order * order // 60000)
 
 
 # The pair kernel's dense accumulator holds at most this many cells at once
@@ -555,70 +540,6 @@ def _norms(s: QuarterSeries) -> np.ndarray:
     """|re| + |im| of every coefficient, exactly (each part is below 2**62
     in int64)."""
     return np.abs(s.re) + np.abs(s.im)
-
-
-def _mul_genus1_packed(a: QuarterSeries, b: QuarterSeries,
-                       order: int) -> QuarterSeries:
-    """Dense genus-1 product by Kronecker substitution: the dense coefficient
-    arrays become big integers, one entry per field of `width` bytes, and
-    three big-integer products give the real and imaginary parts of the
-    product (Gauss's trick)."""
-    if a.is_zero() or b.is_zero() or a.exps[0][0] + b.exps[0][0] > order:
-        return QuarterSeries.zero(1, order)
-    lo = int(a.exps[0][0]) + int(b.exps[0][0])
-    count = order - lo + 1
-    # Each output entry sums at most min(len(a), len(b)) products, each at most
-    # linf(a) * linf(b) as in _mul_schoolbook; two spare bits per field let _unpack read it.
-    bound = min(len(a.re), len(b.re)) * int(_norms(a).max()) * int(_norms(b).max())
-    width = (bound.bit_length() + 9) // 8
-    ar, ai, br, bi = (_pack(x, width) for s in (a, b) for x in _dense(s, count))
-    k1, k2, k3 = br * (ar + ai), ar * (bi - br), ai * (br + bi)
-    return QuarterSeries.from_arrays(1, order, [lo + np.arange(count)],
-                                     _unpack(k1 - k3, width, count), _unpack(k1 + k2, width, count))
-
-
-def _dense(s: QuarterSeries, count: int) -> list:
-    """re and im of s as dense arrays over the count indices from its lowest."""
-    e = s.exps[0] - s.exps[0][0]
-    keep = e < count
-    dense = [np.zeros(count, x.dtype) for x in (s.re, s.im)]
-    dense[0][e[keep]], dense[1][e[keep]] = s.re[keep], s.im[keep]
-    return dense
-
-
-def _pack(x: np.ndarray, width: int) -> int:
-    """sum(x[k] << (8 * width * k)) for |x[k]| < 256**width, through
-    (len(x), width) byte arrays when x is int64."""
-    total = 0
-    for sign in (1, -1):
-        part = np.maximum(sign * x, 0)
-        if part.dtype == object:
-            data = b"".join(v.to_bytes(width, "little") for v in part)
-        else:
-            fields = np.zeros((len(part), width), np.uint8)
-            fields[:, :8] = part.astype("<u8").view(np.uint8).reshape(-1, 8)[:, :width]
-            data = fields.tobytes()
-        total += sign * int.from_bytes(data, "little")
-    return total
-
-
-def _unpack(n: int, width: int, count: int) -> np.ndarray:
-    """c[:count] from n = sum(c[k] << (8 * width * k)) with all |c[k]| <
-    2**(8 * width - 2), read through a byte view when width <= 8: c[k] is
-    field k of n read as a signed number, plus 1 where field k - 1 is
-    negative (the two spare bits keep that borrow from reaching further)."""
-    data = (n & ((1 << 8 * width * count) - 1)).to_bytes(width * count, "little")
-    if width > 8:
-        s = np.array([int.from_bytes(data[k:k + width], "little", signed=True)
-                      for k in range(0, len(data), width)], dtype=object)
-    else:
-        fields = np.frombuffer(data, np.uint8).reshape(count, width)
-        wide = np.empty((count, 8), np.uint8)
-        wide[:, :width] = fields
-        wide[:, width:] = (fields[:, -1:] >> 7) * 255  # sign extension
-        s = wide.view("<i8").ravel()
-    s[1:] += s[:-1] < 0
-    return s
 
 
 # ---------------------------------------------------------------------------

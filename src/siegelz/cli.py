@@ -31,12 +31,13 @@ class RunConfig:
 
     def validate(self):
         from .arith import is_prime
+        from .pointcount import CHARSUM_Z_CAP
 
         for p in self.prime_list:
             if p % 2 == 0 or not is_prime(p):
                 raise ValueError(f"prime list entry {p} is not an odd prime")
-            if p > 13:
-                raise ValueError(f"prime {p} exceeds the Satake counting cap (13)")
+            if p > CHARSUM_Z_CAP:
+                raise ValueError(f"prime {p} exceeds the Satake counting cap ({CHARSUM_Z_CAP})")
         if self.series_order < 1:
             raise ValueError("series order must be positive")
         if self.numeric_tol <= 0:
@@ -517,8 +518,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("suites", nargs="*", default=None,
                         help=f"suites to run: {', '.join(SUITES)}, or 'all'")
-    parser.add_argument("--suite", action="append", dest="suite_flags",
-                        help="additional suite to run (repeatable)")
     parser.add_argument("--primes", default=_env("primes", "3,5,7,11,13"),
                         help="comma-separated odd primes (default 3,5,7,11,13)")
     # string defaults go through type= when parsed, so a bad environment
@@ -536,8 +535,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     suites = list(args.suites or [])
-    if args.suite_flags:
-        suites.extend(args.suite_flags)
     env_suite = os.environ.get("SIEGELZ_SUITE")
     if not suites and env_suite:
         suites = env_suite.split(",")

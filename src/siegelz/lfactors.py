@@ -22,12 +22,10 @@ class EulerFactor:
 
     p: int
     poly: IntPolynomial
-    label: str = ""
 
     def twist(self, j: int) -> "EulerFactor":
         """Shift s -> s - j, i.e. T -> p^j T, exactly."""
-        return EulerFactor(self.p, self.poly.substitute_scaled(self.p ** j),
-                           f"{self.label}|twist{j}" if self.label else f"twist{j}")
+        return EulerFactor(self.p, self.poly.substitute_scaled(self.p ** j))
 
     def degree(self) -> int:
         return self.poly.degree()
@@ -42,13 +40,13 @@ def euler_factor(kind: str, p: int, twist: int = 0, d: int = -1) -> EulerFactor:
         raise ValueError("twist must be nonnegative")
     w = p ** twist
     if kind == "zeta":
-        return EulerFactor(p, IntPolynomial([1, -w]), f"zeta@{p}")
+        return EulerFactor(p, IntPolynomial([1, -w]))
     if kind == "chi":
-        return EulerFactor(p, IntPolynomial([1, -kronecker_char(d, p) * w]), f"chi({d})@{p}")
+        return EulerFactor(p, IntPolynomial([1, -kronecker_char(d, p) * w]))
     if kind == "g":
         ap = a_p(p)
         chi = kronecker_char(-1, p)
-        return EulerFactor(p, IntPolynomial([1, -ap * w, chi * p * p * w * w]), f"g@{p}")
+        return EulerFactor(p, IntPolynomial([1, -ap * w, chi * p * p * w * w]))
     raise ValueError(f"unknown kind {kind!r}")
 
 
@@ -71,7 +69,7 @@ def h2_lpoly(p: int) -> EulerFactor:
         for _ in range(mult):
             poly = poly * f.poly
     poly = poly * euler_factor("g", p).poly
-    out = EulerFactor(p, poly, f"H2@{p}")
+    out = EulerFactor(p, poly)
     assert out.degree() == 21
     assert poly[1] == -trace_h2(p)
     return out
@@ -81,14 +79,11 @@ def lefschetz_check(p: int) -> int:
     """Residual of the trace formula against the measured blow-up count.
 
     The alternating cohomology trace is 1 + p^3 + [p + t(p)] + [p^2 + p t(p)]
-    with t(p) = (9 + 7 chi_-1 + 2 chi_2 + 2 chi_-2) p + a_p; must equal
-    the counted number of points of the resolved threefold.
+    with t(p) = trace_h2(p) + p, the open locus's trace plus the ninth Tate
+    class; must equal the counted number of points of the resolved
+    threefold.
     """
-    t = (
-        (9 + 7 * kronecker_char(-1, p) + 2 * kronecker_char(2, p)
-         + 2 * kronecker_char(-2, p)) * p
-        + a_p(p)
-    )
+    t = trace_h2(p) + p
     predicted = 1 + p ** 3 + (p + t) + (p * p + p * t)
     measured = count_variety("Ztilde", p)
     return predicted - measured
@@ -114,7 +109,7 @@ def ae_quartic(lam1, lam2, delta_inv, mu: int, p: int) -> EulerFactor:
     c3 = -1 * delta_inv * lam1 * p ** mu
     c4 = delta_inv * delta_inv * p ** (2 * mu)
     poly = IntPolynomial([1, -lam1, c2, c3, c4])
-    return EulerFactor(p, poly, f"AE(mu={mu})@{p}")
+    return EulerFactor(p, poly)
 
 
 def spin_quartic_target(p: int) -> EulerFactor:
@@ -122,7 +117,7 @@ def spin_quartic_target(p: int) -> EulerFactor:
     degree-4 spinor factor the six-theta eigenform must carry."""
     g0 = euler_factor("g", p)
     g1 = g0.twist(1)
-    return EulerFactor(p, g0.poly * g1.poly, f"spin@{p}")
+    return EulerFactor(p, g0.poly * g1.poly)
 
 
 def spin_identity_check(p: int) -> tuple[IntPolynomial, dict]:

@@ -207,8 +207,8 @@ def test_series_mul_matches_bruteforce_sparse():
         assert series_mul(a, b) == brute_mul_g1(a, b, order)
 
 
-def test_series_mul_packed_matches_dict():
-    # force the big-integer path by building dense series
+def test_series_mul_dense_genus1_matches_dict():
+    # dense series: (nearly) every exponent up to the order on both sides
     rng = random.Random(5)
     order = 600
     a = QuarterSeries(
@@ -217,10 +217,7 @@ def test_series_mul_packed_matches_dict():
     b = QuarterSeries(
         1, order, {e: GaussInt(rng.randrange(-20, 21), rng.randrange(-20, 21)) for e in range(order + 1)}
     )
-    pairs = len(a.coeffs) * len(b.coeffs)
-    assert pairs > arith._schoolbook_pairs_per_index(order) * (order + 1)
-    packed = series_mul(a, b)
-    assert packed == brute_mul_g1(a, b, order)
+    assert series_mul(a, b) == brute_mul_g1(a, b, order)
 
 
 def test_series_mul_genus2():
@@ -384,37 +381,15 @@ def _g1_series(order, max_terms):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.data(), st.integers(0, 60))
-def test_series_mul_genus1_paths_beyond_64_bits(data, order):
-    # few terms select the schoolbook loop, many the packed path
+@given(st.data(), st.integers(0, 60), st.sampled_from([arith._BOX_CELLS, 1]))
+def test_series_mul_genus1_paths_beyond_64_bits(data, order, budget):
+    # sparse and dense series; a budget of one cell sums each degree in its
+    # own slab
     terms = data.draw(st.sampled_from([3, order + 1]))
     a = data.draw(_g1_series(order, terms))
     b = data.draw(_g1_series(order, terms))
-    expected = brute_mul_g1(a, b, order)
-    assert series_mul(a, b) == expected
-    assert arith._mul_genus1_packed(a, b, order) == expected
-
-
-def test_series_mul_genus1_both_sides_of_the_cutoff(monkeypatch):
-    packed = []
-    real = arith._mul_genus1_packed
-    monkeypatch.setattr(arith, "_mul_genus1_packed",
-                        lambda *args: packed.append(1) or real(*args))
-    rng = random.Random(8)
-    big = lambda: GaussInt(rng.randrange(-(1 << 80), 1 << 80), rng.randrange(-(1 << 80), 1 << 80))
-    # at order 2000 the cutoff is 66 pairs per index: 20 pairs per index sum
-    # over pairs there, though at order 300 (cutoff 1) they would be packed
-    for order, sizes in ((300, (10, 30, 300)), (2000, (245, 500))):
-        cutoff = arith._schoolbook_pairs_per_index(order)
-        for n in sizes:
-            a = QuarterSeries(1, order, {rng.randrange(order + 1): big() for _ in range(n)})
-            b = QuarterSeries(1, order, {rng.randrange(order + 1): big() for _ in range(n)})
-            pairs_per_index = len(a.coeffs) * len(b.coeffs) / (order + 1)
-            assert (pairs_per_index > cutoff) == (n in (30, 300, 500))
-            assert (pairs_per_index > 1) == (n != 10)
-            packed.clear()
-            assert series_mul(a, b) == brute_mul_g1(a, b, order)
-            assert bool(packed) == (n in (30, 300, 500))
+    with mock.patch.object(arith, "_BOX_CELLS", budget):
+        assert series_mul(a, b) == brute_mul_g1(a, b, order)
 
 
 def test_series_genus_mismatch_rejected():
@@ -496,41 +471,18 @@ def test_series_round_trip_through_the_mapping_view(data, genus, order):
         s.coeffs[0 if genus == 1 else (0, 0, 0)] = GaussInt(1)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.data(), st.integers(1, 9))
-def test_pack_unpack_at_every_field_width(data, width):
-    """Fields of 1 to 8 bytes go through byte views on int64, 9 bytes the
-    exact path; signed entries below 2**(8 * width - 2) round-trip, and so
-    do exact convolutions that stay in that range."""
-    limit = 1 << (8 * width - 2)
-    entries = st.lists(st.integers(-limit + 1, limit - 1), min_size=1, max_size=20)
-    values = data.draw(entries)
-    unpacked = arith._unpack(arith._pack(arith._int_array(values), width), width, len(values))
-    assert unpacked.tolist() == values
-    assert unpacked.dtype == (np.int64 if width <= 8 else object)
-    small = [v % 7 - 3 for v in values]  # int64 input at any width
-    assert arith._unpack(arith._pack(np.array(small), width), width, len(small)).tolist() == small
-    # a convolution whose entries stay below the limit
-    k = len(values)
-    root = math.isqrt((limit - 1) // k)
-    x = data.draw(st.lists(st.integers(-root, root), min_size=k, max_size=k))
-    y = data.draw(st.lists(st.integers(-root, root), min_size=k, max_size=k))
-    conv = [sum(x[i] * y[n - i] for i in range(n + 1)) for n in range(k)]
-    packed = arith._pack(arith._int_array(x), width) * arith._pack(arith._int_array(y), width)
-    assert arith._unpack(packed, width, k).tolist() == conv
-
-
 @pytest.mark.parametrize("bits", [8, 16, 62, 63, 64, 72])
 def test_packed_product_is_exact_where_its_bound_is_tight(bits):
     # with every coefficient m, the product's top entry n * m**2 reaches the
-    # field bound, whose bit length is `bits`
+    # overflow bound l1 * linf, whose bit length is `bits`: up to 62 bits the
+    # pair kernel runs on int64, from 63 on Python ints
     n = 40
     m = math.isqrt(((1 << bits) - 1) // n)
     assert (n * m * m).bit_length() == bits
     a = QuarterSeries(1, n - 1, {e: m for e in range(n)})
     b = QuarterSeries(1, n - 1, {e: -m for e in range(n)})
     expected = QuarterSeries(1, n - 1, {e: -(e + 1) * m * m for e in range(n)})
-    assert arith._mul_genus1_packed(a, b, n - 1) == expected
+    assert series_mul(a, b) == expected
 
 
 # ---------------------------------------------------------------------------

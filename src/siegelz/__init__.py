@@ -13,7 +13,7 @@ from .arith import (
     series_add,
     series_mul,
 )
-from .cmform import EllipticQExpansion, a_p, g_expansion, hecke_Tp_check
+from .cmform import EllipticQExpansion, a_p, g_expansion, hecke_residual, hecke_Tp_check
 from .lfactors import (
     EulerFactor,
     ae_quartic,
@@ -43,13 +43,15 @@ from .theta import (
     table1_char,
     theta_eval,
     theta_expansion,
+    theta_values,
     verify_igusa_transformation,
 )
 
 __all__ = [
     "GaussInt", "IntPolynomial", "QuarterSeries", "gauss_primary_decompose",
     "kronecker_char", "legendre", "series_add", "series_mul",
-    "EllipticQExpansion", "a_p", "g_expansion", "hecke_Tp_check",
+    "EllipticQExpansion", "a_p", "g_expansion", "hecke_residual",
+    "hecke_Tp_check",
     "EulerFactor", "ae_quartic", "euler_factor", "h2_lpoly",
     "lefschetz_check", "spin_identity_check",
     "count_variety", "verify_birational_map",
@@ -59,7 +61,7 @@ __all__ = [
     "FZ_TUPLE", "characteristic_action", "even_characteristics",
     "fz_expansion", "gammaZ_generators", "gammaZ_tuple_predicate",
     "orbit_decomposition", "parity", "phi_after_g0", "rescale4",
-    "table1_char", "theta_eval", "theta_expansion",
+    "table1_char", "theta_eval", "theta_expansion", "theta_values",
     "verify_igusa_transformation",
 ]
 

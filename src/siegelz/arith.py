@@ -171,27 +171,27 @@ def i_power(k: int) -> GaussInt:
 def gauss_primary_decompose(p: int) -> GaussInt:
     """A Gaussian prime of norm p, p = 1 mod 4, in primary form.
 
-    Primary means congruent to 1 modulo (1+i)^3; exactly one associate of
-    any odd Gaussian integer is primary, which pins the normalization used
-    for Hecke eigenvalues downstream.
+    Primary means congruent to 1 modulo (1+i)^3, that is an even imaginary
+    part and re + im = 1 mod 4; exactly one associate of any odd Gaussian
+    integer is primary, which pins the normalization used for Hecke
+    eigenvalues downstream.  The prime is the associate of x + iy, x < y,
+    and x^2 + y^2 = p comes from Cornacchia's algorithm: Euclid on p and a
+    square root of -1 mod p stops at the first remainder x below sqrt(p).
     """
     if not is_prime(p) or p % 4 != 1:
         raise ValueError(f"{p} does not split in Z[i]")
-    for x in range(1, p):
-        y2 = p - x * x
-        if y2 < x * x:
-            break
-        y = round(y2 ** 0.5)
-        if y * y == y2:
-            pi = GaussInt(x, y)
-            break
-    else:  # pragma: no cover - unreachable for split p
+    c = 2
+    while pow(c, (p - 1) // 2, p) != p - 1:  # a quadratic non-residue
+        c += 1
+    r, x = p, pow(c, (p - 1) // 4, p)  # x^2 = -1 mod p
+    while x * x > p:
+        r, x = x, r % x
+    x, y = sorted((x, math.isqrt(p - x * x)))
+    if x * x + y * y != p:  # pragma: no cover - unreachable for split p
         raise AssertionError(f"no two-square decomposition found for {p}")
-    modulus = GaussInt(-2, 2)  # (1+i)^3
-    for cand in (pi, pi * I_UNIT, -pi, -(pi * I_UNIT)):
-        if modulus.divides(cand - ONE):
-            return cand
-    raise AssertionError(f"no primary associate of {pi}")  # pragma: no cover
+    if x % 2 == 0:
+        x, y = -y, x  # i (x + iy), the associate with an even imaginary part
+    return GaussInt(x, y) if (x + y) % 4 == 1 else GaussInt(-x, -y)
 
 
 # ---------------------------------------------------------------------------

@@ -170,20 +170,28 @@ def _smallest_prime_factors(bound: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Hecke operator check
 
-def hecke_Tp_check(p: int, order: int) -> EllipticQExpansion:
-    """Residual series of T_p g - a_p g up to the given order; zero iff the
-    expansion is an eigenvector with eigenvalue a_p."""
-    if p == 2 or not is_prime(p):
-        raise ValueError("need an odd prime")
-    g_long = _g_theta_product(order * p)
+def hecke_residual(g: EllipticQExpansion, p: int, order: int) -> EllipticQExpansion:
+    """Residual series of T_p g - a_p g up to the given order, read from an
+    expansion g of order at least order * p; zero iff g is an eigenvector
+    with eigenvalue a_p that far."""
     ap = a_p(p)
+    if g.order < order * p:
+        raise ValueError(f"T_{p} up to order {order} reads coefficients to {order * p}, "
+                         f"past the expansion's order {g.order}")
     chi = kronecker_char(-1, p)
     residual = {}
     for n in range(1, order + 1):
-        val = g_long.coeff(n * p)
+        val = g.coeff(n * p)
         if n % p == 0:
-            val += chi * p * p * g_long.coeff(n // p)
-        val -= ap * g_long.coeff(n)
+            val += chi * p * p * g.coeff(n // p)
+        val -= ap * g.coeff(n)
         if val:
             residual[n] = val
     return EllipticQExpansion(order, residual)
+
+
+def hecke_Tp_check(p: int, order: int) -> EllipticQExpansion:
+    """hecke_residual of the theta product built to order * p."""
+    if p == 2 or not is_prime(p):
+        raise ValueError("need an odd prime")
+    return hecke_residual(_g_theta_product(order * p), p, order)

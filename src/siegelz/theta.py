@@ -1,7 +1,7 @@
 """Theta characteristics and theta constants in genus 1 and 2.
 
 Exact truncated expansions, numeric lattice-sum evaluation with a tail
-bound, the transformation machinery (one vectorized pass gives, for every
+bound (every characteristic at a point from one pass), the transformation machinery (one vectorized pass gives, for every
 characteristic of a tuple, the unreduced image m M^-1 + (diag CD^T,
 diag AB^T) and the eighth-integer phase; with kappa^2 and the reduction
 signs these give, once per level-2 matrix and cached, a table of each
@@ -430,37 +430,71 @@ def _lattice_radius(lam: float, tol: float, genus: int) -> int:
 
 
 def theta_eval(m, tau, tol: float = 1e-12) -> complex:
-    """Numeric theta constant by direct lattice sum, tail below tol."""
-    g = genus_of(m)
-    mp, mpp = split_char(m)
-    if g == 1:
-        t = complex(tau)
-        if t.imag <= 0:
-            raise ValueError("imaginary part must be positive")
-        R = _lattice_radius(t.imag, tol, 1)
-        a = np.arange(-R - 1, R + 2)
-        x = a + mp[0] / 2.0
-        expo = 1j * math.pi * (t * x * x + x * mpp[0])
-        return complex(np.exp(expo).sum())
+    """Numeric theta constant by direct lattice sum, tail below tol.
+
+    m may be unreduced: theta[m] = (-1)^(m'.k'') theta[m mod 2] for
+    m = m mod 2 + 2k, and the sum runs around the reduced shift, where the
+    tail bound of _lattice_radius holds.  Genus 2 goes through theta_values.
+    """
+    if genus_of(m) == 2:
+        return complex(theta_values([m], tau, tol)[0])
+    t = complex(tau)
+    if t.imag <= 0:
+        raise ValueError("imaginary part must be positive")
+    mp, mpp = int(m[0]) % 2, int(m[1])
+    R = _lattice_radius(t.imag, tol, 1)
+    a = np.arange(-R - 1, R + 2)
+    x = a + mp / 2.0
+    expo = 1j * math.pi * (t * x * x + x * (mpp % 2))
+    sign = -1 if mp * (mpp // 2) % 2 else 1
+    return sign * complex(np.exp(expo).sum())
+
+
+def theta_values(ms, tau, tol: float = 1e-12) -> np.ndarray:
+    """Numeric genus-2 theta constants theta[m](tau) for every m in ms, each
+    with its discarded tail below tol, from one lattice pass.
+
+    One exp runs over the half-lattice x = b/2, b = 2a + (m' mod 2) with a
+    in [-R-1, R+1]^2 (R from _lattice_radius at the smallest eigenvalue of
+    Im tau), one block for each class m' mod 2 that ms needs.  Each
+    characteristic is the sum of its class's block weighted by the phases
+    i^(b.m''), times the reduction sign (-1)^(m'.k'') for m = m mod 2 + 2k:
+    exactly the points, and so the tail bound, of a sum around its reduced
+    shift.  The phases are exact, so only the order of summation differs
+    from one sum per characteristic.
+    """
+    m = np.asarray(ms, dtype=np.int64) if len(ms) else np.zeros((0, 4), dtype=np.int64)
+    if m.ndim != 2 or m.shape[1] != 4:
+        raise ValueError("theta_values takes genus-2 characteristics of 4 entries")
     tau = np.asarray(tau, dtype=complex)
     check_siegel_point(tau)
-    Y = tau.imag
-    lam = float(np.linalg.eigvalsh(Y).min())
-    R = _lattice_radius(lam, tol, 2)
+    R = _lattice_radius(float(np.linalg.eigvalsh(tau.imag).min()), tol, 2)
+    red = m % 2
+    signs = 1 - 2 * ((red[:, :2] * (m[:, 2:] // 2)).sum(1) % 2)
+    codes = 2 * red[:, 0] + red[:, 1]
     a = np.arange(-R - 1, R + 2)
-    x1 = (a + mp[0] / 2.0)[:, None]
-    x2 = (a + mp[1] / 2.0)[None, :]
-    form = tau[0, 0] * x1 * x1 + 2 * tau[0, 1] * x1 * x2 + tau[1, 1] * x2 * x2
-    linear = x1 * mpp[0] + x2 * mpp[1]
-    return complex(np.exp(1j * math.pi * (form + linear)).sum())
+    # i^(b m'') = i^(m' m'') (-1)^(a m'') for b = 2a + m', so each block is
+    # summed over the four parity classes of (a1, a2); phase[p][e, i] is the
+    # weight for m'' = e of the i-th parity class (a = -R-1+i mod 2) when m' = p.
+    # Plain sums, not a matrix product: BLAS wakes worker threads that spin on
+    # after the call and slow the code that follows on small machines.
+    flip = 1 - 2 * (a[:2] % 2)
+    phase = np.array([[[1, 1], flip], [[1, 1], 1j * flip]])
+    sums = np.zeros((4, 2, 2), dtype=complex)   # by m' mod 2, then m'' mod 2
+    for c in np.flatnonzero(np.bincount(codes, minlength=4)):
+        x1 = (a + c // 2 / 2)[:, None]          # x = b/2
+        x2 = (a + c % 2 / 2)[None, :]
+        block = tau[0, 0] * x1 * x1 + 2 * tau[0, 1] * x1 * x2 + tau[1, 1] * x2 * x2
+        block *= 1j * math.pi
+        np.exp(block, out=block)
+        parts = [[block[i::2, j::2].sum() for j in (0, 1)] for i in (0, 1)]
+        sums[c] = np.einsum("ei,ij,fj->ef", phase[c // 2], parts, phase[c % 2])
+    return signs * sums[codes, red[:, 2], red[:, 3]]
 
 
 def fz_eval(tau, tol: float = 1e-12) -> complex:
     """Numeric value of the six-theta product."""
-    val = 1.0 + 0j
-    for m in FZ_TUPLE:
-        val *= theta_eval(m, tau, tol)
-    return val
+    return complex(np.prod(theta_values(FZ_TUPLE, tau, tol)))
 
 
 # ---------------------------------------------------------------------------
@@ -677,8 +711,8 @@ def igusa_residuals(ms, M: np.ndarray, tau, tol: float = 1e-12) -> tuple:
     mtau = apply_moebius(M, tau)
     det_j = complex(np.linalg.det(cocycle(M, tau)))
     ksq = -1 if table.kappa else 1
-    th_m = np.array([theta_eval(tuple(v % 2 for v in m), mtau, tol) for m in ms])
-    th_0 = np.array([theta_eval(m, tau, tol) for m in ms])
+    th_m = theta_values([tuple(v % 2 for v in m) for m in ms], mtau, tol)
+    th_0 = theta_values(ms, tau, tol)
     phases = np.exp(1j * np.pi * eighths / 2)
     squared = float(np.abs(th_m ** 2 - ksq * phases * det_j * th_0 ** 2).max(initial=0.0))
     if not ms or len(ms) % 2 or min(np.abs(th_m).min(), np.abs(th_0).min()) <= tol:

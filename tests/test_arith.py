@@ -138,6 +138,33 @@ def test_gauss_primary_is_primary():
         assert modulus.divides(pi - GaussInt(1, 0))
 
 
+def _primary_by_search(p):
+    """The primary prime over p by the float square-root search: the least
+    x with p - x^2 a square y^2 >= x^2, then the associate of x + iy that is
+    1 mod (1+i)^3."""
+    for x in range(1, p):
+        y2 = p - x * x
+        if y2 < x * x:
+            break
+        y = round(y2 ** 0.5)
+        if y * y == y2:
+            pi = GaussInt(x, y)
+            break
+    modulus = GaussInt(-2, 2)
+    for cand in (pi, pi * GaussInt(0, 1), -pi, -(pi * GaussInt(0, 1))):
+        if modulus.divides(cand - GaussInt(1, 0)):
+            return cand
+
+
+def test_gauss_primary_matches_the_square_root_search():
+    """Cornacchia's algorithm picks the same primary associate, of the same
+    one of the two conjugate primes, at every split prime below 20000."""
+    split = [p for p in range(5, 20000, 4) if is_prime(p)]
+    assert len(split) == 1125
+    for p in split:
+        assert gauss_primary_decompose(p) == _primary_by_search(p), p
+
+
 # ---------------------------------------------------------------------------
 # quarter series
 
@@ -472,7 +499,7 @@ def test_series_round_trip_through_the_mapping_view(data, genus, order):
 
 
 @pytest.mark.parametrize("bits", [8, 16, 62, 63, 64, 72])
-def test_packed_product_is_exact_where_its_bound_is_tight(bits):
+def test_pair_kernel_is_exact_where_its_int64_bound_is_tight(bits):
     # with every coefficient m, the product's top entry n * m**2 reaches the
     # overflow bound l1 * linf, whose bit length is `bits`: up to 62 bits the
     # pair kernel runs on int64, from 63 on Python ints

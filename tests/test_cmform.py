@@ -8,8 +8,10 @@ from siegelz.cmform import (
     EllipticQExpansion,
     a_p,
     g_expansion,
+    hecke_residual,
     hecke_Tp_check,
 )
+from siegelz.cli import RunConfig, run
 from siegelz.pointcount import verify_count_formulas
 
 
@@ -168,6 +170,43 @@ def test_hecke_eigenform_deep_order():
 def test_hecke_all_odd_p_to_50():
     for p in odd_primes(50):
         assert not hecke_Tp_check(p, 24).a
+
+
+def test_hecke_residual_reads_any_long_enough_expansion():
+    """One build at 24 * 47 gives every prime's residual, identical to the
+    check's own build at 24p; a build shorter than order * p raises."""
+    g = g_expansion("theta_product", 24 * 47)
+    for p in odd_primes(50):
+        assert hecke_residual(g, p, 24).a == hecke_Tp_check(p, 24).a == {}
+    assert not hecke_residual(g_expansion("theta_product", 120), 5, 24).a
+    with pytest.raises(ValueError, match="past the expansion's order 119"):
+        hecke_residual(g_expansion("theta_product", 119), 5, 24)
+    with pytest.raises(ValueError):
+        hecke_residual(g, 2, 24)
+
+
+def test_hecke_suite_builds_the_newform_once(monkeypatch):
+    builds = []
+    real = cmform._g_theta_product
+
+    def spy(order):
+        builds.append(order)
+        return real(order)
+
+    monkeypatch.setattr(cmform, "_g_theta_product", spy)
+    reports, code = run(RunConfig(selected_suites=["hecke"]))
+    assert code == 0 and len(reports) == len(odd_primes(50))
+    assert builds == [24 * 47]
+
+
+def test_hecke_suite_fails_the_prime_whose_eigenvalue_is_wrong(monkeypatch):
+    real = cmform.a_p
+    monkeypatch.setattr(cmform, "a_p", lambda p: -real(p) if p == 13 else real(p))
+    assert real(13) != 0
+    reports, code = run(RunConfig(selected_suites=["hecke"]))
+    assert code == 1
+    failed = [r.details["p"] for r in reports if r.status == "fail"]
+    assert failed == [13]
 
 
 def test_multiplicativity_from_theta_product():

@@ -49,6 +49,7 @@ from siegelz.theta import (
     table1_char_tuple,
     theta_eval,
     theta_expansion,
+    theta_values,
     translation,
     verify_igusa_transformation,
 )
@@ -146,16 +147,88 @@ def test_theta_tail_bound_against_a_tighter_evaluation():
     points += [apply_moebius(M, TAU_GENERIC) for M in E_GENERATORS]
     points.append(siegel_point(0.3j + 0.1, 0.25j, 0.3j - 0.2))
     assert min(np.linalg.eigvalsh(points[-1].imag)) < 0.06
+    evens = even_characteristics(2)
     for tau in points:
-        for m in even_characteristics(2):
-            tight = theta_eval(m, tau, 1e-15)
-            for tol in (1e-4, 1e-8, 1e-13):
-                assert abs(theta_eval(m, tau, tol) - tight) < tol, (m, tol)
+        tight = theta_values(evens, tau, 1e-15)
+        for tol in (1e-4, 1e-8, 1e-13):
+            assert np.all(np.abs(theta_values(evens, tau, tol) - tight) < tol), tol
+            for m, want in zip(evens, tight):
+                assert abs(theta_eval(m, tau, tol) - want) < tol, (m, tol)
     for t in (1j, 0.05j + 0.3):
         for m in even_characteristics(1):
             tight = theta_eval(m, t, 1e-15)
             for tol in (1e-4, 1e-8, 1e-13):
                 assert abs(theta_eval(m, t, tol) - tight) < tol, (m, tol)
+
+
+def _defining_sums(ms, tau, tol):
+    """theta[m](tau) for each m in ms from its definition, term by term: the
+    sum of exp(pi i x.tau.x) i^(2x.m'') over x = a + m'/2 with a + m' // 2 in
+    the box [-R-1, R+1]^2 of the lattice radius, the phase reduced exactly
+    in integers, so no reduction rule for unreduced m enters.  Returns the
+    sums and the sums of the terms' absolute values."""
+    R = theta._lattice_radius(float(np.linalg.eigvalsh(tau.imag).min()), tol, 2)
+    box = np.arange(-R - 1, R + 2)
+    grids = {}  # exp(pi i x.tau.x) by the parity of 2x
+    sums, scales = [], []
+    for m in ms:
+        b1 = (2 * (box - m[0] // 2) + m[0])[:, None]  # b = 2x
+        b2 = (2 * (box - m[1] // 2) + m[1])[None, :]
+        key = (m[0] % 2, m[1] % 2)
+        if key not in grids:
+            x1, x2 = b1 / 2, b2 / 2
+            grids[key] = np.exp(1j * np.pi * (tau[0, 0] * x1 * x1 + 2 * tau[0, 1] * x1 * x2
+                                              + tau[1, 1] * x2 * x2))
+        terms = grids[key] * np.array([1, 1j, -1, -1j])[(b1 * m[2] + b2 * m[3]) % 4]
+        sums.append(complex(terms.sum()))
+        scales.append(float(np.abs(terms).sum()))
+    return sums, scales
+
+
+def test_theta_values_match_the_defining_sum():
+    """All 16 characteristics and unreduced shifts m + 2k, in one call, agree
+    with the definition to 1e-14 of the terms' absolute sum, and the 16 with
+    one theta_eval per characteristic to a relative 1e-14: at the theta-table
+    points, their images under the ten generators, the level-(4,8) images
+    of the six-theta claim (lattice radii up to 95) and a point with
+    smallest eigenvalue of Im tau below 0.06."""
+    points = [TAU_A, TAU_B, TAU_GENERIC]
+    points += [apply_moebius(M, TAU_GENERIC) for M in E_GENERATORS]
+    points += [apply_moebius(g, tau)
+               for g in gammaZ_generators() + random_gamma48_elements(10, seed=2)
+               for tau in (TAU_A, TAU_B)]
+    points.append(siegel_point(0.3j + 0.1, 0.25j, 0.3j - 0.2))
+    radii = [theta._lattice_radius(float(np.linalg.eigvalsh(tau.imag).min()), 1e-13, 2)
+             for tau in points]
+    assert max(radii) == 95
+    assert min(np.linalg.eigvalsh(points[-1].imag)) < 0.06
+    rng = np.random.default_rng(13)
+    allchars = list(itertools.product((0, 1), repeat=4))
+    for tau in points:
+        shifted = [tuple(int(v) for v in np.array(m) + 2 * rng.integers(-3, 4, 4))
+                   for m in allchars]
+        ms = allchars + shifted
+        values = theta_values(ms, tau, 1e-13)
+        for m, v, want, scale in zip(ms, values, *_defining_sums(ms, tau, 1e-13)):
+            assert abs(v - want) <= 1e-14 * scale, m
+        for m, v in zip(allchars, values):
+            single = theta_eval(m, tau, 1e-13)
+            assert abs(v - single) <= 1e-14 * abs(single), m
+
+
+def test_unreduced_characteristics_keep_the_tail_bound():
+    """theta[m + 2k] = (-1)^(m'.k'') theta[m], summed around the reduced
+    shift, so far shifts keep the tail bound of the lattice radius."""
+    classical = math.pi ** 0.25 / math.gamma(0.75)  # theta_00(i)
+    assert abs(theta_eval((30, 0), 1j, 1e-12) - classical) < 1e-12
+    assert abs(theta_eval((-31, 2), 1j, 1e-12) + theta_eval((1, 0), 1j, 1e-12)) < 1e-12
+    tau = siegel_point(0.3j + 0.1, 0.25j, 0.3j - 0.2)
+    tight = theta_values(list(itertools.product((0, 1), repeat=4)), tau, 1e-15)
+    for shift in ((20, 0, 0, 0), (0, -14, 6, 2), (2, 2, -2, 4)):
+        for code, m in enumerate(itertools.product((0, 1), repeat=4)):
+            big = tuple(a + b for a, b in zip(m, shift))
+            sign = (-1) ** ((m[0] * shift[2] + m[1] * shift[3]) // 2)
+            assert abs(theta_eval(big, tau, 1e-10) - sign * tight[code]) < 1e-10, big
 
 
 def _reference_siegel_check(tau) -> bool:

@@ -9,6 +9,7 @@ the source leaves open) never affect the exit code.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -17,6 +18,8 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
+
+from . import arith, cmform, lfactors, pointcount, soudry, theta
 
 SCHEMA = "siegelz-report/1"
 
@@ -30,14 +33,12 @@ class RunConfig:
     selected_suites: list = field(default_factory=lambda: ["all"])
 
     def validate(self):
-        from .arith import is_prime
-        from .pointcount import CHARSUM_Z_CAP
-
+        cap = pointcount.CHARSUM_Z_CAP
         for p in self.prime_list:
-            if p % 2 == 0 or not is_prime(p):
+            if p % 2 == 0 or not arith.is_prime(p):
                 raise ValueError(f"prime list entry {p} is not an odd prime")
-            if p > CHARSUM_Z_CAP:
-                raise ValueError(f"prime {p} exceeds the Satake counting cap ({CHARSUM_Z_CAP})")
+            if p > cap:
+                raise ValueError(f"prime {p} exceeds the Satake counting cap ({cap})")
         if self.series_order < 1:
             raise ValueError("series order must be positive")
         if self.numeric_tol <= 0:
@@ -77,21 +78,16 @@ def _report(suite, claim, ok, residual=None, started=None, **details):
 
 def _count_formulas(shared: dict, p: int) -> dict:
     """``verify_count_formulas`` at p, evaluated once per run()."""
-    from .cmform import a_p
-    from .pointcount import verify_count_formulas
-
     key = ("count_formulas", p)
     if key not in shared:
-        shared[key] = verify_count_formulas(p, a_p(p))
+        shared[key] = pointcount.verify_count_formulas(p, cmform.a_p(p))
     return shared[key]
 
 
 def suite_counts(cfg: RunConfig, shared: dict):
-    from .pointcount import count_variety, verify_birational_map
-
     out = []
     t0 = time.perf_counter()
-    f3 = count_variety("FermatSurface", 3)
+    f3 = pointcount.count_variety("FermatSurface", 3)
     out.append(_report("counts", "|F(F_3)| = 16", f3 == 16, abs(f3 - 16), t0, count=f3))
     for p in cfg.prime_list:
         t0 = time.perf_counter()
@@ -108,21 +104,19 @@ def suite_counts(cfg: RunConfig, shared: dict):
         ))
     for p in (3, 5, 7):
         t0 = time.perf_counter()
-        naive = count_variety("Zsatake", p, "naive")
-        charsum = count_variety("Zsatake", p, "charsum")
+        naive = pointcount.count_variety("Zsatake", p, "naive")
+        charsum = pointcount.count_variety("Zsatake", p, "charsum")
         out.append(_report("counts", "naive and character-sum counts agree on Z",
                            naive == charsum, abs(naive - charsum), t0,
                            p=p, naive=naive, charsum=charsum))
     t0 = time.perf_counter()
-    bij = verify_birational_map(3)
+    bij = pointcount.verify_birational_map(3)
     out.append(_report("counts", "coordinate map is a bijection U1 -> U2",
                        bij["bijective"], None, t0, **bij))
     return out
 
 
 def suite_fermat(cfg: RunConfig, shared: dict):
-    from .cmform import a_p
-
     out = []
     for p in cfg.prime_list:
         t0 = time.perf_counter()
@@ -131,7 +125,7 @@ def suite_fermat(cfg: RunConfig, shared: dict):
         out.append(_report(
             "fermat",
             "|F(F_p)| = 1 + p^2 + (9 + 7chi_-1 + 2chi_2 + 2chi_-2)p + a_p",
-            r == 0, float(abs(r)), t0, p=p, a_p=a_p(p),
+            r == 0, float(abs(r)), t0, p=p, a_p=cmform.a_p(p),
             measured_trace=rep["measured_frobenius_trace"],
         ))
     t0 = time.perf_counter()
@@ -145,15 +139,12 @@ def suite_fermat(cfg: RunConfig, shared: dict):
 
 
 def suite_g_triple(cfg: RunConfig, shared: dict):
-    from .cmform import a_p, g_expansion
-    from .arith import odd_primes
-
     out = []
     t0 = time.perf_counter()
     order = cfg.series_order
-    ga = g_expansion("theta_product", order)
-    gb = g_expansion("gauss_sum", order)
-    gc = g_expansion("hecke_character", order)
+    ga = cmform.g_expansion("theta_product", order)
+    gb = cmform.g_expansion("gauss_sum", order)
+    gc = cmform.g_expansion("hecke_character", order)
     ok = ga.agrees_with(gb, order) and ga.agrees_with(gc, order)
     out.append(_report("g-triple",
                        "theta-product, lattice-sum, and Hecke expansions agree",
@@ -163,8 +154,8 @@ def suite_g_triple(cfg: RunConfig, shared: dict):
                            "tied_with": "kernel ix_plus_y_sq, the identical series",
                        }))
     t0 = time.perf_counter()
-    cm = all(a_p(p) == 0 for p in odd_primes(200) if p % 4 == 3)
-    weil = all(abs(a_p(p)) <= 2 * p for p in odd_primes(200))
+    cm = all(cmform.a_p(p) == 0 for p in arith.odd_primes(200) if p % 4 == 3)
+    weil = all(abs(cmform.a_p(p)) <= 2 * p for p in arith.odd_primes(200))
     support = all(n % 4 == 1 for n, v in ga.a.items() if v)
     out.append(_report("g-triple", "a_p = 0 at inert primes, |a_p| <= 2p, CM support",
                        cm and weil and support, None, t0))
@@ -172,58 +163,34 @@ def suite_g_triple(cfg: RunConfig, shared: dict):
 
 
 def suite_hecke(cfg: RunConfig, shared: dict):
-    from .arith import odd_primes
-    from .cmform import a_p, g_expansion, hecke_residual
-
     out = []
     check_order = 24
-    primes = odd_primes(50)
+    primes = arith.odd_primes(50)
     # one build holds every coefficient the checks read; the first report's
     # runtime includes it
     t0 = time.perf_counter()
-    g = g_expansion("theta_product", check_order * max(primes))
+    g = cmform.g_expansion("theta_product", check_order * max(primes))
     for p in primes:
-        res = hecke_residual(g, p, check_order)
+        res = cmform.hecke_residual(g, p, check_order)
         out.append(_report("hecke", "T_p g = a_p g", not res.a,
-                           0.0 if not res.a else 1.0, t0, p=p, a_p=a_p(p),
+                           0.0 if not res.a else 1.0, t0, p=p, a_p=cmform.a_p(p),
                            order=check_order))
         t0 = time.perf_counter()
     return out
 
 
 def suite_theta_table(cfg: RunConfig, shared: dict):
-    import itertools
-
-    from .theta import (
-        E_GENERATORS,
-        apply_moebius,
-        character_as_gauss,
-        cocycle,
-        even_characteristics,
-        fz_eval,
-        gammaZ_generators,
-        igusa_residuals,
-        pair_character_any_parity,
-        parity,
-        random_gamma2_elements,
-        random_gamma48_elements,
-        siegel_point,
-        slash_character_exact,
-        table1_char,
-        theta_values,
-    )
-
     tol = cfg.numeric_tol
     out = []
-    evens = even_characteristics(2)
-    pts = [siegel_point(2j, 0, 2j), siegel_point(2j, 0.5j, 2j)]
+    evens = theta.even_characteristics(2)
+    pts = [theta.siegel_point(2j, 0, 2j), theta.siegel_point(2j, 0.5j, 2j)]
 
     t0 = time.perf_counter()
     worst = 0.0
     tuple_checks = 0
-    for M in random_gamma2_elements(20, seed=1):
+    for M in theta.random_gamma2_elements(20, seed=1):
         for tau in pts:
-            squared, tup = igusa_residuals(evens, M, tau, 1e-13)
+            squared, tup = theta.igusa_residuals(evens, M, tau, 1e-13)
             worst = max(worst, squared, tup or 0.0)
             tuple_checks += tup is not None
     out.append(_report("theta-table",
@@ -232,19 +199,20 @@ def suite_theta_table(cfg: RunConfig, shared: dict):
                        tuple_checks=tuple_checks))
 
     t0 = time.perf_counter()
-    tau = siegel_point(1.9j + 0.2, 0.4j + 0.1, 2.3j - 0.15)
+    tau = theta.siegel_point(1.9j + 0.2, 0.4j + 0.1, 2.3j - 0.15)
     worst = 0.0
     exact_ok = True
-    th_0 = dict(zip(evens, theta_values(evens, tau, 1e-13)))
-    for i, M in enumerate(E_GENERATORS, start=1):
-        mtau = apply_moebius(M, tau)
-        detj = complex(np.linalg.det(cocycle(M, tau)))
-        th_m = dict(zip(evens, theta_values(evens, mtau, 1e-13)))
+    th_0 = dict(zip(evens, theta.theta_values(evens, tau, 1e-13)))
+    for i, M in enumerate(theta.E_GENERATORS, start=1):
+        mtau = theta.apply_moebius(M, tau)
+        detj = complex(np.linalg.det(theta.cocycle(M, tau)))
+        th_m = dict(zip(evens, theta.theta_values(evens, mtau, 1e-13)))
         for m1, m2 in itertools.combinations(evens, 2):
-            chi = table1_char(m1, m2, i).to_complex()
+            chi = theta.table1_char(m1, m2, i).to_complex()
             ratio = th_m[m1] * th_m[m2] / (th_0[m1] * th_0[m2] * detj)
             worst = max(worst, abs(ratio - chi))
-            if character_as_gauss(slash_character_exact((m1, m2), M)) != table1_char(m1, m2, i):
+            exact = theta.character_as_gauss(theta.slash_character_exact((m1, m2), M))
+            if exact != theta.table1_char(m1, m2, i):
                 exact_ok = False
     out.append(_report("theta-table",
                        "pair characters on the ten generators (45 even pairs)",
@@ -255,12 +223,12 @@ def suite_theta_table(cfg: RunConfig, shared: dict):
                 for c in (0, 1) for d in (0, 1)]
     mixed_bad = []
     pure_ok = True
-    for i, M in enumerate(E_GENERATORS, start=1):
+    for i, M in enumerate(theta.E_GENERATORS, start=1):
         for m1, m2 in itertools.combinations(allchars, 2):
-            chi3 = character_as_gauss(pair_character_any_parity(m1, m2, M))
-            agree = chi3 == table1_char(m1, m2, i)
+            chi3 = theta.character_as_gauss(theta.pair_character_any_parity(m1, m2, M))
+            agree = chi3 == theta.table1_char(m1, m2, i)
             if not agree:
-                if parity(m1) != parity(m2) and i == 5:
+                if theta.parity(m1) != theta.parity(m2) and i == 5:
                     mixed_bad.append((i, m1, m2))
                 else:
                     pure_ok = False
@@ -274,12 +242,12 @@ def suite_theta_table(cfg: RunConfig, shared: dict):
 
     t0 = time.perf_counter()
     worst = 0.0
-    fz_at = [fz_eval(tau, 1e-13) for tau in pts]
-    for gamma in gammaZ_generators() + random_gamma48_elements(10, seed=2):
+    fz_at = [theta.fz_eval(tau, 1e-13) for tau in pts]
+    for gamma in theta.gammaZ_generators() + theta.random_gamma48_elements(10, seed=2):
         for tau, fz in zip(pts, fz_at):
-            gtau = apply_moebius(gamma, tau)
-            detj = complex(np.linalg.det(cocycle(gamma, tau)))
-            worst = max(worst, abs(fz_eval(gtau, 1e-13) / detj ** 3 - fz))
+            gtau = theta.apply_moebius(gamma, tau)
+            detj = complex(np.linalg.det(theta.cocycle(gamma, tau)))
+            worst = max(worst, abs(theta.fz_eval(gtau, 1e-13) / detj ** 3 - fz))
     out.append(_report("theta-table",
                        "six-theta product is fixed by its stabilizer generators "
                        "and the level-(4,8) group",
@@ -288,20 +256,18 @@ def suite_theta_table(cfg: RunConfig, shared: dict):
 
 
 def suite_orbits(cfg: RunConfig, shared: dict):
-    from .theta import FZ_TUPLE, fz_orbit, orbit_decomposition
-
     out = []
     t0 = time.perf_counter()
-    orbits = orbit_decomposition()
+    orbits = theta.orbit_decomposition()
     sizes = sorted(len(o) for o in orbits)
     ok = len(orbits) == 3 and sum(sizes) == 210
-    orbit = fz_orbit()
+    orbit = theta.fz_orbit()
     out.append(_report("orbits", "210 six-tuples split into 3 orbits; "
                        "the six-theta orbit has 15 members",
                        ok and len(orbit) == 15, None, t0,
                        orbits=len(orbits), sizes=sizes, fz_orbit_size=len(orbit)))
     t0 = time.perf_counter()
-    fz = frozenset(FZ_TUPLE)
+    fz = frozenset(theta.FZ_TUPLE)
     exceptions = [
         sorted("".join(map(str, m)) for m in t)
         for t in orbit
@@ -316,30 +282,11 @@ def suite_orbits(cfg: RunConfig, shared: dict):
 
 
 def suite_fz_phi(cfg: RunConfig, shared: dict):
-    from .arith import series_mul, QuarterSeries
-    from .theta import (
-        FZ_TUPLE,
-        G0,
-        G2,
-        apply_moebius,
-        cocycle,
-        fz_eval,
-        fz_expansion,
-        fz_orbit,
-        phi_after_g0,
-        six_tuple_expansion,
-        theta_expansion,
-    )
-
     out = []
     order = cfg.series_order
     t0 = time.perf_counter()
-    phi = phi_after_g0(fz_expansion(order))
-    target = QuarterSeries.one(1, order)
-    for m in ((0, 0), (0, 1), (1, 0)):
-        t = theta_expansion(m, order)
-        target = series_mul(target, series_mul(t, t))
-    ok = phi == target
+    phi = theta.phi_after_g0(theta.fz_expansion(order))
+    ok = phi == theta.six_tuple_expansion(theta.G_TUPLE, order)
     out.append(_report("fz-phi",
                        "the degeneration of the six-theta product equals "
                        "theta00^2 theta01^2 theta10^2 exactly",
@@ -347,10 +294,10 @@ def suite_fz_phi(cfg: RunConfig, shared: dict):
 
     t0 = time.perf_counter()
     killed = []
-    for tup in sorted(fz_orbit(), key=sorted):
-        if tup == frozenset(FZ_TUPLE):
+    for tup in sorted(theta.fz_orbit(), key=sorted):
+        if tup == frozenset(theta.FZ_TUPLE):
             continue
-        img = phi_after_g0(six_tuple_expansion(tuple(sorted(tup)), 40))
+        img = theta.phi_after_g0(theta.six_tuple_expansion(tuple(sorted(tup)), 40))
         killed.append(img.is_zero())
     out.append(_report("fz-phi",
                        "the degeneration kills every other orbit member",
@@ -360,11 +307,11 @@ def suite_fz_phi(cfg: RunConfig, shared: dict):
     tau1 = 0.3 + 0.9j
     t_aux = 8.0
     vals = {}
-    for name, g in (("g0", G0), ("g2", G2)):
+    for name, g in (("g0", theta.G0), ("g2", theta.G2)):
         tau = np.array([[tau1, 0], [0, 1j * t_aux]], dtype=complex)
-        gtau = apply_moebius(g, tau)
-        detj = complex(np.linalg.det(cocycle(g, tau)))
-        vals[name] = detj ** -3 * fz_eval(gtau, 1e-13)
+        gtau = theta.apply_moebius(g, tau)
+        detj = complex(np.linalg.det(theta.cocycle(g, tau)))
+        vals[name] = detj ** -3 * theta.fz_eval(gtau, 1e-13)
     ratio = vals["g2"] / vals["g0"]
     out.append(_report("fz-phi",
                        "relation between the two degeneration twists",
@@ -375,30 +322,26 @@ def suite_fz_phi(cfg: RunConfig, shared: dict):
 
 
 def suite_lfactors(cfg: RunConfig, shared: dict):
-    from .lfactors import euler_factor, h2_lpoly, trace_h2
-
     out = []
     for p in cfg.prime_list:
         t0 = time.perf_counter()
-        h = h2_lpoly(p)
-        ok = h.degree() == 21 and h.poly[1] == -trace_h2(p)
-        gf = euler_factor("g", p)
+        h = lfactors.h2_lpoly(p)
+        ok = h.degree() == 21 and h.poly[1] == -lfactors.trace_h2(p)
+        gf = lfactors.euler_factor("g", p)
         ok = ok and abs(gf.poly[2]) == p * p
         ok = ok and gf.twist(1).poly == gf.poly.substitute_scaled(p)
         out.append(_report("lfactors",
                            "degree-21 local factor with linear coefficient "
                            "-(8 + 7chi_-1 + 2chi_2 + 2chi_-2)p - a_p",
-                           ok, None, t0, p=p, trace=trace_h2(p)))
+                           ok, None, t0, p=p, trace=lfactors.trace_h2(p)))
     return out
 
 
 def suite_lefschetz(cfg: RunConfig, shared: dict):
-    from .lfactors import lefschetz_check
-
     out = []
     for p in cfg.prime_list:
         t0 = time.perf_counter()
-        r = lefschetz_check(p)
+        r = lfactors.lefschetz_check(p)
         out.append(_report("lefschetz",
                            "alternating cohomology trace equals the point count "
                            "of the resolved threefold",
@@ -407,15 +350,12 @@ def suite_lefschetz(cfg: RunConfig, shared: dict):
 
 
 def suite_spin(cfg: RunConfig, shared: dict):
-    from .arith import odd_primes
-    from .lfactors import spin_identity_check
-
     out = []
     table = []
     worst_ok = True
     t0 = time.perf_counter()
-    for p in odd_primes(50):
-        residual, info = spin_identity_check(p)
+    for p in arith.odd_primes(50):
+        residual, info = lfactors.spin_identity_check(p)
         worst_ok = worst_ok and residual.is_zero() and info["delta_matches_nebentypus"]
         table.append({k: info[k] for k in ("p", "lambda1", "lambda2", "delta_inv",
                                            "chi_minus1")})
@@ -427,48 +367,38 @@ def suite_spin(cfg: RunConfig, shared: dict):
 
 
 def suite_ez(cfg: RunConfig, shared: dict):
-    from .soudry import (
-        EZ_SAMPLE_POINTS,
-        ez_eval,
-        ez_phi_match,
-        ez_two_form_check,
-        resolve_ez_convention,
-        two_form_pullback,
-    )
-    from .theta import GAMMAZ_GENERATOR_NAMES, gammaZ_generators, random_gamma48_elements
-
     out = []
     t0 = time.perf_counter()
-    conv = resolve_ez_convention()
+    conv = soudry.resolve_ez_convention()
     out.append(_report("ez", "resolved lattice-sum conventions", None, None, t0,
                        pairing=conv.pairing, scale=conv.scale,
                        z2_sign=conv.z2_sign, tied_with="conj/1/1",
                        tie_broken_by="the display's nontrivial z2 parity",
                        resolved_by=conv.resolved_by))
     tol = cfg.numeric_tol
-    pts = EZ_SAMPLE_POINTS
+    pts = soudry.EZ_SAMPLE_POINTS
     t0 = time.perf_counter()
     worst48 = max(
-        ez_two_form_check(g, tau, 1e-13)
-        for g in random_gamma48_elements(10, seed=3, small_c=True)
+        soudry.ez_two_form_check(g, tau, 1e-13)
+        for g in theta.random_gamma48_elements(10, seed=3, small_c=True)
         for tau in pts
     )
     out.append(_report("ez", "2-form invariance under the level-(4,8) group",
                        worst48 < tol, worst48, t0, points=len(pts), samples=10))
-    for name, g in zip(GAMMAZ_GENERATOR_NAMES, gammaZ_generators()):
+    for name, g in zip(theta.GAMMAZ_GENERATOR_NAMES, theta.gammaZ_generators()):
         t0 = time.perf_counter()
-        r = max(ez_two_form_check(g, tau, 1e-13) for tau in pts)
+        r = max(soudry.ez_two_form_check(g, tau, 1e-13) for tau in pts)
         det = {}
         if r >= tol:
             tau = pts[1]
-            pulled = two_form_pullback(g, tau, 1e-13)
-            h = ez_eval(tau, 1e-13)
+            pulled = soudry.two_form_pullback(g, tau, 1e-13)
+            h = soudry.ez_eval(tau, 1e-13)
             hv = np.array([h.h0, h.h1, h.h2])
             det["residual_against_minus"] = float(np.abs(pulled + hv).max())
         out.append(_report("ez", f"2-form invariance under stabilizer generator {name}",
                            r < tol, r, t0, **det))
     t0 = time.perf_counter()
-    m = ez_phi_match(max(260, cfg.series_order))  # at least 20 shared terms
+    m = soudry.ez_phi_match(max(260, cfg.series_order))  # at least 20 shared terms
     out.append(_report("ez",
                        "the first-component degeneration matches the six-theta "
                        "image up to one scalar",

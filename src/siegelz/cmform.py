@@ -64,7 +64,8 @@ def _g_theta_product(order: int) -> EllipticQExpansion:
     prod = QuarterSeries.one(1, u_order)
     for m in ((0, 0), (0, 1), (1, 0)):
         t = theta_expansion(m, u_order)
-        prod = series_mul(prod, series_mul(t, t))
+        # one sparse factor at a time: squaring t first is a dense-by-dense product
+        prod = series_mul(series_mul(prod, t), t)
     scaled = rescale4(prod)
     e, re = scaled.exps[0], scaled.re
     if (e % 8).any():

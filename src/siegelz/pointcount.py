@@ -161,10 +161,6 @@ def _z_points(total: int, p: int) -> int:
     return total // (p - 1)
 
 
-def count_zsatake_charsum(p: int) -> int:
-    return _z_points(int(_z_fibers(p).sum()) - 1, p)
-
-
 # ---------------------------------------------------------------------------
 # the public counting surface
 
@@ -180,7 +176,7 @@ def count_variety(variety: str, p: int, method: str = "naive") -> int:
         if method == "charsum":
             if p > CHARSUM_Z_CAP:
                 raise ValueError(f"charsum count capped at p <= {CHARSUM_Z_CAP}")
-            return count_zsatake_charsum(p)
+            return _z_points(int(_z_fibers(p).sum()) - 1, p)
         if p > NAIVE_Z_CAP:
             raise ValueError(f"naive P^7 enumeration capped at p <= {NAIVE_Z_CAP}")
         # [Y : X], Y^2 = Q(X) coordinatewise: equal base-p codes of the four

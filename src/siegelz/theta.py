@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import GaussInt, QuarterSeries, i_power, series_mul
+from .arith import GaussInt, QuarterSeries, _summed, i_power, series_mul
 
 # ---------------------------------------------------------------------------
 # characteristics
@@ -77,6 +77,10 @@ FZ_TUPLE: tuple = (
     (0, 1, 1, 0),
     (0, 1, 0, 0),
 )
+
+# the genus-1 six-tuple of theta00^2 theta01^2 theta10^2: the degeneration of
+# F_Z, and the weight-3 newform g after tau -> 4 tau
+G_TUPLE: tuple = ((0, 0), (0, 0), (0, 1), (0, 1), (1, 0), (1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -203,20 +207,20 @@ def gammaZ_generators() -> list[np.ndarray]:
     ]
 
 
-def random_gamma2_elements(count: int, max_entry: int = 8, seed: int = 0,
-                           max_factors: int = 4) -> list[np.ndarray]:
-    """Distinct products of the e_i with all entries bounded by max_entry."""
+def random_gamma2_elements(count: int, seed: int = 0) -> list[np.ndarray]:
+    """Distinct products of one to four e_i with all entries at most 8 in
+    absolute value."""
     import random as _random
 
     rng = _random.Random(seed)
     found: list[np.ndarray] = []
     seen = set()
     while len(found) < count:
-        k = rng.randrange(1, max_factors + 1)
+        k = rng.randrange(1, 5)
         M = np.eye(4, dtype=np.int64)
         for _ in range(k):
             M = M @ E_GENERATORS[rng.randrange(10)]
-        if np.max(np.abs(M)) > max_entry:
+        if np.max(np.abs(M)) > 8:
             continue
         key = M.tobytes()
         if key in seen:
@@ -226,9 +230,9 @@ def random_gamma2_elements(count: int, max_entry: int = 8, seed: int = 0,
     return found
 
 
-def random_gamma48_elements(count: int, seed: int = 0, max_factors: int = 5,
+def random_gamma48_elements(count: int, seed: int = 0,
                             small_c: bool = False) -> list[np.ndarray]:
-    """Random products of translation-type generators of Gamma(4,8).
+    """Random products of one to five translation-type generators of Gamma(4,8).
 
     With small_c the lower block is pinned to 0 or +-4 [[0,1],[1,0]]
     (products upper * lower * upper), keeping the transformed period
@@ -260,7 +264,7 @@ def random_gamma48_elements(count: int, seed: int = 0, max_factors: int = 5,
             if rng.random() < 0.8:
                 M = M @ lows[rng.randrange(2)]
         else:
-            k = rng.randrange(1, max_factors + 1)
+            k = rng.randrange(1, 6)
             M = np.eye(4, dtype=np.int64)
             for _ in range(k):
                 M = M @ gens[rng.randrange(len(gens))]
@@ -329,43 +333,28 @@ def cocycle(M: np.ndarray, tau) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # exact expansions
 
+# i^k for k mod 4, as (re, im) rows
+_I_POWERS = np.array([[1, 0], [0, 1], [-1, 0], [0, -1]], dtype=np.int64)
+
+
 def theta_expansion(m, order: int) -> QuarterSeries:
     """Exact expansion of the theta constant with integral characteristic m.
 
-    Genus-1 term for lattice point a: index 4x^2, coefficient i^(2 x m'')
-    with x = a + m'/2.  Genus-2 term: index (4x1^2, 8x1x2, 4x2^2) and
-    coefficient i^(2 x.m'').
+    One term per b = 2x in (2Z + (m' mod 2))^g with |b|^2 <= order: index
+    b^2 in genus 1 and (b1^2, 2 b1 b2, b2^2) in genus 2, coefficient
+    i^(b.m'').  The box sits around the reduced shift, so an unreduced
+    characteristic m + 2k gives (-1)^(m'.k'') times the series of m.
     """
     g = genus_of(m)
     mp, mpp = split_char(m)
-    coeffs: dict = {}
-    if g == 1:
-        # 4x^2 <= order with x = a + m'/2
-        amax = int(math.isqrt(order)) // 2 + 2
-        for a in range(-amax, amax + 1):
-            two_x = 2 * a + mp[0]
-            e = two_x * two_x
-            if e > order:
-                continue
-            phase = i_power(two_x * mpp[0])
-            coeffs[e] = coeffs.get(e, GaussInt()) + phase
-        return QuarterSeries(1, order, coeffs)
-    amax = int(math.isqrt(order)) // 2 + 2
-    for a1 in range(-amax, amax + 1):
-        tx1 = 2 * a1 + mp[0]
-        e1 = tx1 * tx1
-        if e1 > order:
-            continue
-        for a2 in range(-amax, amax + 1):
-            tx2 = 2 * a2 + mp[1]
-            e3 = tx2 * tx2
-            if e1 + e3 > order:
-                continue
-            e2 = 2 * tx1 * tx2
-            phase = i_power(tx1 * mpp[0] + tx2 * mpp[1])
-            key = (e1, e2, e3)
-            coeffs[key] = coeffs.get(key, GaussInt()) + phase
-    return QuarterSeries(2, order, coeffs)
+    r = math.isqrt(order)
+    axis = np.arange(-r, r + 1)
+    grid = np.broadcast_arrays(*np.ix_(*(axis[axis % 2 == c % 2] for c in mp)))
+    keep = sum(x * x for x in grid) <= order
+    b = [x[keep] for x in grid]
+    exps = [b[0] * b[0]] if g == 1 else [b[0] * b[0], 2 * b[0] * b[1], b[1] * b[1]]
+    re, im = _I_POWERS[sum(x * k for x, k in zip(b, mpp)) % 4].T
+    return QuarterSeries.from_arrays(g, order, *_summed([(exps, re, im)]))
 
 
 @lru_cache(maxsize=16)
@@ -375,7 +364,9 @@ def fz_expansion(order: int) -> QuarterSeries:
 
 
 def six_tuple_expansion(ms, order: int) -> QuarterSeries:
-    prod = QuarterSeries.one(2, order)
+    """Exact expansion of the product of the theta constants of ms, which
+    share one genus, multiplied in one sparse factor at a time."""
+    prod = QuarterSeries.one(genus_of(ms[0]), order)
     for m in ms:
         prod = series_mul(prod, theta_expansion(m, order))
     return prod

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from siegelz import cmform
-from siegelz.arith import GaussInt, is_prime, kronecker_char, odd_primes
+from siegelz.arith import GaussInt, QuarterSeries, is_prime, kronecker_char, odd_primes, series_mul
 from siegelz.cmform import (
     EllipticQExpansion,
     a_p,
@@ -13,6 +13,7 @@ from siegelz.cmform import (
 )
 from siegelz.cli import RunConfig, run
 from siegelz.pointcount import verify_count_formulas
+from siegelz.theta import rescale4, theta_expansion
 
 
 def test_triple_agreement_order_600():
@@ -62,6 +63,28 @@ def test_hecke_build_matches_trial_division(order):
     cmform._g_hecke.cache_clear()
     expected = {n: v for n, v in _hecke_by_trial_division(order).items() if v}
     assert g_expansion("hecke_character", order).a == expected
+
+
+def _theta_product_by_squares(order):
+    """The theta-product build with each factor squared before it is
+    multiplied in: the reference for the factor-by-factor build."""
+    u_order = 2 * order
+    prod = QuarterSeries.one(1, u_order)
+    for m in ((0, 0), (0, 1), (1, 0)):
+        t = theta_expansion(m, u_order)
+        prod = series_mul(prod, series_mul(t, t))
+    scaled = rescale4(prod)
+    e, re = scaled.exps[0], scaled.re
+    assert not (e % 8).any() and not scaled.im.any()
+    lead = scaled.coefficient(8).re
+    return EllipticQExpansion(order, dict(zip((e // 8).tolist(), (re // lead).tolist())))
+
+
+@pytest.mark.parametrize("order", [1, 60, 200, 1128, 3000])
+def test_theta_product_matches_the_squared_build(order):
+    g = g_expansion("theta_product", order)
+    reference = _theta_product_by_squares(order)
+    assert (g.order, g.a) == (reference.order, reference.a)
 
 
 def test_smallest_prime_factors():

@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from siegelz.arith import GaussInt, QuarterSeries, series_mul
+from siegelz.arith import GaussInt, QuarterSeries, i_power, series_mul
 from siegelz.theta import (
     E5,
     E6,
     E_GENERATORS,
     FZ_TUPLE,
     G0,
+    G_TUPLE,
     J4,
     apply_moebius,
     character_as_gauss,
@@ -100,6 +101,39 @@ def test_theta_expansion_genus2():
         (4, 0, 0): GaussInt(2),
         (0, 0, 4): GaussInt(2),
     }
+
+
+def _theta_by_definition(m, order):
+    """The series of theta[m] term by term from its defining sum: one term
+    per x in Z^g + m'/2 with 4|x|^2 <= order, written with b = 2x."""
+    g = len(m) // 2
+    r = math.isqrt(order)
+    axes = [[b for b in range(-r, r + 1) if (b - c) % 2 == 0] for c in m[:g]]
+    coeffs = {}
+    for b in itertools.product(*axes):
+        if sum(v * v for v in b) <= order:
+            key = b[0] * b[0] if g == 1 else (b[0] * b[0], 2 * b[0] * b[1], b[1] * b[1])
+            phase = i_power(sum(v * w for v, w in zip(b, m[g:])))
+            coeffs[key] = coeffs.get(key, GaussInt(0)) + phase
+    return QuarterSeries(g, order, coeffs)
+
+
+def test_theta_expansion_of_unreduced_characteristics():
+    # theta[m + 2k] = (-1)^(m'.k'') theta[m]: the lattice box must sit around
+    # the reduced shift m' mod 2, wherever m' + 2k' lies
+    shifts = [(4, -3, 1, 2), (-4, 1, -2, 3), (3, 4, -1, -4), (-1, -2, 4, -3)]
+    for g in (1, 2):
+        for m in itertools.product((0, 1), repeat=2 * g):
+            for k in (k[:2 * g] for k in shifts):
+                shifted = tuple(a + 2 * b for a, b in zip(m, k))
+                sign = (-1) ** sum(a * b for a, b in zip(m[:g], k[g:]))
+                for order in (0, 16, 40, 200, 1000):
+                    t = theta_expansion(m, order)
+                    expected = QuarterSeries.from_arrays(g, order, t.exps,
+                                                         sign * t.re, sign * t.im)
+                    assert theta_expansion(shifted, order) == expected, (m, k, order)
+                    assert _theta_by_definition(shifted, order) == expected, (m, k, order)
+    assert theta_expansion((9, 0), 16).coeffs == {1: GaussInt(2), 9: GaussInt(2)}
 
 
 def test_theta_expansion_phases_in_zi():
@@ -697,6 +731,7 @@ def test_phi_after_g0_equals_theta_product():
         t = theta_expansion(m, order)
         target = series_mul(target, series_mul(t, t))
     assert phi == target
+    assert six_tuple_expansion(G_TUPLE, order) == target
 
 
 def test_phi_kills_products_with_first_entry_one():

@@ -229,7 +229,8 @@ class QuarterSeries:
     """Exact truncated Fourier series with exponent unit pi*i*tau/4.
 
     `exps` holds the exponent columns and `re` and `im` the coefficient
-    parts; `coeffs` reads them as a mapping {index: GaussInt}.
+    parts; `coeffs` reads them as a mapping {index: GaussInt}.  A series is
+    immutable, so the caches of the theta layer can share one.
     """
 
     __slots__ = ("genus", "order", "exps", "re", "im")
@@ -255,8 +256,17 @@ class QuarterSeries:
         arrays = [_int_array(x[keep]) for x in (*exps, re, im)]
         for x in arrays:
             x.flags.writeable = False
-        self.genus, self.order = genus, order
-        self.exps, self.re, self.im = tuple(arrays[:-2]), *arrays[-2:]
+        for name, value in zip(self.__slots__, (genus, order, tuple(arrays[:-2]), *arrays[-2:])):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"QuarterSeries is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"QuarterSeries is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):  # copy and pickle through the constructor, not setattr
+        return QuarterSeries.from_arrays, (self.genus, self.order, self.exps, self.re, self.im)
 
     @classmethod
     def from_arrays(cls, genus: int, order: int, exps, re, im) -> "QuarterSeries":
@@ -288,6 +298,10 @@ class QuarterSeries:
         return self.exps[0] if self.genus == 1 else self.exps[0] + self.exps[2]
 
     def truncate(self, order: int) -> "QuarterSeries":
+        """The terms of degree at most order; raises past the series' own order,
+        where the missing terms are unknown, not zero."""
+        if order > self.order:
+            raise ValueError("truncation not valid beyond the series order")
         keep = self._degrees() <= order
         exps = [x[keep] for x in self.exps]
         return QuarterSeries.from_arrays(self.genus, order, exps, self.re[keep], self.im[keep])

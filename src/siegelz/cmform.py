@@ -37,6 +37,10 @@ class EllipticQExpansion:
         return self.a.get(n, 0)
 
     def agrees_with(self, other: "EllipticQExpansion", order: int) -> bool:
+        """a_n equal for n <= order; raises past either expansion's order,
+        where the missing coefficients are unknown, not zero."""
+        if order > min(self.order, other.order):
+            raise ValueError("comparison not valid beyond the smaller expansion order")
         return all(self.coeff(n) == other.coeff(n) for n in range(order + 1))
 
     def pairs(self) -> list:

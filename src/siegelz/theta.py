@@ -344,7 +344,13 @@ def theta_expansion(m, order: int) -> QuarterSeries:
     b^2 in genus 1 and (b1^2, 2 b1 b2, b2^2) in genus 2, coefficient
     i^(b.m'').  The box sits around the reduced shift, so an unreduced
     characteristic m + 2k gives (-1)^(m'.k'') times the series of m.
+    Cached on (m as a tuple of ints, order); the series' arrays are read-only.
     """
+    return _theta_series(tuple(map(int, m)), order)
+
+
+@lru_cache(maxsize=64)
+def _theta_series(m: tuple, order: int) -> QuarterSeries:
     g = genus_of(m)
     mp, mpp = split_char(m)
     r = math.isqrt(order)
@@ -452,13 +458,23 @@ def theta_values(ms, tau, tol: float = 1e-12) -> np.ndarray:
     i^(b.m''), times the reduction sign (-1)^(m'.k'') for m = m mod 2 + 2k:
     exactly the points, and so the tail bound, of a sum around its reduced
     shift.  The phases are exact, so only the order of summation differs
-    from one sum per characteristic.
+    from one sum per characteristic.  The pass is cached on the bytes of tau
+    and of the characteristics, and tol; each call returns a fresh array.
     """
     m = np.asarray(ms, dtype=np.int64) if len(ms) else np.zeros((0, 4), dtype=np.int64)
     if m.ndim != 2 or m.shape[1] != 4:
         raise ValueError("theta_values takes genus-2 characteristics of 4 entries")
     tau = np.asarray(tau, dtype=complex)
     check_siegel_point(tau)
+    return _theta_sums(m.tobytes(), tau.tobytes(), tau.shape, tol).copy()
+
+
+@lru_cache(maxsize=128)
+def _theta_sums(ms: bytes, point: bytes, shape: tuple, tol: float) -> np.ndarray:
+    """The read-only values of theta_values for the int64 characteristics and
+    the complex point with these bytes (the point of this shape)."""
+    m = np.frombuffer(ms, dtype=np.int64).reshape(-1, 4)
+    tau = np.frombuffer(point, dtype=complex).reshape(shape)
     R = _lattice_radius(float(np.linalg.eigvalsh(tau.imag).min()), tol, 2)
     red = m % 2
     signs = 1 - 2 * ((red[:, :2] * (m[:, 2:] // 2)).sum(1) % 2)
@@ -480,7 +496,9 @@ def theta_values(ms, tau, tol: float = 1e-12) -> np.ndarray:
         np.exp(block, out=block)
         parts = [[block[i::2, j::2].sum() for j in (0, 1)] for i in (0, 1)]
         sums[c] = np.einsum("ei,ij,fj->ef", phase[c // 2], parts, phase[c % 2])
-    return signs * sums[codes, red[:, 2], red[:, 3]]
+    values = signs * sums[codes, red[:, 2], red[:, 3]]
+    values.flags.writeable = False
+    return values
 
 
 def fz_eval(tau, tol: float = 1e-12) -> complex:
@@ -757,15 +775,14 @@ def char_permutation(M: np.ndarray) -> dict:
     return perm
 
 
-def orbit_decomposition() -> list[set]:
+@lru_cache(maxsize=1)
+def orbit_decomposition() -> tuple[frozenset, ...]:
     """Partition of all 210 six-element subsets of the ten even genus-2
-    characteristics into orbits of the full symplectic group."""
-    from itertools import combinations
-
+    characteristics into orbits of the full symplectic group, built once."""
     evens = even_characteristics(2)
     perms = [char_permutation(M) for M in sp2z_generators()]
-    all_tuples = {frozenset(c) for c in combinations(evens, 6)}
-    orbits: list[set] = []
+    all_tuples = {frozenset(c) for c in itertools.combinations(evens, 6)}
+    orbits: list[frozenset] = []
     remaining = set(all_tuples)
     while remaining:
         seed = next(iter(remaining))
@@ -778,13 +795,13 @@ def orbit_decomposition() -> list[set]:
                 if img not in orbit:
                     orbit.add(img)
                     frontier.append(img)
-        orbits.append(orbit)
+        orbits.append(frozenset(orbit))
         remaining -= orbit
     assert sum(len(o) for o in orbits) == 210
-    return orbits
+    return tuple(orbits)
 
 
-def fz_orbit() -> set:
+def fz_orbit() -> frozenset:
     for orbit in orbit_decomposition():
         if frozenset(FZ_TUPLE) in orbit:
             return orbit

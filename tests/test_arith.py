@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from unittest import mock
 
@@ -484,6 +486,26 @@ def test_series_ring_laws_under_truncation(data, genus, order):
 
 @settings(max_examples=60, deadline=None)
 @given(st.data(), st.sampled_from([1, 2]), st.integers(0, 12))
+def test_truncation_commutes_with_products(data, genus, order):
+    """For series of nonnegative degree, the truncated product is the product
+    of the truncations (with negative e1 or e3, as _strided_g2_series draws,
+    a high term times a negative one lands below the cut, and it fails)."""
+    a, b = (data.draw(_ring_series(genus, order)) for _ in range(2))
+    cut = data.draw(st.integers(0, order))
+    assert series_mul(a, b).truncate(cut) == series_mul(a.truncate(cut), b.truncate(cut))
+
+
+def test_truncate_past_the_series_order_raises():
+    short, full = theta_expansion((0, 0, 0, 0), 20), theta_expansion((0, 0, 0, 0), 40)
+    assert (len(short.coeffs), len(full.coeffs)) == (11, 19)
+    for s in (short, QuarterSeries(1, 5, {0: 1})):
+        assert s.truncate(s.order) == s
+        with pytest.raises(ValueError, match="not valid beyond the series order"):
+            s.truncate(s.order + 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from([1, 2]), st.integers(0, 12))
 def test_series_round_trip_through_the_mapping_view(data, genus, order):
     s = data.draw(_ring_series(genus, order))
     assert QuarterSeries(genus, order, dict(s.coeffs)) == s
@@ -496,6 +518,12 @@ def test_series_round_trip_through_the_mapping_view(data, genus, order):
         assert not x.flags.writeable
     with pytest.raises(TypeError):
         s.coeffs[0 if genus == 1 else (0, 0, 0)] = GaussInt(1)
+    for name in QuarterSeries.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(s, name, getattr(s, name))
+        with pytest.raises(AttributeError):
+            delattr(s, name)
+    assert copy.deepcopy(s) == s and pickle.loads(pickle.dumps(s)) == s
 
 
 @pytest.mark.parametrize("bits", [8, 16, 62, 63, 64, 72])

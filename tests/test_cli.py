@@ -134,3 +134,66 @@ def test_z_fibers_built_once_per_prime_per_run(monkeypatch):
     reports, code = run(RunConfig(selected_suites=["counts", "lefschetz"]))
     assert code == 0 and reports
     assert sorted(builds) == [3, 5, 7, 11, 13]
+
+
+def _spy_fz_builds(monkeypatch):
+    """The orders at which each six_tuple_expansion(FZ_TUPLE, .) call builds
+    F_Z, with the fz_expansion cache emptied first."""
+    from siegelz import theta
+
+    builds = []
+    real = theta.six_tuple_expansion
+
+    def spy(ms, order):
+        if tuple(ms) == theta.FZ_TUPLE:
+            builds.append(order)
+        return real(ms, order)
+
+    monkeypatch.setattr(theta, "six_tuple_expansion", spy)
+    theta.fz_expansion.cache_clear()
+    return builds
+
+
+def test_verify_all_builds_each_exact_object_once(monkeypatch):
+    """One run of every suite builds F_Z once (fz-phi truncates ez's build),
+    runs the theta lattice pass once per distinct (tau, tol, characteristics)
+    and splits the six-tuples into orbits once."""
+    import numpy as np
+
+    from siegelz import cli, theta
+
+    builds = _spy_fz_builds(monkeypatch)
+    keys, passes = [], []
+    real_values, real_radius = theta.theta_values, theta._lattice_radius
+
+    def values_spy(ms, tau, tol=1e-12):
+        keys.append((np.asarray(ms, dtype=np.int64).tobytes(),
+                     np.asarray(tau, dtype=complex).tobytes(), tol))
+        return real_values(ms, tau, tol)
+
+    def radius_spy(lam, tol, genus):  # called once by each genus-2 lattice pass
+        passes.append(genus)
+        return real_radius(lam, tol, genus)
+
+    monkeypatch.setattr(theta, "theta_values", values_spy)
+    monkeypatch.setattr(theta, "_lattice_radius", radius_spy)
+    theta._theta_sums.cache_clear()
+    theta.orbit_decomposition.cache_clear()
+    reports, code = run(RunConfig())
+    assert code == 1 and len(reports) == 60
+    assert builds == [cli.EZ_PHI_ORDER]
+    assert passes.count(2) == len(set(keys)) < len(keys)
+    info = theta.orbit_decomposition.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
+def test_one_fz_build_above_the_phi_match_order(monkeypatch):
+    """At --order 300 both degeneration claims read one build at 300, and
+    report what separate builds at 300 gave."""
+    builds = _spy_fz_builds(monkeypatch)
+    reports, code = run(RunConfig(series_order=300, selected_suites=["fz-phi", "ez"]))
+    assert builds == [300]
+    got = {r.suite: (r.status, r.residual, r.details) for r in reports
+           if "degeneration" in r.claim and r.residual is not None}
+    assert got == {"fz-phi": ("pass", 0.0, {"order": 300}),
+                   "ez": ("pass", 0.0, {"scalar": "1/4", "terms": 28})}

@@ -25,6 +25,15 @@ def test_triple_agreement_order_600():
     assert ga.agrees_with(gc, 600)
 
 
+def test_agreement_past_either_order_raises():
+    """Coefficients past an expansion's order are unknown, not zero."""
+    short, long = g_expansion("theta_product", 10), g_expansion("gauss_sum", 50)
+    assert short.agrees_with(long, 10) and long.agrees_with(short, 10)
+    for a, b in ((short, long), (long, short), (short, g_expansion("gauss_sum", 10))):
+        with pytest.raises(ValueError, match="beyond the smaller expansion order"):
+            a.agrees_with(b, 50)
+
+
 def _hecke_by_trial_division(order):
     """The multiplicative build with every n factored by trial division over
     the primes up to it: the reference for the sieve build."""

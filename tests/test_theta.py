@@ -250,6 +250,24 @@ def test_theta_values_match_the_defining_sum():
             assert abs(v - single) <= 1e-14 * abs(single), m
 
 
+def test_cached_theta_values_are_fresh_arrays():
+    theta._theta_sums.cache_clear()
+    first = theta_values(FZ_TUPLE, TAU_B, 1e-13)
+    expected = first.copy()
+    first[:] = 0
+    again = theta_values(list(FZ_TUPLE), TAU_B.copy(), 1e-13)
+    assert again is not first and np.array_equal(again, expected)
+    assert theta._theta_sums.cache_info().misses == 1
+
+
+def test_theta_expansion_cache_reads_the_characteristic_as_ints():
+    theta._theta_series.cache_clear()
+    t = theta_expansion((0, 1, 1, 0), 40)
+    assert theta_expansion([0, 1, 1, 0], 40) is t
+    assert theta_expansion(np.array([0, 1, 1, 0]), 40) is t
+    assert theta._theta_series.cache_info().misses == 1
+
+
 def test_unreduced_characteristics_keep_the_tail_bound():
     """theta[m + 2k] = (-1)^(m'.k'') theta[m], summed around the reduced
     shift, so far shifts keep the tail bound of the lattice radius."""
@@ -677,6 +695,10 @@ def test_orbit_decomposition_shape():
     assert len(orbits) == 3
     assert sum(len(o) for o in orbits) == 210
     assert len(fz_orbit()) == 15
+    # built once and shared, so no caller can change it
+    assert orbit_decomposition() is orbits
+    assert isinstance(orbits, tuple) and all(isinstance(o, frozenset) for o in orbits)
+    assert isinstance(fz_orbit(), frozenset)
 
 
 def test_orbit_closure_under_every_generator():
@@ -732,6 +754,12 @@ def test_phi_after_g0_equals_theta_product():
         target = series_mul(target, series_mul(t, t))
     assert phi == target
     assert six_tuple_expansion(G_TUPLE, order) == target
+
+
+def test_fz_expansion_truncates_to_each_lower_order():
+    """Every theta term has degree e1 + e3 >= 0, so one build serves every
+    lower order: the fz-phi claim truncates the phi match's build."""
+    assert fz_expansion(260).truncate(200) == fz_expansion(200)
 
 
 def test_phi_kills_products_with_first_entry_one():

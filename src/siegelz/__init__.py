@@ -39,7 +39,7 @@ from .theta import (
     orbit_decomposition,
     parity,
     phi_after_g0,
-    rescale4,
+    phi_characteristics,
     table1_char,
     theta_eval,
     theta_expansion,
@@ -60,7 +60,7 @@ __all__ = [
     "resolve_ez_convention",
     "FZ_TUPLE", "characteristic_action", "even_characteristics",
     "fz_expansion", "gammaZ_generators", "gammaZ_tuple_predicate",
-    "orbit_decomposition", "parity", "phi_after_g0", "rescale4",
+    "orbit_decomposition", "parity", "phi_after_g0", "phi_characteristics",
     "table1_char", "theta_eval", "theta_expansion", "theta_values",
     "verify_igusa_transformation",
 ]

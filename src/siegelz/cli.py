@@ -299,12 +299,9 @@ def suite_fz_phi(cfg: RunConfig, shared: dict):
                        ok, 0.0 if ok else 1.0, t0, order=order))
 
     t0 = time.perf_counter()
-    killed = []
-    for tup in sorted(theta.fz_orbit(), key=sorted):
-        if tup == frozenset(theta.FZ_TUPLE):
-            continue
-        img = theta.phi_after_g0(theta.six_tuple_expansion(tuple(sorted(tup)), 40))
-        killed.append(img.is_zero())
+    # decided by the characteristics, with no series product
+    killed = [theta.phi_characteristics(tup) is None
+              for tup in theta.fz_orbit() if tup != frozenset(theta.FZ_TUPLE)]
     out.append(_report("fz-phi",
                        "the degeneration kills every other orbit member",
                        all(killed), None, t0, members=len(killed)))

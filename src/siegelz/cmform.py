@@ -14,24 +14,30 @@ identical series.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
 from .arith import QuarterSeries, gauss_primary_decompose, is_prime, kronecker_char, series_mul
-from .theta import rescale4, theta_expansion
+from .theta import G_TUPLE, theta_expansion
 
 
-@dataclass
+@dataclass(frozen=True)
 class EllipticQExpansion:
-    """Coefficients a_n, n >= 0, of a q-expansion (q = e^{2 pi i tau})."""
+    """Coefficients a_n, n >= 0, of a q-expansion (q = e^{2 pi i tau}), read-only:
+    `a` is a mapping proxy, so an expansion a cache hands out cannot be edited."""
 
     order: int
-    a: dict = field(default_factory=dict)
+    a: MappingProxyType  # built from any mapping of n to a_n
 
     def __post_init__(self):
-        self.a = {n: v for n, v in self.a.items() if v and n <= self.order}
+        a = {n: v for n, v in self.a.items() if v and n <= self.order}
+        object.__setattr__(self, "a", MappingProxyType(a))
+
+    def __reduce__(self):  # copy and pickle through the constructor
+        return EllipticQExpansion, (self.order, dict(self.a))
 
     def coeff(self, n: int) -> int:
         return self.a.get(n, 0)
@@ -62,27 +68,20 @@ def g_expansion(source: str, order: int) -> EllipticQExpansion:
 
 @lru_cache(maxsize=8)
 def _g_theta_product(order: int) -> EllipticQExpansion:
-    """theta_(0,0)^2 theta_(0,1)^2 theta_(1,0)^2, rescaled tau -> 4 tau and
-    reindexed to q-powers, leading coefficient normalized to 1."""
+    """theta_(0,0)^2 theta_(0,1)^2 theta_(1,0)^2 at tau -> 4 tau, where the index
+    e (unit pi i tau / 4) becomes the q-power e/2; leading coefficient normalized to 1."""
     u_order = 2 * order
     prod = QuarterSeries.one(1, u_order)
-    for m in ((0, 0), (0, 1), (1, 0)):
-        t = theta_expansion(m, u_order)
-        # one sparse factor at a time: squaring t first is a dense-by-dense product
-        prod = series_mul(series_mul(prod, t), t)
-    scaled = rescale4(prod)
-    e, re = scaled.exps[0], scaled.re
-    if (e % 8).any():
-        raise AssertionError("unexpected exponent off the q-lattice")
-    if scaled.im.any():
-        raise AssertionError("theta product left the rational integers")
-    lead = scaled.coefficient(8).re
-    if not lead:
-        raise AssertionError("missing leading coefficient")
-    if (re % lead).any():
-        raise AssertionError("leading coefficient does not divide the series")
-    out = dict(zip((e // 8).tolist(), (re // lead).tolist()))
-    return EllipticQExpansion(order, out)
+    # one sparse factor at a time: squaring a factor first is a dense-by-dense product
+    for m in G_TUPLE:
+        prod = series_mul(prod, theta_expansion(m, u_order))
+    e, re = prod.exps[0], prod.re
+    if (e % 2).any() or prod.im.any():
+        raise AssertionError("theta product is not an integral series in q")
+    lead = prod.coefficient(2).re
+    if not lead or (re % lead).any():
+        raise AssertionError("leading coefficient is 0 or does not divide the series")
+    return EllipticQExpansion(order, dict(zip((e // 2).tolist(), (re // lead).tolist())))
 
 
 def odd_coset_sum(bound: int) -> tuple[np.ndarray, np.ndarray]:

@@ -157,7 +157,8 @@ def _z_fibers(p: int) -> np.ndarray:
 
 def _z_points(total: int, p: int) -> int:
     """Projective points from the affine solutions counted in `total`."""
-    assert total % (p - 1) == 0
+    if total % (p - 1):
+        raise AssertionError(f"{total} affine solutions is not a multiple of p - 1 = {p - 1}")
     return total // (p - 1)
 
 

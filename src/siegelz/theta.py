@@ -1,16 +1,16 @@
 """Theta characteristics and theta constants in genus 1 and 2.
 
-Exact truncated expansions, numeric lattice-sum evaluation with a tail
-bound (every characteristic at a point from one pass), the transformation machinery (one vectorized pass gives, for every
-characteristic of a tuple, the unreduced image m M^-1 + (diag CD^T,
-diag AB^T) and the eighth-integer phase; with kappa^2 and the reduction
-signs these give, once per level-2 matrix and cached, a table of each
-characteristic's share of the exact character, which the characters and
-the numeric check of the transformation law read), the ten standard generator matrices
-e_1..e_10 of Gamma(2)/Gamma(4,8) with their pair characters, the congruence
-predicates cutting out the stabilizer group of the six-theta product F_Z,
-the orbit split of six-tuples of even characteristics, F_Z itself, and the
-degeneration operator sending a genus-2 expansion to a genus-1 one.
+Exact truncated expansions, and numeric lattice sums with a proven tail
+bound, every characteristic at a point in one pass. One vectorized action
+of a symplectic matrix gives the unreduced images m M^-1 + (diag CD^T,
+diag AB^T) and the eighth-integer phases; a cached table per matrix turns
+them into each characteristic's share of the exact character. Also: the
+generators e_1..e_10 of Gamma(2)/Gamma(4,8) with their pair characters,
+the stabilizer predicates and orbit of the six-theta product F_Z, and F_Z.
+
+The degeneration to genus 1 keeps the terms with e1 = e2 = 0. As every theta
+term has e1 = b1^2 >= 0, it sends a theta product to the product of the
+factors' images: 0 if m1' is odd, else the genus-1 theta[(m2', m2'')].
 """
 
 from __future__ import annotations
@@ -391,14 +391,16 @@ def phi_after_g0(f: QuarterSeries) -> QuarterSeries:
     return QuarterSeries.from_arrays(1, f.order, [e3[keep]], f.re[keep], f.im[keep])
 
 
-def rescale4(f: QuarterSeries) -> QuarterSeries:
-    """Substitution tau -> 4 tau on a genus-1 series (index map e -> 4e)."""
-    if f.genus != 1:
-        raise ValueError("expected a genus-1 series")
-    e = f.exps[0]
-    wide = e.dtype == object or np.abs(e).max(initial=0) >= 1 << 60
-    return QuarterSeries.from_arrays(1, 4 * f.order, [4 * e.astype(object if wide else np.int64)],
-                                     f.re, f.im)
+def phi_characteristics(ms) -> tuple | None:
+    """The genus-1 characteristics (m2', m2'') of ms, whose theta product is
+    phi_after_g0 of the theta product of ms; None if that is 0, as some m1'
+    or some image is odd. Proof: each term of a product has e1 = sum of the
+    factors' b1^2 >= 0, so its e1 = e2 = 0 terms multiply the factors' b1 = 0
+    terms, and those of theta[m] are the terms of theta[(m2', m2'')]."""
+    images = tuple((m[1], m[3]) for m in ms)
+    if any(m[0] % 2 for m in ms) or any(parity(i) == "odd" for i in images):
+        return None
+    return images
 
 
 # ---------------------------------------------------------------------------

@@ -154,15 +154,35 @@ def _spy_fz_builds(monkeypatch):
     return builds
 
 
+def _spy_genus2_products(monkeypatch):
+    """The genus-2 series_mul calls, in every package module that binds it."""
+    from siegelz import arith, cli, cmform, pointcount, soudry, theta
+
+    calls = []
+    real = arith.series_mul
+
+    def spy(a, b, *args, **kwargs):
+        if a.genus == 2:
+            calls.append(a.order)
+        return real(a, b, *args, **kwargs)
+
+    for mod in (arith, cli, cmform, pointcount, soudry, theta):
+        if getattr(mod, "series_mul", None) is real:
+            monkeypatch.setattr(mod, "series_mul", spy)
+    return calls
+
+
 def test_verify_all_builds_each_exact_object_once(monkeypatch):
     """One run of every suite builds F_Z once (fz-phi truncates ez's build),
-    runs the theta lattice pass once per distinct (tau, tol, characteristics)
-    and splits the six-tuples into orbits once."""
+    makes no other genus-2 product, runs the theta lattice pass once per
+    distinct (tau, tol, characteristics) and splits the six-tuples into
+    orbits once."""
     import numpy as np
 
     from siegelz import cli, theta
 
     builds = _spy_fz_builds(monkeypatch)
+    products = _spy_genus2_products(monkeypatch)
     keys, passes = [], []
     real_values, real_radius = theta.theta_values, theta._lattice_radius
 
@@ -182,6 +202,7 @@ def test_verify_all_builds_each_exact_object_once(monkeypatch):
     reports, code = run(RunConfig())
     assert code == 1 and len(reports) == 60
     assert builds == [cli.EZ_PHI_ORDER]
+    assert products == [cli.EZ_PHI_ORDER] * 6
     assert passes.count(2) == len(set(keys)) < len(keys)
     info = theta.orbit_decomposition.cache_info()
     assert (info.misses, info.hits) == (1, 2)
@@ -197,3 +218,24 @@ def test_one_fz_build_above_the_phi_match_order(monkeypatch):
            if "degeneration" in r.claim and r.residual is not None}
     assert got == {"fz-phi": ("pass", 0.0, {"order": 300}),
                    "ez": ("pass", 0.0, {"scalar": "1/4", "terms": 28})}
+
+
+def test_fz_phi_claim_2_fails_if_f_z_is_not_skipped(monkeypatch):
+    """Claim 2 reads the characteristics of each orbit member but F_Z: it
+    passes as is, and fails once another member stands in for F_Z, so the
+    real F_Z, whose degeneration is g, is among the members it checks."""
+    from siegelz import cli, theta
+
+    def claim_2():
+        reports = cli.suite_fz_phi(RunConfig(), {})
+        assert reports[1].claim == "the degeneration kills every other orbit member"
+        return reports[1].status, reports[1].details
+
+    products = _spy_genus2_products(monkeypatch)
+    theta.fz_expansion(cli.EZ_PHI_ORDER)  # claim 1 then reads the real F_Z from the cache
+    del products[:]
+    assert claim_2() == ("pass", {"members": 14})
+    assert products == []  # claim 1 reads the cached build, claim 2 no series
+    other = min(tuple(sorted(t)) for t in theta.fz_orbit() if t != frozenset(theta.FZ_TUPLE))
+    monkeypatch.setattr(theta, "FZ_TUPLE", other)
+    assert claim_2() == ("fail", {"members": 14})

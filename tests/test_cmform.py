@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import pytest
 
@@ -13,7 +15,7 @@ from siegelz.cmform import (
 )
 from siegelz.cli import RunConfig, run
 from siegelz.pointcount import verify_count_formulas
-from siegelz.theta import rescale4, theta_expansion
+from siegelz.theta import theta_expansion
 
 
 def test_triple_agreement_order_600():
@@ -82,11 +84,11 @@ def _theta_product_by_squares(order):
     for m in ((0, 0), (0, 1), (1, 0)):
         t = theta_expansion(m, u_order)
         prod = series_mul(prod, series_mul(t, t))
-    scaled = rescale4(prod)
-    e, re = scaled.exps[0], scaled.re
-    assert not (e % 8).any() and not scaled.im.any()
-    lead = scaled.coefficient(8).re
-    return EllipticQExpansion(order, dict(zip((e // 8).tolist(), (re // lead).tolist())))
+    # tau -> 4 tau takes the index e (unit pi i tau / 4) to the q-power e/2
+    e, re = prod.exps[0], prod.re
+    assert not (e % 2).any() and not prod.im.any()
+    lead = prod.coefficient(2).re
+    return EllipticQExpansion(order, dict(zip((e // 2).tolist(), (re // lead).tolist())))
 
 
 @pytest.mark.parametrize("order", [1, 60, 200, 1128, 3000])
@@ -261,6 +263,19 @@ def test_expansion_container():
     e = EllipticQExpansion(10, {1: 1, 4: 0, 20: 7})
     assert e.coeff(4) == 0 and e.coeff(20) == 0  # zero and out-of-order dropped
     assert e.pairs() == [(1, 1)]
+    assert copy.deepcopy(e) == pickle.loads(pickle.dumps(e)) == e
+
+
+@pytest.mark.parametrize("source", ["theta_product", "hecke_character"])
+def test_cached_expansion_is_read_only(source):
+    """The builds are cached, so an edit to a handed-out expansion would
+    reach every later caller."""
+    g = g_expansion(source, 10)
+    with pytest.raises(TypeError):
+        g.a[5] = 99
+    with pytest.raises(AttributeError):
+        g.a = {}
+    assert g_expansion(source, 10).a[5] == -6
 
 
 def test_bad_inputs():

@@ -134,6 +134,20 @@ def test_counting_does_not_import_numpy_ma():
     assert out.strip() == "False"
 
 
+def test_count_guard_survives_python_O():
+    """A total of affine solutions that p - 1 does not divide raises even
+    under -O, which strips bare asserts, instead of flooring to a count."""
+    script = ("from siegelz.pointcount import _z_points\n"
+              "if __debug__:\n    raise SystemExit('not optimized')\n"
+              "_z_points(5, 3)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(pointcount.__file__))] + sys.path))
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 1
+    assert "AssertionError: 5 affine solutions is not a multiple of p - 1 = 2" in done.stderr
+
+
 def test_fermat_surface_at_three():
     assert count_variety("FermatSurface", 3) == 16
 

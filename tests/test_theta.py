@@ -39,9 +39,9 @@ from siegelz.theta import (
     pair_character_any_parity,
     parity,
     phi_after_g0,
+    phi_characteristics,
     random_gamma2_elements,
     random_gamma48_elements,
-    rescale4,
     siegel_point,
     six_tuple_expansion,
     slash_character_exact,
@@ -767,12 +767,51 @@ def test_phi_kills_products_with_first_entry_one():
         tup = ((0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0), (0, 0, 1, 1),
                (0, 1, 1, 0), extra)
         assert phi_after_g0(six_tuple_expansion(tup, 40)).is_zero()
+        assert phi_characteristics(tup) is None
 
 
-def test_rescale4():
-    s = QuarterSeries(1, 8, {4: 1})
-    assert rescale4(s).coeffs == {16: GaussInt(1)}
-    assert rescale4(s).order == 32
+# every genus-2 characteristic, and unreduced ones with m1' = 2 or 3 and
+# images with entries 2 or 3, odd and even
+_PHI_CHARS = list(itertools.product((0, 1), repeat=4)) + [
+    (2, 0, 0, 1), (3, 0, 1, 0), (2, 1, 0, 3), (0, 2, 1, 3), (0, 3, 2, 0)]
+
+
+def _phi_built(ms, order):
+    """phi_after_g0 of the built genus-2 product of the theta[m], m in ms."""
+    return phi_after_g0(six_tuple_expansion(tuple(ms), order))
+
+
+def _phi_read(ms, order):
+    """The genus-1 series phi_characteristics names: its product, or zero."""
+    images = phi_characteristics(ms)
+    return QuarterSeries(1, order) if images is None else six_tuple_expansion(images, order)
+
+
+@pytest.mark.parametrize("order", [0, 1, 16, 40, 200])
+def test_phi_characteristics_of_one_theta_constant(order):
+    for m in _PHI_CHARS:
+        assert _phi_read([m], order) == _phi_built([m], order), m
+
+
+def test_phi_characteristics_of_every_fz_orbit_member():
+    members = sorted(tuple(sorted(t)) for t in fz_orbit())
+    assert len(members) == 15
+    for ms in members:
+        assert _phi_read(ms, 60) == _phi_built(ms, 60), ms
+    assert [phi_characteristics(ms) is None for ms in members].count(False) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(_PHI_CHARS), min_size=1, max_size=6), st.integers(0, 60))
+def test_phi_characteristics_of_drawn_products(ms, order):
+    assert _phi_read(ms, order) == _phi_built(ms, order)
+
+
+def test_phi_characteristics_values():
+    """Images are kept unreduced; an odd m1' or an odd image gives None."""
+    assert [phi_characteristics([m]) for m in _PHI_CHARS[-5:]] == [
+        ((0, 1),), None, None, ((2, 3),), ((3, 0),)]
+    assert sorted(phi_characteristics(FZ_TUPLE)) == sorted(G_TUPLE)
 
 
 def test_fz_numeric_invariance():

@@ -11,11 +11,9 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -442,10 +440,6 @@ def run(cfg: RunConfig) -> tuple[list[VerificationReport], int]:
 # ---------------------------------------------------------------------------
 # argument handling
 
-def _env(name, default):
-    return os.environ.get(f"SIEGELZ_{name.upper()}", default)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="verify",
@@ -454,31 +448,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("suites", nargs="*", default=None,
                         help=f"suites to run: {', '.join(SUITES)}, or 'all'")
-    parser.add_argument("--primes", default=_env("primes", "3,5,7,11,13"),
+    parser.add_argument("--primes", default="3,5,7,11,13",
                         help="comma-separated odd primes (default 3,5,7,11,13)")
-    # string defaults go through type= when parsed, so a bad environment
-    # value is a usage error (exit code 2), as on the command line
-    parser.add_argument("--order", type=int, default=_env("order", "200"),
+    parser.add_argument("--order", type=int, default=200,
                         help="series truncation order (default 200)")
-    parser.add_argument("--tol", type=float, default=_env("tol", "1e-8"),
+    parser.add_argument("--tol", type=float, default=1e-8,
                         help="numeric tolerance (default 1e-8)")
-    parser.add_argument("--out", default=_env("out", None),
-                        help="path for the JSON report")
+    parser.add_argument("--out", help="path for the JSON report")
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    suites = list(args.suites or [])
-    env_suite = os.environ.get("SIEGELZ_SUITE")
-    if not suites and env_suite:
-        suites = env_suite.split(",")
-    if not suites:
-        suites = ["all"]
+    suites = args.suites or ["all"]
     try:
         cfg = RunConfig(
-            prime_list=[int(p) for p in str(args.primes).split(",") if p],
+            prime_list=[int(p) for p in args.primes.split(",") if p],
             series_order=args.order,
             numeric_tol=args.tol,
             output_path=args.out,
@@ -499,7 +485,7 @@ def main(argv=None) -> int:
         },
         "reports": [asdict(r) for r in reports],
     }
-    text = json.dumps(payload, indent=2, default=_json_default)
+    text = json.dumps(payload, indent=2)
     if cfg.output_path:
         with open(cfg.output_path, "w") as fh:
             fh.write(text + "\n")
@@ -512,18 +498,6 @@ def main(argv=None) -> int:
     if cfg.output_path:
         print(f"report written to {cfg.output_path}")
     return code
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return str(obj)
 
 
 if __name__ == "__main__":

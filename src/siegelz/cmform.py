@@ -131,9 +131,7 @@ def a_p(p: int) -> int:
     if p % 4 == 3:
         return 0
     pi = gauss_primary_decompose(p)
-    val = 2 * (pi.re * pi.re - pi.im * pi.im)
-    assert abs(val) <= 2 * p
-    return val
+    return 2 * (pi.re * pi.re - pi.im * pi.im)
 
 
 @lru_cache(maxsize=8)

@@ -68,11 +68,7 @@ def h2_lpoly(p: int) -> EulerFactor:
         f = euler_factor(kind, p, twist=1, d=d)
         for _ in range(mult):
             poly = poly * f.poly
-    poly = poly * euler_factor("g", p).poly
-    out = EulerFactor(p, poly)
-    assert out.degree() == 21
-    assert poly[1] == -trace_h2(p)
-    return out
+    return EulerFactor(p, poly * euler_factor("g", p).poly)
 
 
 def lefschetz_check(p: int) -> int:

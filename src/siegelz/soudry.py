@@ -10,9 +10,9 @@ writing z1 = u1 + i v1 and z2 = u2 + i v2 splits the sum over
 u = (u1, u2) and v = (v1, v2), both in (1/2 + Z) x Z, into two copies of
 one odd theta gradient, so E_Z = Sym^2(S) with
 S = -grad_z theta[1011](tau, 0) / 2 pi (Grushevsky and Salvati Manni,
-J. reine angew. Math. 573, 2004).  ez_eval sums S once, with a proven
-tail bound.  The 4-D sum, and the other readings together with the checks
-that reject them, survive only in the package tests.
+J. reine angew. Math. 573, 2004).  ez_eval takes S from theta_gradient.
+The 4-D sum, and the other readings together with the checks that reject
+them, survive only in the package tests.
 
 Modularity is tested through the associated holomorphic 2-form (a
 coordinate-free pullback, no matrix weight factor), and the degeneration of
@@ -37,6 +37,7 @@ from .theta import (
     cocycle,
     fz_expansion,
     phi_after_g0,
+    theta_gradient,
 )
 
 
@@ -80,98 +81,23 @@ def resolve_ez_convention() -> EzConvention:
 
 
 # ---------------------------------------------------------------------------
-# the odd theta gradient
-
-# half the diagonal of a unit cell of (1/2 + Z) x Z
-_HALF_DIAG = math.sqrt(0.5)
-# coefficients, lowest degree first, of (s + 2c) (s + c) with c = _HALF_DIAG
-_TAIL_POLY = (1.0, 3 * _HALF_DIAG, 1.0)
-_MAX_RADIUS2 = 1 << 14  # about 25 000 lattice points in the half plane
-
-
-def _moment_tail(a: float, radius2: float) -> float:
-    """Bound on the sum of |u| exp(-a |u|^2) over u in (1/2 + Z) x Z with
-    |u|^2 > radius2.
-
-    Each such u owns the unit square around it; on that square
-    |u| <= |w| + c and |u| >= |w| - c >= 0 (c = _HALF_DIAG, radius >= 2c), so
-    the sum is at most the integral of (|w| + c) exp(-a (|w| - c)^2) over
-    |w| > radius - c, which is 2 pi int_{radius - 2c} (s + 2c) (s + c)
-    exp(-a s^2) ds in closed form.
-    """
-    if radius2 < 2:
-        raise ValueError("tail bound needs radius2 >= 2")
-    s0 = max(0.0, math.sqrt(radius2) - 2 * _HALF_DIAG)
-    # int_{s0}^inf s^k exp(-a s^2) ds for k = 0..2
-    e = math.exp(-a * s0 * s0)
-    g0 = 0.5 * math.sqrt(math.pi / a) * math.erfc(math.sqrt(a) * s0)
-    g = (g0, e / (2 * a), (s0 * e + g0) / (2 * a))
-    return 2 * math.pi * sum(c * gk for c, gk in zip(_TAIL_POLY, g))
-
-
-def _moment_total(a: float) -> float:
-    """Bound on the full sum of |u| exp(-a |u|^2) over (1/2 + Z) x Z: the
-    six points with |u|^2 <= 2 exactly, the rest through _moment_tail."""
-    return math.exp(-a / 4) + 4 * math.sqrt(1.25) * math.exp(-1.25 * a) + _moment_tail(a, 2.0)
-
-
-def _factor_radius2(a: float, tol: float) -> int:
-    """Smallest integer radius2 >= 2 whose truncation keeps every product
-    S_i S_j within tol.
-
-    With |S_i - S~_i| <= tail and |S_j|, |S~_i| <= total,
-    |S_i S_j - S~_i S~_j| <= |S_i - S~_i| |S_j| + |S~_i| |S_j - S~_j|
-    <= 2 tail total.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    total = _moment_total(a)
-    error = lambda radius2: 2 * _moment_tail(a, radius2) * total
-    hi = 2
-    while error(hi) > tol:
-        hi *= 2
-        if hi > _MAX_RADIUS2:
-            raise ValueError(
-                "tolerance unreachable: transformed point too ill-conditioned "
-                f"(decay rate {a:.4g})"
-            )
-    lo = hi // 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if error(mid) > tol:
-            lo = mid
-        else:
-            hi = mid
-    return hi
-
-
-def _gradient(tau: np.ndarray, radius2: float) -> tuple[complex, complex]:
-    """S = sum chi(u) u exp(pi i u^T tau u) over u in (1/2 + Z) x Z with
-    |u|^2 <= radius2, chi(u) = (-1)^(u1 - 1/2 + u2).
-
-    The summand is even in u (chi is odd), so the sum is twice the half
-    plane u1 > 0.
-    """
-    m = math.isqrt(int(radius2)) + 1
-    k1 = np.arange(0, m)[:, None]
-    k2 = np.arange(-m, m + 1)[None, :]
-    u1 = k1 + 0.5
-    keep = u1 * u1 + k2 * k2 <= radius2
-    u1 = np.broadcast_to(u1, keep.shape)[keep]
-    u2 = np.broadcast_to(k2, keep.shape)[keep].astype(float)
-    sign = np.broadcast_to(1 - 2 * ((k1 + k2) & 1), keep.shape)[keep]
-    t1, t2, t3 = tau[0, 0], tau[0, 1], tau[1, 1]
-    wave = sign * np.exp(1j * math.pi * (u1 * u1 * t1 + 2 * u1 * u2 * t2 + u2 * u2 * t3))
-    return complex(2 * (u1 @ wave)), complex(2 * (u2 @ wave))
-
+# E_Z from the odd theta gradient
 
 def ez_eval(tau, tol: float = 1e-10) -> VectorValue:
     """The three components (h0, h1, h2) = (S1^2, S1 S2, S2^2) at a point of
-    the upper half space, each within tol."""
+    the upper half space, each within tol.
+
+    S = -i theta_gradient((1, 0, 1, 1)), each component within tol / 2M.
+    With a = pi lambda_min(Im tau), over any c + Z the sum of exp(-a n^2) is
+    at most sqrt(pi/a) + 1, and of |n| exp(-a n^2) at most 1/a + 2/sqrt(2ea)
+    (integral plus maxima); their product M bounds |S_k| and its truncations,
+    so |S_i S_j - S~_i S~_j| <= |S_i - S~_i| |S_j| + |S~_i| |S_j - S~_j| <= tol.
+    """
     tau = np.asarray(tau, dtype=complex)
     check_siegel_point(tau)
-    lam = float(np.linalg.eigvalsh(tau.imag).min())
-    s1, s2 = _gradient(tau, _factor_radius2(math.pi * lam, tol))
+    a = math.pi * float(np.linalg.eigvalsh(tau.imag).min())
+    bound = (1 / a + 2 / math.sqrt(2 * math.e * a)) * (math.sqrt(math.pi / a) + 1)
+    s1, s2 = -1j * theta_gradient((1, 0, 1, 1), tau, tol / (2 * bound))
     return VectorValue(s1 * s1, s1 * s2, s2 * s2)
 
 

@@ -406,12 +406,15 @@ def phi_characteristics(ms) -> tuple | None:
 # ---------------------------------------------------------------------------
 # numeric evaluation
 
-def _lattice_radius(lam: float, tol: float, genus: int) -> int:
+def _lattice_radius(lam: float, tol: float, genus: int, degree: int = 0) -> int:
     """Smallest integer R making the discarded Gaussian tail provably < tol.
 
-    Terms at distance >= R from the origin contribute at most
-    sum_{k >= R} shell(k) exp(-pi lam k^2) with shell(k) <= 9(k+1) in genus 2
-    and <= 2 in genus 1; the sum is dominated by a geometric series.
+    Shell k, the terms with k <= max |x_i| < k + 1, holds at most
+    8k + 4 <= 9(k+1) of them in genus 2 and 2 in genus 1, each at most
+    exp(-pi lam k^2).  With q = exp(-2 pi lam R), the genus-2 shells k = R + j
+    sum to at most 9(R+1) exp(-pi lam R^2) sum_j (1+j) q^j.  degree=1 bounds
+    a gradient component: each term carries |x_i| <= k + 1 <= (R+1)(1+j), and
+    sum_j (1+j)^2 q^j <= 2/(1-q)^3.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -420,7 +423,7 @@ def _lattice_radius(lam: float, tol: float, genus: int) -> int:
     while True:
         q = math.exp(-2 * math.pi * lam * R)
         head = shell * (R + 1 if genus == 2 else 1) * math.exp(-math.pi * lam * R * R)
-        bound = head / (1 - q) ** 2
+        bound = head / (1 - q) ** 2 * (2 * (R + 1) / (1 - q)) ** degree
         if bound < tol:
             return R + 1  # margin for the half-integer characteristic shift
         R += 1
@@ -501,6 +504,37 @@ def _theta_sums(ms: bytes, point: bytes, shape: tuple, tol: float) -> np.ndarray
     values = signs * sums[codes, red[:, 2], red[:, 3]]
     values.flags.writeable = False
     return values
+
+
+def theta_gradient(m, tau, tol: float = 1e-12) -> np.ndarray:
+    """grad_z theta[m](tau, 0) / 2 pi i for an odd genus-2 characteristic m,
+    the sum of x exp(pi i x.tau.x) i^(b.m'') over x = b/2, each component
+    with its discarded tail below tol.
+
+    Unreduced m and the box of b are as in theta_values, with R from
+    _lattice_radius at one moment degree.  x -> -x multiplies i^(b.m'') by
+    (-1)^(m'.m''), so for odd m the summand is even: the sum runs over the
+    half plane x_j > 0 of the first j with m'_j odd, and is doubled.
+    """
+    m = tuple(int(v) for v in m)
+    if genus_of(m) != 2 or parity(m) != "odd":
+        raise ValueError(f"theta_gradient takes an odd genus-2 characteristic, not {m}")
+    tau = np.asarray(tau, dtype=complex)
+    check_siegel_point(tau)
+    R = _lattice_radius(float(np.linalg.eigvalsh(tau.imag).min()), tol, 2, degree=1)
+    red = [v % 2 for v in m]
+    sign = -1 if (red[0] * (m[2] // 2) + red[1] * (m[3] // 2)) % 2 else 1
+    a = np.arange(-R - 1, R + 2)
+    b = [2 * a + red[0], 2 * a + red[1]]
+    b[1 - red[0]] = 2 * np.arange(R + 2) + 1  # the half plane x_j > 0
+    x1, x2 = b[0] / 2, b[1] / 2
+    wave = (tau[0, 0] * x1 * x1)[:, None] + tau[1, 1] * x2 * x2 + 2 * tau[0, 1] * np.outer(x1, x2)
+    wave *= 1j * math.pi
+    np.exp(wave, out=wave)
+    phase = np.array([1, 1j, -1, -1j])
+    wave *= phase[b[0] * red[2] % 4][:, None]
+    wave *= phase[b[1] * red[3] % 4]
+    return 2 * sign * np.array([(x1 * wave.sum(1)).sum(), (x2 * wave.sum(0)).sum()])
 
 
 def fz_eval(tau, tol: float = 1e-12) -> complex:

@@ -45,17 +45,6 @@ def test_orbits_suite_exit_one():
     assert main(["orbits"]) == 1
 
 
-def test_env_override(monkeypatch, tmp_path):
-    monkeypatch.setenv("SIEGELZ_PRIMES", "3")
-    monkeypatch.setenv("SIEGELZ_SUITE", "lefschetz")
-    out = tmp_path / "r.json"
-    code = main(["--out", str(out)])
-    assert code == 0
-    payload = json.loads(out.read_text())
-    assert payload["config"]["primes"] == [3]
-    assert all(r["suite"] == "lefschetz" for r in payload["reports"])
-
-
 def test_reports_deterministic():
     cfg = RunConfig(prime_list=[3, 5], selected_suites=["counts", "lefschetz"])
     reports1, code1 = run(copy.deepcopy(cfg))
@@ -84,18 +73,7 @@ def test_parser_defaults():
     assert args.tol == 1e-8
 
 
-def test_bad_environment_defaults_are_usage_errors(monkeypatch, capsys):
-    monkeypatch.setenv("SIEGELZ_ORDER", "150")
-    monkeypatch.setenv("SIEGELZ_TOL", "1e-6")
-    args = build_parser().parse_args([])
-    assert (args.order, args.tol) == (150, 1e-6)
-    for name, value in (("ORDER", "abc"), ("TOL", "x")):
-        monkeypatch.setenv(f"SIEGELZ_{name}", value)
-        with pytest.raises(SystemExit) as exc:
-            main(["fermat"])
-        assert exc.value.code == 2
-        assert f"invalid {'int' if name == 'ORDER' else 'float'} value: '{value}'" in capsys.readouterr().err
-        monkeypatch.delenv(f"SIEGELZ_{name}")
+def test_bad_flag_values_are_usage_errors():
     with pytest.raises(SystemExit) as exc:
         main(["fermat", "--order", "abc"])
     assert exc.value.code == 2
@@ -191,9 +169,10 @@ def test_verify_all_builds_each_exact_object_once(monkeypatch):
                      np.asarray(tau, dtype=complex).tobytes(), tol))
         return real_values(ms, tau, tol)
 
-    def radius_spy(lam, tol, genus):  # called once by each genus-2 lattice pass
-        passes.append(genus)
-        return real_radius(lam, tol, genus)
+    def radius_spy(lam, tol, genus, degree=0):  # degree 0: one theta_values pass
+        if degree == 0:
+            passes.append(genus)
+        return real_radius(lam, tol, genus, degree)
 
     monkeypatch.setattr(theta, "theta_values", values_spy)
     monkeypatch.setattr(theta, "_lattice_radius", radius_spy)
@@ -239,3 +218,30 @@ def test_fz_phi_claim_2_fails_if_f_z_is_not_skipped(monkeypatch):
     other = min(tuple(sorted(t)) for t in theta.fz_orbit() if t != frozenset(theta.FZ_TUPLE))
     monkeypatch.setattr(theta, "FZ_TUPLE", other)
     assert claim_2() == ("fail", {"members": 14})
+
+
+def test_g_triple_weil_claim_fails_on_a_wrong_eigenvalue(monkeypatch):
+    """A primary element of norm p^2 gives a_p = 2p^2: claim 2 reports a
+    fail instead of stopping the run."""
+    from siegelz import cli, cmform
+    from siegelz.arith import GaussInt
+
+    monkeypatch.setattr(cmform, "gauss_primary_decompose", lambda p: GaussInt(p, 0))
+    cmform._g_hecke.cache_clear()
+    try:
+        reports = cli.suite_g_triple(RunConfig(), {})
+    finally:
+        cmform._g_hecke.cache_clear()
+    assert reports[1].claim == "a_p = 0 at inert primes, |a_p| <= 2p, CM support"
+    assert reports[1].status == "fail"
+
+
+def test_lfactors_claim_fails_on_a_wrong_trace(monkeypatch, tmp_path):
+    from siegelz import lfactors
+
+    real = lfactors.trace_h2
+    monkeypatch.setattr(lfactors, "trace_h2", lambda p: real(p) + 1)
+    out = tmp_path / "r.json"
+    assert main(["lfactors", "--primes", "3", "--out", str(out)]) == 1
+    (report,) = json.loads(out.read_text())["reports"]
+    assert report["status"] == "fail"

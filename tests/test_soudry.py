@@ -253,6 +253,24 @@ def test_tail_bound_against_tighter_evaluations(tol, ill_conditioned_with_oracle
         assert float(np.abs(got - oracle).max()) <= tol
 
 
+def test_ez_eval_takes_one_gradient_of_theta_1011(monkeypatch):
+    """Each ez_eval call reads S off one theta_gradient call, at a tighter
+    tolerance that carries the bound through the products."""
+    calls = []
+    real = soudry.theta_gradient
+
+    def spy(m, tau, tol):
+        calls.append((m, tol))
+        return real(m, tau, tol)
+
+    monkeypatch.setattr(soudry, "theta_gradient", spy)
+    points = (*EZ_SAMPLE_POINTS, *_ill_conditioned_points())
+    for tau in points:
+        ez_eval(tau, 1e-9)
+    assert len(calls) == len(points)
+    assert all(m == ODD_CHAR and 0 < tol < 1e-9 / 2 for m, tol in calls)
+
+
 def test_e1e6_sign_is_the_odd_theta_pair_character():
     # E_Z = Sym^2 of the gradient of theta[1011], so each element acts on
     # the 2-form by exp(2 pi i t) with t the pair character of that odd

@@ -50,6 +50,7 @@ from siegelz.theta import (
     table1_char_tuple,
     theta_eval,
     theta_expansion,
+    theta_gradient,
     theta_values,
     translation,
     verify_igusa_transformation,
@@ -281,6 +282,63 @@ def test_unreduced_characteristics_keep_the_tail_bound():
             big = tuple(a + b for a, b in zip(m, shift))
             sign = (-1) ** ((m[0] * shift[2] + m[1] * shift[3]) // 2)
             assert abs(theta_eval(big, tau, 1e-10) - sign * tight[code]) < 1e-10, big
+
+
+ODD_CHARS = [m for m in itertools.product((0, 1), repeat=4) if parity(m) == "odd"]
+# the six odd characteristics and two unreduced shifts of them
+GRADIENT_CHARS = ODD_CHARS + [(3, -2, 1, 5), (-1, 1, 4, -1)]
+GRADIENT_POINTS = (TAU_A, TAU_B, TAU_GENERIC, siegel_point(0.3j + 0.1, 0.25j, 0.3j - 0.2))
+
+
+def _defining_gradients(ms, tau, tol):
+    """grad_z theta[m](tau, 0) / 2 pi i for each m in ms from its definition,
+    term by term: the sum of x exp(pi i x.tau.x) i^(2x.m'') over
+    x = a + m'/2 with a + m' // 2 in the box of theta_values widened by one
+    on each side, which holds the half plane that theta_gradient sums and
+    its mirror image; the phase is reduced exactly in integers.  Returns
+    the sums and the sums of (|x1| + |x2|) times the terms' absolute values."""
+    R = theta._lattice_radius(float(np.linalg.eigvalsh(tau.imag).min()), tol, 2, 1) + 1
+    box = np.arange(-R - 1, R + 2)
+    sums, scales = [], []
+    for m in ms:
+        b1 = (2 * (box - m[0] // 2) + m[0])[:, None]  # b = 2x
+        b2 = (2 * (box - m[1] // 2) + m[1])[None, :]
+        x1, x2 = b1 / 2, b2 / 2
+        terms = np.exp(1j * np.pi * (tau[0, 0] * x1 * x1 + 2 * tau[0, 1] * x1 * x2
+                                     + tau[1, 1] * x2 * x2))
+        terms = terms * np.array([1, 1j, -1, -1j])[(b1 * m[2] + b2 * m[3]) % 4]
+        sums.append(np.array([(x1 * terms).sum(), (x2 * terms).sum()]))
+        scales.append(float(((abs(x1) + abs(x2)) * abs(terms)).sum()))
+    return sums, scales
+
+
+def test_theta_gradient_matches_the_defining_sum():
+    """The six odd characteristics and two unreduced shifts agree with the
+    definition to 1e-14 of the weighted absolute sum, at the theta-table
+    points and one with smallest eigenvalue of Im tau below 0.06, where the
+    gradient of theta[1011] is not zero."""
+    assert len(ODD_CHARS) == 6
+    assert min(np.linalg.eigvalsh(GRADIENT_POINTS[-1].imag)) < 0.06
+    for tau in GRADIENT_POINTS:
+        for m, want, scale in zip(GRADIENT_CHARS, *_defining_gradients(GRADIENT_CHARS, tau, 1e-15)):
+            got = theta_gradient(m, tau, 1e-15)
+            assert got.shape == (2,)
+            assert np.abs(got - want).max() <= 1e-15 + 1e-14 * scale, (m, tau)
+        assert np.abs(theta_gradient((1, 0, 1, 1), tau)).max() > 1e-3
+
+
+def test_theta_gradient_tail_bound_against_a_tighter_evaluation():
+    for tau in GRADIENT_POINTS:
+        for m in GRADIENT_CHARS:
+            tight = theta_gradient(m, tau, 1e-15)
+            for tol in (1e-4, 1e-8, 1e-13):
+                assert np.abs(theta_gradient(m, tau, tol) - tight).max() < tol, (m, tol)
+
+
+def test_theta_gradient_rejects_even_characteristics():
+    for m in [(0, 0, 0, 0), (1, 1, 0, 0), (2, 0, 1, 1), (1, 0)]:
+        with pytest.raises(ValueError):
+            theta_gradient(m, TAU_A)
 
 
 def _reference_siegel_check(tau) -> bool:

@@ -459,14 +459,22 @@ def _mul_schoolbook(a: QuarterSeries, b: QuarterSeries, order: int) -> QuarterSe
     the larger series sorted by degree, and every such pair lies inside the
     box; degrees that no pair reaches are skipped.
 
+    A pair (cr + i ci)(r + i m) is added as four real parts: cr r and
+    -ci m into re, cr m and ci r into im.  A part is live only if both of
+    its arrays have a nonzero entry, and a small term skips a part whose
+    scalar is 0; im is allocated only if a live part writes into it.  Every
+    theta product is real, so it pays one real product per pair.
+
     For a fixed term of the smaller series, distinct terms of the larger
     one give distinct cells, so each cell gains at most one product per
-    term of the smaller series, whatever order the cells are summed in.
-    So every product, and every partial sum of an output coefficient, is at
-    most l1(small) * linf(big), where a coefficient measures |re| + |im|.
-    With that bound, every cell code, and four times every exponent and
-    the order below 2**62, the kernel runs on int64; otherwise on Python
-    ints.
+    part per term of the smaller series, whatever order the cells and
+    parts are summed in.  A term's parts into one cell sum in absolute
+    value to at most (|cr| + |ci|)(|r| + |m|).  So every product, and every
+    partial sum of an output coefficient, also one taken between two
+    parts, is at most l1(small) * linf(big), where a coefficient measures
+    |re| + |im|.  With that bound, every cell code, and four times every
+    exponent and the order below 2**62, the kernel runs on int64; otherwise
+    on Python ints.
     """
     small, big = (a, b) if len(a.re) <= len(b.re) else (b, a)
     if small.is_zero():
@@ -494,6 +502,11 @@ def _mul_schoolbook(a: QuarterSeries, b: QuarterSeries, order: int) -> QuarterSe
     big_arrays = arrays(big, steps[1])
     perm = np.argsort(big_arrays[0], kind="stable")
     bdeg, bidx, bre, bim = (x[perm] for x in big_arrays)
+    # (accumulator, small part, big part, sign): re += cr r - ci m, im += cr m + ci r
+    parts = [(acc, which, part, sign) for acc, which, part, sign in
+             ((0, 0, bre, 1), (0, 1, bim, -1), (1, 0, bim, 1), (1, 1, bre, 1))
+             if (sre, sim)[which].any() and part.any()]
+    with_im = any(acc for acc, *_ in parts)
     rows, inner = widths[0], radix[0]
     out, row = [], 0
     while True:
@@ -507,16 +520,18 @@ def _mul_schoolbook(a: QuarterSeries, b: QuarterSeries, order: int) -> QuarterSe
             break
         end = min(row + max(1, _BOX_CELLS // inner), rows)
         last = np.searchsorted(bdeg, end - sdeg)
-        re, im = (np.zeros((end - row) * inner, dtype) for _ in range(2))
-        for k, i, j, cr, ci in zip((sidx - row * inner).tolist(), first.tolist(),
-                                   last.tolist(), sre.tolist(), sim.tolist()):
+        accs = [np.zeros((end - row) * inner, dtype) for _ in range(1 + with_im)]
+        for k, i, j, *c in zip((sidx - row * inner).tolist(), first.tolist(),
+                               last.tolist(), sre.tolist(), sim.tolist()):
             if i < j:
                 cells = (bidx[i:j] + k).astype(np.intp, copy=False)
-                r, m = bre[i:j], bim[i:j]
-                np.add.at(re, cells, cr * r - ci * m)
-                np.add.at(im, cells, cr * m + ci * r)
-        keep = np.flatnonzero((re != 0) | (im != 0))
-        out.append((keep.astype(dtype) + row * inner, re[keep], im[keep]))
+                for acc, which, part, sign in parts:
+                    if c[which]:
+                        np.add.at(accs[acc], cells, sign * c[which] * part[i:j])
+        re = accs[0]
+        keep = np.flatnonzero((re != 0) | (accs[1] != 0) if with_im else re)
+        im = accs[1][keep] if with_im else np.zeros(len(keep), dtype)
+        out.append((keep.astype(dtype) + row * inner, re[keep], im))
         row = end
     code, re, im = (np.concatenate([part[j] for part in out]) for j in range(3))
     exps = []

@@ -421,6 +421,77 @@ def test_series_mul_genus1_paths_beyond_64_bits(data, order, budget):
         assert series_mul(a, b) == brute_mul_g1(a, b, order)
 
 
+def _parted_series(genus, order, budget):
+    """Series whose re and im are each, independently, all zero or drawn with
+    parts up to budget: real, imaginary, full and zero series."""
+    if genus == 1:
+        key = st.integers(0, order)
+    else:
+        key = st.tuples(st.integers(0, order), st.integers(-2 * order, 2 * order),
+                        st.integers(0, order)).filter(lambda k: k[0] + k[2] <= order)
+    part = st.integers(-budget, budget)
+    terms = st.dictionaries(key, st.tuples(part, part), max_size=12)
+    return st.tuples(terms, st.booleans(), st.booleans()).map(
+        lambda t: QuarterSeries(genus, order, {k: GaussInt(r * t[1], m * t[2])
+                                               for k, (r, m) in t[0].items()}))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data(), st.sampled_from([1, 2]), st.integers(0, 16),
+       st.sampled_from([3, 1 << 40, 1 << 70]))
+def test_series_mul_of_real_imaginary_and_full_series(data, genus, order, budget):
+    # the pair kernel drops every real part of the product whose arrays are
+    # all zero; budgets of 2**40 and 2**70 put l1 * linf past 2**62, so the
+    # same parts run on Python ints
+    a, b = (data.draw(_parted_series(genus, order, budget)) for _ in range(2))
+    cut = data.draw(st.integers(0, order))
+    reference = brute_mul_g1 if genus == 1 else brute_mul_g2
+    for o in (order, cut):
+        prod = series_mul(a, b, o)
+        assert prod == reference(a, b, o)
+        for x in (*prod.exps, prod.re, prod.im):
+            assert x.dtype == (np.int64 if all(abs(int(v)) < 1 << 62 for v in x) else object)
+
+
+class _CountingNumpy:
+    """Forwards every attribute to numpy, and counts the calls of np.add.at."""
+
+    def __init__(self):
+        self.add_at_calls = 0
+        counter = self
+
+        class Add:
+            def __getattr__(self, name):
+                return getattr(np.add, name)
+
+            def at(self, *args):
+                counter.add_at_calls += 1
+                return np.add.at(*args)
+
+        self.add = Add()
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+@pytest.mark.parametrize("order", [40, 36])
+def test_real_theta_products_make_one_add_at_per_small_term(monkeypatch, order):
+    # theta series are real, so each term of the smaller series that has a
+    # partner within the order adds one real product per pair (all in one
+    # slab); at order 36 the terms of degree 37 of the smaller one have none
+    a, b = theta_expansion((0, 0, 0, 0), 40), theta_expansion((0, 1, 1, 0), 40)
+    assert not (a.im.any() or b.im.any())
+    small, big = (a, b) if len(a.re) <= len(b.re) else (b, a)
+    partnered = int((small._degrees() + big._degrees().min() <= order).sum())
+    assert partnered == (15 if order == 40 else 13) and len(small.re) == 15
+    counting = _CountingNumpy()
+    monkeypatch.setattr(arith, "np", counting)
+    prod = series_mul(a, b, order)
+    monkeypatch.undo()
+    assert counting.add_at_calls == partnered
+    assert prod == brute_mul_g2(a, b, order) and not prod.im.any()
+
+
 def test_series_genus_mismatch_rejected():
     a = QuarterSeries(1, 4, {0: 1})
     b = QuarterSeries(2, 4, {(0, 0, 0): 1})

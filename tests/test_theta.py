@@ -95,6 +95,22 @@ def test_theta_expansion_odd_vanishes():
         assert theta_expansion(m, 40).is_zero()
 
 
+@pytest.mark.parametrize("order", [0, 1, 2, 16, 40, 200])
+def test_theta_expansions_are_real(order):
+    """Each term has b = m' mod 2, so b.m'' = m'.m'' mod 2 and the coefficient
+    i^(b.m'') of an even characteristic is +-1: every theta product the
+    package multiplies is real.  The odd ones give the zero series."""
+    shifts = [(4, -3, 1, 2), (-1, 2, 3, -4)]
+    chars = [m for g in (1, 2) for m in itertools.product((0, 1), repeat=2 * g)]
+    chars += [tuple(a + 2 * b for a, b in zip(m, k)) for m in chars for k in shifts]
+    for m in chars:
+        s, g = theta_expansion(m, order), len(m) // 2
+        assert not s.im.any(), m
+        # an even series starts at degree |b|^2 with b = m' mod 2
+        lowest = sum(a % 2 for a in m[:g])
+        assert s.is_zero() == (parity(m) == "odd" or order < lowest), m
+
+
 def test_theta_expansion_genus2():
     t = theta_expansion((0, 0, 0, 0), 4)
     assert t.coeffs == {
@@ -333,6 +349,34 @@ def test_theta_gradient_tail_bound_against_a_tighter_evaluation():
             tight = theta_gradient(m, tau, 1e-15)
             for tol in (1e-4, 1e-8, 1e-13):
                 assert np.abs(theta_gradient(m, tau, tol) - tight).max() < tol, (m, tol)
+
+
+def _stated_tail_bound(lam, genus, degree, R):
+    """The bound of _lattice_radius's docstring on the terms of the shells
+    k >= R: shell R + j holds at most 9(R+1)(1+j) points in genus 2 (2, so
+    at most 2(1+j), in genus 1), each at most exp(-pi lam R^2) q^j with
+    q = exp(-2 pi lam R),
+    and sum_j (1+j) q^j = 1/(1-q)^2; degree 1 weighs each point by
+    |x_i| <= (R+1)(1+j), and sum_j (1+j)^2 q^j <= 2/(1-q)^3."""
+    q = math.exp(-2 * math.pi * lam * R)
+    points = 9 * (R + 1) if genus == 2 else 2
+    bound = points * math.exp(-math.pi * lam * R * R) / (1 - q) ** 2
+    return bound * (R + 1) * 2 / (1 - q) if degree else bound
+
+
+def test_lattice_radius_is_the_smallest_radius_its_bound_allows():
+    """The returned radius is one shell past the smallest R >= 1 whose stated
+    tail bound is below tol, in moment degree 0 and 1.  Near lam = 0.01 the
+    degree-1 radius is 3 larger than the degree-0 one, so a rule that
+    ignores the degree fails here."""
+    for lam in (0.01, 0.03, 0.1, 0.3, 1.0, 3.0):
+        for tol in (1e-4, 1e-8, 1e-13, 1e-16):
+            for genus, degree in ((1, 0), (2, 0), (2, 1)):
+                R = theta._lattice_radius(lam, tol, genus, degree) - 1
+                assert _stated_tail_bound(lam, genus, degree, R) < tol, (lam, tol, genus, degree)
+                assert R == 1 or _stated_tail_bound(lam, genus, degree, R - 1) >= tol, \
+                    (lam, tol, genus, degree)
+    assert [theta._lattice_radius(0.01, 1e-4, 2, d) for d in (0, 1)] == [23, 26]
 
 
 def test_theta_gradient_rejects_even_characteristics():

@@ -2,12 +2,12 @@
 
 Primes, quadratic residue symbols, Gaussian integers, truncated Fourier
 series with quarter-integer exponent unit, and integer polynomials in one
-variable.  A series stores its terms in sorted numpy arrays (int64 where a
-proven bound allows, Python ints otherwise), and its products run on those
-arrays: in both genera, pair products are summed in a dense box of
-product indices, compressed by the common stride of each exponent column
-and filled in slabs of bounded size.  `QuarterSeries.coeffs` reads the
-arrays as a mapping of GaussInts.
+variable.  A series stores its terms in numpy arrays sorted degree first
+(int64 where a proven bound allows, Python ints otherwise), and its
+products run on those arrays: in both genera, pair products are summed in
+a dense box of product indices, compressed by the common stride of each
+exponent column, filled in slabs of bounded size and read off in sorted
+order.  `QuarterSeries.coeffs` reads the arrays as a mapping of GaussInts.
 Everything here is exact: no floats enter until a series or polynomial is
 explicitly evaluated.
 """
@@ -202,11 +202,11 @@ def gauss_primary_decompose(p: int) -> GaussInt:
 # truncation keeps e1 + e3 <= order (e2 is controlled by positive
 # semidefiniteness, |e2| <= e1 + e3, for every series built from thetas).
 #
-# A series keeps its nonzero terms in read-only arrays sorted by index
-# (genus 2 lexicographically): one exponent column per index entry, and the
-# real and imaginary parts of the coefficients.  An array is int64 when every
-# entry is below 2**62 in absolute value, so that two entries sum without
-# overflow, and holds Python ints otherwise.
+# A series keeps its nonzero terms in read-only arrays in canonical order
+# (_term_order; genus 2 by e1 + e3, then e1, then e2): one exponent column
+# per index entry, and the real and imaginary parts of the coefficients.  An
+# array is int64 when every entry is below 2**62 in absolute value, so that
+# two entries sum without overflow, and holds Python ints otherwise.
 
 _INT64_SAFE = 1 << 62
 
@@ -216,6 +216,14 @@ def _as_index(genus: int, key) -> tuple | None:
     index = (key,) if genus == 1 else key
     ok = isinstance(index, tuple) and len(index) == 2 * genus - 1
     return index if ok and all(isinstance(e, int) for e in index) else None
+
+
+def _term_order(e) -> tuple:
+    """The keys of the canonical term order, most significant first, of
+    exponent columns or of one index e: e in genus 1; the degree e1 + e3,
+    e1 and e2 in genus 2.  It is the pair kernel's code order, so products
+    come out sorted, and a truncation keeps a prefix."""
+    return tuple(e) if len(e) == 1 else (e[0] + e[2], e[0], e[1])
 
 
 def _int_array(values) -> np.ndarray:
@@ -249,7 +257,7 @@ class QuarterSeries:
         self._set(genus, order, *_summed([(cols, re, im)]))
 
     def _set(self, genus, order, exps, re, im):
-        """Store the nonzero ones of terms sorted by distinct indices."""
+        """Store the nonzero ones of terms with distinct indices in canonical order."""
         if order < 0:
             raise ValueError("order must be nonnegative")
         keep = (re != 0) | (im != 0)
@@ -270,7 +278,7 @@ class QuarterSeries:
 
     @classmethod
     def from_arrays(cls, genus: int, order: int, exps, re, im) -> "QuarterSeries":
-        """The series of terms sorted by distinct indices that fit order."""
+        """The series of terms with distinct indices in canonical order that fit order."""
         out = cls.__new__(cls)
         out._set(genus, order, exps, re, im)
         return out
@@ -295,16 +303,16 @@ class QuarterSeries:
 
     def _degrees(self) -> np.ndarray:
         """The truncation degree of each term: e, or e1 + e3."""
-        return self.exps[0] if self.genus == 1 else self.exps[0] + self.exps[2]
+        return _term_order(self.exps)[0]
 
     def truncate(self, order: int) -> "QuarterSeries":
         """The terms of degree at most order; raises past the series' own order,
         where the missing terms are unknown, not zero."""
         if order > self.order:
             raise ValueError("truncation not valid beyond the series order")
-        keep = self._degrees() <= order
-        exps = [x[keep] for x in self.exps]
-        return QuarterSeries.from_arrays(self.genus, order, exps, self.re[keep], self.im[keep])
+        n = int(np.searchsorted(self._degrees(), order, "right"))
+        exps = [x[:n] for x in self.exps]
+        return QuarterSeries.from_arrays(self.genus, order, exps, self.re[:n], self.im[:n])
 
     def __eq__(self, other):
         if not isinstance(other, QuarterSeries):
@@ -325,7 +333,7 @@ class QuarterSeries:
 class SeriesCoeffs(Mapping):
     """Read-only mapping {index: GaussInt} over the arrays of a series: its
     length costs nothing, a GaussInt is built only when a value is read, and
-    a lookup is a binary search in each exponent column."""
+    a lookup is a binary search in each key of the canonical order."""
 
     def __init__(self, series: QuarterSeries):
         self._s = series
@@ -342,7 +350,7 @@ class SeriesCoeffs(Mapping):
         if index is None:
             raise KeyError(key)
         lo, hi = 0, len(s.re)
-        for col, v in zip(s.exps, index):
+        for col, v in zip(_term_order(s.exps), _term_order(index)):
             block = col[lo:hi]
             lo, hi = [lo + int(np.searchsorted(block, v, side)) for side in ("left", "right")]
         if lo == hi:
@@ -403,13 +411,13 @@ def _result_order(a: QuarterSeries, b: QuarterSeries, order: int | None,
 
 
 def _summed(parts: list) -> tuple:
-    """The terms of the (exps, re, im) parts as (exps, re, im) again, sorted
-    by index, with the coefficients of equal indices summed."""
+    """The terms of the (exps, re, im) parts as (exps, re, im) again, in
+    canonical order, with the coefficients of equal indices summed."""
     cols = [np.concatenate(col) for col in zip(*(part[0] for part in parts))]
     re, im = (np.concatenate([part[j] for part in parts]) for j in (1, 2))
     if not len(re):
         return cols, re, im
-    perm = np.argsort(cols[0], kind="stable") if len(cols) == 1 else np.lexsort(cols[::-1])
+    perm = np.lexsort(_term_order(cols)[::-1])
     cols = [c[perm] for c in cols]
     same = np.ones(len(re) - 1, dtype=bool)
     for c in cols:
@@ -444,20 +452,22 @@ def _mul_schoolbook(a: QuarterSeries, b: QuarterSeries, order: int) -> QuarterSe
     multiplied against all of the larger one at once, and the products are
     added into their cells with `np.add.at`; no sort is needed.
 
-    The box has one axis per code column: the degree d (e, or e1 + e3)
-    first, then e1 and e2 in genus 2 (e3 = d - e1).  An axis steps by the
-    gcd of its column's differences over both inputs (4 or 8 for theta
-    products).  It spans only the values that a pair of degree at most the
-    order can reach: c <= order + max(c - d) and c >= min(c + d) - order,
-    each extremum summed over the two inputs.  For theta products that clips
-    d, e1 and e3 to [0, order] and e2 to [-order, order].
+    The box has one axis per code column, the keys of the canonical order
+    (_term_order): the degree d (e, or e1 + e3), then e1 and e2 in genus 2
+    (e3 = d - e1).  So the output is emitted in order, with no sort.  An
+    axis steps by the gcd of its column's differences over both inputs (4
+    or 8 for theta products).  It spans only the values that a pair of
+    degree at most the order can reach: c <= order + max(c - d) and
+    c >= min(c + d) - order, each extremum summed over the two inputs.  For
+    theta products that clips d, e1 and e3 to [0, order] and e2 to
+    [-order, order].
 
     The box is filled in slabs of consecutive degrees, each of at most
     _BOX_CELLS cells (or of one degree, if that is more), so memory stays
     bounded until one degree alone exceeds the budget (near order 1450 for
     theta products).  Within a slab the partners of each term are a run of
-    the larger series sorted by degree, and every such pair lies inside the
-    box; degrees that no pair reaches are skipped.
+    the larger series, which the canonical order sorts by degree, and every
+    such pair lies inside the box; degrees that no pair reaches are skipped.
 
     A pair (cr + i ci)(r + i m) is added as four real parts: cr r and
     -ci m into re, cr m and ci r into im.  A part is live only if both of
@@ -480,16 +490,20 @@ def _mul_schoolbook(a: QuarterSeries, b: QuarterSeries, order: int) -> QuarterSe
     if small.is_zero():
         return QuarterSeries.zero(a.genus, order)
     cols = [_code_columns(s) for s in (small, big)]
-    extremes = [int(v) for x in cols for v in (x.min(), x.max())]
-    dtype = np.int64 if 4 * max(order, *map(abs, extremes)) < _INT64_SAFE else object
-    cols = [x.astype(dtype, copy=False) for x in cols]
-    box = _box(*cols, order)
+    lows, highs = [x.min(1) for x in cols], [x.max(1) for x in cols]
+    extremes = [abs(v) for x in (*lows, *highs) for v in x.tolist()]
+    dtype = np.int64 if 4 * max(order, *extremes) < _INT64_SAFE else object
+    cols, lows, highs = ([x.astype(dtype, copy=False) for x in xs] for xs in (cols, lows, highs))
+    box = _box(cols, lows, highs, order)
     widths = box.width.tolist()
     if min(widths) < 1:
         return QuarterSeries.zero(a.genus, order)
     radix = [math.prod(widths[j + 1:]) for j in range(len(widths))]
     steps = [(x - off[:, None]) // box.step[:, None] for x, off in zip(cols, box.offsets)]
-    reach = max(sum(r * v for r, v in zip(radix, abs(k).max(1).tolist())) for k in steps)
+    # k is monotone in its column, so |k| peaks at the column's minimum or maximum
+    reach = max(sum(r * max(abs((v - o) // st) for v in ends) for r, st, o, *ends in zip(
+        radix, box.step.tolist(), off.tolist(), lo.tolist(), hi.tolist()))
+        for lo, hi, off in zip(lows, highs, box.offsets))
     size = sum(_norms(small).tolist()) * int(_norms(big).max())
     dtype = dtype if max(size, reach, widths[0] * radix[0]) < _INT64_SAFE else object
 
@@ -499,9 +513,7 @@ def _mul_schoolbook(a: QuarterSeries, b: QuarterSeries, order: int) -> QuarterSe
         return k[0], code, s.re.astype(dtype, copy=False), s.im.astype(dtype, copy=False)
 
     sdeg, sidx, sre, sim = arrays(small, steps[0])
-    big_arrays = arrays(big, steps[1])
-    perm = np.argsort(big_arrays[0], kind="stable")
-    bdeg, bidx, bre, bim = (x[perm] for x in big_arrays)
+    bdeg, bidx, bre, bim = arrays(big, steps[1])  # bdeg ascends: canonical order
     # (accumulator, small part, big part, sign): re += cr r - ci m, im += cr m + ci r
     parts = [(acc, which, part, sign) for acc, which, part, sign in
              ((0, 0, bre, 1), (0, 1, bim, -1), (1, 0, bim, 1), (1, 1, bre, 1))
@@ -538,31 +550,27 @@ def _mul_schoolbook(a: QuarterSeries, b: QuarterSeries, order: int) -> QuarterSe
     for base, step, r in zip(box.base.tolist(), box.step.tolist(), radix):
         exps.append(base + step * (code // r))
         code = code % r
-    if a.genus == 1:
-        return QuarterSeries.from_arrays(1, order, exps, re, im)
-    d, e1, e2 = exps
-    exps = [e1, e2, d - e1]
-    perm = np.lexsort(exps[::-1])
-    return QuarterSeries.from_arrays(2, order, [e[perm] for e in exps], re[perm], im[perm])
+    exps = exps if a.genus == 1 else [exps[1], exps[2], exps[0] - exps[1]]  # (e1, e2, e3)
+    return QuarterSeries.from_arrays(a.genus, order, exps, re, im)
 
 
 def _code_columns(s: QuarterSeries) -> np.ndarray:
-    """The exponent columns of the box axes, as rows: the degree (e, or
-    e1 + e3, which fits int64 as each part is below 2**62), then e1 and e2."""
-    e = s.exps
-    return np.stack([e[0]] if s.genus == 1 else [e[0] + e[2], e[0], e[1]])
+    """The exponent columns of the box axes, as rows: the keys of the
+    canonical order (the degree e1 + e3 fits int64, as each part is below
+    2**62)."""
+    return np.stack(_term_order(s.exps))
 
 
-def _box(xs: np.ndarray, xb: np.ndarray, order: int) -> _Box:
+def _box(cols: list, lows: list, highs: list, order: int) -> _Box:
     """The box of the products of pairs of degree at most the order, from the
-    code columns of the smaller and the larger series."""
-    lows = [x.min(1) for x in (xs, xb)]
+    code columns (smaller series first) and their row minima and maxima."""
+    (xs, xb), (ls, lb), (hs, hb) = cols, lows, highs
     step = np.maximum(np.gcd(*(np.gcd.reduce(x - lo[:, None], axis=1)
-                               for x, lo in zip((xs, xb), lows))), 1)
-    hi = np.minimum(xs.max(1) + xb.max(1), order + (xs - xs[0]).max(1) + (xb - xb[0]).max(1))
-    lo = np.maximum(lows[0] + lows[1], (xs + xs[0]).min(1) + (xb + xb[0]).min(1) - order)
-    base = lows[0] + lows[1] - (lows[0] + lows[1] - lo) // step * step  # lo up to the lattice
-    return _Box(base, step, (hi - base) // step + 1, (lows[0], base - lows[0]))
+                               for x, lo in zip(cols, lows))), 1)
+    hi = np.minimum(hs + hb, order + (xs - xs[0]).max(1) + (xb - xb[0]).max(1))
+    lo = np.maximum(ls + lb, (xs + xs[0]).min(1) + (xb + xb[0]).min(1) - order)
+    base = ls + lb - (ls + lb - lo) // step * step  # lo up to the lattice
+    return _Box(base, step, (hi - base) // step + 1, (ls, base - ls))
 
 
 def _norms(s: QuarterSeries) -> np.ndarray:

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from types import MappingProxyType
 
 import numpy as np
 
-from .arith import QuarterSeries, gauss_primary_decompose, is_prime, kronecker_char, series_mul
+from .arith import gauss_primary_decompose, is_prime, kronecker_char, series_mul
 from .theta import G_TUPLE, theta_expansion
 
 
@@ -47,7 +47,9 @@ class EllipticQExpansion:
         where the missing coefficients are unknown, not zero."""
         if order > min(self.order, other.order):
             raise ValueError("comparison not valid beyond the smaller expansion order")
-        return all(self.coeff(n) == other.coeff(n) for n in range(order + 1))
+        def upto(a):  # exact, as __post_init__ drops zeros
+            return {n: v for n, v in a.items() if n <= order}
+        return upto(self.a) == upto(other.a)
 
     def pairs(self) -> list:
         return sorted(self.a.items())
@@ -71,10 +73,8 @@ def _g_theta_product(order: int) -> EllipticQExpansion:
     """theta_(0,0)^2 theta_(0,1)^2 theta_(1,0)^2 at tau -> 4 tau, where the index
     e (unit pi i tau / 4) becomes the q-power e/2; leading coefficient normalized to 1."""
     u_order = 2 * order
-    prod = QuarterSeries.one(1, u_order)
     # one sparse factor at a time: squaring a factor first is a dense-by-dense product
-    for m in G_TUPLE:
-        prod = series_mul(prod, theta_expansion(m, u_order))
+    prod = reduce(series_mul, (theta_expansion(m, u_order) for m in G_TUPLE))
     e, re = prod.exps[0], prod.re
     if (e % 2).any() or prod.im.any():
         raise AssertionError("theta product is not an integral series in q")

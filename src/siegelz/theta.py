@@ -387,7 +387,7 @@ def phi_after_g0(f: QuarterSeries) -> QuarterSeries:
     if f.genus != 2:
         raise ValueError("expected a genus-2 series")
     e1, e2, e3 = f.exps
-    keep = (e1 == 0) & (e2 == 0)  # a run of the sorted terms, ascending in e3
+    keep = (e1 == 0) & (e2 == 0)  # ascending in e3, not contiguous
     return QuarterSeries.from_arrays(1, f.order, [e3[keep]], f.re[keep], f.im[keep])
 
 

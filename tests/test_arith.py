@@ -22,7 +22,7 @@ from siegelz.arith import (
     series_add,
     series_mul,
 )
-from siegelz.theta import FZ_TUPLE, six_tuple_expansion, theta_expansion
+from siegelz.theta import FZ_TUPLE, fz_orbit, six_tuple_expansion, theta_expansion
 
 
 def brute_legendre(a, p):
@@ -364,12 +364,18 @@ def test_series_mul_genus2_strided_columns(data, order, budget):
             assert series_mul(a, b, o) == brute_mul_g2(a, b, o)
 
 
+def _box_of(a, b, order):
+    """The pair kernel's box for a and b, from their code columns and extremes."""
+    cols = [arith._code_columns(s) for s in (a, b)]
+    return arith._box(cols, [x.min(1) for x in cols], [x.max(1) for x in cols], order)
+
+
 def test_series_mul_theta_strides_and_clipped_box():
     # theta columns step by 4 or 8 from offsets 0 or 1.  Unclipped, e1 would
     # span [1, 61] and e2 [-54, 54]; a pair of degree at most 40 has e3 >= 2,
     # so e1 <= 38, and |e2| <= 38
     t1, t2 = (theta_expansion(m, 40) for m in ((0, 1, 1, 0), (1, 1, 0, 0)))
-    box = arith._box(*(arith._code_columns(s) for s in (t1, t2)), 40)
+    box = _box_of(t1, t2, 40)
     assert [x.tolist() for x in box[:3]] == [[3, 1, -38], [4, 4, 4], [10, 10, 20]]
     assert series_mul(t1, t2) == brute_mul_g2(t1, t2, 40)
 
@@ -378,10 +384,10 @@ def test_series_mul_empty_clipped_box():
     # every pair has degree 6 > 4, so the degree axis of the box is empty
     a = QuarterSeries(2, 4, {(5, -2, -1): 3, (2, 0, 2): GaussInt(1, 1)})
     b = QuarterSeries(2, 4, {(1, 7, 1): 1, (3, -1, 1): 2})
-    assert arith._box(arith._code_columns(a), arith._code_columns(b), 4).width[0] < 1
+    assert _box_of(a, b, 4).width[0] < 1
     assert series_mul(a, b).is_zero() and series_mul(a, b, 0).is_zero()
     g1 = QuarterSeries(1, 10, {6: 1, 9: 2})
-    assert arith._box(arith._code_columns(g1), arith._code_columns(g1), 10).width[0] < 1
+    assert _box_of(g1, g1, 10).width[0] < 1
     assert series_mul(g1, g1).is_zero()
 
 
@@ -595,6 +601,46 @@ def test_series_round_trip_through_the_mapping_view(data, genus, order):
         with pytest.raises(AttributeError):
             delattr(s, name)
     assert copy.deepcopy(s) == s and pickle.loads(pickle.dumps(s)) == s
+
+
+def _degree_major(s):
+    """The (e1 + e3, e1, e2) keys of a genus-2 series' terms, in storage order."""
+    e1, e2, e3 = (x.tolist() for x in s.exps)
+    return [(f + h, f, g) for f, g, h in zip(e1, e2, e3)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data(), st.integers(0, 16))
+def test_genus2_series_are_stored_degree_major(data, order):
+    """Every constructor stores genus-2 terms strictly ascending in
+    (e1 + e3, e1, e2), the pair kernel's code order: the kernel reads the
+    degrees of its larger input as sorted and emits its product without a
+    sort.  A lookup finds every stored index and no other, also none of
+    the absent indices that share a degree with a stored term."""
+    a, b = (data.draw(_strided_g2_series(order, data.draw(_steps), data.draw(_offsets)))
+            for _ in range(2))
+    cut = data.draw(st.integers(0, order))
+    m = data.draw(st.tuples(*[st.integers(0, 1)] * 4))
+    member = data.draw(st.sampled_from(sorted(tuple(sorted(t)) for t in fz_orbit())))
+    product = series_mul(a, b)
+    built = [a, b, series_add(a, b), product, series_mul(a, b, cut), product.truncate(cut),
+             a.truncate(cut), theta_expansion(m, order), six_tuple_expansion(member, order),
+             pickle.loads(pickle.dumps(product))]
+    for s in built:
+        keys = _degree_major(s)
+        assert all(k < l for k, l in zip(keys, keys[1:]))
+        stored = set(s.coeffs)
+        for (e1, e2, e3), v in zip(s.coeffs, s.coeffs.values()):
+            assert s.coeffs[(e1, e2, e3)] == v
+            for near in ((e1 + 1, e2, e3 - 1), (e1 - 1, e2, e3 + 1), (e1, e2 + 1, e3),
+                         (e1, e2 - 1, e3)):  # each of the same degree
+                if near not in stored:
+                    with pytest.raises(KeyError):
+                        s.coeffs[near]
+        absent = data.draw(st.tuples(*[st.integers(-4, order + 4)] * 3))
+        if absent not in stored:
+            with pytest.raises(KeyError):
+                s.coeffs[absent]
 
 
 @pytest.mark.parametrize("bits", [8, 16, 62, 63, 64, 72])

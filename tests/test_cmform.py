@@ -15,7 +15,7 @@ from siegelz.cmform import (
 )
 from siegelz.cli import RunConfig, run
 from siegelz.pointcount import verify_count_formulas
-from siegelz.theta import theta_expansion
+from siegelz.theta import G_TUPLE, theta_expansion
 
 
 def test_triple_agreement_order_600():
@@ -34,6 +34,46 @@ def test_agreement_past_either_order_raises():
     for a, b in ((short, long), (long, short), (short, g_expansion("gauss_sum", 10))):
         with pytest.raises(ValueError, match="beyond the smaller expansion order"):
             a.agrees_with(b, 50)
+
+
+def test_agreement_reads_every_coefficient_up_to_the_order():
+    """A difference at n = order counts, one at n = order + 1 does not, and
+    a zero coefficient reads as an absent one."""
+    base = {0: 2, 1: 1, 5: -6, 9: 9}
+    a = EllipticQExpansion(10, base)
+    assert a.agrees_with(EllipticQExpansion(10, {**base, 7: 0}), 10)
+    for n in (0, 5, 10):
+        other = EllipticQExpansion(10, {**base, n: base.get(n, 0) + 1})
+        assert not a.agrees_with(other, 10) and not other.agrees_with(a, 10)
+    assert a.agrees_with(EllipticQExpansion(10, {**base, 10: 1}), 9)
+    past = EllipticQExpansion(11, {**base, 11: 4})
+    assert a.agrees_with(past, 10) and past.agrees_with(a, 10)
+    assert not past.agrees_with(EllipticQExpansion(11, base), 11)
+    with pytest.raises(ValueError, match="beyond the smaller expansion order"):
+        past.agrees_with(a, 11)
+
+
+@pytest.mark.parametrize("order", [1, 200, 1200])
+def test_theta_product_needs_no_leading_one(monkeypatch, order):
+    """The build multiplies the thetas of G_TUPLE from the first one on, in
+    five products, and its product is the one-first chain's, term for term
+    and dtype for dtype."""
+    u_order = 2 * order
+    one_first = QuarterSeries.one(1, u_order)
+    for m in G_TUPLE:
+        one_first = series_mul(one_first, theta_expansion(m, u_order))
+    products = []
+
+    def spy(a, b, order=None):
+        products.append(series_mul(a, b, order))
+        return products[-1]
+
+    monkeypatch.setattr(cmform, "series_mul", spy)
+    cmform._g_theta_product.__wrapped__(order)
+    assert len(products) == len(G_TUPLE) - 1
+    last = products[-1]
+    assert [(x.dtype, x.tolist()) for x in (*last.exps, last.re, last.im)] == \
+        [(x.dtype, x.tolist()) for x in (*one_first.exps, one_first.re, one_first.im)]
 
 
 def _hecke_by_trial_division(order):

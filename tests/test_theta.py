@@ -864,6 +864,23 @@ def test_fz_expansion_truncates_to_each_lower_order():
     assert fz_expansion(260).truncate(200) == fz_expansion(200)
 
 
+def _arrays(s):
+    return [(x.dtype, x.tolist()) for x in (*s.exps, s.re, s.im)]
+
+
+@pytest.mark.parametrize("order", [0, 1, 40, 140])
+def test_six_tuple_expansion_needs_no_leading_one(order):
+    """The product chain from the first theta factor, with no 1 in front,
+    gives the one-first build term for term and dtype for dtype, for F_Z
+    and two other orbit members."""
+    members = sorted(tuple(sorted(t)) for t in fz_orbit())
+    for ms in (FZ_TUPLE, members[0], members[-1]):
+        first = theta_expansion(ms[0], order)
+        for m in ms[1:]:
+            first = series_mul(first, theta_expansion(m, order))
+        assert _arrays(first) == _arrays(six_tuple_expansion(ms, order))
+
+
 def test_phi_kills_products_with_first_entry_one():
     for extra in ((1, 1, 1, 1), (1, 0, 0, 1)):
         tup = ((0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0), (0, 0, 1, 1),

@@ -181,6 +181,9 @@ def suite_hecke(cfg: RunConfig, shared: dict):
     return out
 
 
+_UNITS = np.array([1, 1j, -1, -1j])  # i^k at k mod 4
+
+
 def suite_theta_table(cfg: RunConfig, shared: dict):
     tol = cfg.numeric_tol
     out = []
@@ -204,41 +207,40 @@ def suite_theta_table(cfg: RunConfig, shared: dict):
     tau = theta.siegel_point(1.9j + 0.2, 0.4j + 0.1, 2.3j - 0.15)
     worst = 0.0
     exact_ok = True
-    th_0 = dict(zip(evens, theta.theta_values(evens, tau, 1e-13)))
+    # the closed form against the exact characters of the table, in eighths,
+    # and against the numeric slash ratios of the 45 even pairs
+    first, second = np.array(list(itertools.combinations(range(10), 2))).T
+    pairs = np.array(evens)[np.stack([first, second], 1)]
+    th_0 = theta.theta_values(evens, tau, 1e-13)
     for i, M in enumerate(theta.E_GENERATORS, start=1):
         mtau = theta.apply_moebius(M, tau)
         detj = complex(np.linalg.det(theta.cocycle(M, tau)))
-        th_m = dict(zip(evens, theta.theta_values(evens, mtau, 1e-13)))
-        for m1, m2 in itertools.combinations(evens, 2):
-            chi = theta.table1_char(m1, m2, i).to_complex()
-            ratio = th_m[m1] * th_m[m2] / (th_0[m1] * th_0[m2] * detj)
-            worst = max(worst, abs(ratio - chi))
-            exact = theta.character_as_gauss(theta.slash_character_exact((m1, m2), M))
-            if exact != theta.table1_char(m1, m2, i):
-                exact_ok = False
+        th_m = theta.theta_values(evens, mtau, 1e-13)
+        closed = theta.table1_eighths(pairs, i)
+        ratio = th_m[first] * th_m[second] / (th_0[first] * th_0[second] * detj)
+        worst = max(worst, float(np.abs(ratio - _UNITS[closed // 2]).max()))
+        exact_ok &= bool(np.array_equal(theta.character_eighths(pairs, M), closed))
     out.append(_report("theta-table",
                        "pair characters on the ten generators (45 even pairs)",
                        worst < tol and exact_ok, worst, t0))
 
     t0 = time.perf_counter()
-    allchars = [(a, b, c, d) for a in (0, 1) for b in (0, 1)
-                for c in (0, 1) for d in (0, 1)]
-    mixed_bad = []
+    allchars = np.array(list(itertools.product((0, 1), repeat=4)))
+    pairs = allchars[np.array(list(itertools.combinations(range(16), 2)))]
+    mixed = np.not_equal(*(pairs[:, :, :2] * pairs[:, :, 2:]).sum(2).T % 2)
+    mixed_bad = 0
     pure_ok = True
     for i, M in enumerate(theta.E_GENERATORS, start=1):
-        for m1, m2 in itertools.combinations(allchars, 2):
-            chi3 = theta.character_as_gauss(theta.pair_character_any_parity(m1, m2, M))
-            agree = chi3 == theta.table1_char(m1, m2, i)
-            if not agree:
-                if theta.parity(m1) != theta.parity(m2) and i == 5:
-                    mixed_bad.append((i, m1, m2))
-                else:
-                    pure_ok = False
+        differ = theta.character_eighths(pairs, M) != theta.table1_eighths(pairs, i)
+        if i == 5:
+            mixed_bad += int((differ & mixed).sum())
+            differ &= ~mixed
+        pure_ok &= not differ.any()
     out.append(_report("theta-table",
                        "pair characters extend to odd characteristics "
                        "(via the genus-3 embedding)",
                        pure_ok, None, t0,
-                       mixed_parity_sign_exceptions=len(mixed_bad),
+                       mixed_parity_sign_exceptions=mixed_bad,
                        note="mixed-parity pairs pick up -1 at the central "
                             "element; equal-parity pairs agree everywhere"))
 

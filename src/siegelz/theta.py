@@ -436,7 +436,8 @@ def theta_eval(m, tau, tol: float = 1e-12) -> complex:
 
     m may be unreduced: theta[m] = (-1)^(m'.k'') theta[m mod 2] for
     m = m mod 2 + 2k, and the sum runs around the reduced shift, where the
-    tail bound of _lattice_radius holds.  Genus 2 goes through theta_values.
+    tail bound of _lattice_radius (genus 1) or of _row_windows (genus 2,
+    through theta_values) holds.
     """
     if genus_of(m) == 2:
         return complex(theta_values([m], tau, tol)[0])
@@ -456,9 +457,10 @@ def theta_values(ms, tau, tol: float = 1e-12) -> np.ndarray:
     """Numeric genus-2 theta constants theta[m](tau) for every m in ms, each
     with its discarded tail below tol, from one lattice pass.
 
-    One exp runs over the half-lattice x = b/2, b = 2a + (m' mod 2) with a
-    in [-R-1, R+1]^2 (R from _lattice_radius at the smallest eigenvalue of
-    Im tau), one block for each class m' mod 2 that ms needs.  Each
+    One exp runs over the half-lattice x = b/2, b = 2a + (m' mod 2), in one
+    block for each class m' mod 2 that ms needs: rows |x1| <= R1, each
+    holding the window |x2 + t x1| <= R2 that _row_windows proves enough (the
+    ellipsoid of Im tau, not a square box at its smallest eigenvalue).  Each
     characteristic is the sum of its class's block weighted by the phases
     i^(b.m''), times the reduction sign (-1)^(m'.k'') for m = m mod 2 + 2k:
     exactly the points, and so the tail bound, of a sum around its reduced
@@ -474,33 +476,86 @@ def theta_values(ms, tau, tol: float = 1e-12) -> np.ndarray:
     return _theta_sums(m.tobytes(), tau.tobytes(), tau.shape, tol).copy()
 
 
+def _window_radius(y: float, other: float, tol: float) -> float:
+    """The smallest R in {1/2, 1, 3/2, ...} with T(y, R) F(other) < tol/2,
+    where F(y) = 1 + 1/sqrt(y) and T(y, R) = 2 exp(-pi y R^2) / (1 - exp(-2 pi y R))
+    (see _row_windows)."""
+    head = 2 * (1 + 1 / math.sqrt(other))
+    # T F < tol/2 needs head exp(-pi y R^2) < tol/2, which no smaller R meets
+    R = max(1, math.floor(2 * math.sqrt(max(0.0, math.log(2 * head / tol)) / (math.pi * y)))) / 2
+    while head * math.exp(-math.pi * y * R * R) >= tol / 2 * -math.expm1(-2 * math.pi * y * R):
+        R += 0.5
+    if R > 400:
+        raise ValueError("tolerance unreachable at this tau")
+    return R
+
+
+def _row_windows(Y: np.ndarray, tol: float) -> tuple[float, float, float, float]:
+    """(s, t, R1, R2): theta_values keeps every x with |x1| <= R1 and
+    |x2 + t x1| <= R2, and the terms it drops sum to less than tol in
+    absolute value.
+
+    Completing the square, x.Y.x = s x1^2 + y22 (x2 + t x1)^2 with
+    s = det Y / y22 and t = y12 / y22.  For y > 0 and any shift u, a
+    shifted sum sum_n exp(-pi y (n + u)^2) of a unimodal summand is at most
+    its maximum plus its integral, F(y) = 1 + 1/sqrt(y); the part with
+    |n + u| > R is at most T(y, R) = 2 exp(-pi y R^2) / (1 - exp(-2 pi y R)),
+    as its first term on either side is at most exp(-pi y R^2) and each next
+    one at most exp(-2 pi y R) times the one before.  The dropped x have
+    |x1| > R1, summed over every x2: at most T(s, R1) F(y22); or
+    |x1| <= R1 and |x2 + t x1| > R2: at most F(s) T(y22, R2).  Each radius
+    is the smallest half-integer that puts its term below tol/2.
+    """
+    y11, y12, y22 = float(Y[0, 0]), float(Y[0, 1]), float(Y[1, 1])
+    t = y12 / y22
+    s = y11 - y12 * t
+    return s, t, _window_radius(s, y22, tol), _window_radius(y22, s, tol)
+
+
+# i^(b.m'') = i^(m'.m'') (-1)^(a.m'') for b = 2a + m', indexed by m' and m''
+# mod 2 (each as a binary number, first entry highest) and by the parities
+# of a1 and a2.  Sums of the parity parts, not a matrix product: BLAS wakes
+# worker threads that spin on after the call and slow the code that follows
+# on small machines.
+_PARITY_PHASES = np.array([(1, 1j, -1, -1j)[(c1 * e + c2 * f) % 4] * (-1) ** (i * e + k * f)
+                           for c1, c2, e, f, i, k in itertools.product((0, 1), repeat=6)]
+                          ).reshape(4, 2, 2, 2, 2)
+_PARITY_PHASES.flags.writeable = False
+
+
 @lru_cache(maxsize=128)
 def _theta_sums(ms: bytes, point: bytes, shape: tuple, tol: float) -> np.ndarray:
     """The read-only values of theta_values for the int64 characteristics and
     the complex point with these bytes (the point of this shape)."""
     m = np.frombuffer(ms, dtype=np.int64).reshape(-1, 4)
     tau = np.frombuffer(point, dtype=complex).reshape(shape)
-    R = _lattice_radius(float(np.linalg.eigvalsh(tau.imag).min()), tol, 2)
+    _, t, R1, R2 = _row_windows(tau.imag, tol)
     red = m % 2
     signs = 1 - 2 * ((red[:, :2] * (m[:, 2:] // 2)).sum(1) % 2)
     codes = 2 * red[:, 0] + red[:, 1]
-    a = np.arange(-R - 1, R + 2)
-    # i^(b m'') = i^(m' m'') (-1)^(a m'') for b = 2a + m', so each block is
-    # summed over the four parity classes of (a1, a2); phase[p][e, i] is the
-    # weight for m'' = e of the i-th parity class (a = -R-1+i mod 2) when m' = p.
-    # Plain sums, not a matrix product: BLAS wakes worker threads that spin on
-    # after the call and slow the code that follows on small machines.
-    flip = 1 - 2 * (a[:2] % 2)
-    phase = np.array([[[1, 1], flip], [[1, 1], 1j * flip]])
-    sums = np.zeros((4, 2, 2), dtype=complex)   # by m' mod 2, then m'' mod 2
-    for c in np.flatnonzero(np.bincount(codes, minlength=4)):
-        x1 = (a + c // 2 / 2)[:, None]          # x = b/2
-        x2 = (a + c % 2 / 2)[None, :]
-        block = tau[0, 0] * x1 * x1 + 2 * tau[0, 1] * x1 * x2 + tau[1, 1] * x2 * x2
-        block *= 1j * math.pi
-        np.exp(block, out=block)
-        parts = [[block[i::2, j::2].sum() for j in (0, 1)] for i in (0, 1)]
-        sums[c] = np.einsum("ei,ij,fj->ef", phase[c // 2], parts, phase[c % 2])
+    # one block per class m' mod 2 that ms needs, with x = b/2 = a + m'/2;
+    # its rows run over an even number of a1 from an even one, and hold
+    # |x1| <= R1 at either shift; each row starts at an even a2, and an even
+    # number of columns, at least 2 R2 + 2, holds its window
+    classes = np.flatnonzero(np.bincount(codes, minlength=4))
+    h1, h2 = (classes // 2 / 2)[:, None, None], (classes % 2 / 2)[:, None, None]
+    first = math.ceil(-R1 - 0.5)
+    first -= first % 2
+    rows = math.floor(R1) - first + 1
+    x1 = np.arange(first, first + rows + rows % 2)[:, None] + h1
+    a2 = np.floor(-t * x1 - R2 - h2)
+    x2 = (a2 - a2 % 2 + h2) + np.arange(2 * math.ceil(R2) + 2)
+    # the terms of x.tau.x as in the defining sum, so the rounding of each
+    # term's phase does not depend on where its window starts
+    block = tau[0, 0] * x1 * x1 + 2 * tau[0, 1] * x1 * x2
+    block += tau[1, 1] * x2 * x2
+    block *= 1j * math.pi
+    np.exp(block, out=block)
+    # each block summed over the four parity classes of (a1, a2)
+    n, r, w = block.shape
+    parts = np.zeros((4, 2, 2), dtype=complex)
+    parts[classes] = block.reshape(n, r // 2, 2, w // 2, 2).sum((1, 3))
+    sums = (_PARITY_PHASES * parts[:, None, None]).sum((3, 4))  # by m' mod 2, then m'' mod 2
     values = signs * sums[codes, red[:, 2], red[:, 3]]
     values.flags.writeable = False
     return values
@@ -511,10 +566,12 @@ def theta_gradient(m, tau, tol: float = 1e-12) -> np.ndarray:
     the sum of x exp(pi i x.tau.x) i^(b.m'') over x = b/2, each component
     with its discarded tail below tol.
 
-    Unreduced m and the box of b are as in theta_values, with R from
-    _lattice_radius at one moment degree.  x -> -x multiplies i^(b.m'') by
-    (-1)^(m'.m''), so for odd m the summand is even: the sum runs over the
-    half plane x_j > 0 of the first j with m'_j odd, and is doubled.
+    Unreduced m are reduced as in theta_values.  b = 2a + (m' mod 2) runs
+    over the square box a in [-R-1, R+1]^2, with R from _lattice_radius at
+    the smallest eigenvalue of Im tau and one moment degree.  x -> -x
+    multiplies i^(b.m'') by (-1)^(m'.m''), so for odd m the summand is even:
+    the sum runs over the half plane x_j > 0 of the first j with m'_j odd,
+    and is doubled.
     """
     m = tuple(int(v) for v in m)
     if genus_of(m) != 2 or parity(m) != "odd":
@@ -672,40 +729,82 @@ def character_as_gauss(t: Fraction) -> GaussInt:
 # Table of pair characters on the generators e_1..e_10.
 # Index i in 1..10; m_j = (a_j, b_j, c_j, d_j).
 
-def table1_char_tuple(ms, i: int) -> GaussInt:
-    """Closed-form character value of a 2r-tuple product on e_i."""
-    if not ms or len(ms) % 2:
-        raise ValueError("need a nonempty even tuple of characteristics")
-    if i not in range(1, 11):
-        raise ValueError(f"generator index {i} out of range 1..10")
-    r = len(ms) // 2
-    sa = sum(m[0] for m in ms)
-    sb = sum(m[1] for m in ms)
-    sc = sum(m[2] for m in ms)
-    sd = sum(m[3] for m in ms)
+def _table1_exponent(i: int, r, col):
+    """The exponent k with the closed-form character of a 2r-tuple product on
+    e_i equal to i^k.  col(j) sums entry j of the tuple's characteristics,
+    col(j, l) the products of their entries j and l: as Python ints for one
+    tuple, or as int arrays with one entry per tuple."""
     if i == 1:
-        return i_power(2 * sum(m[1] * m[2] for m in ms))
+        return 2 * col(1, 2)
     if i == 2:
-        return i_power(2 * sum(m[0] * m[3] for m in ms))
+        return 2 * col(0, 3)
     if i == 3:
-        return i_power(2 * sum(m[0] * m[1] for m in ms))
+        return 2 * col(0, 1)
     if i == 4:
-        return i_power(2 * sum(m[2] * m[3] for m in ms))
+        return 2 * col(2, 3)
     if i == 5:
-        return GaussInt(1, 0)
+        return 0
     if i == 6:
-        return i_power(2 * (r + sum(m[0] * m[2] for m in ms)))
+        return 2 * (r + col(0, 2))
     if i == 7:
-        return i_power(sa)
+        return col(0)
     if i == 8:
-        return i_power(sb)
+        return col(1)
     # The lower-unipotent generators e9 = e7^T and e10 = e8^T act with the
     # conjugate phase of their transposes (i^-sum, not i^+sum); the squares
     # e9^2, e10^2 entering the stabilizer congruences are insensitive to
     # this, and direct numeric slash ratios pin the sign down.
     if i == 9:
-        return i_power(-sc)
-    return i_power(-sd)
+        return -col(2)
+    return -col(3)
+
+
+def _check_table1_args(count: int, i: int):
+    if not count or count % 2:
+        raise ValueError("need a nonempty even tuple of characteristics")
+    if i not in range(1, 11):
+        raise ValueError(f"generator index {i} out of range 1..10")
+
+
+def table1_char_tuple(ms, i: int) -> GaussInt:
+    """Closed-form character value of a 2r-tuple product on e_i."""
+    _check_table1_args(len(ms), i)
+
+    def col(j, k=None):
+        if k is None:
+            return sum(m[j] for m in ms)
+        return sum(m[j] * m[k] for m in ms)
+
+    return i_power(_table1_exponent(i, len(ms) // 2, col))
+
+
+def table1_eighths(ms, i: int) -> np.ndarray:
+    """The closed-form characters of table1_char_tuple on e_i in eighths,
+    twice their quarter exponents mod 8, for the rows of the int array ms of
+    shape (tuples, 2r, 4)."""
+    ms = np.asarray(ms, dtype=np.int64)
+    _check_table1_args(ms.shape[1], i)
+
+    def col(j, k=None):
+        return (ms[:, :, j] if k is None else ms[:, :, j] * ms[:, :, k]).sum(1)
+
+    # the zeros give e5's constant exponent one entry per tuple
+    return (2 * _table1_exponent(i, ms.shape[1] // 2, col) + np.zeros(len(ms), np.int64)) % 8
+
+
+def character_eighths(ms, M: np.ndarray) -> np.ndarray:
+    """The exact characters of slash_character_exact in eighths, for the rows
+    of the int array ms of shape (tuples, 2r, 4): the weights of M's table at
+    the tuple's characteristics (any parity) plus 4 r kappa, mod 8.  For a
+    pair this is also pair_character_any_parity."""
+    ms = np.asarray(ms, dtype=np.int64)
+    table = _level2_table(M)
+    if table is None:
+        raise ValueError("character only defined on the level-2 group")
+    if not table.fixes:
+        raise AssertionError("level-2 matrix must fix characteristics mod 2")
+    codes = (ms % 2) @ np.array([8, 4, 2, 1])
+    return (np.array(table.weights)[codes].sum(1) + 4 * (ms.shape[1] // 2) * table.kappa) % 8
 
 
 def table1_char(m1, m2, i: int) -> GaussInt:

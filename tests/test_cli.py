@@ -161,28 +161,24 @@ def test_verify_all_builds_each_exact_object_once(monkeypatch):
 
     builds = _spy_fz_builds(monkeypatch)
     products = _spy_genus2_products(monkeypatch)
-    keys, passes = [], []
-    real_values, real_radius = theta.theta_values, theta._lattice_radius
+    keys = []
+    real_values = theta.theta_values
 
     def values_spy(ms, tau, tol=1e-12):
         keys.append((np.asarray(ms, dtype=np.int64).tobytes(),
                      np.asarray(tau, dtype=complex).tobytes(), tol))
         return real_values(ms, tau, tol)
 
-    def radius_spy(lam, tol, genus, degree=0):  # degree 0: one theta_values pass
-        if degree == 0:
-            passes.append(genus)
-        return real_radius(lam, tol, genus, degree)
-
     monkeypatch.setattr(theta, "theta_values", values_spy)
-    monkeypatch.setattr(theta, "_lattice_radius", radius_spy)
     theta._theta_sums.cache_clear()
     theta.orbit_decomposition.cache_clear()
     reports, code = run(RunConfig())
     assert code == 1 and len(reports) == 60
     assert builds == [cli.EZ_PHI_ORDER]
     assert products == [cli.EZ_PHI_ORDER] * 6
-    assert passes.count(2) == len(set(keys)) < len(keys)
+    # each miss of the pass's cache is one lattice pass
+    passes = theta._theta_sums.cache_info().misses
+    assert passes == len(set(keys)) < len(keys)
     info = theta.orbit_decomposition.cache_info()
     assert (info.misses, info.hits) == (1, 2)
 
@@ -245,3 +241,38 @@ def test_lfactors_claim_fails_on_a_wrong_trace(monkeypatch, tmp_path):
     assert main(["lfactors", "--primes", "3", "--out", str(out)]) == 1
     (report,) = json.loads(out.read_text())["reports"]
     assert report["status"] == "fail"
+
+
+@pytest.mark.parametrize("mutation", [None, "weight", "kappa", "e9 sign"])
+def test_pair_character_claims_fail_under_each_mutation(monkeypatch, mutation):
+    """Claims 2 and 3 of theta-table compare the exact characters of the
+    level-2 table with the closed form: shifting one weight of one generator
+    by 4, flipping one generator's kappa, or flipping the sign of the e9
+    exponent of the closed form fails both.  Unmodified, both pass and 60
+    mixed-parity pairs differ at the central element."""
+    from siegelz import cli, theta
+
+    real_table, real_exponent = theta._table, theta._table1_exponent
+
+    def table(key, shape):
+        out = real_table(key, shape)
+        if mutation == "weight" and key == theta.E1.tobytes():
+            return out._replace(weights=((out.weights[0] + 4) % 8,) + out.weights[1:])
+        if mutation == "kappa" and key == theta.E6.tobytes():
+            return out._replace(kappa=1 - out.kappa)
+        return out
+
+    def exponent(i, r, col):
+        k = real_exponent(i, r, col)
+        return -k if mutation == "e9 sign" and i == 9 else k
+
+    monkeypatch.setattr(theta, "_table", table)
+    monkeypatch.setattr(theta, "_table1_exponent", exponent)
+    reports = cli.suite_theta_table(RunConfig(), {})
+    pairs, odd = reports[1], reports[2]
+    assert pairs.claim.startswith("pair characters on the ten generators")
+    assert odd.claim.startswith("pair characters extend to odd characteristics")
+    expected = "pass" if mutation is None else "fail"
+    assert (pairs.status, odd.status) == (expected, expected)
+    if mutation is None:
+        assert odd.details["mixed_parity_sign_exceptions"] == 60

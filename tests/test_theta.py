@@ -18,6 +18,7 @@ from siegelz.theta import (
     J4,
     apply_moebius,
     character_as_gauss,
+    character_eighths,
     character_value,
     characteristic_action,
     check_siegel_point,
@@ -48,6 +49,7 @@ from siegelz.theta import (
     sp2z_generators,
     table1_char,
     table1_char_tuple,
+    table1_eighths,
     theta_eval,
     theta_expansion,
     theta_gradient,
@@ -190,14 +192,38 @@ def test_theta_eval_rejects_bad_tau():
         theta_eval((0, 0, 0, 0), np.array([[1j, 0], [0, -2j]]), 1e-10)
 
 
+def _level48_images():
+    """The level-(4,8) images of the six-theta claim's two points."""
+    return [apply_moebius(g, tau)
+            for g in gammaZ_generators() + random_gamma48_elements(10, seed=2)
+            for tau in (TAU_A, TAU_B)]
+
+
+def _ill_conditioned_points():
+    """Three level-(4,8) images where row windows and a square box differ
+    most: two anisotropic ones, with eigenvalues of Im tau near 0.0017 and
+    0.031, and a nearly isotropic one whose box needs lattice radius 95."""
+    images = _level48_images()
+    anisotropic = [images[24], images[25]]
+    isotropic = images[19]
+    for tau in anisotropic:
+        low, high = np.linalg.eigvalsh(tau.imag)
+        assert 0.0016 < low < 0.0019 and 0.030 < high < 0.032
+    low, high = np.linalg.eigvalsh(isotropic.imag)
+    assert high < 2 * low and theta._lattice_radius(low, 1e-13, 2) == 95
+    return anisotropic + [isotropic]
+
+
 def test_theta_tail_bound_against_a_tighter_evaluation():
-    """The lattice radius for tol keeps the dropped tail below tol: at the
-    theta-table points, their images under the ten generators, and a poorly
-    conditioned point (smallest eigenvalue of Im tau 0.05)."""
+    """The lattice windows for tol keep the dropped tail below tol: at the
+    theta-table points, their images under the ten generators, a poorly
+    conditioned point (smallest eigenvalue of Im tau 0.05), and the
+    ill-conditioned level-(4,8) images."""
     points = [TAU_A, TAU_B, TAU_GENERIC]
     points += [apply_moebius(M, TAU_GENERIC) for M in E_GENERATORS]
     points.append(siegel_point(0.3j + 0.1, 0.25j, 0.3j - 0.2))
     assert min(np.linalg.eigvalsh(points[-1].imag)) < 0.06
+    points += _ill_conditioned_points()
     evens = even_characteristics(2)
     for tau in points:
         tight = theta_values(evens, tau, 1e-15)
@@ -210,6 +236,43 @@ def test_theta_tail_bound_against_a_tighter_evaluation():
             tight = theta_eval(m, t, 1e-15)
             for tol in (1e-4, 1e-8, 1e-13):
                 assert abs(theta_eval(m, t, tol) - tight) < tol, (m, tol)
+
+
+def _stated_window_bound(s, y22, R1, R2):
+    """The two terms of _row_windows' tail bound: T(s, R1) F(y22) for the
+    rows |x1| > R1, and F(s) T(y22, R2) for the rest of each kept row, with
+    F(y) = 1 + 1/sqrt(y) and T(y, R) = 2 exp(-pi y R^2) / (1 - exp(-2 pi y R))."""
+    def F(y):
+        return 1 + 1 / math.sqrt(y)
+
+    def T(y, R):
+        return 2 * math.exp(-math.pi * y * R * R) / (1 - math.exp(-2 * math.pi * y * R))
+
+    return T(s, R1) * F(y22), F(s) * T(y22, R2)
+
+
+def test_row_windows_are_the_smallest_their_bound_allows():
+    """Each radius of _row_windows is the smallest half-integer whose term of
+    the stated bound is below tol/2, with the Schur complement
+    s = y11 - y12^2 / y22 and t = y12 / y22 recomputed here.  At the
+    anisotropic points s is near 0.031 and the smallest eigenvalue of Im tau
+    near 0.0017, and y11 is far above s at points with a large y12, so a rule
+    that reads either in place of s, or drops the F factor, fails here."""
+    points = [TAU_A, TAU_B, TAU_GENERIC, siegel_point(0.3j + 0.1, 0.25j, 0.3j - 0.2)]
+    points += [apply_moebius(M, TAU_GENERIC) for M in E_GENERATORS]
+    points += _level48_images()
+    for tau in points:
+        (y11, y12), (_, y22) = tau.imag
+        t = y12 / y22
+        s = y11 - y12 * t
+        for tol in (1e-4, 1e-8, 1e-13, 1e-16):
+            *center, R1, R2 = theta._row_windows(tau.imag, tol)
+            assert center == [s, t]
+            assert 2 * R1 == int(2 * R1) and 2 * R2 == int(2 * R2)
+            rows, cols = _stated_window_bound(s, y22, R1, R2)
+            assert rows < tol / 2 and cols < tol / 2, (tau, tol)
+            assert R1 == 0.5 or _stated_window_bound(s, y22, R1 - 0.5, R2)[0] >= tol / 2
+            assert R2 == 0.5 or _stated_window_bound(s, y22, R1, R2 - 0.5)[1] >= tol / 2
 
 
 def _defining_sums(ms, tau, tol):
@@ -245,9 +308,7 @@ def test_theta_values_match_the_defining_sum():
     smallest eigenvalue of Im tau below 0.06."""
     points = [TAU_A, TAU_B, TAU_GENERIC]
     points += [apply_moebius(M, TAU_GENERIC) for M in E_GENERATORS]
-    points += [apply_moebius(g, tau)
-               for g in gammaZ_generators() + random_gamma48_elements(10, seed=2)
-               for tau in (TAU_A, TAU_B)]
+    points += _level48_images()
     points.append(siegel_point(0.3j + 0.1, 0.25j, 0.3j - 0.2))
     radii = [theta._lattice_radius(float(np.linalg.eigvalsh(tau.imag).min()), 1e-13, 2)
              for tau in points]
@@ -577,11 +638,56 @@ def test_table1_matches_numeric_ratio():
             assert abs(ratio - table1_char(m1, m2, i).to_complex()) < 1e-8
 
 
+def _drawn_tuples():
+    """The 120 pairs of the 16 characteristics mod 2, F_Z's six-tuple, and
+    drawn 2r-tuples for r = 1, 2, 3, some with unreduced entries."""
+    allchars = list(itertools.product((0, 1), repeat=4))
+    rng = np.random.default_rng(20)
+    tuples = [list(itertools.combinations(allchars, 2)), [FZ_TUPLE]]
+    for r in (1, 2, 3):
+        for low, high in ((0, 2), (-3, 4)):
+            tuples.append([tuple(map(tuple, rng.integers(low, high, (2 * r, 4)).tolist()))
+                           for _ in range(40)])
+    return tuples
+
+
+def test_scalar_and_array_closed_forms_agree():
+    """table1_char_tuple, one tuple in Python ints, and table1_eighths, many
+    tuples in int arrays, read one closed form: on the 120 pairs and drawn
+    2r-tuples up to r = 3, on every generator, the array's eighths are twice
+    the scalar's quarter exponent."""
+    for ms in _drawn_tuples():
+        for i in range(1, 11):
+            eighths = table1_eighths(ms, i)
+            assert eighths.shape == (len(ms),) and eighths.dtype == np.int64
+            assert [table1_char_tuple(t, i) for t in ms] == [i_power(e // 2) for e in eighths]
+            assert not (eighths % 2).any()
+
+
+def test_array_characters_match_the_scalar_ones():
+    """character_eighths gives slash_character_exact of each tuple, and
+    pair_character_any_parity of each pair, in eighths, on the ten
+    generators and on level-2 words; it rejects what they reject."""
+    mats = list(E_GENERATORS) + random_gamma2_elements(6, seed=7)
+    for ms in _drawn_tuples():
+        for M in mats:
+            got = [Fraction(int(e), 8) for e in character_eighths(ms, M)]
+            assert got == [slash_character_exact(t, M) for t in ms]
+            if len(ms[0]) == 2:
+                assert got == [pair_character_any_parity(*t, M) for t in ms]
+    with pytest.raises(ValueError):
+        character_eighths([FZ_TUPLE], J4)
+
+
 def test_table1_rejects_bad_input():
     with pytest.raises(ValueError):
         table1_char((0, 0, 0, 0), (0, 0, 0, 1), 11)
     with pytest.raises(ValueError):
         table1_char_tuple((), 1)
+    with pytest.raises(ValueError):
+        table1_eighths(np.zeros((2, 3, 4), dtype=np.int64), 1)
+    with pytest.raises(ValueError):
+        table1_eighths(np.zeros((2, 2, 4), dtype=np.int64), 0)
 
 
 def test_odd_pairs_via_genus3_embedding():

@@ -161,11 +161,13 @@ def _as_gauss(x) -> GaussInt:
 
 ONE = GaussInt(1, 0)
 I_UNIT = GaussInt(0, 1)
+# the four units, shared: GaussInt is frozen
+_UNITS = (ONE, I_UNIT, GaussInt(-1, 0), GaussInt(0, -1))
 
 
 def i_power(k: int) -> GaussInt:
     """i^k as an exact Gaussian integer."""
-    return (ONE, I_UNIT, GaussInt(-1, 0), GaussInt(0, -1))[k % 4]
+    return _UNITS[k % 4]
 
 
 def gauss_primary_decompose(p: int) -> GaussInt:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -35,6 +36,9 @@ class RunConfig:
     selected_suites: list = field(default_factory=lambda: ["all"])
 
     def validate(self):
+        # an empty list would drop the per-prime claims without a word
+        if not self.prime_list:
+            raise ValueError("the prime list is empty")
         cap = pointcount.CHARSUM_Z_CAP
         for p in self.prime_list:
             if p % 2 == 0 or not arith.is_prime(p):
@@ -43,8 +47,9 @@ class RunConfig:
                 raise ValueError(f"prime {p} exceeds the Satake counting cap ({cap})")
         if self.series_order < 1:
             raise ValueError("series order must be positive")
-        if self.numeric_tol <= 0:
-            raise ValueError("the numeric tolerance must be positive")
+        # inf would pass every numeric claim, nan fail them all
+        if not 0 < self.numeric_tol < math.inf:
+            raise ValueError("the numeric tolerance must be positive and finite")
         for s in self.selected_suites:
             if s != "all" and s not in SUITES:
                 raise ValueError(f"unknown suite {s!r}")

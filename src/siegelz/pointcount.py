@@ -447,12 +447,13 @@ def verify_boundary_lines(p: int, rational_only: bool = False) -> dict:
     identically along it (tested at every parameter value in P^1(F_p))."""
     _check_odd_prime(p)
     lines = _line_catalog(p, rational_only)
-    # the parameters (1, v) for v in F_p and (0, 1), for every line at once
+    # every line is linear in (u, v), so its images of (1, 0) and (0, 1) give
+    # it as a matrix; the parameters (1, v) for v in F_p and (0, 1), for
+    # every line at once, make pts[line, coordinate, parameter]
+    mats = np.array([(param(1, 0), param(0, 1)) for _, param in lines], dtype=np.int64)
     u = np.append(np.ones(p, dtype=np.int64), 0)
     v = np.append(np.arange(p, dtype=np.int64), 1)
-    pts = np.concatenate([np.stack(np.broadcast_arrays(*param(u, v)), axis=1)
-                          for _, param in lines])
-    q = np.stack(big_quadrics(*pts.T, p)) % p
-    vanishing = np.all(q.reshape(10, len(lines), p + 1) == 0, axis=2)
+    pts = (mats[:, 0, :, None] * u + mats[:, 1, :, None] * v) % p
+    vanishing = np.all(np.stack(big_quadrics(*pts.transpose(1, 0, 2), p)) == 0, axis=2)
     return {name: np.flatnonzero(vanishing[:, k]).tolist()
             for k, (name, _) in enumerate(lines)}

@@ -688,6 +688,10 @@ def _code(m, n: int) -> int:
     return code
 
 
+# every character is one of these; interned, as building a Fraction normalizes
+_EIGHTHS = tuple(Fraction(k, 8) for k in range(8))
+
+
 def _exponent(table: _Table, ms, n: int) -> Fraction:
     """The exact character t of the product over ms (pairs of n-entry
     characteristics) under the table's matrix."""
@@ -696,7 +700,7 @@ def _exponent(table: _Table, ms, n: int) -> Fraction:
     t = 4 * (len(ms) // 2) * table.kappa
     for m in ms:
         t += table.weights[_code(m, n)]
-    return Fraction(t % 8, 8)
+    return _EIGHTHS[t % 8]
 
 
 def slash_character_exact(ms, M: np.ndarray) -> Fraction:
@@ -720,10 +724,10 @@ def character_value(t: Fraction) -> complex:
 
 def character_as_gauss(t: Fraction) -> GaussInt:
     """Exact value when the exponent is a quarter integer."""
-    tt = t % 1
-    if tt.denominator not in (1, 2, 4):
+    den = t.denominator
+    if 4 % den:
         raise ValueError(f"exponent {t} is not a fourth root of unity")
-    return i_power(int(tt * 4))
+    return i_power(t.numerator * (4 // den))
 
 
 # Table of pair characters on the generators e_1..e_10.
@@ -915,23 +919,33 @@ def orbit_decomposition() -> tuple[frozenset, ...]:
     """Partition of all 210 six-element subsets of the ten even genus-2
     characteristics into orbits of the full symplectic group, built once."""
     evens = even_characteristics(2)
-    perms = [char_permutation(M) for M in sp2z_generators()]
-    all_tuples = {frozenset(c) for c in itertools.combinations(evens, 6)}
+    # a subset is a 10-bit mask over evens; each generator maps the low five
+    # and the high five bits by a 32-entry table each, so the image of the
+    # mask x is lo[x & 31] | hi[x >> 5]
+    bit = {m: 1 << k for k, m in enumerate(evens)}
+    tables = []
+    for M in sp2z_generators():
+        perm = char_permutation(M)
+        img = [bit[perm[m]] for m in evens]
+        tables.append([[sum(img[s + k] for k in range(5) if x >> k & 1) for x in range(32)]
+                       for s in (0, 5)])
+    subsets = {sum(bit[m] for m in c): frozenset(c) for c in itertools.combinations(evens, 6)}
     orbits: list[frozenset] = []
-    remaining = set(all_tuples)
-    while remaining:
-        seed = next(iter(remaining))
+    seen: set[int] = set()
+    for seed in subsets:
+        if seed in seen:
+            continue
         orbit = {seed}
         frontier = [seed]
         while frontier:
-            cur = frontier.pop()
-            for perm in perms:
-                img = frozenset(perm[m] for m in cur)
-                if img not in orbit:
-                    orbit.add(img)
-                    frontier.append(img)
-        orbits.append(frozenset(orbit))
-        remaining -= orbit
+            x = frontier.pop()
+            for lo, hi in tables:
+                y = lo[x & 31] | hi[x >> 5]
+                if y not in orbit:
+                    orbit.add(y)
+                    frontier.append(y)
+        seen |= orbit
+        orbits.append(frozenset(subsets[x] for x in orbit))
     assert sum(len(o) for o in orbits) == 210
     return tuple(orbits)
 

@@ -102,6 +102,14 @@ def test_gauss_basic():
     assert (z * w).exact_div(w) == z
 
 
+def test_i_power_equals_a_freshly_built_unit():
+    for k in range(-8, 9):
+        unit = GaussInt(1, 0)
+        for _ in range(abs(k)):
+            unit = unit * GaussInt(0, 1 if k > 0 else -1)
+        assert i_power(k) == unit
+
+
 def test_gauss_real_hashes_as_its_int():
     assert GaussInt(3, 0) == 3
     assert hash(GaussInt(3, 0)) == hash(3)

@@ -16,6 +16,11 @@ def test_run_config_validation():
         RunConfig(series_order=0).validate()
     with pytest.raises(ValueError):
         RunConfig(numeric_tol=-1).validate()
+    for tol in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite"):
+            RunConfig(numeric_tol=tol).validate()
+    with pytest.raises(ValueError, match="empty"):
+        RunConfig(prime_list=[]).validate()
     with pytest.raises(ValueError):
         RunConfig(selected_suites=["nope"]).validate()
 
@@ -23,6 +28,19 @@ def test_run_config_validation():
 def test_usage_error_exit_code():
     assert main(["counts", "--primes", "4,6"]) == 2
     assert main(["bogus-suite"]) == 2
+
+
+@pytest.mark.parametrize("argv", [["all", "--primes", ","],
+                                  ["theta-table", "ez", "--tol", "inf"],
+                                  ["theta-table", "ez", "--tol", "nan"]],
+                         ids=["empty primes", "tol inf", "tol nan"])
+def test_configs_that_change_what_a_run_checks_are_rejected(argv, capsys):
+    # an empty prime list drops the per-prime claims; an infinite tol passes
+    # every numeric claim and a nan one fails them all
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "invalid configuration" in captured.err
+    assert "checks" not in captured.out
 
 
 def test_counts_suite_passes(tmp_path, capsys):

@@ -841,6 +841,26 @@ def test_character_follows_a_matrix_mutated_in_place():
         pair_character_any_parity(*odd_pair, M)
 
 
+def test_character_as_gauss_reads_the_exponent_as_ints():
+    for k in range(-9, 10):
+        z = cmath.exp(2j * cmath.pi * k / 4)
+        assert character_as_gauss(Fraction(k, 4)) == GaussInt(round(z.real), round(z.imag))
+    for t in [Fraction(k, 8) for k in range(-9, 10, 2)] + [Fraction(1, 3)]:
+        with pytest.raises(ValueError):
+            character_as_gauss(t)
+
+
+def test_exact_characters_are_fractions_in_the_unit_interval():
+    allchars = list(itertools.product((0, 1), repeat=4))
+    for M in E_GENERATORS:
+        chars = [slash_character_exact(ms, M)
+                 for ms in itertools.combinations(even_characteristics(2), 2)]
+        chars += [pair_character_any_parity(m1, m2, M)
+                  for m1, m2 in itertools.product(allchars, repeat=2)]
+        assert all(type(t) is Fraction and 0 <= t < 1 and 8 % t.denominator == 0
+                   for t in chars)
+
+
 def test_non_level2_matrices_are_rejected_on_every_call():
     E1 = E_GENERATORS[0]
     # float matrices whose entries truncate to E1 and to the identity
@@ -907,6 +927,36 @@ def test_orbit_decomposition_shape():
     assert orbit_decomposition() is orbits
     assert isinstance(orbits, tuple) and all(isinstance(o, frozenset) for o in orbits)
     assert isinstance(fz_orbit(), frozenset)
+
+
+def _reference_orbits() -> set:
+    """orbit_decomposition transcribed as a BFS on frozensets of
+    characteristics."""
+    from siegelz.theta import char_permutation
+
+    perms = [char_permutation(M) for M in sp2z_generators()]
+    remaining = {frozenset(c) for c in itertools.combinations(even_characteristics(2), 6)}
+    orbits = set()
+    while remaining:
+        seed = next(iter(remaining))
+        orbit = {seed}
+        frontier = [seed]
+        while frontier:
+            cur = frontier.pop()
+            for perm in perms:
+                img = frozenset(perm[m] for m in cur)
+                if img not in orbit:
+                    orbit.add(img)
+                    frontier.append(img)
+        orbits.add(frozenset(orbit))
+        remaining -= orbit
+    return orbits
+
+
+def test_orbit_decomposition_matches_the_frozenset_bfs():
+    orbits = orbit_decomposition()
+    assert set(orbits) == _reference_orbits()
+    assert sorted(len(o) for o in orbits) == [15, 15, 180]
 
 
 def test_orbit_closure_under_every_generator():

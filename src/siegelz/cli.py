@@ -39,6 +39,9 @@ class RunConfig:
         # an empty list would drop the per-prime claims without a word
         if not self.prime_list:
             raise ValueError("the prime list is empty")
+        # a repeat would run and count its per-prime claims twice
+        if len(set(self.prime_list)) < len(self.prime_list):
+            raise ValueError("the prime list repeats a prime")
         cap = pointcount.CHARSUM_Z_CAP
         for p in self.prime_list:
             if p % 2 == 0 or not arith.is_prime(p):

@@ -87,11 +87,12 @@ def ez_eval(tau, tol: float = 1e-10) -> VectorValue:
     """The three components (h0, h1, h2) = (S1^2, S1 S2, S2^2) at a point of
     the upper half space, each within tol.
 
-    S = -i theta_gradient((1, 0, 1, 1)), each component within tol / 2M.
-    With a = pi lambda_min(Im tau), over any c + Z the sum of exp(-a n^2) is
-    at most sqrt(pi/a) + 1, and of |n| exp(-a n^2) at most 1/a + 2/sqrt(2ea)
-    (integral plus maxima); their product M bounds |S_k| and its truncations,
-    so |S_i S_j - S~_i S~_j| <= |S_i - S~_i| |S_j| + |S~_i| |S_j - S~_j| <= tol.
+    S = -i theta_gradient((1, 0, 1, 1)) on theta's row windows of moment
+    degree 1, each component within tol / 2M.  With a = pi lambda_min(Im tau),
+    the sums of exp(-a n^2) and |n| exp(-a n^2) over any c + Z are at most
+    sqrt(pi/a) + 1 and 1/a + 2/sqrt(2ea) (integral plus maxima); their product
+    M bounds |S_k| and its windowed truncations, so
+    |S_i S_j - S~_i S~_j| <= |S_i - S~_i| |S_j| + |S~_i| |S_j - S~_j| <= tol.
     """
     tau = np.asarray(tau, dtype=complex)
     check_siegel_point(tau)

@@ -406,38 +406,13 @@ def phi_characteristics(ms) -> tuple | None:
 # ---------------------------------------------------------------------------
 # numeric evaluation
 
-def _lattice_radius(lam: float, tol: float, genus: int, degree: int = 0) -> int:
-    """Smallest integer R making the discarded Gaussian tail provably < tol.
-
-    Shell k, the terms with k <= max |x_i| < k + 1, holds at most
-    8k + 4 <= 9(k+1) of them in genus 2 and 2 in genus 1, each at most
-    exp(-pi lam k^2).  With q = exp(-2 pi lam R), the genus-2 shells k = R + j
-    sum to at most 9(R+1) exp(-pi lam R^2) sum_j (1+j) q^j.  degree=1 bounds
-    a gradient component: each term carries |x_i| <= k + 1 <= (R+1)(1+j), and
-    sum_j (1+j)^2 q^j <= 2/(1-q)^3.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    shell = 9.0 if genus == 2 else 2.0
-    R = 1
-    while True:
-        q = math.exp(-2 * math.pi * lam * R)
-        head = shell * (R + 1 if genus == 2 else 1) * math.exp(-math.pi * lam * R * R)
-        bound = head / (1 - q) ** 2 * (2 * (R + 1) / (1 - q)) ** degree
-        if bound < tol:
-            return R + 1  # margin for the half-integer characteristic shift
-        R += 1
-        if R > 400:
-            raise ValueError("tolerance unreachable at this tau")
-
-
 def theta_eval(m, tau, tol: float = 1e-12) -> complex:
     """Numeric theta constant by direct lattice sum, tail below tol.
 
     m may be unreduced: theta[m] = (-1)^(m'.k'') theta[m mod 2] for
-    m = m mod 2 + 2k, and the sum runs around the reduced shift, where the
-    tail bound of _lattice_radius (genus 1) or of _row_windows (genus 2,
-    through theta_values) holds.
+    m = m mod 2 + 2k, and the sum runs around the reduced shift.  Genus 2
+    goes through theta_values; genus 1 keeps x = a + m'/2 with |x| <= R, R
+    the smallest half-integer with T0(y, R) < tol (see _row_windows).
     """
     if genus_of(m) == 2:
         return complex(theta_values([m], tau, tol)[0])
@@ -445,9 +420,8 @@ def theta_eval(m, tau, tol: float = 1e-12) -> complex:
     if t.imag <= 0:
         raise ValueError("imaginary part must be positive")
     mp, mpp = int(m[0]) % 2, int(m[1])
-    R = _lattice_radius(t.imag, tol, 1)
-    a = np.arange(-R - 1, R + 2)
-    x = a + mp / 2.0
+    R = _window_radius(t.imag, 1.0, 0.0, tol)
+    x = np.arange(math.ceil(-R - mp / 2), math.floor(R - mp / 2) + 1) + mp / 2
     expo = 1j * math.pi * (t * x * x + x * (mpp % 2))
     sign = -1 if mp * (mpp // 2) % 2 else 1
     return sign * complex(np.exp(expo).sum())
@@ -476,40 +450,61 @@ def theta_values(ms, tau, tol: float = 1e-12) -> np.ndarray:
     return _theta_sums(m.tobytes(), tau.tobytes(), tau.shape, tol).copy()
 
 
-def _window_radius(y: float, other: float, tol: float) -> float:
-    """The smallest R in {1/2, 1, 3/2, ...} with T(y, R) F(other) < tol/2,
-    where F(y) = 1 + 1/sqrt(y) and T(y, R) = 2 exp(-pi y R^2) / (1 - exp(-2 pi y R))
-    (see _row_windows)."""
-    head = 2 * (1 + 1 / math.sqrt(other))
-    # T F < tol/2 needs head exp(-pi y R^2) < tol/2, which no smaller R meets
-    R = max(1, math.floor(2 * math.sqrt(max(0.0, math.log(2 * head / tol)) / (math.pi * y)))) / 2
-    while head * math.exp(-math.pi * y * R * R) >= tol / 2 * -math.expm1(-2 * math.pi * y * R):
+def _tail(y: float, R: float, degree: int) -> float:
+    """T0(y, R) or T1(y, R) of _row_windows."""
+    if degree == 0:
+        return 2 * math.exp(-math.pi * y * R * R) / -math.expm1(-2 * math.pi * y * R)
+    r = max(R, 1 / math.sqrt(2 * math.pi * y))
+    return 2 * r * math.exp(-math.pi * y * r * r) + math.exp(-math.pi * y * R * R) / (math.pi * y)
+
+
+def _window_radius(y: float, a0: float, a1: float, tol: float) -> float:
+    """The smallest R in {1/2, 1, 3/2, ...} with a0 T0(y, R) + a1 T1(y, R) < tol."""
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, not {tol}")
+    # T0 >= 2 exp(-pi y R^2) and T1 >= 2 (R + 1/(2 pi y)) exp(-pi y R^2), so no R <= r
+    # will do; r is infinite where the bound over tol overflows: too fine for floats
+    r = math.sqrt(max(0.0, math.log(2 * (a0 + a1 / (2 * math.pi * y)) / tol)) / (math.pi * y))
+    R = max(1, math.floor(2 * min(r, 401))) / 2
+    while R <= 400 and a0 * _tail(y, R, 0) + a1 * _tail(y, R, 1) >= tol:
         R += 0.5
     if R > 400:
         raise ValueError("tolerance unreachable at this tau")
     return R
 
 
-def _row_windows(Y: np.ndarray, tol: float) -> tuple[float, float, float, float]:
-    """(s, t, R1, R2): theta_values keeps every x with |x1| <= R1 and
-    |x2 + t x1| <= R2, and the terms it drops sum to less than tol in
-    absolute value.
+def _row_windows(Y: np.ndarray, tol: float, degree: int = 0) -> tuple[float, float, float, float]:
+    """(s, t, R1, R2): the sums keep each x with |x1| <= R1, |x2 + t x1| <= R2;
+    the terms exp(-pi x.Y.x) they drop, in degree 1 times |x1| + |x2| (which
+    bounds a gradient component's), sum to less than tol.
 
-    Completing the square, x.Y.x = s x1^2 + y22 (x2 + t x1)^2 with
-    s = det Y / y22 and t = y12 / y22.  For y > 0 and any shift u, a
-    shifted sum sum_n exp(-pi y (n + u)^2) of a unimodal summand is at most
-    its maximum plus its integral, F(y) = 1 + 1/sqrt(y); the part with
-    |n + u| > R is at most T(y, R) = 2 exp(-pi y R^2) / (1 - exp(-2 pi y R)),
-    as its first term on either side is at most exp(-pi y R^2) and each next
-    one at most exp(-2 pi y R) times the one before.  The dropped x have
-    |x1| > R1, summed over every x2: at most T(s, R1) F(y22); or
-    |x1| <= R1 and |x2 + t x1| > R2: at most F(s) T(y22, R2).  Each radius
-    is the smallest half-integer that puts its term below tol/2.
+    Completing the square, x.Y.x = s x1^2 + y22 w^2 with w = x2 + t x1,
+    s = det Y / y22 and t = y12 / y22.  For y > 0 and v in any u + Z, the
+    summands exp(-pi y v^2) and |v| exp(-pi y v^2) are unimodal on each half
+    line, so a sum of either there is at most its maximum plus its integral:
+    sum exp(-pi y v^2) <= M0(y) = 1 + 1/sqrt(y), and the part of
+    sum |v| exp(-pi y v^2) with |v| > R is at most T1(y, R) =
+    2 r exp(-pi y r^2) + exp(-pi y R^2) / (pi y), r = max(R, 1/sqrt(2 pi y))
+    (the peak of v exp(-pi y v^2) is at 1/sqrt(2 pi y)); the whole sum is
+    at most M1(y) = T1(y, 0) = 2/sqrt(2 pi e y) + 1/(pi y).  The part of
+    sum exp(-pi y v^2) with |v| > R is at most T0(y, R) =
+    2 exp(-pi y R^2) / (1 - exp(-2 pi y R)): its first term on either side is
+    at most exp(-pi y R^2), each next one at most exp(-2 pi y R) times the
+    one before.  The dropped x have |x1| > R1, summed over every x2, or
+    |x1| <= R1 and |w| > R2: at most T0(s, R1) M0(y22) and M0(s) T0(y22, R2)
+    in degree 0.  In degree 1, |x1| + |x2| <= c |x1| + |w| with c = 1 + |t|,
+    as |x2| <= |w| + |t| |x1|; so the parts are at most
+    c T1(s, R1) M0(y22) + T0(s, R1) M1(y22) and
+    c M1(s) T0(y22, R2) + M0(s) T1(y22, R2).  Each radius is the smallest
+    half-integer that puts its part below tol/2.
     """
     y11, y12, y22 = float(Y[0, 0]), float(Y[0, 1]), float(Y[1, 1])
     t = y12 / y22
     s = y11 - y12 * t
-    return s, t, _window_radius(s, y22, tol), _window_radius(y22, s, tol)
+    c, m0y, m0s = 1 + abs(t), 1 + 1 / math.sqrt(y22), 1 + 1 / math.sqrt(s)
+    rows = (_tail(y22, 0.0, 1), c * m0y) if degree else (m0y, 0.0)
+    cols = (c * _tail(s, 0.0, 1), m0s) if degree else (m0s, 0.0)
+    return s, t, _window_radius(s, *rows, tol / 2), _window_radius(y22, *cols, tol / 2)
 
 
 # i^(b.m'') = i^(m'.m'') (-1)^(a.m'') for b = 2a + m', indexed by m' and m''
@@ -523,24 +518,14 @@ _PARITY_PHASES = np.array([(1, 1j, -1, -1j)[(c1 * e + c2 * f) % 4] * (-1) ** (i 
 _PARITY_PHASES.flags.writeable = False
 
 
-@lru_cache(maxsize=128)
-def _theta_sums(ms: bytes, point: bytes, shape: tuple, tol: float) -> np.ndarray:
-    """The read-only values of theta_values for the int64 characteristics and
-    the complex point with these bytes (the point of this shape)."""
-    m = np.frombuffer(ms, dtype=np.int64).reshape(-1, 4)
-    tau = np.frombuffer(point, dtype=complex).reshape(shape)
-    _, t, R1, R2 = _row_windows(tau.imag, tol)
-    red = m % 2
-    signs = 1 - 2 * ((red[:, :2] * (m[:, 2:] // 2)).sum(1) % 2)
-    codes = 2 * red[:, 0] + red[:, 1]
-    # one block per class m' mod 2 that ms needs, with x = b/2 = a + m'/2;
-    # its rows run over an even number of a1 from an even one, and hold
-    # |x1| <= R1 at either shift; each row starts at an even a2, and an even
-    # number of columns, at least 2 R2 + 2, holds its window
-    classes = np.flatnonzero(np.bincount(codes, minlength=4))
-    h1, h2 = (classes // 2 / 2)[:, None, None], (classes % 2 / 2)[:, None, None]
-    first = math.ceil(-R1 - 0.5)
-    first -= first % 2
+def _window_block(tau, t, R1, R2, h1, h2, half: bool = False):
+    """x1, x2 and the terms exp(pi i x.tau.x) of the windows of _row_windows
+    at x = (a1 + h1, a2 + h2), h1 and h2 each 0 or 1/2 (or arrays of shape
+    (classes, 1, 1), one block per class).  The rows run over an even number
+    of a1 from an even one and hold |x1| <= R1 at either shift, or x1 > 0
+    only when half (h1 = 1/2 there); each row starts at an even a2, and an
+    even number of columns, at least 2 R2 + 2, holds its window."""
+    first = 0 if half else math.ceil(-R1 - 0.5) // 2 * 2
     rows = math.floor(R1) - first + 1
     x1 = np.arange(first, first + rows + rows % 2)[:, None] + h1
     a2 = np.floor(-t * x1 - R2 - h2)
@@ -551,6 +536,23 @@ def _theta_sums(ms: bytes, point: bytes, shape: tuple, tol: float) -> np.ndarray
     block += tau[1, 1] * x2 * x2
     block *= 1j * math.pi
     np.exp(block, out=block)
+    return x1, x2, block
+
+
+@lru_cache(maxsize=128)
+def _theta_sums(ms: bytes, point: bytes, shape: tuple, tol: float) -> np.ndarray:
+    """The read-only values of theta_values for the int64 characteristics and
+    the complex point with these bytes (the point of this shape)."""
+    m = np.frombuffer(ms, dtype=np.int64).reshape(-1, 4)
+    tau = np.frombuffer(point, dtype=complex).reshape(shape)
+    _, t, R1, R2 = _row_windows(tau.imag, tol)
+    red = m % 2
+    signs = 1 - 2 * ((red[:, :2] * (m[:, 2:] // 2)).sum(1) % 2)
+    codes = 2 * red[:, 0] + red[:, 1]
+    # one block per class m' mod 2 that ms needs, with x = b/2 = a + m'/2
+    classes = np.flatnonzero(np.bincount(codes, minlength=4))
+    h1, h2 = (classes // 2 / 2)[:, None, None], (classes % 2 / 2)[:, None, None]
+    _, _, block = _window_block(tau, t, R1, R2, h1, h2)
     # each block summed over the four parity classes of (a1, a2)
     n, r, w = block.shape
     parts = np.zeros((4, 2, 2), dtype=complex)
@@ -566,32 +568,26 @@ def theta_gradient(m, tau, tol: float = 1e-12) -> np.ndarray:
     the sum of x exp(pi i x.tau.x) i^(b.m'') over x = b/2, each component
     with its discarded tail below tol.
 
-    Unreduced m are reduced as in theta_values.  b = 2a + (m' mod 2) runs
-    over the square box a in [-R-1, R+1]^2, with R from _lattice_radius at
-    the smallest eigenvalue of Im tau and one moment degree.  x -> -x
-    multiplies i^(b.m'') by (-1)^(m'.m''), so for odd m the summand is even:
-    the sum runs over the half plane x_j > 0 of the first j with m'_j odd,
-    and is doubled.
+    Unreduced m are reduced as in theta_values, and the sum runs over the
+    windows of _row_windows in degree 1, in theta_values' block, whose rows
+    start at even a2: i^(b.m'') is a row phase times a column phase.  As
+    x -> -x multiplies i^(b.m'') by (-1)^(m'.m''), the summand is even, so
+    when m'_1 is odd the rows x1 > 0 are summed and doubled; the windows are
+    symmetric, so the tail bound holds for the doubled sum.
     """
     m = tuple(int(v) for v in m)
     if genus_of(m) != 2 or parity(m) != "odd":
         raise ValueError(f"theta_gradient takes an odd genus-2 characteristic, not {m}")
     tau = np.asarray(tau, dtype=complex)
     check_siegel_point(tau)
-    R = _lattice_radius(float(np.linalg.eigvalsh(tau.imag).min()), tol, 2, degree=1)
+    _, t, R1, R2 = _row_windows(tau.imag, tol, degree=1)
     red = [v % 2 for v in m]
     sign = -1 if (red[0] * (m[2] // 2) + red[1] * (m[3] // 2)) % 2 else 1
-    a = np.arange(-R - 1, R + 2)
-    b = [2 * a + red[0], 2 * a + red[1]]
-    b[1 - red[0]] = 2 * np.arange(R + 2) + 1  # the half plane x_j > 0
-    x1, x2 = b[0] / 2, b[1] / 2
-    wave = (tau[0, 0] * x1 * x1)[:, None] + tau[1, 1] * x2 * x2 + 2 * tau[0, 1] * np.outer(x1, x2)
-    wave *= 1j * math.pi
-    np.exp(wave, out=wave)
+    x1, x2, block = _window_block(tau, t, R1, R2, red[0] / 2, red[1] / 2, half=bool(red[0]))
     phase = np.array([1, 1j, -1, -1j])
-    wave *= phase[b[0] * red[2] % 4][:, None]
-    wave *= phase[b[1] * red[3] % 4]
-    return 2 * sign * np.array([(x1 * wave.sum(1)).sum(), (x2 * wave.sum(0)).sum()])
+    block *= phase[(2 * x1).astype(np.int64) * red[2] % 4]
+    block *= phase[(2 * x2[0]).astype(np.int64) * red[3] % 4]
+    return (1 + red[0]) * sign * np.array([(x1 * block).sum(), (x2 * block).sum()])
 
 
 def fz_eval(tau, tol: float = 1e-12) -> complex:

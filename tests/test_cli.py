@@ -32,11 +32,13 @@ def test_usage_error_exit_code():
 
 @pytest.mark.parametrize("argv", [["all", "--primes", ","],
                                   ["theta-table", "ez", "--tol", "inf"],
-                                  ["theta-table", "ez", "--tol", "nan"]],
-                         ids=["empty primes", "tol inf", "tol nan"])
+                                  ["theta-table", "ez", "--tol", "nan"],
+                                  ["counts", "--primes", "3,3"]],
+                         ids=["empty primes", "tol inf", "tol nan", "repeated prime"])
 def test_configs_that_change_what_a_run_checks_are_rejected(argv, capsys):
     # an empty prime list drops the per-prime claims; an infinite tol passes
-    # every numeric claim and a nan one fails them all
+    # every numeric claim and a nan one fails them all; a repeated prime
+    # counts its per-prime claims twice
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert "invalid configuration" in captured.err

@@ -58,6 +58,7 @@ from siegelz.theta import (
     verify_igusa_transformation,
 )
 from siegelz import theta
+from siegelz.soudry import EZ_SAMPLE_POINTS
 
 TAU_A = siegel_point(2j, 0, 2j)
 TAU_B = siegel_point(2j, 0.5j, 2j)
@@ -192,6 +193,33 @@ def test_theta_eval_rejects_bad_tau():
         theta_eval((0, 0, 0, 0), np.array([[1j, 0], [0, -2j]]), 1e-10)
 
 
+# the square-box radius rule that sizes the reference sums of these tests:
+# a rule of its own, so the oracles do not share the windows they check
+def _lattice_radius(lam: float, tol: float, genus: int, degree: int = 0) -> int:
+    """Smallest integer R making the discarded Gaussian tail provably < tol.
+
+    Shell k, the terms with k <= max |x_i| < k + 1, holds at most
+    8k + 4 <= 9(k+1) of them in genus 2 and 2 in genus 1, each at most
+    exp(-pi lam k^2).  With q = exp(-2 pi lam R), the genus-2 shells k = R + j
+    sum to at most 9(R+1) exp(-pi lam R^2) sum_j (1+j) q^j.  degree=1 bounds
+    a gradient component: each term carries |x_i| <= k + 1 <= (R+1)(1+j), and
+    sum_j (1+j)^2 q^j <= 2/(1-q)^3.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    shell = 9.0 if genus == 2 else 2.0
+    R = 1
+    while True:
+        q = math.exp(-2 * math.pi * lam * R)
+        head = shell * (R + 1 if genus == 2 else 1) * math.exp(-math.pi * lam * R * R)
+        bound = head / (1 - q) ** 2 * (2 * (R + 1) / (1 - q)) ** degree
+        if bound < tol:
+            return R + 1  # margin for the half-integer characteristic shift
+        R += 1
+        if R > 400:
+            raise ValueError("tolerance unreachable at this tau")
+
+
 def _level48_images():
     """The level-(4,8) images of the six-theta claim's two points."""
     return [apply_moebius(g, tau)
@@ -210,7 +238,7 @@ def _ill_conditioned_points():
         low, high = np.linalg.eigvalsh(tau.imag)
         assert 0.0016 < low < 0.0019 and 0.030 < high < 0.032
     low, high = np.linalg.eigvalsh(isotropic.imag)
-    assert high < 2 * low and theta._lattice_radius(low, 1e-13, 2) == 95
+    assert high < 2 * low and _lattice_radius(low, 1e-13, 2) == 95
     return anisotropic + [isotropic]
 
 
@@ -238,26 +266,60 @@ def test_theta_tail_bound_against_a_tighter_evaluation():
                 assert abs(theta_eval(m, t, tol) - tight) < tol, (m, tol)
 
 
-def _stated_window_bound(s, y22, R1, R2):
-    """The two terms of _row_windows' tail bound: T(s, R1) F(y22) for the
-    rows |x1| > R1, and F(s) T(y22, R2) for the rest of each kept row, with
-    F(y) = 1 + 1/sqrt(y) and T(y, R) = 2 exp(-pi y R^2) / (1 - exp(-2 pi y R))."""
-    def F(y):
+def _stated_window_sum(y, degree):
+    """F(y) = 1 + 1/sqrt(y) in degree 0 and G(y) = 2/sqrt(2 pi e y) + 1/(pi y)
+    in degree 1: bounds on the sums of |v|^degree exp(-pi y v^2) over any
+    shifted lattice v in u + Z."""
+    if degree == 0:
         return 1 + 1 / math.sqrt(y)
+    return 2 / math.sqrt(2 * math.pi * math.e * y) + 1 / (math.pi * y)
 
-    def T(y, R):
+
+def _stated_window_tail(y, R, degree):
+    """T(y, R) = 2 exp(-pi y R^2) / (1 - exp(-2 pi y R)) in degree 0, and in
+    degree 1 T1(y, R) = 2 exp(-pi y R^2) (R + 1/(2 pi y)) from the peak
+    R = 1/sqrt(2 pi y) of v exp(-pi y v^2) on, and below it the peak's value
+    doubled plus exp(-pi y R^2) / (pi y): bounds on the parts with |v| > R
+    of the sums of _stated_window_sum."""
+    if degree == 0:
         return 2 * math.exp(-math.pi * y * R * R) / (1 - math.exp(-2 * math.pi * y * R))
+    peak = 1 / math.sqrt(2 * math.pi * y)
+    if R >= peak:
+        return 2 * math.exp(-math.pi * y * R * R) * (R + 1 / (2 * math.pi * y))
+    return 2 * peak * math.exp(-0.5) + math.exp(-math.pi * y * R * R) / (math.pi * y)
 
-    return T(s, R1) * F(y22), F(s) * T(y22, R2)
+
+def _stated_window_bound(s, y22, t, R1, R2, degree=0):
+    """The two parts of _row_windows' tail bound, for the rows |x1| > R1 and
+    for the rest of each kept row: T(s, R1) F(y22) and F(s) T(y22, R2) in
+    degree 0; c T1(s, R1) F(y22) + T(s, R1) G(y22) and
+    c G(s) T(y22, R2) + F(s) T1(y22, R2) in degree 1, with c = 1 + |t|."""
+    F, T = _stated_window_sum, _stated_window_tail
+    if degree == 0:
+        return T(s, R1, 0) * F(y22, 0), F(s, 0) * T(y22, R2, 0)
+    c = 1 + abs(t)
+    return (c * T(s, R1, 1) * F(y22, 0) + T(s, R1, 0) * F(y22, 1),
+            c * F(s, 1) * T(y22, R2, 0) + F(s, 0) * T(y22, R2, 1))
 
 
-def test_row_windows_are_the_smallest_their_bound_allows():
-    """Each radius of _row_windows is the smallest half-integer whose term of
-    the stated bound is below tol/2, with the Schur complement
-    s = y11 - y12^2 / y22 and t = y12 / y22 recomputed here.  At the
-    anisotropic points s is near 0.031 and the smallest eigenvalue of Im tau
-    near 0.0017, and y11 is far above s at points with a large y12, so a rule
-    that reads either in place of s, or drops the F factor, fails here."""
+def test_row_windows_are_the_smallest_their_bound_allows(monkeypatch):
+    """Each radius of _row_windows, in moment degree 0 and 1, is the smallest
+    half-integer whose part of the stated bound is below tol/2, with the
+    Schur complement s = y11 - y12^2 / y22 and t = y12 / y22 recomputed here;
+    and the genus-1 radius of theta_eval is the smallest half-integer with
+    T(y, R) below tol.  At the anisotropic points s is near 0.031 and the
+    smallest eigenvalue of Im tau near 0.0017, and y11 is far above s at
+    points with a large y12, so a rule that reads either in place of s,
+    drops the F factor, or in degree 1 drops the G factor or the |t| |x1|
+    term, fails here."""
+    radii = []
+    rule = theta._window_radius
+
+    def recorded(*args):
+        radii.append(rule(*args))
+        return radii[-1]
+
+    monkeypatch.setattr(theta, "_window_radius", recorded)
     points = [TAU_A, TAU_B, TAU_GENERIC, siegel_point(0.3j + 0.1, 0.25j, 0.3j - 0.2)]
     points += [apply_moebius(M, TAU_GENERIC) for M in E_GENERATORS]
     points += _level48_images()
@@ -266,13 +328,23 @@ def test_row_windows_are_the_smallest_their_bound_allows():
         t = y12 / y22
         s = y11 - y12 * t
         for tol in (1e-4, 1e-8, 1e-13, 1e-16):
-            *center, R1, R2 = theta._row_windows(tau.imag, tol)
-            assert center == [s, t]
-            assert 2 * R1 == int(2 * R1) and 2 * R2 == int(2 * R2)
-            rows, cols = _stated_window_bound(s, y22, R1, R2)
-            assert rows < tol / 2 and cols < tol / 2, (tau, tol)
-            assert R1 == 0.5 or _stated_window_bound(s, y22, R1 - 0.5, R2)[0] >= tol / 2
-            assert R2 == 0.5 or _stated_window_bound(s, y22, R1, R2 - 0.5)[1] >= tol / 2
+            for degree in (0, 1):
+                *center, R1, R2 = theta._row_windows(tau.imag, tol, degree)
+                assert center == [s, t]
+                assert 2 * R1 == int(2 * R1) and 2 * R2 == int(2 * R2)
+                rows, cols = _stated_window_bound(s, y22, t, R1, R2, degree)
+                assert rows < tol / 2 and cols < tol / 2, (tau, tol, degree)
+                assert R1 == 0.5 or \
+                    _stated_window_bound(s, y22, t, R1 - 0.5, R2, degree)[0] >= tol / 2
+                assert R2 == 0.5 or \
+                    _stated_window_bound(s, y22, t, R1, R2 - 0.5, degree)[1] >= tol / 2
+            for y in (s, y22, 1.0):
+                radii.clear()
+                theta_eval((1, 0), 1j * y, tol)
+                (R,) = radii
+                assert 2 * R == int(2 * R)
+                assert _stated_window_tail(y, R, 0) < tol
+                assert R == 0.5 or _stated_window_tail(y, R - 0.5, 0) >= tol
 
 
 def _defining_sums(ms, tau, tol):
@@ -281,7 +353,7 @@ def _defining_sums(ms, tau, tol):
     the box [-R-1, R+1]^2 of the lattice radius, the phase reduced exactly
     in integers, so no reduction rule for unreduced m enters.  Returns the
     sums and the sums of the terms' absolute values."""
-    R = theta._lattice_radius(float(np.linalg.eigvalsh(tau.imag).min()), tol, 2)
+    R = _lattice_radius(float(np.linalg.eigvalsh(tau.imag).min()), tol, 2)
     box = np.arange(-R - 1, R + 2)
     grids = {}  # exp(pi i x.tau.x) by the parity of 2x
     sums, scales = [], []
@@ -310,7 +382,7 @@ def test_theta_values_match_the_defining_sum():
     points += [apply_moebius(M, TAU_GENERIC) for M in E_GENERATORS]
     points += _level48_images()
     points.append(siegel_point(0.3j + 0.1, 0.25j, 0.3j - 0.2))
-    radii = [theta._lattice_radius(float(np.linalg.eigvalsh(tau.imag).min()), 1e-13, 2)
+    radii = [_lattice_radius(float(np.linalg.eigvalsh(tau.imag).min()), 1e-13, 2)
              for tau in points]
     assert max(radii) == 95
     assert min(np.linalg.eigvalsh(points[-1].imag)) < 0.06
@@ -367,14 +439,26 @@ GRADIENT_CHARS = ODD_CHARS + [(3, -2, 1, 5), (-1, 1, 4, -1)]
 GRADIENT_POINTS = (TAU_A, TAU_B, TAU_GENERIC, siegel_point(0.3j + 0.1, 0.25j, 0.3j - 0.2))
 
 
+def _gradient_points():
+    """GRADIENT_POINTS, the worst-conditioned point where the `ez` suite
+    evaluates E_Z (a level-(4,8) image of a sample point, smallest eigenvalue
+    of Im tau near 0.023) and the ill-conditioned level-(4,8) images."""
+    images = [apply_moebius(g, tau)
+              for g in gammaZ_generators() + random_gamma48_elements(10, seed=3, small_c=True)
+              for tau in EZ_SAMPLE_POINTS]
+    worst = min(images, key=lambda tau: np.linalg.eigvalsh(tau.imag).min())
+    assert 0.022 < np.linalg.eigvalsh(worst.imag).min() < 0.024
+    return [*GRADIENT_POINTS, worst, *_ill_conditioned_points()]
+
+
 def _defining_gradients(ms, tau, tol):
     """grad_z theta[m](tau, 0) / 2 pi i for each m in ms from its definition,
     term by term: the sum of x exp(pi i x.tau.x) i^(2x.m'') over
-    x = a + m'/2 with a + m' // 2 in the box of theta_values widened by one
-    on each side, which holds the half plane that theta_gradient sums and
-    its mirror image; the phase is reduced exactly in integers.  Returns
-    the sums and the sums of (|x1| + |x2|) times the terms' absolute values."""
-    R = theta._lattice_radius(float(np.linalg.eigvalsh(tau.imag).min()), tol, 2, 1) + 1
+    x = a + m'/2 with a + m' // 2 in the square box of _lattice_radius in
+    moment degree 1, widened by one on each side; the phase is reduced
+    exactly in integers.  Returns the sums and the sums of (|x1| + |x2|)
+    times the terms' absolute values."""
+    R = _lattice_radius(float(np.linalg.eigvalsh(tau.imag).min()), tol, 2, 1) + 1
     box = np.arange(-R - 1, R + 2)
     sums, scales = [], []
     for m in ms:
@@ -392,11 +476,12 @@ def _defining_gradients(ms, tau, tol):
 def test_theta_gradient_matches_the_defining_sum():
     """The six odd characteristics and two unreduced shifts agree with the
     definition to 1e-14 of the weighted absolute sum, at the theta-table
-    points and one with smallest eigenvalue of Im tau below 0.06, where the
-    gradient of theta[1011] is not zero."""
+    points, one with smallest eigenvalue of Im tau below 0.06, the
+    worst-conditioned point of the `ez` suite and the ill-conditioned
+    level-(4,8) images, where the gradient of theta[1011] is not zero."""
     assert len(ODD_CHARS) == 6
     assert min(np.linalg.eigvalsh(GRADIENT_POINTS[-1].imag)) < 0.06
-    for tau in GRADIENT_POINTS:
+    for tau in _gradient_points():
         for m, want, scale in zip(GRADIENT_CHARS, *_defining_gradients(GRADIENT_CHARS, tau, 1e-15)):
             got = theta_gradient(m, tau, 1e-15)
             assert got.shape == (2,)
@@ -405,7 +490,7 @@ def test_theta_gradient_matches_the_defining_sum():
 
 
 def test_theta_gradient_tail_bound_against_a_tighter_evaluation():
-    for tau in GRADIENT_POINTS:
+    for tau in _gradient_points():
         for m in GRADIENT_CHARS:
             tight = theta_gradient(m, tau, 1e-15)
             for tol in (1e-4, 1e-8, 1e-13):
@@ -433,17 +518,36 @@ def test_lattice_radius_is_the_smallest_radius_its_bound_allows():
     for lam in (0.01, 0.03, 0.1, 0.3, 1.0, 3.0):
         for tol in (1e-4, 1e-8, 1e-13, 1e-16):
             for genus, degree in ((1, 0), (2, 0), (2, 1)):
-                R = theta._lattice_radius(lam, tol, genus, degree) - 1
+                R = _lattice_radius(lam, tol, genus, degree) - 1
                 assert _stated_tail_bound(lam, genus, degree, R) < tol, (lam, tol, genus, degree)
                 assert R == 1 or _stated_tail_bound(lam, genus, degree, R - 1) >= tol, \
                     (lam, tol, genus, degree)
-    assert [theta._lattice_radius(0.01, 1e-4, 2, d) for d in (0, 1)] == [23, 26]
+    assert [_lattice_radius(0.01, 1e-4, 2, d) for d in (0, 1)] == [23, 26]
 
 
 def test_theta_gradient_rejects_even_characteristics():
     for m in [(0, 0, 0, 0), (1, 1, 0, 0), (2, 0, 1, 1), (1, 0)]:
         with pytest.raises(ValueError):
             theta_gradient(m, TAU_A)
+
+
+_NUMERIC_SUMS = {
+    "theta_values": lambda tol: theta_values(FZ_TUPLE, TAU_B, tol),
+    "theta_gradient": lambda tol: theta_gradient((1, 0, 1, 1), TAU_B, tol),
+    "theta_eval": lambda tol: theta_eval((0, 1), 1j, tol),
+}
+
+
+@pytest.mark.parametrize("name", _NUMERIC_SUMS)
+@pytest.mark.parametrize("tol, message", [(0.0, "positive"), (-1e-8, "positive"),
+                                          (math.nan, "positive"), (math.inf, "finite"),
+                                          (1e-320, "unreachable")])
+def test_numeric_sums_reject_a_tol_they_cannot_meet(name, tol, message):
+    """No tail guarantee unless 0 < tol < inf, and none where the window
+    rule's floats cannot resolve tol: at 1e-320 the ratio of its bound to tol
+    overflows."""
+    with pytest.raises(ValueError, match=message):
+        _NUMERIC_SUMS[name](tol)
 
 
 def _reference_siegel_check(tau) -> bool:

@@ -7,7 +7,11 @@ variable.  A series stores its terms in numpy arrays sorted degree first
 products run on those arrays: in both genera, pair products are summed in
 a dense box of product indices, compressed by the common stride of each
 exponent column, filled in slabs of bounded size and read off in sorted
-order.  `QuarterSeries.coeffs` reads the arrays as a mapping of GaussInts.
+order.  A slab with few pairs is filled in one broadcast, a larger one
+term by term, so a small product costs a few numpy calls.  One bound,
+l1(small) * linf(big) below 2**62, proves every int64 partial sum exact,
+whatever order a fill sums in.  `QuarterSeries.coeffs` reads the arrays as
+a mapping of GaussInts.
 Everything here is exact: no floats enter until a series or polynomial is
 explicitly evaluated.
 """
@@ -214,10 +218,12 @@ _INT64_SAFE = 1 << 62
 
 
 def _as_index(genus: int, key) -> tuple | None:
-    """key as a tuple of exponents, or None if it is no index of that genus."""
+    """key as a tuple of Python int exponents (numpy integers read as ints),
+    or None if it is no index of that genus."""
     index = (key,) if genus == 1 else key
     ok = isinstance(index, tuple) and len(index) == 2 * genus - 1
-    return index if ok and all(isinstance(e, int) for e in index) else None
+    return tuple(map(int, index)) if ok and all(
+        isinstance(e, (int, np.integer)) for e in index) else None
 
 
 def _term_order(e) -> tuple:
@@ -251,7 +257,9 @@ class QuarterSeries:
         coeffs = coeffs or {}
         indices = [_as_index(genus, key) for key in coeffs]
         for key, index in zip(coeffs, indices):
-            if index is None or sum(index[::2]) > order:  # the degree, e or e1 + e3
+            if index is None:
+                raise ValueError(f"{key!r} is not a genus-{genus} index")
+            if sum(index[::2]) > order:  # the degree, e or e1 + e3
                 raise ValueError(f"index {key} exceeds truncation order {order}")
         cols = [_int_array([index[j] for index in indices]) for j in range(2 * genus - 1)]
         vals = [_as_gauss(v) for v in coeffs.values()]
@@ -263,7 +271,12 @@ class QuarterSeries:
         if order < 0:
             raise ValueError("order must be nonnegative")
         keep = (re != 0) | (im != 0)
-        arrays = [_int_array(x[keep]) for x in (*exps, re, im)]
+        self._store(genus, order, [_int_array(x[keep]) for x in (*exps, re, im)])
+
+    def _store(self, genus, order, arrays):
+        """Store the arrays of nonzero terms with distinct indices in canonical
+        order, each already int64 if every entry is below 2**62 and of Python
+        ints otherwise."""
         for x in arrays:
             x.flags.writeable = False
         for name, value in zip(self.__slots__, (genus, order, tuple(arrays[:-2]), *arrays[-2:])):
@@ -432,17 +445,48 @@ def _summed(parts: list) -> tuple:
 # The pair kernel's dense accumulator holds at most this many cells at once
 # (or one degree of its box, if that is more); a larger box is summed in slabs.
 _BOX_CELLS = 1 << 18
+# A slab is filled in one broadcast when the smaller series' terms against the
+# span of their partners make at most this many pairs, and term by term otherwise.
+_BROADCAST_PAIRS = 1 << 15
+
+
+class _Summary(NamedTuple):
+    """What the pair kernel reads of one input, in one pass.  `cols` holds
+    the code columns as rows: the keys of the canonical order (the degree
+    e1 + e3 fits int64, as each part is below 2**62), as Python ints if
+    four times an entry reaches 2**62.  Per column, as Python ints: the
+    minimum and maximum, min(c + d) and max(c - d) with d the degree
+    column, and the gcd of the differences.  `norms` holds |re| + |im| of
+    each coefficient, exactly (each part is below 2**62 in int64)."""
+    cols: np.ndarray
+    low: list
+    high: list
+    plus: list
+    minus: list
+    gcd: list
+    norms: np.ndarray
+
+
+def _summary(s: QuarterSeries) -> _Summary:
+    cols = np.stack(_term_order(s.exps))
+    low, high = cols.min(1).tolist(), cols.max(1).tolist()
+    if 4 * max(map(abs, low + high)) >= _INT64_SAFE:
+        cols = cols.astype(object)  # c + d could wrap in int64
+    return _Summary(cols, low, high, (cols + cols[0]).min(1).tolist(),
+                    (cols - cols[0]).max(1).tolist(),
+                    np.gcd.reduce(cols - cols[:, :1], axis=1).tolist(),
+                    np.abs(s.re) + np.abs(s.im))
 
 
 class _Box(NamedTuple):
-    """The pair kernel's box, one entry per code column (see _code_columns).
-    A product index whose column j has the value base[j] + step[j] * k,
-    with 0 <= k < width[j], sits at k along axis j.  k is the sum of
+    """The pair kernel's box, one entry per code column, as Python ints.  A
+    product index whose column j has the value base[j] + step[j] * k, with
+    0 <= k < width[j], sits at k along axis j.  k is the sum of
     (c - offset) // step[j] over the index's two terms, with offsets[0] for
     the smaller series and offsets[1] for the larger."""
-    base: np.ndarray
-    step: np.ndarray
-    width: np.ndarray
+    base: list
+    step: list
+    width: list
     offsets: tuple
 
 
@@ -450,9 +494,10 @@ def _mul_schoolbook(a: QuarterSeries, b: QuarterSeries, order: int) -> QuarterSe
     """Exact truncated product over all coefficient pairs, in either genus.
 
     Each product index is coded as its cell in a dense box, so that codes
-    add under multiplication.  Each term of the smaller series is
-    multiplied against all of the larger one at once, and the products are
-    added into their cells with `np.add.at`; no sort is needed.
+    add under multiplication, and the products are added into their cells
+    with `np.add.at`; no sort is needed.  The set-up reads one summary of
+    each input (_summary) and does the box and overflow arithmetic on
+    Python ints.
 
     The box has one axis per code column, the keys of the canonical order
     (_term_order): the degree d (e, or e1 + e3), then e1 and e2 in genus 2
@@ -470,115 +515,124 @@ def _mul_schoolbook(a: QuarterSeries, b: QuarterSeries, order: int) -> QuarterSe
     theta products).  Within a slab the partners of each term are a run of
     the larger series, which the canonical order sorts by degree, and every
     such pair lies inside the box; degrees that no pair reaches are skipped.
+    If the terms of the smaller series against the span of all their runs
+    make at most _BROADCAST_PAIRS pairs, the slab forms those pairs at once
+    by broadcasting, masked to the runs, and adds them with one `np.add.at`
+    per live part; otherwise each term of the smaller series adds its run
+    with one `np.add.at` per live part.
 
     A pair (cr + i ci)(r + i m) is added as four real parts: cr r and
     -ci m into re, cr m and ci r into im.  A part is live only if both of
-    its arrays have a nonzero entry, and a small term skips a part whose
-    scalar is 0; im is allocated only if a live part writes into it.  Every
-    theta product is real, so it pays one real product per pair.
+    its arrays have a nonzero entry, and a small term that fills its run
+    alone skips a part whose scalar is 0; im is allocated only if a live
+    part writes into it.  Every theta product is real, so it pays one real
+    product per pair.
 
     For a fixed term of the smaller series, distinct terms of the larger
-    one give distinct cells, so each cell gains at most one product per
-    part per term of the smaller series, whatever order the cells and
-    parts are summed in.  A term's parts into one cell sum in absolute
-    value to at most (|cr| + |ci|)(|r| + |m|).  So every product, and every
-    partial sum of an output coefficient, also one taken between two
-    parts, is at most l1(small) * linf(big), where a coefficient measures
-    |re| + |im|.  With that bound, every cell code, and four times every
-    exponent and the order below 2**62, the kernel runs on int64; otherwise
-    on Python ints.
+    one give distinct cells, so on either fill each cell gains at most one
+    product per part per term of the smaller series, whatever order the
+    cells, pairs and parts are summed in.  A term's parts into one cell sum
+    in absolute value to at most (|cr| + |ci|)(|r| + |m|).  So every
+    product, and every partial sum of an output coefficient, also one taken
+    between two parts, is at most l1(small) * linf(big), where a
+    coefficient measures |re| + |im|.  With that bound, every cell code,
+    and four times every exponent and the order below 2**62, the kernel
+    runs on int64 (a masked-out pair of a broadcast may wrap its code, but
+    is dropped), and its output needs no second check of that bound;
+    otherwise it runs on Python ints.  The l1 norm is summed as Python ints,
+    and c + d is formed in int64 only for columns whose entries are below
+    2**60.
     """
     small, big = (a, b) if len(a.re) <= len(b.re) else (b, a)
     if small.is_zero():
         return QuarterSeries.zero(a.genus, order)
-    cols = [_code_columns(s) for s in (small, big)]
-    lows, highs = [x.min(1) for x in cols], [x.max(1) for x in cols]
-    extremes = [abs(v) for x in (*lows, *highs) for v in x.tolist()]
-    dtype = np.int64 if 4 * max(order, *extremes) < _INT64_SAFE else object
-    cols, lows, highs = ([x.astype(dtype, copy=False) for x in xs] for xs in (cols, lows, highs))
-    box = _box(cols, lows, highs, order)
-    widths = box.width.tolist()
+    ss, sb = _summary(small), _summary(big)
+    box = _box(ss, sb, order)
+    widths = box.width
     if min(widths) < 1:
         return QuarterSeries.zero(a.genus, order)
     radix = [math.prod(widths[j + 1:]) for j in range(len(widths))]
-    steps = [(x - off[:, None]) // box.step[:, None] for x, off in zip(cols, box.offsets)]
     # k is monotone in its column, so |k| peaks at the column's minimum or maximum
     reach = max(sum(r * max(abs((v - o) // st) for v in ends) for r, st, o, *ends in zip(
-        radix, box.step.tolist(), off.tolist(), lo.tolist(), hi.tolist()))
-        for lo, hi, off in zip(lows, highs, box.offsets))
-    size = sum(_norms(small).tolist()) * int(_norms(big).max())
-    dtype = dtype if max(size, reach, widths[0] * radix[0]) < _INT64_SAFE else object
+        radix, box.step, off, s.low, s.high)) for s, off in zip((ss, sb), box.offsets))
+    size = sum(ss.norms.tolist()) * int(sb.norms.max())  # l1 summed as Python ints
+    int64 = (ss.cols.dtype != object and sb.cols.dtype != object and
+             max(4 * order, size, reach, widths[0] * radix[0]) < _INT64_SAFE)
+    dtype = np.int64 if int64 else object
 
-    def arrays(s, k):
+    def arrays(s, x, off):
         """The degree steps, cell codes and coefficients of a series."""
-        code = sum(r * row for r, row in zip(radix, k.astype(dtype, copy=False)))
-        return k[0], code, s.re.astype(dtype, copy=False), s.im.astype(dtype, copy=False)
+        k = ((x.cols.astype(dtype, copy=False) - np.array(off, dtype)[:, None])
+             // np.array(box.step, dtype)[:, None])
+        return k[0], np.array(radix, dtype) @ k, s.re.astype(dtype, copy=False), \
+            s.im.astype(dtype, copy=False)
 
-    sdeg, sidx, sre, sim = arrays(small, steps[0])
-    bdeg, bidx, bre, bim = arrays(big, steps[1])  # bdeg ascends: canonical order
-    # (accumulator, small part, big part, sign): re += cr r - ci m, im += cr m + ci r
-    parts = [(acc, which, part, sign) for acc, which, part, sign in
-             ((0, 0, bre, 1), (0, 1, bim, -1), (1, 0, bim, 1), (1, 1, bre, 1))
-             if (sre, sim)[which].any() and part.any()]
+    sdeg, sidx, sre, sim = arrays(small, ss, box.offsets[0])
+    bdeg, bidx, bre, bim = arrays(big, sb, box.offsets[1])  # bdeg ascends: canonical order
+    # (accumulator, signed small part, big part): re += cr r - ci m, im += cr m + ci r
+    nonzero = [x.any() for x in (sre, sim, bre, bim)]
+    parts = [(acc, sign * (sre, sim)[i], (bre, bim)[j]) for acc, i, j, sign in
+             ((0, 0, 0, 1), (0, 1, 1, -1), (1, 0, 1, 1), (1, 1, 0, 1))
+             if nonzero[i] and nonzero[2 + j]]
     with_im = any(acc for acc, *_ in parts)
     rows, inner = widths[0], radix[0]
-    out, row = [], 0
-    while True:
-        # the partners of each small term from degree step `row` on start at first
-        first = np.searchsorted(bdeg, row - sdeg)
-        live = first < len(bdeg)
-        if not live.any():
-            break
-        row = int((sdeg[live] + bdeg[first[live]]).min())
-        if row >= rows:
-            break
+    # every degree step is >= 0, and the box starts at the lowest degree of a pair
+    out, row, first = [], 0, np.zeros(len(sdeg), np.intp)
+    while row < rows:
+        # the partners of each small term in degree steps [row, end) are first:last
         end = min(row + max(1, _BOX_CELLS // inner), rows)
         last = np.searchsorted(bdeg, end - sdeg)
         accs = [np.zeros((end - row) * inner, dtype) for _ in range(1 + with_im)]
-        for k, i, j, *c in zip((sidx - row * inner).tolist(), first.tolist(),
-                               last.tolist(), sre.tolist(), sim.tolist()):
-            if i < j:
-                cells = (bidx[i:j] + k).astype(np.intp, copy=False)
-                for acc, which, part, sign in parts:
-                    if c[which]:
-                        np.add.at(accs[acc], cells, sign * c[which] * part[i:j])
+        lo, hi = int(first.min()), int(last.max())
+        if len(sdeg) * (hi - lo) <= _BROADCAST_PAIRS:
+            j = np.arange(lo, hi)
+            pair = (first[:, None] <= j) & (j < last[:, None])
+            cells = (sidx[:, None] + (bidx[lo:hi] - row * inner))[pair].astype(np.intp, copy=False)
+            for acc, sp, bp in parts:
+                np.add.at(accs[acc], cells, (sp[:, None] * bp[lo:hi])[pair])
+        else:
+            for k, i, j, *c in zip((sidx - row * inner).tolist(), first.tolist(), last.tolist(),
+                                   *(sp.tolist() for _, sp, _ in parts)):
+                if i < j:
+                    cells = (bidx[i:j] + k).astype(np.intp, copy=False)
+                    for (acc, _, bp), ck in zip(parts, c):
+                        if ck:
+                            np.add.at(accs[acc], cells, ck * bp[i:j])
         re = accs[0]
         keep = np.flatnonzero((re != 0) | (accs[1] != 0) if with_im else re)
         im = accs[1][keep] if with_im else np.zeros(len(keep), dtype)
-        out.append((keep.astype(dtype) + row * inner, re[keep], im))
-        row = end
+        out.append((keep.astype(dtype, copy=False) + row * inner, re[keep], im))
+        if end == rows:
+            break
+        live = last < len(bdeg)
+        if not live.any():
+            break
+        # skip the degrees that no pair reaches
+        first, row = last, int((sdeg[live] + bdeg[last[live]]).min())
     code, re, im = (np.concatenate([part[j] for part in out]) for j in range(3))
-    exps = []
-    for base, step, r in zip(box.base.tolist(), box.step.tolist(), radix):
-        exps.append(base + step * (code // r))
+    ks = []  # the steps of each cell along the axes, from its code
+    for r in radix[:-1]:
+        ks.append(code // r)
         code = code % r
+    exps = [base + step * k for base, step, k in zip(box.base, box.step, (*ks, code))]
     exps = exps if a.genus == 1 else [exps[1], exps[2], exps[0] - exps[1]]  # (e1, e2, e3)
-    return QuarterSeries.from_arrays(a.genus, order, exps, re, im)
+    if not int64:
+        return QuarterSeries.from_arrays(a.genus, order, exps, re, im)
+    product = QuarterSeries.__new__(QuarterSeries)
+    product._store(a.genus, order, [*exps, re, im])  # nonzero, and below 2**62 by the bound
+    return product
 
 
-def _code_columns(s: QuarterSeries) -> np.ndarray:
-    """The exponent columns of the box axes, as rows: the keys of the
-    canonical order (the degree e1 + e3 fits int64, as each part is below
-    2**62)."""
-    return np.stack(_term_order(s.exps))
-
-
-def _box(cols: list, lows: list, highs: list, order: int) -> _Box:
+def _box(ss: _Summary, sb: _Summary, order: int) -> _Box:
     """The box of the products of pairs of degree at most the order, from the
-    code columns (smaller series first) and their row minima and maxima."""
-    (xs, xb), (ls, lb), (hs, hb) = cols, lows, highs
-    step = np.maximum(np.gcd(*(np.gcd.reduce(x - lo[:, None], axis=1)
-                               for x, lo in zip(cols, lows))), 1)
-    hi = np.minimum(hs + hb, order + (xs - xs[0]).max(1) + (xb - xb[0]).max(1))
-    lo = np.maximum(ls + lb, (xs + xs[0]).min(1) + (xb + xb[0]).min(1) - order)
-    base = ls + lb - (ls + lb - lo) // step * step  # lo up to the lattice
-    return _Box(base, step, (hi - base) // step + 1, (ls, base - ls))
-
-
-def _norms(s: QuarterSeries) -> np.ndarray:
-    """|re| + |im| of every coefficient, exactly (each part is below 2**62
-    in int64)."""
-    return np.abs(s.re) + np.abs(s.im)
+    summaries of the smaller series and the larger."""
+    step = [math.gcd(g, h) or 1 for g, h in zip(ss.gcd, sb.gcd)]
+    low = [x + y for x, y in zip(ss.low, sb.low)]
+    lo = [max(v, x + y - order) for v, x, y in zip(low, ss.plus, sb.plus)]
+    hi = [min(x + y, order + u + v) for x, y, u, v in zip(ss.high, sb.high, ss.minus, sb.minus)]
+    base = [v - (v - w) // st * st for v, w, st in zip(low, lo, step)]  # lo up to the lattice
+    width = [(h - v) // st + 1 for h, v, st in zip(hi, base, step)]
+    return _Box(base, step, width, (ss.low, [v - x for v, x in zip(base, ss.low)]))
 
 
 # ---------------------------------------------------------------------------

@@ -215,6 +215,25 @@ def test_series_identities():
     assert series_mul(s, one) == s
 
 
+def test_numpy_integer_indices_read_as_ints():
+    s = QuarterSeries(1, 10, {np.int64(3): 1})
+    assert s == QuarterSeries(1, 10, {3: 1})
+    assert s.coefficient(np.int64(3)) == GaussInt(1) and s.coeffs[np.int32(3)] == GaussInt(1)
+    assert s.coefficient(np.int64(4)) == GaussInt(0)
+    t = QuarterSeries(2, 10, {(np.int64(1), np.int32(-2), 3): GaussInt(0, 1)})
+    assert t == QuarterSeries(2, 10, {(1, -2, 3): GaussInt(0, 1)})
+    assert t.coefficient((1, np.int64(-2), np.int8(3))) == GaussInt(0, 1)
+    with pytest.raises(ValueError, match="exceeds truncation order 10"):
+        QuarterSeries(1, 10, {np.int64(11): 1})
+
+
+@pytest.mark.parametrize("genus, key", [(1, "3"), (1, 3.0), (1, (3,)), (2, (1, 2)),
+                                        (2, (1, 2.0, 3)), (2, 3)])
+def test_malformed_index_has_its_own_message(genus, key):
+    with pytest.raises(ValueError, match=f"is not a genus-{genus} index"):
+        QuarterSeries(genus, 10, {key: 1})
+
+
 def test_theta00_square_order8():
     # double lattice sum over n, m in {0, +-1} gives 1 + 4u^4 + 4u^8
     sq = series_mul(theta00_g1(8), theta00_g1(8))
@@ -312,6 +331,29 @@ def test_series_mul_genus2_at_the_overflow_bound(x, y):
     assert prod.coefficient((1, 2, 1)) == GaussInt(2) * x * y
 
 
+def test_series_mul_norms_that_wrap_int64_take_python_ints():
+    # three terms of norm 2**62 - 1: their l1 norm, summed in int64, wraps
+    # negative, yet l1 * linf is past 2**62, so the kernel must run on
+    # Python ints; the top coefficient, 3 * (2**62 - 1), needs them too
+    m = (1 << 62) - 1
+    a = QuarterSeries(1, 4, {0: m, 1: m, 2: m})
+    b = QuarterSeries(1, 4, {e: 1 for e in range(4)})
+    assert int(np.abs(a.re).sum()) < 0
+    prod = series_mul(a, b)
+    assert prod == brute_mul_g1(a, b, 4) and prod.re.dtype == object
+    assert prod.coefficient(2) == GaussInt(3 * m)
+
+
+def test_series_mul_columns_whose_c_plus_d_wraps_int64():
+    # every entry of the columns is stored int64 (below 2**62), but the
+    # degree -3 * 2**61 doubled, the clip extremum min(c + d) of the degree
+    # column, wraps in int64; the stride of 3 * 2**60 keeps the box small
+    m = 3 << 60
+    a = QuarterSeries(2, 4, {(-m, 0, -m): 1, (0, 0, 0): 1})
+    assert all(x.dtype == np.int64 for x in a.exps)
+    assert series_mul(a, a) == brute_mul_g2(a, a, 4)
+
+
 def _g2_series(order, exps, coeff):
     key = st.tuples(st.integers(-3, exps), st.integers(-2 * exps, 2 * exps),
                     st.integers(-3, exps)).filter(lambda k: k[0] + k[2] <= order)
@@ -358,24 +400,32 @@ _steps = st.tuples(*[st.sampled_from([1, 2, 4, 8])] * 3)
 _offsets = st.tuples(*[st.integers(-5, 7)] * 3)
 
 
+# pair budgets of the two fills: 0 fills every slab term by term, 2**62
+# every slab in one broadcast
+_fills = st.sampled_from([0, 1 << 62])
+
+
 @settings(max_examples=80, deadline=None)
-@given(st.data(), st.integers(0, 40), st.sampled_from([arith._BOX_CELLS, 1]))
-def test_series_mul_genus2_strided_columns(data, order, budget):
+@given(st.data(), st.integers(0, 40), st.sampled_from([arith._BOX_CELLS, 1]), _fills)
+def test_series_mul_genus2_strided_columns(data, order, budget, pairs):
     # strides 1, 2, 4 and 8 per column and per series, with nonzero offsets:
     # the box steps by their gcd and starts at the sum of the lowest values;
     # a budget of one cell sums each degree in its own slab
     a = data.draw(_strided_g2_series(order, data.draw(_steps), data.draw(_offsets)))
     b = data.draw(_strided_g2_series(order, data.draw(_steps), data.draw(_offsets)))
     cut = data.draw(st.integers(0, order))
-    with mock.patch.object(arith, "_BOX_CELLS", budget):
+    with mock.patch.object(arith, "_BOX_CELLS", budget), \
+            mock.patch.object(arith, "_BROADCAST_PAIRS", pairs):
         for o in (order, cut):
             assert series_mul(a, b, o) == brute_mul_g2(a, b, o)
 
 
 def _box_of(a, b, order):
-    """The pair kernel's box for a and b, from their code columns and extremes."""
-    cols = [arith._code_columns(s) for s in (a, b)]
-    return arith._box(cols, [x.min(1) for x in cols], [x.max(1) for x in cols], order)
+    """The pair kernel's box for a and b, from their summaries, with its
+    base, step and width as arrays."""
+    box = arith._box(arith._summary(a), arith._summary(b), order)
+    return box._replace(base=np.array(box.base), step=np.array(box.step),
+                        width=np.array(box.width))
 
 
 def test_series_mul_theta_strides_and_clipped_box():
@@ -424,14 +474,15 @@ def _g1_series(order, max_terms):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.data(), st.integers(0, 60), st.sampled_from([arith._BOX_CELLS, 1]))
-def test_series_mul_genus1_paths_beyond_64_bits(data, order, budget):
+@given(st.data(), st.integers(0, 60), st.sampled_from([arith._BOX_CELLS, 1]), _fills)
+def test_series_mul_genus1_paths_beyond_64_bits(data, order, budget, pairs):
     # sparse and dense series; a budget of one cell sums each degree in its
     # own slab
     terms = data.draw(st.sampled_from([3, order + 1]))
     a = data.draw(_g1_series(order, terms))
     b = data.draw(_g1_series(order, terms))
-    with mock.patch.object(arith, "_BOX_CELLS", budget):
+    with mock.patch.object(arith, "_BOX_CELLS", budget), \
+            mock.patch.object(arith, "_BROADCAST_PAIRS", pairs):
         assert series_mul(a, b) == brute_mul_g1(a, b, order)
 
 
@@ -452,8 +503,8 @@ def _parted_series(genus, order, budget):
 
 @settings(max_examples=120, deadline=None)
 @given(st.data(), st.sampled_from([1, 2]), st.integers(0, 16),
-       st.sampled_from([3, 1 << 40, 1 << 70]))
-def test_series_mul_of_real_imaginary_and_full_series(data, genus, order, budget):
+       st.sampled_from([3, 1 << 40, 1 << 70]), _fills)
+def test_series_mul_of_real_imaginary_and_full_series(data, genus, order, budget, pairs):
     # the pair kernel drops every real part of the product whose arrays are
     # all zero; budgets of 2**40 and 2**70 put l1 * linf past 2**62, so the
     # same parts run on Python ints
@@ -461,7 +512,8 @@ def test_series_mul_of_real_imaginary_and_full_series(data, genus, order, budget
     cut = data.draw(st.integers(0, order))
     reference = brute_mul_g1 if genus == 1 else brute_mul_g2
     for o in (order, cut):
-        prod = series_mul(a, b, o)
+        with mock.patch.object(arith, "_BROADCAST_PAIRS", pairs):
+            prod = series_mul(a, b, o)
         assert prod == reference(a, b, o)
         for x in (*prod.exps, prod.re, prod.im):
             assert x.dtype == (np.int64 if all(abs(int(v)) < 1 << 62 for v in x) else object)
@@ -490,20 +542,24 @@ class _CountingNumpy:
 
 @pytest.mark.parametrize("order", [40, 36])
 def test_real_theta_products_make_one_add_at_per_small_term(monkeypatch, order):
-    # theta series are real, so each term of the smaller series that has a
-    # partner within the order adds one real product per pair (all in one
-    # slab); at order 36 the terms of degree 37 of the smaller one have none
+    # theta series are real, so only the real part of a pair runs: filled
+    # term by term (a pair budget of 0), each term of the smaller series that
+    # has a partner within the order makes one np.add.at (all in one slab; at
+    # order 36 the terms of degree 37 of the smaller one have none), and
+    # filled in one broadcast (the default budget), the slab makes one
     a, b = theta_expansion((0, 0, 0, 0), 40), theta_expansion((0, 1, 1, 0), 40)
     assert not (a.im.any() or b.im.any())
     small, big = (a, b) if len(a.re) <= len(b.re) else (b, a)
     partnered = int((small._degrees() + big._degrees().min() <= order).sum())
     assert partnered == (15 if order == 40 else 13) and len(small.re) == 15
-    counting = _CountingNumpy()
-    monkeypatch.setattr(arith, "np", counting)
-    prod = series_mul(a, b, order)
-    monkeypatch.undo()
-    assert counting.add_at_calls == partnered
-    assert prod == brute_mul_g2(a, b, order) and not prod.im.any()
+    for pairs, calls in ((0, partnered), (arith._BROADCAST_PAIRS, 1)):
+        counting = _CountingNumpy()
+        monkeypatch.setattr(arith, "np", counting)
+        monkeypatch.setattr(arith, "_BROADCAST_PAIRS", pairs)
+        prod = series_mul(a, b, order)
+        monkeypatch.undo()
+        assert counting.add_at_calls == calls
+        assert prod == brute_mul_g2(a, b, order) and not prod.im.any()
 
 
 def test_series_genus_mismatch_rejected():

@@ -40,6 +40,7 @@ from .theta import (
     parity,
     phi_after_g0,
     phi_characteristics,
+    phi_of_theta_product,
     table1_char,
     theta_eval,
     theta_expansion,
@@ -61,8 +62,8 @@ __all__ = [
     "FZ_TUPLE", "characteristic_action", "even_characteristics",
     "fz_expansion", "gammaZ_generators", "gammaZ_tuple_predicate",
     "orbit_decomposition", "parity", "phi_after_g0", "phi_characteristics",
-    "table1_char", "theta_eval", "theta_expansion", "theta_values",
-    "verify_igusa_transformation",
+    "phi_of_theta_product", "table1_char", "theta_eval", "theta_expansion",
+    "theta_values", "verify_igusa_transformation",
 ]
 
 __version__ = "0.1.0"

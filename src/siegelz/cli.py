@@ -22,8 +22,7 @@ from . import arith, cmform, lfactors, pointcount, soudry, theta
 
 SCHEMA = "siegelz-report/1"
 
-# the order of ez's phi match, which needs at least 20 shared terms; fz-phi
-# reads F_Z truncated from the same build, so one run builds F_Z once
+# the order of ez's phi match, which needs at least 20 shared terms
 EZ_PHI_ORDER = 260
 
 
@@ -297,9 +296,8 @@ def suite_fz_phi(cfg: RunConfig, shared: dict):
     out = []
     order = cfg.series_order
     t0 = time.perf_counter()
-    # exact: every theta term has degree >= 0, so the truncated product is
-    # the product of the truncated factors
-    phi = theta.phi_after_g0(theta.fz_expansion(max(EZ_PHI_ORDER, order)).truncate(order))
+    # exact: each factor degenerated in genus 2, then multiplied in genus 1
+    phi = theta.phi_of_theta_product(theta.FZ_TUPLE, order)
     ok = phi == theta.six_tuple_expansion(theta.G_TUPLE, order)
     out.append(_report("fz-phi",
                        "the degeneration of the six-theta product equals "

@@ -29,14 +29,13 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import theta
 from .arith import GaussInt, QuarterSeries
 from .cmform import odd_coset_sum
 from .theta import (
     apply_moebius,
     check_siegel_point,
     cocycle,
-    fz_expansion,
-    phi_after_g0,
     theta_gradient,
 )
 
@@ -169,10 +168,11 @@ def ez_phi_stratum(order: int) -> QuarterSeries:
 
 def ez_phi_match(order: int = 200) -> dict:
     """Match the z2 = 0 stratum of h0 against the genus-1 image of the
-    six-theta product; the scalar is solved from the first nonzero
-    coefficient, everything after must agree exactly."""
+    six-theta product (theta.FZ_TUPLE, read at each call); the scalar is
+    solved from the first nonzero coefficient, everything after must agree
+    exactly."""
     stratum8 = ez_phi_stratum(order)
-    phi = phi_after_g0(fz_expansion(order))
+    phi = theta.phi_of_theta_product(theta.FZ_TUPLE, order)
     if stratum8.is_zero() or phi.is_zero():
         raise AssertionError("a degeneration came out identically zero")
     exps = sorted(set(stratum8.coeffs) | set(phi.coeffs))

@@ -10,7 +10,9 @@ the stabilizer predicates and orbit of the six-theta product F_Z, and F_Z.
 
 The degeneration to genus 1 keeps the terms with e1 = e2 = 0. As every theta
 term has e1 = b1^2 >= 0, it sends a theta product to the product of the
-factors' images: 0 if m1' is odd, else the genus-1 theta[(m2', m2'')].
+factors' images: 0 if m1' is odd, else the genus-1 theta[(m2', m2'')].  So
+phi_of_theta_product degenerates each factor's series and multiplies in
+genus 1, and phi_characteristics reads the result off the characteristics.
 """
 
 from __future__ import annotations
@@ -389,6 +391,25 @@ def phi_after_g0(f: QuarterSeries) -> QuarterSeries:
     e1, e2, e3 = f.exps
     keep = (e1 == 0) & (e2 == 0)  # ascending in e3, not contiguous
     return QuarterSeries.from_arrays(1, f.order, [e3[keep]], f.re[keep], f.im[keep])
+
+
+def phi_of_theta_product(ms, order: int) -> QuarterSeries:
+    """phi_after_g0 of the product of the genus-2 theta constants of ms,
+    truncated to order, as the genus-1 product of the factors' phi_after_g0:
+    no genus-2 product is formed.
+
+    Proof: each term of theta[m] has e1 = b1^2 >= 0 and e2 = 2 b1 b2, so a
+    term of the product has e1 = the sum of its factors' e1, which is 0 only
+    if every factor's term has b1 = 0, and then e2 = 0 too.  So the
+    e1 = e2 = 0 terms of the product are the products of the factors'
+    e1 = e2 = 0 terms, that is, Phi is multiplicative on these series.  On
+    those terms the genus-2 degree e1 + e3 is the genus-1 degree e3, so both
+    sides truncate alike.  A factor with m1' odd has no b1 = 0 term, and the
+    product is 0."""
+    prod = phi_after_g0(theta_expansion(ms[0], order))
+    for m in ms[1:]:
+        prod = series_mul(prod, phi_after_g0(theta_expansion(m, order)))
+    return prod
 
 
 def phi_characteristics(ms) -> tuple | None:

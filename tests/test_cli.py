@@ -171,13 +171,13 @@ def _spy_genus2_products(monkeypatch):
 
 
 def test_verify_all_builds_each_exact_object_once(monkeypatch):
-    """One run of every suite builds F_Z once (fz-phi truncates ez's build),
-    makes no other genus-2 product, runs the theta lattice pass once per
-    distinct (tau, tol, characteristics) and splits the six-tuples into
-    orbits once."""
+    """One run of every suite never builds F_Z and makes no genus-2 product
+    (both degeneration claims multiply the factors' degenerations in genus
+    1), runs the theta lattice pass once per distinct (tau, tol,
+    characteristics) and splits the six-tuples into orbits once."""
     import numpy as np
 
-    from siegelz import cli, theta
+    from siegelz import theta
 
     builds = _spy_fz_builds(monkeypatch)
     products = _spy_genus2_products(monkeypatch)
@@ -194,8 +194,8 @@ def test_verify_all_builds_each_exact_object_once(monkeypatch):
     theta.orbit_decomposition.cache_clear()
     reports, code = run(RunConfig())
     assert code == 1 and len(reports) == 60
-    assert builds == [cli.EZ_PHI_ORDER]
-    assert products == [cli.EZ_PHI_ORDER] * 6
+    assert builds == []
+    assert products == []
     # each miss of the pass's cache is one lattice pass
     passes = theta._theta_sums.cache_info().misses
     assert passes == len(set(keys)) < len(keys)
@@ -203,12 +203,13 @@ def test_verify_all_builds_each_exact_object_once(monkeypatch):
     assert (info.misses, info.hits) == (1, 2)
 
 
-def test_one_fz_build_above_the_phi_match_order(monkeypatch):
-    """At --order 300 both degeneration claims read one build at 300, and
-    report what separate builds at 300 gave."""
+def test_no_fz_build_above_the_phi_match_order(monkeypatch):
+    """At --order 300 both degeneration claims report what builds of F_Z at
+    300 gave, with no F_Z build and no genus-2 product."""
     builds = _spy_fz_builds(monkeypatch)
+    products = _spy_genus2_products(monkeypatch)
     reports, code = run(RunConfig(series_order=300, selected_suites=["fz-phi", "ez"]))
-    assert builds == [300]
+    assert builds == [] and products == []
     got = {r.suite: (r.status, r.residual, r.details) for r in reports
            if "degeneration" in r.claim and r.residual is not None}
     assert got == {"fz-phi": ("pass", 0.0, {"order": 300}),
@@ -227,13 +228,32 @@ def test_fz_phi_claim_2_fails_if_f_z_is_not_skipped(monkeypatch):
         return reports[1].status, reports[1].details
 
     products = _spy_genus2_products(monkeypatch)
-    theta.fz_expansion(cli.EZ_PHI_ORDER)  # claim 1 then reads the real F_Z from the cache
-    del products[:]
     assert claim_2() == ("pass", {"members": 14})
-    assert products == []  # claim 1 reads the cached build, claim 2 no series
+    assert products == []  # claim 1 multiplies in genus 1, claim 2 no series
     other = min(tuple(sorted(t)) for t in theta.fz_orbit() if t != frozenset(theta.FZ_TUPLE))
     monkeypatch.setattr(theta, "FZ_TUPLE", other)
     assert claim_2() == ("fail", {"members": 14})
+
+
+@pytest.mark.parametrize("new, status", [((0, 0, 0, 0), "fail"), ((0, 0, 1, 1), "pass")],
+                         ids=["image 00", "same image 01"])
+def test_degeneration_claims_fail_if_a_factor_changes_its_image(monkeypatch, new, status):
+    """fz-phi claim 1 and ez's first-component degeneration both fail once
+    the factor 0001 of F_Z, whose image (m2', m2'') is 01, is swapped for
+    0000, image 00.  Swapped for 0011 it keeps its image, and both still
+    pass: the degeneration keeps the b1 = 0 terms, whose phase i^(b.m'')
+    cannot see m1''.  Claim 2 looks F_Z's orbit up by its tuple, so it is
+    handed the real orbit."""
+    from siegelz import theta
+
+    orbit = theta.fz_orbit()
+    monkeypatch.setattr(theta, "fz_orbit", lambda: orbit)
+    monkeypatch.setattr(theta, "FZ_TUPLE",
+                        tuple(new if m == (0, 0, 0, 1) else m for m in theta.FZ_TUPLE))
+    reports, _ = run(RunConfig(selected_suites=["fz-phi", "ez"]))
+    got = {r.suite: r.status for r in reports
+           if "degeneration" in r.claim and r.residual is not None}
+    assert got == {"fz-phi": status, "ez": status}
 
 
 def test_g_triple_weil_claim_fails_on_a_wrong_eigenvalue(monkeypatch):

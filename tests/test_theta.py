@@ -41,6 +41,7 @@ from siegelz.theta import (
     parity,
     phi_after_g0,
     phi_characteristics,
+    phi_of_theta_product,
     random_gamma2_elements,
     random_gamma48_elements,
     siegel_point,
@@ -1120,7 +1121,7 @@ def test_phi_after_g0_equals_theta_product():
 
 def test_fz_expansion_truncates_to_each_lower_order():
     """Every theta term has degree e1 + e3 >= 0, so one build serves every
-    lower order: the fz-phi claim truncates the phi match's build."""
+    lower order."""
     assert fz_expansion(260).truncate(200) == fz_expansion(200)
 
 
@@ -1184,6 +1185,22 @@ def test_phi_characteristics_of_every_fz_orbit_member():
 @given(st.lists(st.sampled_from(_PHI_CHARS), min_size=1, max_size=6), st.integers(0, 60))
 def test_phi_characteristics_of_drawn_products(ms, order):
     assert _phi_read(ms, order) == _phi_built(ms, order)
+
+
+def test_phi_of_theta_product_is_phi_of_the_built_product():
+    """The genus-1 product of the factors' degenerations is the degeneration
+    of the genus-2 product, term for term and dtype for dtype: every orbit
+    member, F_Z at the phi match's order, and each single characteristic,
+    which gives 0 exactly when m1' or its image is odd."""
+    members = sorted(tuple(sorted(t)) for t in fz_orbit())
+    cases = [(ms, 40) for ms in members] + [(FZ_TUPLE, 260)] + [((m,), 40) for m in _PHI_CHARS]
+    for ms, order in cases:
+        phi = phi_of_theta_product(ms, order)
+        built = _phi_built(ms, order)
+        assert phi == built and _arrays(phi) == _arrays(built), ms
+        if len(ms) == 1:
+            assert phi.is_zero() == (phi_characteristics(ms) is None), ms
+            assert phi.is_zero() or ms[0][0] % 2 == 0, ms
 
 
 def test_phi_characteristics_values():

@@ -188,6 +188,8 @@ def count_variety(variety: str, p: int, method: str = "naive") -> int:
 
     if variety == "U2c":
         # Z cap {X0 X3 = 0}, counted fiberwise over the X locus
+        if method == "naive":
+            raise ValueError("naive method not defined for U2c")
         if p > CHARSUM_Z_CAP:
             raise ValueError(f"U2c count capped at p <= {CHARSUM_Z_CAP}")
         fibers = _z_fibers(p)

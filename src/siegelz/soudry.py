@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import theta
-from .arith import GaussInt, QuarterSeries
+from .arith import QuarterSeries
 from .cmform import odd_coset_sum
 from .theta import (
     apply_moebius,
@@ -166,38 +166,37 @@ def ez_phi_stratum(order: int) -> QuarterSeries:
     return QuarterSeries.from_arrays(1, order, (np.arange(order + 1),), re, im)
 
 
+def _dense(s: QuarterSeries) -> np.ndarray:
+    """The re and im rows of a genus-1 series at exponents 0 ... order, as
+    Python ints."""
+    out = np.zeros((2, s.order + 1), dtype=object)
+    out[:, s.exps[0]] = s.re, s.im
+    return out
+
+
 def ez_phi_match(order: int = 200) -> dict:
     """Match the z2 = 0 stratum of h0 against the genus-1 image of the
     six-theta product (theta.FZ_TUPLE, read at each call); the scalar is
     solved from the first nonzero coefficient, everything after must agree
-    exactly."""
-    stratum8 = ez_phi_stratum(order)
-    phi = theta.phi_of_theta_product(theta.FZ_TUPLE, order)
-    if stratum8.is_zero() or phi.is_zero():
-        raise AssertionError("a degeneration came out identically zero")
-    exps = sorted(set(stratum8.coeffs) | set(phi.coeffs))
-    e0 = exps[0]
-    s0, p0 = stratum8.coefficient(e0), phi.coefficient(e0)
-    if not s0 or not p0:
-        raise AssertionError("leading exponents disagree")
-    if s0.im or p0.im:
-        raise AssertionError("leading coefficients are not rational integers")
-    residual = 0.0
-    for e in exps:
-        s, p = stratum8.coefficient(e), phi.coefficient(e)
-        # cross-multiplied exact comparison: s/8p constant
-        lhs = s * GaussInt(p0.re, p0.im)
-        rhs = p * GaussInt(s0.re, s0.im)
-        if lhs != rhs:
-            residual = max(
-                residual,
-                abs(lhs.to_complex() - rhs.to_complex()) / max(1.0, abs(p0.re) * 8),
-            )
-    scalar = Fraction(s0.re, 8 * p0.re)
+    exactly.  Where no scalar can be solved (both sides zero, a leading
+    exponent held by one side only, or a leading coefficient that is not a
+    rational integer), the scalar is None and the residual 1.0."""
+    stratum8 = _dense(ez_phi_stratum(order))
+    phi = _dense(theta.phi_of_theta_product(theta.FZ_TUPLE, order))
+    exps = np.flatnonzero((stratum8 != 0).any(0) | (phi != 0).any(0))
+    lead = exps[0] if len(exps) else 0  # both rows vanish at 0 if exps is empty
+    (s0, s0_im), (p0, p0_im) = stratum8[:, lead], phi[:, lead]
+    if not (s0 and p0) or s0_im or p0_im:
+        scalar, residual = None, 1.0
+    else:
+        scalar = Fraction(s0, 8 * p0)
+        # cross-multiplied and exact: stratum8 / 8 phi constant
+        diff = (stratum8 * p0 - phi * s0).astype(float)
+        residual = float(np.hypot(*diff).max()) / max(1.0, abs(p0) * 8)
     return {
         "scalar": scalar,
         "residual": residual,
         "n_exponents": len(exps),
-        "leading_u_exponent": e0,
-        "support_mod8": sorted({e % 8 for e in exps}),
+        "leading_u_exponent": int(exps[0]) if len(exps) else None,
+        "support_mod8": sorted(set((exps % 8).tolist())),
     }

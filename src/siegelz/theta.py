@@ -171,14 +171,14 @@ def translation(b) -> np.ndarray:
 
 
 def gl_embed(U) -> np.ndarray:
-    """[[U, 0], [0, U^-T]] for U in GL_2(Z)."""
+    """[[U, 0], [0, U^-T]] for U in GL_2(Z); det and inverse in Python ints."""
     U = _mat(U)
-    det = round(float(np.linalg.det(U)))
+    (a, b), (c, d) = U.tolist()
+    det = a * d - b * c
     if det not in (1, -1):
         raise ValueError("U must be in GL_2(Z)")
-    Uinv = _mat(np.rint(np.linalg.inv(U) * det).astype(np.int64)) * det
     z = np.zeros_like(U)
-    return np.block([[U, z], [z, Uinv.T]])
+    return np.block([[U, z], [z, det * _mat([[d, -c], [-b, a]])]])
 
 
 def sp2z_generators() -> list[np.ndarray]:

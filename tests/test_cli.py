@@ -235,15 +235,17 @@ def test_fz_phi_claim_2_fails_if_f_z_is_not_skipped(monkeypatch):
     assert claim_2() == ("fail", {"members": 14})
 
 
-@pytest.mark.parametrize("new, status", [((0, 0, 0, 0), "fail"), ((0, 0, 1, 1), "pass")],
-                         ids=["image 00", "same image 01"])
+@pytest.mark.parametrize("new, status", [((0, 0, 0, 0), "fail"), ((0, 0, 1, 1), "pass"),
+                                         ((1, 0, 0, 1), "fail")],
+                         ids=["image 00", "same image 01", "m1' odd"])
 def test_degeneration_claims_fail_if_a_factor_changes_its_image(monkeypatch, new, status):
     """fz-phi claim 1 and ez's first-component degeneration both fail once
     the factor 0001 of F_Z, whose image (m2', m2'') is 01, is swapped for
-    0000, image 00.  Swapped for 0011 it keeps its image, and both still
-    pass: the degeneration keeps the b1 = 0 terms, whose phase i^(b.m'')
-    cannot see m1''.  Claim 2 looks F_Z's orbit up by its tuple, so it is
-    handed the real orbit."""
+    0000, image 00, or for 1001, whose m1' = 1 makes the image zero, so
+    that ez's match has no scalar to solve.  Swapped for 0011 it keeps its
+    image, and both still pass: the degeneration keeps the b1 = 0 terms,
+    whose phase i^(b.m'') cannot see m1''.  Claim 2 looks F_Z's orbit up by
+    its tuple, so it is handed the real orbit."""
     from siegelz import theta
 
     orbit = theta.fz_orbit()
@@ -254,6 +256,33 @@ def test_degeneration_claims_fail_if_a_factor_changes_its_image(monkeypatch, new
     got = {r.suite: r.status for r in reports
            if "degeneration" in r.claim and r.residual is not None}
     assert got == {"fz-phi": status, "ez": status}
+
+
+@pytest.mark.parametrize("slowed, p, claim", [
+    ("verify_birational_map", 3, "coordinate map is a bijection U1 -> U2"),
+    ("verify_count_formulas", 5,
+     "|Cone| = p|F|+1, |Z| = (p-1)|F|+2p+2, |Ztilde| = (p+1)|F|, complements"),
+], ids=["last claim", "middle claim"])
+def test_each_claim_is_charged_for_its_own_work(monkeypatch, slowed, p, claim):
+    """A report's runtime is the time since the previous report of its
+    suite: 0.2 s spent in one check at p reaches the claim it leads to
+    alone, whether that claim ends the suite or others follow it."""
+    import time
+
+    from siegelz import pointcount
+
+    real = getattr(pointcount, slowed)
+
+    def slow(q, *args):
+        if q == p:
+            time.sleep(0.2)
+        return real(q, *args)
+
+    monkeypatch.setattr(pointcount, slowed, slow)
+    reports, code = run(RunConfig(selected_suites=["counts"]))
+    assert code == 0
+    slow_claims = [(r.claim, r.details.get("p")) for r in reports if r.runtime >= 0.2]
+    assert slow_claims == [(claim, p)]
 
 
 def test_g_triple_weil_claim_fails_on_a_wrong_eigenvalue(monkeypatch):

@@ -121,17 +121,22 @@ def test_naive_counts_match_the_row_predicates():
 
 
 def test_counting_does_not_import_numpy_ma():
-    # np.unique imports numpy.ma, about 1 MB of resident memory
-    script = ("import sys\n"
-              "from siegelz import cli\n"
-              "reports, code = cli.run(cli.RunConfig(selected_suites=['counts']))\n"
-              "assert code == 0 and reports\n"
-              "print('numpy.ma' in sys.modules)\n")
+    # np.unique imports numpy.ma, about 1 MB of resident memory; neither the
+    # counts suite nor a full run, its reports serialized, imports it
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.dirname(os.path.dirname(pointcount.__file__))] + sys.path))
-    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    for run in ("reports, code = cli.run(cli.RunConfig(selected_suites=['counts']))\n"
+                "assert code == 0 and reports\n",
+                "reports, code = cli.run(cli.RunConfig(selected_suites=['all']))\n"
+                "assert code == 1 and len(reports) == 60\n"
+                "json.dumps([asdict(r) for r in reports], allow_nan=False)\n"):
+        script = ("import json, sys\n"
+                  "from dataclasses import asdict\n"
+                  "from siegelz import cli\n"
+                  + run + "print('numpy.ma' in sys.modules)\n")
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"
 
 
 def test_count_guard_survives_python_O():
@@ -181,6 +186,8 @@ def test_caps_enforced():
         count_variety("FermatSurface", 9)
     with pytest.raises(ValueError):
         count_variety("ConeF", 5, "charsum")
+    with pytest.raises(ValueError, match="naive method not defined for U2c"):
+        count_variety("U2c", 3, "naive")
     with pytest.raises(ValueError):
         count_variety("nope", 5)
 

@@ -4,8 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from siegelz import soudry
-from siegelz.arith import QuarterSeries
+from siegelz import soudry, theta
+from siegelz.arith import GaussInt, QuarterSeries
 from siegelz.cmform import odd_coset_sum
 from siegelz.soudry import (
     EZ_CONVENTION,
@@ -189,11 +189,7 @@ def test_other_readings_are_rejected(monkeypatch):
         monkeypatch.setattr(soudry, "ez_phi_stratum", lambda order, conv=conv:
                             _scaled_stratum(order, conv.scale))
         r48 = max(ez_two_form_check(g, PROBE_POINT, 1e-9) for g in _probe_words())
-        try:
-            phi_ok = ez_phi_match(80)["residual"] == 0
-        except AssertionError as exc:
-            assert "leading exponents disagree" in str(exc), name
-            phi_ok = False
+        phi_ok = ez_phi_match(80)["residual"] == 0
         gens = {g_name: ez_two_form_check(g, PROBE_POINT, 1e-9)
                 for g_name, g in zip(GAMMAZ_GENERATOR_NAMES, gammaZ_generators())}
         assert all(r < 1e-6 or r > 1e-2 for r in (r48, *gens.values())), name
@@ -348,13 +344,31 @@ def test_phi_stratum_leading_exponent():
 
 
 def test_phi_match():
-    """The degeneration match at order 300, beyond the `ez` claim's 260: exact,
-    with the scalar 1/4 that the claim only records."""
-    m = ez_phi_match(300)
-    assert m["residual"] == 0
-    assert str(m["scalar"]) == "1/4"
-    assert m["support_mod8"] == [2]
-    assert m["n_exponents"] == 28
+    """The degeneration match at the `ez` claim's order 260 and beyond it at
+    300: exact, with the scalar 1/4 that the claim only records."""
+    for order, terms in ((260, 25), (300, 28)):
+        assert ez_phi_match(order) == {"scalar": Fraction(1, 4), "residual": 0.0,
+                                       "n_exponents": terms, "leading_u_exponent": 2,
+                                       "support_mod8": [2]}
+
+
+def test_phi_match_without_a_scalar_reports_instead_of_raising(monkeypatch):
+    """Where no scalar can be solved, the match returns scalar None and the
+    finite residual 1.0: a zero image (a factor with m1' odd), a leading
+    exponent held by one side only, and a leading coefficient that is not a
+    rational integer."""
+    fz = theta.FZ_TUPLE
+    monkeypatch.setattr(theta, "FZ_TUPLE", tuple((1, 0, 0, 1) if m == (0, 0, 0, 1) else m
+                                                 for m in fz))
+    assert ez_phi_match(40)["scalar"] is None
+    monkeypatch.setattr(theta, "FZ_TUPLE", fz)
+    stratum = ez_phi_stratum(40)
+    for shifted in ({e + 8: v for e, v in stratum.coeffs.items() if e + 8 <= 40},
+                    {e: v * GaussInt(0, 1) for e, v in stratum.coeffs.items()}):
+        monkeypatch.setattr(soudry, "ez_phi_stratum",
+                            lambda order, c=shifted: QuarterSeries(1, order, c))
+        m = ez_phi_match(40)
+        assert (m["scalar"], m["residual"]) == (None, 1.0)
 
 
 def test_ez_eval_validation():

@@ -1233,6 +1233,11 @@ def test_fz_e6_antiinvariant():
 def test_gl_embed_and_sp_generators():
     for U in ([[1, 1], [0, 1]], [[0, 1], [1, 0]]):
         assert is_symplectic(gl_embed(U))
+    # det -1 with entries near 10^9, where a float det and inverse lose it
+    big = 10 ** 9
+    M = gl_embed([[big + 1, big], [big, big - 1]])
+    assert is_symplectic(M)
+    assert M[2:, 2:].tolist() == [[-(big - 1), big], [big, -(big + 1)]]
     with pytest.raises(ValueError):
         gl_embed([[2, 0], [0, 1]])
     assert len(sp2z_generators()) == 6

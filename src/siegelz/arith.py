@@ -10,8 +10,9 @@ exponent column, filled in slabs of bounded size and read off in sorted
 order.  A slab with few pairs is filled in one broadcast, a larger one
 term by term, so a small product costs a few numpy calls.  One bound,
 l1(small) * linf(big) below 2**62, proves every int64 partial sum exact,
-whatever order a fill sums in.  `QuarterSeries.coeffs` reads the arrays as
-a mapping of GaussInts.
+whatever order a fill sums in.  `series_product` multiplies many factors,
+squaring the product of one of each pair of equal ones.
+`QuarterSeries.coeffs` reads the arrays as a mapping of GaussInts.
 Everything here is exact: no floats enter until a series or polynomial is
 explicitly evaluated.
 """
@@ -22,6 +23,7 @@ import cmath
 import math
 from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -410,6 +412,31 @@ def series_mul(a: QuarterSeries, b: QuarterSeries,
     genera it sums over coefficient pairs (`_mul_schoolbook`).
     """
     return _mul_schoolbook(a, b, _result_order(a, b, order, "product"))
+
+
+def series_product(factors) -> QuarterSeries:
+    """Exact product of series of one genus, truncated to the smallest order.
+
+    Equal factors (by ==) are paired: one factor of each pair is multiplied
+    into a half product, which is squared, and the unpaired factors are then
+    multiplied in.  A product of the squares of k distinct factors so costs
+    k products, and its largest one is the square of the half product, which for
+    theta00 theta01 theta10 (= 2 eta^3) has only about sqrt(order) terms.
+    A single factor comes back unchanged.
+    """
+    half, rest = [], []
+    for f in factors:
+        if f in rest:
+            rest.remove(f)
+            half.append(f)
+        else:
+            rest.append(f)
+    if half:
+        h = reduce(series_mul, half)
+        rest.insert(0, series_mul(h, h))
+    if not rest:
+        raise ValueError("a product needs at least one factor")
+    return reduce(series_mul, rest)
 
 
 def _result_order(a: QuarterSeries, b: QuarterSeries, order: int | None,

@@ -238,6 +238,13 @@ def suite_theta_table(cfg: RunConfig, shared: dict):
     return out
 
 
+def _orbit_found(orbit: frozenset) -> dict:
+    """The detail that says why a claim over the other members of F_Z's
+    orbit fails when F_Z's tuple lies in no orbit: with no members, the
+    claim would otherwise hold vacuously."""
+    return {} if orbit else {"orbit_found": False}
+
+
 def suite_orbits(cfg: RunConfig, shared: dict):
     out = _Claims("orbits")
     orbits = theta.orbit_decomposition()
@@ -254,7 +261,7 @@ def suite_orbits(cfg: RunConfig, shared: dict):
         if t != fz and (1, 1, 1, 1) not in t and (1, 0, 0, 1) not in t
     ]
     out.add("every other orbit member contains the 1111 or 1001 theta",
-            not exceptions, exceptions=exceptions,
+            bool(orbit) and not exceptions, exceptions=exceptions, **_orbit_found(orbit),
             note="the exceptional member carries first-entry-1 "
                  "characteristics, so its degeneration still vanishes")
     return out
@@ -270,10 +277,11 @@ def suite_fz_phi(cfg: RunConfig, shared: dict):
             "theta00^2 theta01^2 theta10^2 exactly", ok, 0.0 if ok else 1.0, order=order)
 
     # decided by the characteristics, with no series product
+    orbit = theta.fz_orbit()
     killed = [theta.phi_characteristics(tup) is None
-              for tup in theta.fz_orbit() if tup != frozenset(theta.FZ_TUPLE)]
-    out.add("the degeneration kills every other orbit member", all(killed),
-            members=len(killed))
+              for tup in orbit if tup != frozenset(theta.FZ_TUPLE)]
+    out.add("the degeneration kills every other orbit member", bool(orbit) and all(killed),
+            members=len(killed), **_orbit_found(orbit))
 
     tau1 = 0.3 + 0.9j
     t_aux = 8.0
@@ -283,9 +291,10 @@ def suite_fz_phi(cfg: RunConfig, shared: dict):
         gtau = theta.apply_moebius(g, tau)
         detj = complex(np.linalg.det(theta.cocycle(g, tau)))
         vals[name] = detj ** -3 * theta.fz_eval(gtau, 1e-13)
-    ratio = vals["g2"] / vals["g0"]
+    # an odd factor makes the product vanish at the probe, with no ratio
+    ratio = vals["g2"] / vals["g0"] if vals["g0"] else None
     out.add("relation between the two degeneration twists", None,
-            ratio=[ratio.real, ratio.imag],
+            ratio=None if ratio is None else [ratio.real, ratio.imag],
             note="the two twists agree only up to a level-8 "
                  "substitution; the ratio at the probe point is recorded")
     return out

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from types import MappingProxyType
 
 import numpy as np
 
-from .arith import gauss_primary_decompose, is_prime, kronecker_char, series_mul
+from .arith import gauss_primary_decompose, is_prime, kronecker_char, series_product
 from .theta import G_TUPLE, theta_expansion
 
 
@@ -73,8 +73,9 @@ def _g_theta_product(order: int) -> EllipticQExpansion:
     """theta_(0,0)^2 theta_(0,1)^2 theta_(1,0)^2 at tau -> 4 tau, where the index
     e (unit pi i tau / 4) becomes the q-power e/2; leading coefficient normalized to 1."""
     u_order = 2 * order
-    # one sparse factor at a time: squaring a factor first is a dense-by-dense product
-    prod = reduce(series_mul, (theta_expansion(m, u_order) for m in G_TUPLE))
+    # the square of theta00 theta01 theta10, a series of about sqrt(u_order)
+    # terms (2 eta^3 by Jacobi's identity): three products in all
+    prod = series_product(theta_expansion(m, u_order) for m in G_TUPLE)
     e, re = prod.exps[0], prod.re
     if (e % 2).any() or prod.im.any():
         raise AssertionError("theta product is not an integral series in q")
@@ -176,6 +177,8 @@ def hecke_residual(g: EllipticQExpansion, p: int, order: int) -> EllipticQExpans
     """Residual series of T_p g - a_p g up to the given order, read from an
     expansion g of order at least order * p; zero iff g is an eigenvector
     with eigenvalue a_p that far."""
+    if order < 1:
+        raise ValueError("order must be >= 1")
     ap = a_p(p)
     if g.order < order * p:
         raise ValueError(f"T_{p} up to order {order} reads coefficients to {order * p}, "
@@ -196,4 +199,6 @@ def hecke_Tp_check(p: int, order: int) -> EllipticQExpansion:
     """hecke_residual of the theta product built to order * p."""
     if p == 2 or not is_prime(p):
         raise ValueError("need an odd prime")
+    if order < 1:
+        raise ValueError("order must be >= 1")
     return hecke_residual(_g_theta_product(order * p), p, order)

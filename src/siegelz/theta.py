@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import GaussInt, QuarterSeries, _summed, i_power, series_mul
+from .arith import GaussInt, QuarterSeries, _summed, i_power, series_mul, series_product
 
 # ---------------------------------------------------------------------------
 # characteristics
@@ -405,11 +405,9 @@ def phi_of_theta_product(ms, order: int) -> QuarterSeries:
     e1 = e2 = 0 terms, that is, Phi is multiplicative on these series.  On
     those terms the genus-2 degree e1 + e3 is the genus-1 degree e3, so both
     sides truncate alike.  A factor with m1' odd has no b1 = 0 term, and the
-    product is 0."""
-    prod = phi_after_g0(theta_expansion(ms[0], order))
-    for m in ms[1:]:
-        prod = series_mul(prod, phi_after_g0(theta_expansion(m, order)))
-    return prod
+    product is 0.  Equal degenerations, such as those of 0000 and 0010, pair
+    in series_product, so F_Z's image is a squared half product."""
+    return series_product(phi_after_g0(theta_expansion(m, order)) for m in ms)
 
 
 def phi_characteristics(ms) -> tuple | None:
@@ -594,13 +592,25 @@ def theta_gradient(m, tau, tol: float = 1e-12) -> np.ndarray:
     start at even a2: i^(b.m'') is a row phase times a column phase.  As
     x -> -x multiplies i^(b.m'') by (-1)^(m'.m''), the summand is even, so
     when m'_1 is odd the rows x1 > 0 are summed and doubled; the windows are
-    symmetric, so the tail bound holds for the doubled sum.
+    symmetric, so the tail bound holds for the doubled sum.  As in
+    theta_values, the pass is cached on the bytes of m and tau, and tol;
+    each call returns a fresh array.
     """
     m = tuple(int(v) for v in m)
     if genus_of(m) != 2 or parity(m) != "odd":
         raise ValueError(f"theta_gradient takes an odd genus-2 characteristic, not {m}")
     tau = np.asarray(tau, dtype=complex)
     check_siegel_point(tau)
+    return _gradient_sums(np.array(m, dtype=np.int64).tobytes(), tau.tobytes(),
+                          tau.shape, tol).copy()
+
+
+@lru_cache(maxsize=128)
+def _gradient_sums(char: bytes, point: bytes, shape: tuple, tol: float) -> np.ndarray:
+    """The read-only value of theta_gradient for the int64 characteristic and
+    the complex point with these bytes (the point of this shape)."""
+    m = np.frombuffer(char, dtype=np.int64).tolist()
+    tau = np.frombuffer(point, dtype=complex).reshape(shape)
     _, t, R1, R2 = _row_windows(tau.imag, tol, degree=1)
     red = [v % 2 for v in m]
     sign = -1 if (red[0] * (m[2] // 2) + red[1] * (m[3] // 2)) % 2 else 1
@@ -608,7 +618,9 @@ def theta_gradient(m, tau, tol: float = 1e-12) -> np.ndarray:
     phase = np.array([1, 1j, -1, -1j])
     block *= phase[(2 * x1).astype(np.int64) * red[2] % 4]
     block *= phase[(2 * x2[0]).astype(np.int64) * red[3] % 4]
-    return (1 + red[0]) * sign * np.array([(x1 * block).sum(), (x2 * block).sum()])
+    grad = (1 + red[0]) * sign * np.array([(x1 * block).sum(), (x2 * block).sum()])
+    grad.flags.writeable = False
+    return grad
 
 
 def fz_eval(tau, tol: float = 1e-12) -> complex:
@@ -968,7 +980,9 @@ def orbit_decomposition() -> tuple[frozenset, ...]:
 
 
 def fz_orbit() -> frozenset:
+    """The orbit of FZ_TUPLE (read at each call); empty if it is none of the
+    210 six-subsets of even characteristics."""
     for orbit in orbit_decomposition():
         if frozenset(FZ_TUPLE) in orbit:
             return orbit
-    raise AssertionError("orbit of the six-tuple not found")  # pragma: no cover
+    return frozenset()

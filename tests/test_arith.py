@@ -21,6 +21,7 @@ from siegelz.arith import (
     odd_primes,
     series_add,
     series_mul,
+    series_product,
 )
 from siegelz.theta import FZ_TUPLE, fz_orbit, six_tuple_expansion, theta_expansion
 
@@ -579,6 +580,52 @@ def test_series_mul_associative_commutative():
     assert series_mul(a, b) == series_mul(b, a)
     assert series_mul(series_mul(a, b), c) == series_mul(a, series_mul(b, c))
     assert series_add(a, b) == series_add(b, a)
+
+
+def _terms(s):
+    return [(x.dtype, x.tolist()) for x in (*s.exps, s.re, s.im)]
+
+
+def _chain(factors):
+    prod = factors[0]
+    for f in factors[1:]:
+        prod = series_mul(prod, f)
+    return prod
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_series_product_is_the_left_to_right_chain(seed):
+    """Over seeded multisets of genus-1 thetas, with repeats, unreduced and
+    odd characteristics and mixed orders, the paired product is the chain's
+    term for term, dtype for dtype and order for order."""
+    rng = random.Random(seed)
+    chars = [(0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (2, 1), (1, 2), (3, 0), (-1, 3)]
+    picks = rng.choices(chars, k=rng.randint(1, 4))
+    picks += rng.choices(picks, k=rng.randint(1, 3))  # repeats
+    factors = [theta_expansion(m, rng.choice((60, 80))) for m in picks]
+    rng.shuffle(factors)
+    got, want = series_product(factors), _chain(factors)
+    assert got.order == want.order == min(f.order for f in factors)
+    assert _terms(got) == _terms(want)
+
+
+def test_series_product_genus_2_zero_single_and_wide_coefficients():
+    t = [theta_expansion(m, 24) for m in FZ_TUPLE[:3]]
+    factors = [t[0], t[1], t[0], t[2], t[1]]
+    assert _terms(series_product(factors)) == _terms(_chain(factors))
+    odd = theta_expansion((1, 1), 40)  # theta_11 vanishes identically
+    assert odd.is_zero()
+    assert series_product([theta_expansion((0, 0), 40), odd, odd]) == QuarterSeries.zero(1, 40)
+    assert series_product([t[2]]) is t[2]
+    # a squared half product past 2**62 comes back in Python ints, as the chain's
+    wide = QuarterSeries(1, 40, {0: 1 << 61, 4: GaussInt(3, -1)})
+    factors = [wide, theta_expansion((0, 1), 40), wide]
+    got = series_product(factors)
+    assert _terms(got) == _terms(_chain(factors)) and got.re.dtype == object
+    with pytest.raises(ValueError, match="at least one factor"):
+        series_product([])
+    with pytest.raises(ValueError, match="genus mismatch"):
+        series_product([t[0], theta_expansion((0, 0), 24)])
 
 
 # parts up to 2**70 put some coefficients, and so some arrays, beyond int64;

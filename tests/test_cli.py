@@ -235,6 +235,28 @@ def test_fz_phi_claim_2_fails_if_f_z_is_not_skipped(monkeypatch):
     assert claim_2() == ("fail", {"members": 14})
 
 
+def test_orbit_claims_fail_when_f_z_is_in_no_orbit(monkeypatch):
+    """With the factor 0110 of F_Z swapped for the odd 1010, the tuple lies in
+    none of the 210 orbits of even six-subsets: orbits and fz-phi report
+    instead of raising, and the claims over the other orbit members fail
+    rather than pass over no members."""
+    from dataclasses import asdict
+
+    from siegelz import theta
+
+    monkeypatch.setattr(theta, "FZ_TUPLE", tuple((1, 0, 1, 0) if m == (0, 1, 1, 0) else m
+                                                 for m in theta.FZ_TUPLE))
+    assert theta.fz_orbit() == frozenset()
+    reports, code = run(RunConfig(selected_suites=["orbits", "fz-phi"]))
+    assert code == 1
+    assert [(r.suite, r.status, r.details.get("orbit_found")) for r in reports] == [
+        ("orbits", "fail", None), ("orbits", "fail", False),
+        ("fz-phi", "fail", None), ("fz-phi", "fail", False), ("fz-phi", "measured", None)]
+    assert reports[0].details["fz_orbit_size"] == 0 and reports[3].details["members"] == 0
+    assert reports[4].details["ratio"] is None  # F_Z vanishes at the probe
+    json.dumps([asdict(r) for r in reports], allow_nan=False)
+
+
 @pytest.mark.parametrize("new, status", [((0, 0, 0, 0), "fail"), ((0, 0, 1, 1), "pass"),
                                          ((1, 0, 0, 1), "fail")],
                          ids=["image 00", "same image 01", "m1' odd"])

@@ -4,7 +4,7 @@ import pickle
 
 import pytest
 
-from siegelz import cmform
+from siegelz import arith, cmform
 from siegelz.arith import GaussInt, QuarterSeries, is_prime, kronecker_char, odd_primes, series_mul
 from siegelz.cmform import (
     EllipticQExpansion,
@@ -55,9 +55,9 @@ def test_agreement_reads_every_coefficient_up_to_the_order():
 
 @pytest.mark.parametrize("order", [1, 200, 1200])
 def test_theta_product_needs_no_leading_one(monkeypatch, order):
-    """The build multiplies the thetas of G_TUPLE from the first one on, in
-    five products, and its product is the one-first chain's, term for term
-    and dtype for dtype."""
+    """The build multiplies theta00 theta01 theta10 from the first one on and
+    squares that half product, in three products, and its product is the
+    one-first chain's, term for term and dtype for dtype."""
     u_order = 2 * order
     one_first = QuarterSeries.one(1, u_order)
     for m in G_TUPLE:
@@ -68,9 +68,11 @@ def test_theta_product_needs_no_leading_one(monkeypatch, order):
         products.append(series_mul(a, b, order))
         return products[-1]
 
-    monkeypatch.setattr(cmform, "series_mul", spy)
+    monkeypatch.setattr(arith, "series_mul", spy)
     cmform._g_theta_product.__wrapped__(order)
-    assert len(products) == len(G_TUPLE) - 1
+    assert len(products) == 3
+    half = products[1]
+    assert products[2] == series_mul(half, half)
     last = products[-1]
     assert [(x.dtype, x.tolist()) for x in (*last.exps, last.re, last.im)] == \
         [(x.dtype, x.tolist()) for x in (*one_first.exps, one_first.re, one_first.im)]
@@ -244,6 +246,22 @@ def test_hecke_eigenform_deep_order():
 def test_hecke_all_odd_p_to_50():
     for p in odd_primes(50):
         assert not hecke_Tp_check(p, 24).a
+
+
+def test_hecke_orders_below_one_raise(monkeypatch):
+    """An order below 1 is rejected before any build, and a residual of no
+    terms, which would pass for any a_p, is never returned."""
+    g = g_expansion("theta_product", 30)
+
+    def no_build(order):
+        raise AssertionError(f"built to {order}")
+
+    monkeypatch.setattr(cmform, "_g_theta_product", no_build)
+    for order in (0, -1):
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            hecke_Tp_check(5, order)
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            hecke_residual(g, 3, order)
 
 
 def test_hecke_residual_reads_any_long_enough_expansion():

@@ -267,6 +267,37 @@ def test_ez_eval_takes_one_gradient_of_theta_1011(monkeypatch):
     assert all(m == ODD_CHAR and 0 < tol < 1e-9 / 2 for m, tol in calls)
 
 
+def test_verify_ez_takes_each_gradient_pass_once(monkeypatch):
+    """verify ez evaluates E_Z again at its sample points: the gradient pass
+    runs once per distinct (m, tau, tol), and every call returns a fresh
+    array that its caller may write to."""
+    from siegelz.cli import RunConfig, run
+
+    keys, grads = [], []
+    real = soudry.theta_gradient
+
+    def spy(m, tau, tol=1e-12):
+        keys.append((tuple(m), np.asarray(tau, dtype=complex).tobytes(), tol))
+        grads.append(real(m, tau, tol))
+        return grads[-1]
+
+    monkeypatch.setattr(soudry, "theta_gradient", spy)
+    theta._gradient_sums.cache_clear()
+    reports, _ = run(RunConfig(selected_suites=["ez"]))
+    assert len(reports) == 8
+    assert theta._gradient_sums.cache_info().misses == len(set(keys)) < len(keys)
+    assert len({id(g) for g in grads}) == len(grads)
+    assert all(g.flags.writeable for g in grads)
+    tau = EZ_SAMPLE_POINTS[0]
+    first = theta.theta_gradient(ODD_CHAR, tau, 1e-10)
+    want = first.copy()
+    first[:] = 0
+    again = theta.theta_gradient(list(ODD_CHAR), tau.copy(), 1e-10)
+    assert np.array_equal(again, want)
+    assert np.array_equal(again, theta._gradient_sums.__wrapped__(
+        np.array(ODD_CHAR, dtype=np.int64).tobytes(), tau.tobytes(), tau.shape, 1e-10))
+
+
 def test_e1e6_sign_is_the_odd_theta_pair_character():
     # E_Z = Sym^2 of the gradient of theta[1011], so each element acts on
     # the 2-form by exp(2 pi i t) with t the pair character of that odd

@@ -9,8 +9,6 @@ from .arith import (
     QuarterSeries,
     gauss_primary_decompose,
     kronecker_char,
-    legendre,
-    series_add,
     series_mul,
 )
 from .cmform import EllipticQExpansion, a_p, g_expansion, hecke_residual, hecke_Tp_check
@@ -31,11 +29,9 @@ from .pointcount import (
 from .soudry import EzConvention, ez_eval, ez_phi_match, ez_two_form_check, resolve_ez_convention
 from .theta import (
     FZ_TUPLE,
-    characteristic_action,
     even_characteristics,
     fz_expansion,
     gammaZ_generators,
-    gammaZ_tuple_predicate,
     orbit_decomposition,
     parity,
     phi_after_g0,
@@ -50,7 +46,7 @@ from .theta import (
 
 __all__ = [
     "GaussInt", "IntPolynomial", "QuarterSeries", "gauss_primary_decompose",
-    "kronecker_char", "legendre", "series_add", "series_mul",
+    "kronecker_char", "series_mul",
     "EllipticQExpansion", "a_p", "g_expansion", "hecke_residual",
     "hecke_Tp_check",
     "EulerFactor", "ae_quartic", "euler_factor", "h2_lpoly",
@@ -59,8 +55,8 @@ __all__ = [
     "verify_boundary_lines", "verify_count_formulas",
     "EzConvention", "ez_eval", "ez_phi_match", "ez_two_form_check",
     "resolve_ez_convention",
-    "FZ_TUPLE", "characteristic_action", "even_characteristics",
-    "fz_expansion", "gammaZ_generators", "gammaZ_tuple_predicate",
+    "FZ_TUPLE", "even_characteristics",
+    "fz_expansion", "gammaZ_generators",
     "orbit_decomposition", "parity", "phi_after_g0", "phi_characteristics",
     "phi_of_theta_product", "table1_char", "theta_eval", "theta_expansion",
     "theta_values", "verify_igusa_transformation",

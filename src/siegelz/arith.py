@@ -1,6 +1,6 @@
 """Exact base arithmetic.
 
-Primes, quadratic residue symbols, Gaussian integers, truncated Fourier
+Primes, quadratic characters, Gaussian integers, truncated Fourier
 series with quarter-integer exponent unit, and integer polynomials in one
 variable.  A series stores its terms in numpy arrays sorted degree first
 (int64 where a proven bound allows, Python ints otherwise), and its
@@ -30,7 +30,7 @@ import numpy as np
 
 
 # ---------------------------------------------------------------------------
-# primes and quadratic symbols
+# primes and quadratic characters
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -50,17 +50,6 @@ def is_prime(n: int) -> bool:
 def odd_primes(bound: int) -> list[int]:
     """Odd primes p <= bound, ascending."""
     return [p for p in range(3, bound + 1, 2) if is_prime(p)]
-
-
-def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a/p) for an odd prime p: +1, -1, or 0 when p | a."""
-    if p % 2 == 0 or not is_prime(p):
-        raise ValueError(f"modulus {p} is not an odd prime")
-    a %= p
-    if a == 0:
-        return 0
-    r = pow(a, (p - 1) // 2, p)
-    return -1 if r == p - 1 else 1
 
 
 def kronecker_char(d: int, n: int) -> int:
@@ -130,25 +119,6 @@ class GaussInt:
     def __hash__(self):
         # equal to its int when real, as __eq__ requires
         return hash(self.re) if self.im == 0 else hash((self.re, self.im))
-
-    def conj(self) -> "GaussInt":
-        return GaussInt(self.re, -self.im)
-
-    def norm(self) -> int:
-        return self.re * self.re + self.im * self.im
-
-    def divides(self, other: "GaussInt") -> bool:
-        n = self.norm()
-        z = other * self.conj()
-        return n != 0 and z.re % n == 0 and z.im % n == 0
-
-    def exact_div(self, other: "GaussInt") -> "GaussInt":
-        """self / other, raising if the quotient is not in Z[i]."""
-        n = other.norm()
-        z = self * other.conj()
-        if n == 0 or z.re % n or z.im % n:
-            raise ValueError(f"{other} does not divide {self}")
-        return GaussInt(z.re // n, z.im // n)
 
     def to_complex(self) -> complex:
         return complex(self.re, self.im)
@@ -394,16 +364,6 @@ class _Values(ValuesView):
         return map(GaussInt, self._mapping._s.re.tolist(), self._mapping._s.im.tolist())
 
 
-def series_add(a: QuarterSeries, b: QuarterSeries,
-               order: int | None = None) -> QuarterSeries:
-    """Exact sum of two series of equal genus, truncated to order."""
-    order = _result_order(a, b, order, "sum")
-    a, b = a.truncate(order), b.truncate(order)
-    # each index occurs at most twice, so int64 sums cannot overflow
-    terms = _summed([(a.exps, a.re, a.im), (b.exps, b.re, b.im)])
-    return QuarterSeries.from_arrays(a.genus, order, *terms)
-
-
 def series_mul(a: QuarterSeries, b: QuarterSeries,
                order: int | None = None) -> QuarterSeries:
     """Exact truncated product of two series of equal genus.
@@ -411,7 +371,15 @@ def series_mul(a: QuarterSeries, b: QuarterSeries,
     Every series product in the package goes through here, and in both
     genera it sums over coefficient pairs (`_mul_schoolbook`).
     """
-    return _mul_schoolbook(a, b, _result_order(a, b, order, "product"))
+    if a.genus != b.genus:
+        raise ValueError(f"genus mismatch: {a.genus} vs {b.genus}")
+    if order is None:
+        order = min(a.order, b.order)
+    elif order < 0:
+        raise ValueError("order must be nonnegative")
+    elif order > min(a.order, b.order):
+        raise ValueError("product not valid beyond the smaller input order")
+    return _mul_schoolbook(a, b, order)
 
 
 def series_product(factors) -> QuarterSeries:
@@ -437,19 +405,6 @@ def series_product(factors) -> QuarterSeries:
     if not rest:
         raise ValueError("a product needs at least one factor")
     return reduce(series_mul, rest)
-
-
-def _result_order(a: QuarterSeries, b: QuarterSeries, order: int | None,
-                  what: str) -> int:
-    if a.genus != b.genus:
-        raise ValueError(f"genus mismatch: {a.genus} vs {b.genus}")
-    if order is None:
-        return min(a.order, b.order)
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    if order > min(a.order, b.order):
-        raise ValueError(f"{what} not valid beyond the smaller input order")
-    return order
 
 
 def _summed(parts: list) -> tuple:

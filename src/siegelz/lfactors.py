@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import GaussInt, IntPolynomial, is_prime, kronecker_char
+from .arith import _UNITS, IntPolynomial, is_prime, kronecker_char
 from .cmform import a_p
 from .pointcount import count_variety
 
@@ -31,22 +31,17 @@ class EulerFactor:
         return self.poly.degree()
 
 
-def euler_factor(kind: str, p: int, twist: int = 0, d: int = -1) -> EulerFactor:
+def euler_factor(kind: str, p: int, d: int = -1) -> EulerFactor:
     """Local factor of zeta, of a quadratic character L-function, or of the
-    newform, with an optional exact Tate twist T -> p^twist T."""
+    newform; EulerFactor.twist gives its Tate twists."""
     if p % 2 == 0 or not is_prime(p):
         raise ValueError(f"{p} is not an odd prime")
-    if twist < 0:
-        raise ValueError("twist must be nonnegative")
-    w = p ** twist
     if kind == "zeta":
-        return EulerFactor(p, IntPolynomial([1, -w]))
+        return EulerFactor(p, IntPolynomial([1, -1]))
     if kind == "chi":
-        return EulerFactor(p, IntPolynomial([1, -kronecker_char(d, p) * w]))
+        return EulerFactor(p, IntPolynomial([1, -kronecker_char(d, p)]))
     if kind == "g":
-        ap = a_p(p)
-        chi = kronecker_char(-1, p)
-        return EulerFactor(p, IntPolynomial([1, -ap * w, chi * p * p * w * w]))
+        return EulerFactor(p, IntPolynomial([1, -a_p(p), kronecker_char(-1, p) * p * p]))
     raise ValueError(f"unknown kind {kind!r}")
 
 
@@ -65,7 +60,7 @@ def h2_lpoly(p: int) -> EulerFactor:
     (1-chi_2(p)pT)^2 (1-chi_-2(p)pT)^2 times the twisted newform factor."""
     poly = IntPolynomial.one()
     for kind, d, mult in (("zeta", 0, 8), ("chi", -1, 7), ("chi", 2, 2), ("chi", -2, 2)):
-        f = euler_factor(kind, p, twist=1, d=d)
+        f = euler_factor(kind, p, d=d).twist(1)
         for _ in range(mult):
             poly = poly * f.poly
     return EulerFactor(p, poly * euler_factor("g", p).poly)
@@ -96,10 +91,7 @@ def ae_quartic(lam1, lam2, delta_inv, mu: int, p: int) -> EulerFactor:
 
     with lam1, lam2 the similitude-p and similitude-p^2 eigenvalues and
     delta_inv a root of unity (here an exact Gaussian integer or +-1)."""
-    if isinstance(delta_inv, GaussInt):
-        if delta_inv.norm() != 1:
-            raise ValueError("delta_inv must be a root of unity")
-    elif delta_inv not in (1, -1):
+    if delta_inv not in _UNITS:
         raise ValueError("delta_inv must be a fourth root of unity")
     c2 = lam1 * lam1 - lam2 - delta_inv * p ** (mu - 1)
     c3 = -1 * delta_inv * lam1 * p ** mu

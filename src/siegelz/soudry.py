@@ -45,9 +45,6 @@ class VectorValue(NamedTuple):
     h1: complex
     h2: complex
 
-    def norm(self) -> float:
-        return max(abs(self.h0), abs(self.h1), abs(self.h2))
-
 
 @dataclass(frozen=True)
 class EzConvention:

@@ -6,7 +6,7 @@ of a symplectic matrix gives the unreduced images m M^-1 + (diag CD^T,
 diag AB^T) and the eighth-integer phases; a cached table per matrix turns
 them into each characteristic's share of the exact character. Also: the
 generators e_1..e_10 of Gamma(2)/Gamma(4,8) with their pair characters,
-the stabilizer predicates and orbit of the six-theta product F_Z, and F_Z.
+the stabilizer generators and orbit of the six-theta product F_Z, and F_Z.
 
 The degeneration to genus 1 keeps the terms with e1 = e2 = 0. As every theta
 term has e1 = b1^2 >= 0, it sends a theta product to the product of the
@@ -652,14 +652,6 @@ def _action(M: np.ndarray, ms) -> tuple[np.ndarray, np.ndarray]:
     return raw, (2 * (first @ ab) - quad) % 8
 
 
-def characteristic_action(M: np.ndarray, m):
-    """(M . m reduced mod 2, phase) for the theta transformation law."""
-    if not is_symplectic(M):
-        raise ValueError("matrix is not symplectic")
-    raw, eighths = _action(M, [m])
-    return tuple((raw[0] % 2).tolist()), Fraction(int(eighths[0]), 8)
-
-
 def _kappa_flip(M: np.ndarray) -> int:
     """1 where kappa(M)^2 = (-1)^(trace(D - 1)/2) is -1, else 0; level 2 only."""
     g = M.shape[0] // 2
@@ -669,7 +661,7 @@ def _kappa_flip(M: np.ndarray) -> int:
 class _Table(NamedTuple):
     """The exact transformation data of one level-2 matrix, per characteristic
     mod 2 (indexed by its bits read as a binary number, first entry highest)."""
-    fixes: bool      # M.m = m mod 2 for every characteristic
+    n: int           # the width of the matrix and of its characteristics
     eighths: tuple   # the phase of the transformation law, in eighths
     weights: tuple   # the phase plus 4 x the reduction sign flip, mod 8
     kappa: int       # 1 where kappa(M)^2 = -1, else 0
@@ -693,18 +685,23 @@ def _table(key: bytes, shape: tuple) -> _Table | None:
     chars = np.array(list(itertools.product((0, 1), repeat=n)), dtype=np.int64)
     raw, eighths = _action(M, chars)
     red = raw % 2
+    if not np.array_equal(red, chars):
+        raise AssertionError("level-2 matrix must fix characteristics mod 2")
     flips = (red[:, :g] * ((raw[:, g:] - red[:, g:]) // 2)).sum(1) % 2
-    return _Table(bool(np.all(red == chars)), tuple(eighths.tolist()),
+    return _Table(n, tuple(eighths.tolist()),
                   tuple(((eighths + 4 * flips) % 8).tolist()), _kappa_flip(M))
 
 
-def _level2_table(M) -> _Table | None:
-    """The cached table of M, read afresh from M's current entries."""
+def _level2_table(M) -> _Table:
+    """The cached table of M, read afresh from M's current entries; raises
+    ValueError off the level-2 group."""
     A = np.asarray(M)
     Mi = A.astype(np.int64, copy=False)
-    if Mi is not A and not np.array_equal(Mi, A):
-        return None  # not integral, so not in the level-2 group
-    return _table(Mi.tobytes(), Mi.shape)
+    integral = Mi is A or np.array_equal(Mi, A)  # else not in the level-2 group
+    table = _table(Mi.tobytes(), Mi.shape) if integral else None
+    if table is None:
+        raise ValueError("character only defined on the level-2 group")
+    return table
 
 
 def _code(m, n: int) -> int:
@@ -721,14 +718,13 @@ def _code(m, n: int) -> int:
 _EIGHTHS = tuple(Fraction(k, 8) for k in range(8))
 
 
-def _exponent(table: _Table, ms, n: int) -> Fraction:
-    """The exact character t of the product over ms (pairs of n-entry
-    characteristics) under the table's matrix."""
-    if not table.fixes:
-        raise AssertionError("level-2 matrix must fix characteristics mod 2")
+def _exponent(table: _Table, ms) -> Fraction:
+    """The exact character t of the product over ms (pairs of characteristics
+    as wide as the table's matrix) under that matrix."""
+    n, weights = table.n, table.weights
     t = 4 * (len(ms) // 2) * table.kappa
     for m in ms:
-        t += table.weights[_code(m, n)]
+        t += weights[_code(m, n)]
     return _EIGHTHS[t % 8]
 
 
@@ -741,10 +737,7 @@ def slash_character_exact(ms, M: np.ndarray) -> Fraction:
     """
     if len(ms) % 2:
         raise ValueError("need an even number of characteristics")
-    table = _level2_table(M)
-    if table is None:
-        raise ValueError("character only defined on the level-2 group")
-    return _exponent(table, ms, np.shape(M)[0])
+    return _exponent(_level2_table(M), ms)
 
 
 def character_value(t: Fraction) -> complex:
@@ -827,16 +820,16 @@ def table1_eighths(ms, i: int) -> np.ndarray:
 
 def character_eighths(ms, M: np.ndarray) -> np.ndarray:
     """The exact characters of slash_character_exact in eighths, for the rows
-    of the int array ms of shape (tuples, 2r, 4): the weights of M's table at
-    the tuple's characteristics (any parity) plus 4 r kappa, mod 8.  For a
-    pair this is also pair_character_any_parity."""
+    of the int array ms of shape (tuples, 2r, n), n the width of M: the
+    weights of M's table at the tuple's characteristics (any parity) plus
+    4 r kappa, mod 8.  For a pair this is also pair_character_any_parity."""
     ms = np.asarray(ms, dtype=np.int64)
     table = _level2_table(M)
-    if table is None:
-        raise ValueError("character only defined on the level-2 group")
-    if not table.fixes:
-        raise AssertionError("level-2 matrix must fix characteristics mod 2")
-    codes = (ms % 2) @ np.array([8, 4, 2, 1])
+    if ms.ndim != 3 or ms.shape[2] != table.n:
+        raise ValueError(f"characteristics do not have {table.n} entries")
+    if ms.shape[1] % 2:
+        raise ValueError("need an even number of characteristics")
+    codes = (ms % 2) @ (1 << np.arange(table.n - 1, -1, -1))
     return (np.array(table.weights)[codes].sum(1) + 4 * (ms.shape[1] // 2) * table.kappa) % 8
 
 
@@ -854,10 +847,7 @@ def pair_character_any_parity(m1, m2, M: np.ndarray) -> Fraction:
     reduction sign, and kappa^2 is unchanged (trace D3 - 3 = trace D - 2),
     so the genus-2 table of M gives it.
     """
-    table = _level2_table(M)
-    if table is None:
-        raise ValueError("character only defined on the level-2 group")
-    return _exponent(table, (m1, m2), 4)
+    return _exponent(_level2_table(M), (m1, m2))
 
 
 # ---------------------------------------------------------------------------
@@ -879,11 +869,7 @@ def igusa_residuals(ms, M: np.ndarray, tau, tol: float = 1e-12) -> tuple:
         if parity(m) != "even":
             raise ValueError(f"odd characteristic {m} vanishes identically")
     table = _level2_table(M)
-    if table is None:
-        raise ValueError("the squared law is pinned down on the level-2 group")
-    n = np.shape(M)[0]
-    eighths = np.array([table.eighths[_code(m, n)] for m in ms], dtype=np.int64)
-    t = _exponent(table, ms, n)
+    eighths = np.array([table.eighths[_code(m, table.n)] for m in ms], dtype=np.int64)
     tau = np.asarray(tau, dtype=complex)
     mtau = apply_moebius(M, tau)
     det_j = complex(np.linalg.det(cocycle(M, tau)))
@@ -898,7 +884,7 @@ def igusa_residuals(ms, M: np.ndarray, tau, tol: float = 1e-12) -> tuple:
     # however small the product, and the cocycle power inflates nothing
     num = np.prod(th_m)
     den = np.prod(th_0) * det_j ** (len(ms) // 2)
-    chi = character_value(t)
+    chi = character_value(_exponent(table, ms))
     return squared, float(abs(num - chi * den) / max(abs(num), abs(den)))
 
 
@@ -909,27 +895,7 @@ def verify_igusa_transformation(ms, M: np.ndarray, tau, tol: float = 1e-12) -> f
 
 
 # ---------------------------------------------------------------------------
-# the stabilizer predicate and orbits
-
-def gammaZ_tuple_predicate(ms) -> bool:
-    """True iff the product of the listed theta constants is fixed by the
-    five congruence conditions defining the stabilizer group of F_Z."""
-    sa = sum(m[0] for m in ms)
-    sb = sum(m[1] for m in ms)
-    sc = sum(m[2] for m in ms)
-    sd = sum(m[3] for m in ms)
-    sbc = sum(m[1] * m[2] for m in ms)
-    scd = sum(m[2] * m[3] for m in ms)
-    sad = sum(m[0] * m[3] for m in ms)
-    sac = sum(m[0] * m[2] for m in ms)
-    return (
-        (sbc + scd) % 2 == 0
-        and (sbc + sc) % 2 == 0
-        and (sb + sad) % 2 == 0
-        and (sad + sd) % 2 == 0
-        and (sbc + sac - 1) % 2 == 0
-    )
-
+# orbits
 
 def char_permutation(M: np.ndarray) -> dict:
     """The induced permutation of the ten even characteristics (mod 2)."""

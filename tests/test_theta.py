@@ -17,10 +17,10 @@ from siegelz.theta import (
     G_TUPLE,
     J4,
     apply_moebius,
+    char_permutation,
     character_as_gauss,
     character_eighths,
     character_value,
-    characteristic_action,
     check_siegel_point,
     cocycle,
     even_characteristics,
@@ -28,7 +28,6 @@ from siegelz.theta import (
     fz_expansion,
     fz_orbit,
     gammaZ_generators,
-    gammaZ_tuple_predicate,
     gl_embed,
     igusa_residuals,
     in_gamma,
@@ -615,33 +614,39 @@ def test_congruence_predicates():
     assert in_igusa_group(translation([[4, 2], [2, 4]]), 2)
 
 
+def _act(M, m):
+    """(M . m reduced mod 2, phase) of the theta transformation law."""
+    raw, eighths = theta._action(M, [m])
+    return tuple((raw[0] % 2).tolist()), Fraction(int(eighths[0]), 8)
+
+
 def test_characteristic_action_identity_and_minus():
     eye = np.eye(4, dtype=np.int64)
     for m in even_characteristics(2):
-        red, phi = characteristic_action(eye, m)
+        red, phi = _act(eye, m)
         assert red == m and phi == 0
-        red, phi = characteristic_action(E5, m)
+        red, phi = _act(E5, m)
         assert red == m and phi == 0
 
 
 def test_characteristic_action_inversion_swaps():
     m = (1, 0, 0, 1)
-    red, _ = characteristic_action(J4, m)
+    red, _ = _act(J4, m)
     assert red == (0, 1, 1, 0)
 
 
 def test_characteristic_action_rejects_non_symplectic():
     with pytest.raises(ValueError):
-        characteristic_action(np.eye(4, dtype=np.int64) * 2, (0, 0, 0, 0))
+        char_permutation(np.eye(4, dtype=np.int64) * 2)
 
 
 def test_action_respects_group_law_mod2():
     for M1 in E_GENERATORS[:4]:
         for M2 in E_GENERATORS[4:]:
             for m in even_characteristics(2):
-                step = characteristic_action(M2, m)[0]
-                twice = characteristic_action(M1, step)[0]
-                joint = characteristic_action(M1 @ M2, m)[0]
+                step = _act(M2, m)[0]
+                twice = _act(M1, step)[0]
+                joint = _act(M1 @ M2, m)[0]
                 assert joint == twice
 
 
@@ -984,27 +989,67 @@ def test_non_level2_matrices_are_rejected_on_every_call():
         slash_character_exact(((0, 0, 0), (0, 0, 0)), E6)
 
 
+def test_every_character_checks_widths_and_counts():
+    """The pair, slash and array characters read one checked table: a genus-3
+    M6 = 1 + 2 E_03 (in Gamma(2)) takes no 4-entry characteristic, a genus-1
+    matrix none either, and no character takes an odd count."""
+    M6 = np.eye(6, dtype=np.int64)
+    M6[0, 3] = 2
+    assert in_gamma2(M6)
+    pair = ((1, 0, 0, 1), (0, 1, 1, 0))
+    for M in (M6, np.array([[1, 2], [0, 1]])):
+        assert in_gamma2(M)
+        with pytest.raises(ValueError, match="entries"):
+            pair_character_any_parity(*pair, M)
+        with pytest.raises(ValueError, match="entries"):
+            slash_character_exact(pair, M)
+        with pytest.raises(ValueError, match="entries"):
+            character_eighths([pair], M)
+    triple = [FZ_TUPLE[:3]]
+    with pytest.raises(ValueError, match="even number"):
+        slash_character_exact(triple[0], E6)
+    with pytest.raises(ValueError, match="even number"):
+        character_eighths(triple, E6)
+    # the genus-3 table reads 6-entry characteristics
+    lifted = [tuple(m[:2]) + (0,) + tuple(m[2:]) + (0,) for m in pair]
+    assert character_eighths([lifted], M6).tolist() == [8 * slash_character_exact(lifted, M6)]
+
+
 # ---------------------------------------------------------------------------
-# stabilizer predicates and generators
+# stabilizer generators
 
-def test_gammaZ_predicate_fz():
-    ms = FZ_TUPLE
-    sums = (
-        sum(m[1] * m[2] for m in ms),
-        sum(m[2] * m[3] for m in ms),
-        sum(m[2] for m in ms),
-        sum(m[1] for m in ms),
-        sum(m[0] * m[3] for m in ms),
-        sum(m[3] for m in ms),
-        sum(m[0] * m[2] for m in ms),
-    )
-    assert sums == (1, 1, 3, 2, 0, 2, 0)
-    assert gammaZ_tuple_predicate(FZ_TUPLE)
+def _chars(*codes):
+    return tuple(tuple(int(c) for c in code) for code in codes)
 
 
-def test_gammaZ_predicate_degenerate_inputs():
-    assert not gammaZ_tuple_predicate(())
-    assert not gammaZ_tuple_predicate(((0, 0, 0, 0),) * 6)
+def test_gammaZ_generators_fix_five_six_tuples():
+    """Of the 210 six-tuples of even characteristics, the exact characters of
+    the five stabilizer generators fix F_Z's and the four that add one of
+    1000, 1001, 1100, 1111 to 0001 0010 0011 0100 0110; F_Z is the only one
+    in its orbit."""
+    six = list(itertools.combinations(even_characteristics(2), 6))
+    fixed = np.ones(len(six), dtype=bool)
+    for g in gammaZ_generators():
+        fixed &= character_eighths(six, g) == 0
+    got = {frozenset(six[k]) for k in np.flatnonzero(fixed)}
+    base = _chars("0001", "0010", "0011", "0100", "0110")
+    want = {frozenset(FZ_TUPLE)} | {frozenset(base + _chars(c))
+                                    for c in ("1000", "1001", "1100", "1111")}
+    assert got == want
+    assert got & fz_orbit() == {frozenset(FZ_TUPLE)}
+
+
+def test_a_six_tuple_outside_the_stabilizer_changes_sign_numerically():
+    """0000 0001 0010 0011 0110 1001 is not fixed by e8^2 e3: its exact
+    character is 1/2, and the numeric slash ratio is -1."""
+    ms = _chars("0000", "0001", "0010", "0011", "0110", "1001")
+    g = gammaZ_generators()[3]  # e8^2 e3
+    assert slash_character_exact(ms, g) == Fraction(1, 2)
+    tau = TAU_GENERIC
+    detj = complex(np.linalg.det(cocycle(g, tau)))
+    ratio = (np.prod(theta_values(ms, apply_moebius(g, tau), 1e-13))
+             / (np.prod(theta_values(ms, tau, 1e-13)) * detj ** 3))
+    assert abs(ratio + 1) < 1e-8
 
 
 def test_gammaZ_generators_membership():
@@ -1037,8 +1082,6 @@ def test_orbit_decomposition_shape():
 def _reference_orbits() -> set:
     """orbit_decomposition transcribed as a BFS on frozensets of
     characteristics."""
-    from siegelz.theta import char_permutation
-
     perms = [char_permutation(M) for M in sp2z_generators()]
     remaining = {frozenset(c) for c in itertools.combinations(even_characteristics(2), 6)}
     orbits = set()
@@ -1065,8 +1108,6 @@ def test_orbit_decomposition_matches_the_frozenset_bfs():
 
 
 def test_orbit_closure_under_every_generator():
-    from siegelz.theta import char_permutation
-
     orbits = orbit_decomposition()
     perms = [char_permutation(M) for M in sp2z_generators()]
     for orbit in orbits:

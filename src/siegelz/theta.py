@@ -450,16 +450,19 @@ def theta_values(ms, tau, tol: float = 1e-12) -> np.ndarray:
     """Numeric genus-2 theta constants theta[m](tau) for every m in ms, each
     with its discarded tail below tol, from one lattice pass.
 
-    One exp runs over the half-lattice x = b/2, b = 2a + (m' mod 2), in one
-    block for each class m' mod 2 that ms needs: rows |x1| <= R1, each
-    holding the window |x2 + t x1| <= R2 that _row_windows proves enough (the
-    ellipsoid of Im tau, not a square box at its smallest eigenvalue).  Each
-    characteristic is the sum of its class's block weighted by the phases
-    i^(b.m''), times the reduction sign (-1)^(m'.k'') for m = m mod 2 + 2k:
-    exactly the points, and so the tail bound, of a sum around its reduced
-    shift.  The phases are exact, so only the order of summation differs
-    from one sum per characteristic.  The pass is cached on the bytes of tau
-    and of the characteristics, and tol; each call returns a fresh array.
+    One exp runs over the lattice x = b/2, b = 2a + (m' mod 2), in one block
+    for each class m' mod 2 that ms needs: rows 0 <= x1 <= R1, each holding
+    the window |x2 + t x1| <= R2 that _row_windows proves enough (the
+    ellipsoid of Im tau, not a square box at its smallest eigenvalue).  As
+    x -> -x keeps each term and maps the windows to themselves, each term of
+    the block stands for x and -x (see _window_block).  Each characteristic
+    is the sum of its class's block weighted by the phases i^(b.m'') of x
+    and -x, times the reduction sign (-1)^(m'.k'') for m = m mod 2 + 2k: a
+    sum around its reduced shift in which every window point has weight 1
+    and every padding point a weight in [0, 1], so the tail bound holds.
+    The phases are exact, so only the order of summation differs from one
+    sum per characteristic.  The pass is cached on the bytes of tau and of
+    the characteristics, and tol; each call returns a fresh array.
     """
     m = np.asarray(ms, dtype=np.int64) if len(ms) else np.zeros((0, 4), dtype=np.int64)
     if m.ndim != 2 or m.shape[1] != 4:
@@ -528,33 +531,50 @@ def _row_windows(Y: np.ndarray, tol: float, degree: int = 0) -> tuple[float, flo
 
 # i^(b.m'') = i^(m'.m'') (-1)^(a.m'') for b = 2a + m', indexed by m' and m''
 # mod 2 (each as a binary number, first entry highest) and by the parities
-# of a1 and a2.  Sums of the parity parts, not a matrix product: BLAS wakes
-# worker threads that spin on after the call and slow the code that follows
-# on small machines.
-_PARITY_PHASES = np.array([(1, 1j, -1, -1j)[(c1 * e + c2 * f) % 4] * (-1) ** (i * e + k * f)
+# of a1 and a2, plus the same for -x = (-a - m') + m'/2, whose a has the
+# parities of a + m' and whose term is x's: one term of each pair x, -x
+# stands for both.  Sums of the parity parts, not a matrix product: BLAS
+# wakes worker threads that spin on after the call and slow the code that
+# follows on small machines.
+_PARITY_PHASES = np.array([(1, 1j, -1, -1j)[(c1 * e + c2 * f) % 4]
+                           * ((-1) ** (i * e + k * f) + (-1) ** ((i + c1) * e + (k + c2) * f))
                            for c1, c2, e, f, i, k in itertools.product((0, 1), repeat=6)]
                           ).reshape(4, 2, 2, 2, 2)
 _PARITY_PHASES.flags.writeable = False
 
 
-def _window_block(tau, t, R1, R2, h1, h2, half: bool = False):
-    """x1, x2 and the terms exp(pi i x.tau.x) of the windows of _row_windows
-    at x = (a1 + h1, a2 + h2), h1 and h2 each 0 or 1/2 (or arrays of shape
-    (classes, 1, 1), one block per class).  The rows run over an even number
-    of a1 from an even one and hold |x1| <= R1 at either shift, or x1 > 0
-    only when half (h1 = 1/2 there); each row starts at an even a2, and an
-    even number of columns, at least 2 R2 + 2, holds its window."""
-    first = 0 if half else math.ceil(-R1 - 0.5) // 2 * 2
-    rows = math.floor(R1) - first + 1
-    x1 = np.arange(first, first + rows + rows % 2)[:, None] + h1
+def _window_block(tau, t, R1, R2, h1, h2):
+    """x1, x2 and the weighted terms exp(pi i x.tau.x) of the windows of
+    _row_windows at x = (a1 + h1, a2 + h2) with x1 >= 0, h1 and h2 each 0 or
+    1/2 (or arrays of shape (classes, 1, 1), one block per class).
+
+    x -> -x maps each window to its mirror and keeps each term, so the rows
+    x1 >= 0 stand for all: they run over an even number of a1 from 0 and
+    hold x1 <= R1, and the row x1 = 0 of an integral class (h1 = 0), its own
+    mirror, is weighted 1/2.  Each row starts at an even a2, and an even
+    number of columns, at least 2 R2 + 2, holds its window.  With the
+    mirrors, the block weighs every window point by 1 and every padding
+    point by 1/2 or 1, so the part of the lattice sum it misses is at most
+    the dropped tail that _row_windows bounds."""
+    rows = math.floor(R1) + 1
+    x1 = np.arange(rows + rows % 2)[:, None] + h1
     a2 = np.floor(-t * x1 - R2 - h2)
     x2 = (a2 - a2 % 2 + h2) + np.arange(2 * math.ceil(R2) + 2)
     # the terms of x.tau.x as in the defining sum, so the rounding of each
-    # term's phase does not depend on where its window starts
-    block = tau[0, 0] * x1 * x1 + 2 * tau[0, 1] * x1 * x2
-    block += tau[1, 1] * x2 * x2
+    # term's phase does not depend on where its window starts; the x2^2 term
+    # goes into the real and imaginary parts through one float array, which
+    # keeps each term's rounding and the transients near twice the block
+    block = 2 * tau[0, 1] * x1 * x2
+    block += tau[0, 0] * x1 * x1
+    part = np.multiply(tau[1, 1].real, x2)
+    part *= x2
+    block.real += part
+    np.multiply(tau[1, 1].imag, x2, out=part)
+    part *= x2
+    block.imag += part
     block *= 1j * math.pi
     np.exp(block, out=block)
+    block[..., :1, :] *= np.where(x1[..., :1, :], 1.0, 0.5)
     return x1, x2, block
 
 
@@ -588,11 +608,12 @@ def theta_gradient(m, tau, tol: float = 1e-12) -> np.ndarray:
     with its discarded tail below tol.
 
     Unreduced m are reduced as in theta_values, and the sum runs over the
-    windows of _row_windows in degree 1, in theta_values' block, whose rows
-    start at even a2: i^(b.m'') is a row phase times a column phase.  As
-    x -> -x multiplies i^(b.m'') by (-1)^(m'.m''), the summand is even, so
-    when m'_1 is odd the rows x1 > 0 are summed and doubled; the windows are
-    symmetric, so the tail bound holds for the doubled sum.  As in
+    windows of _row_windows in degree 1, in theta_values' block of the rows
+    x1 >= 0, whose rows start at even a2: i^(b.m'') is a row phase times a
+    column phase.  As x -> -x multiplies i^(b.m'') by (-1)^(m'.m'') = -1,
+    the summand is even, so twice the block's sum is the sum over its points
+    and their mirrors, which weighs every window point by 1 and every
+    padding point by a weight in [0, 1]: the tail bound holds.  As in
     theta_values, the pass is cached on the bytes of m and tau, and tol;
     each call returns a fresh array.
     """
@@ -614,11 +635,12 @@ def _gradient_sums(char: bytes, point: bytes, shape: tuple, tol: float) -> np.nd
     _, t, R1, R2 = _row_windows(tau.imag, tol, degree=1)
     red = [v % 2 for v in m]
     sign = -1 if (red[0] * (m[2] // 2) + red[1] * (m[3] // 2)) % 2 else 1
-    x1, x2, block = _window_block(tau, t, R1, R2, red[0] / 2, red[1] / 2, half=bool(red[0]))
+    x1, x2, block = _window_block(tau, t, R1, R2, red[0] / 2, red[1] / 2)
     phase = np.array([1, 1j, -1, -1j])
     block *= phase[(2 * x1).astype(np.int64) * red[2] % 4]
     block *= phase[(2 * x2[0]).astype(np.int64) * red[3] % 4]
-    grad = (1 + red[0]) * sign * np.array([(x1 * block).sum(), (x2 * block).sum()])
+    # the summand is even in x, so the half block with its mirror is twice it
+    grad = 2 * sign * np.array([(x1 * block).sum(), (x2 * block).sum()])
     grad.flags.writeable = False
     return grad
 

@@ -323,6 +323,36 @@ def test_g_triple_weil_claim_fails_on_a_wrong_eigenvalue(monkeypatch):
     assert reports[1].status == "fail"
 
 
+@pytest.mark.parametrize("order, changed, status", [
+    (200, {}, "pass"),
+    (200, {3: 1}, "fail"),    # a nonzero coefficient at an inert prime
+    (200, {5: 11}, "fail"),   # |a_5| > 10 at a split prime
+    (2, {}, "fail"),          # no inert prime read
+])
+def test_g_triple_claim_2_reads_the_built_theta_product(monkeypatch, order, changed, status):
+    """Claim 2 reads a_p off the theta product at every odd p up to the
+    order, so a wrong coefficient there, or an order with no inert prime,
+    fails it."""
+    from siegelz import cli, cmform
+
+    built = cmform.g_expansion
+
+    def changed_product(source, n):
+        g = built(source, n)
+        if source != "theta_product":
+            return g
+        return cmform.EllipticQExpansion(g.order, {**g.a, **changed})
+
+    monkeypatch.setattr(cmform, "g_expansion", changed_product)
+    reports = cli.suite_g_triple(RunConfig(series_order=order), {})
+    assert reports[1].claim == "a_p = 0 at inert primes, |a_p| <= 2p, CM support"
+    assert reports[1].status == status
+    assert reports[1].details["primes"] == [p for p in range(3, order + 1) if
+                                             all(p % q for q in range(2, p))]
+    if order == 200:
+        assert len(reports[1].details["primes"]) == 45
+
+
 def test_lfactors_claim_fails_on_a_wrong_trace(monkeypatch, tmp_path):
     from siegelz import lfactors
 

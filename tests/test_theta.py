@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -495,6 +496,85 @@ def test_theta_gradient_tail_bound_against_a_tighter_evaluation():
             tight = theta_gradient(m, tau, 1e-15)
             for tol in (1e-4, 1e-8, 1e-13):
                 assert np.abs(theta_gradient(m, tau, tol) - tight).max() < tol, (m, tol)
+
+
+def test_window_block_holds_one_term_of_each_mirror_pair():
+    """The block has no row x1 < 0, holds every window point of its rows, and
+    is the defining term exp(pi i x.tau.x), bit for bit, weighted 1/2 on the
+    row x1 = 0, and only there, where h1 = 0: alone and stacked by class."""
+    for tau in (TAU_GENERIC, _ill_conditioned_points()[0]):
+        _, t, R1, R2 = theta._row_windows(tau.imag, 1e-13)
+        h = np.array([0, 0.5])
+        h1, h2 = np.repeat(h, 2)[:, None, None], np.tile(h, 2)[:, None, None]
+        stacked = theta._window_block(tau, t, R1, R2, h1, h2)
+        for c, (a, b) in enumerate(itertools.product(h, h)):
+            for x1, x2, block in (theta._window_block(tau, t, R1, R2, a, b),
+                                  [part[c] for part in stacked]):
+                assert x1[0, 0] == a and x1.min() >= 0 and x1.max() >= R1
+                # the points just outside each row are outside its window
+                assert np.all(x2[:, :1] - 1 < -t * x1 - R2) and np.all(x2[:, -1:] + 1 > -t * x1 + R2)
+                terms = np.exp(1j * np.pi * (tau[0, 0] * x1 * x1 + 2 * tau[0, 1] * x1 * x2
+                                             + tau[1, 1] * x2 * x2))
+                weight = np.ones_like(x1)
+                weight[0] = 0.5 if a == 0 else 1
+                assert np.array_equal(block, weight * terms), (a, b)
+
+
+def test_theta_values_pass_peaks_near_its_block(monkeypatch):
+    """An uncached pass at the isotropic ill-conditioned image (rows up to
+    R1 = 80, windows of R2 = 78.5) builds one block of the rows x1 >= 0 per
+    class and allocates at most 2.5 times that complex block at its peak:
+    the block is built in place."""
+    tau = _ill_conditioned_points()[2]
+    assert theta._row_windows(tau.imag, 1e-13)[2:] == (80, 78.5)
+    shapes = []
+    build = theta._window_block
+
+    def recorded(*args):
+        x1, x2, block = build(*args)
+        shapes.append(block.shape)
+        return x1, x2, block
+
+    monkeypatch.setattr(theta, "_window_block", recorded)
+    theta._theta_sums.cache_clear()
+    tracemalloc.start()
+    try:
+        theta_values(FZ_TUPLE, tau, 1e-13)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    classes = len({(m[0] % 2, m[1] % 2) for m in FZ_TUPLE})
+    # the rows 0 <= a1 <= 80 and one more for an even count; 2 * 79 + 2 columns
+    assert shapes == [(classes, 82, 160)]
+    block_bytes = 16 * classes * 82 * 160
+    assert peak <= 2.5 * block_bytes, peak / block_bytes
+
+
+def _siegel_points_by_eigenvalues():
+    """Points X + iY with Y of eigenvalues in [0.2, 3] along a drawn angle."""
+    unit = st.floats(-1, 1)
+    eig = st.floats(0.2, 3)
+
+    def point(x11, x12, x22, l1, l2, angle):
+        c, s = math.cos(angle), math.sin(angle)
+        return siegel_point(x11 + 1j * (l1 * c * c + l2 * s * s), x12 + 1j * (l1 - l2) * c * s,
+                            x22 + 1j * (l1 * s * s + l2 * c * c))
+
+    return st.builds(point, unit, unit, unit, eig, eig, st.floats(0, math.pi))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_siegel_points_by_eigenvalues())
+def test_half_lattice_sums_match_the_defining_sums(tau):
+    """One term of each pair x, -x stands for both: all 16 theta constants
+    and the 6 odd gradients agree with their defining sums over the whole
+    box to 1e-14 of the terms' absolute sums."""
+    allchars = list(itertools.product((0, 1), repeat=4))
+    values = theta_values(allchars, tau, 1e-16)
+    for m, v, want, scale in zip(allchars, values, *_defining_sums(allchars, tau, 1e-16)):
+        assert abs(v - want) <= 1e-14 * scale, m
+    for m, want, scale in zip(ODD_CHARS, *_defining_gradients(ODD_CHARS, tau, 1e-16)):
+        assert np.abs(theta_gradient(m, tau, 1e-16) - want).max() <= 1e-14 * scale, m
 
 
 def _stated_tail_bound(lam, genus, degree, R):

@@ -41,7 +41,7 @@ class RunConfig:
         # a repeat would run and count its per-prime claims twice
         if len(set(self.prime_list)) < len(self.prime_list):
             raise ValueError("the prime list repeats a prime")
-        cap = pointcount.CHARSUM_Z_CAP
+        cap = pointcount.Z_CAP
         for p in self.prime_list:
             if p % 2 == 0 or not arith.is_prime(p):
                 raise ValueError(f"prime list entry {p} is not an odd prime")
@@ -156,8 +156,8 @@ def suite_g_triple(cfg: RunConfig, shared: dict):
     # prime read, the first conjunct fails instead of holding vacuously
     primes = arith.odd_primes(order)
     read = [ga.coeff(p) for p in primes]
-    inert = [v for p, v in zip(primes, read) if p % 4 == 3]
-    cm = bool(inert) and not any(inert)
+    # support (and same) already force a_p = 0 at every inert prime read
+    cm = any(p % 4 == 3 for p in primes)
     weil = all(abs(v) <= 2 * p for p, v in zip(primes, read))
     same = read == [cmform.a_p(p) for p in primes]
     support = all(n % 4 == 1 for n, v in ga.a.items() if v)

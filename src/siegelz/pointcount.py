@@ -2,11 +2,13 @@
 
 Naive counts and fiberwise character sums for the quartic surface, its
 tangent cone, the four-quadric model of the Satake variety Z in P^7, the
-blown-up model, and the thirty boundary lines. A naive count tests each
-projective point once, by one equality between a function of its leading
-coordinates and one of its trailing ones (`_count_split`). Counts are
-exact integers; closed-form predictions are checked as integer residuals,
-never as floating point.
+blown-up model, and the thirty boundary lines. A naive count splits the
+coordinates into a head and a tail, and counts the affine solutions of one
+equality between a value of the head and a value of the tail as a product
+of the two value histograms (`_affine_matches`); less the origin, over
+p - 1, they give the projective points, as the character sums do. Counts
+are exact integers; closed-form predictions are checked as integer
+residuals, never as floating point.
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ import numpy as np
 
 from .arith import is_prime, kronecker_char
 
-NAIVE_Z_CAP = 7      # P^7 enumeration is p^7-sized; keep it small
-CHARSUM_Z_CAP = 13   # fiber loop over F_p^4
+Z_CAP = 13   # passes over F_p^4
 SURFACE_CAP = 41
 
 VARIETIES = (
@@ -100,32 +101,17 @@ def _grid(p: int, k: int) -> np.ndarray:
     return np.indices((p,) * k, dtype=np.int64).reshape(k, p ** k).T
 
 
-def _projective_reps(p: int, m: int) -> np.ndarray:
-    """One row per point of P^m(F_p), scaled so its first nonzero entry is 1."""
-    charts = []
-    for k in range(m + 1):
-        rest = _grid(p, m - k)
-        lead = np.zeros((len(rest), k + 1), dtype=np.int64)
-        lead[:, k] = 1
-        charts.append(np.hstack([lead, rest]))
-    return np.concatenate(charts)
+def _affine_matches(left: np.ndarray, right: np.ndarray) -> int:
+    """Number of pairs (head, tail) with left[head] == right[tail].
 
-
-def _count_split(p: int, n: int, s: int, left, right) -> int:
-    """Number of points of P^n(F_p) where left(head) == right(tail).
-
-    The head is the first s coordinates and the tail the other n + 1 - s
-    (1 <= s <= n). left and right map an array of rows to one integer per
-    row; right's values are >= 0, and left returns -1 where a condition
-    on the head excludes the point. Each point is tested once: a nonzero
-    head, scaled so that its first nonzero entry is 1, against every tail
-    in F_p^(n+1-s), and the zero head against one representative of each
-    point of P^(n-s).
+    left holds one value per head in F_p^s and right one per tail in
+    F_p^(n+1-s), so the pairs are the affine solutions in F_p^(n+1) of
+    one equation. right's values are >= 0, and left is -1 where a
+    condition on the head excludes the point. The count is one product of
+    the two value histograms, whatever order the points come in.
     """
-    pairs = ((_projective_reps(p, s - 1), _grid(p, n + 1 - s)),
-             (np.zeros((1, s), dtype=np.int64), _projective_reps(p, n - s)))
-    return sum(int(np.count_nonzero(left(heads)[:, None] == right(tails)[None, :]))
-               for heads, tails in pairs)
+    size = int(max(left.max(), right.max())) + 1
+    return int(np.bincount(left[left >= 0], minlength=size) @ np.bincount(right, minlength=size))
 
 
 def _chi_table(p: int) -> np.ndarray:
@@ -174,58 +160,54 @@ def count_variety(variety: str, p: int, method: str = "naive") -> int:
         raise ValueError(f"unknown method {method!r}")
 
     if variety == "Zsatake":
+        if p > Z_CAP:
+            raise ValueError(f"Z count capped at p <= {Z_CAP}")
         if method == "charsum":
-            if p > CHARSUM_Z_CAP:
-                raise ValueError(f"charsum count capped at p <= {CHARSUM_Z_CAP}")
             return _z_points(int(_z_fibers(p).sum()) - 1, p)
-        if p > NAIVE_Z_CAP:
-            raise ValueError(f"naive P^7 enumeration capped at p <= {NAIVE_Z_CAP}")
         # [Y : X], Y^2 = Q(X) coordinatewise: equal base-p codes of the four
         # values in [0, p) on each side are the four equations
         code = p ** np.arange(4, dtype=np.int64)
-        return _count_split(p, 7, 4, lambda y: (y * y % p) @ code,
-                            lambda x: np.stack(z_quadrics(*x.T, p), axis=1) @ code)
+        w = _grid(p, 4)
+        return _z_points(_affine_matches((w * w % p) @ code,
+                                         np.stack(z_quadrics(*w.T, p), axis=1) @ code) - 1, p)
 
     if variety == "U2c":
         # Z cap {X0 X3 = 0}, counted fiberwise over the X locus
         if method == "naive":
             raise ValueError("naive method not defined for U2c")
-        if p > CHARSUM_Z_CAP:
-            raise ValueError(f"U2c count capped at p <= {CHARSUM_Z_CAP}")
+        if p > Z_CAP:
+            raise ValueError(f"U2c count capped at p <= {Z_CAP}")
         fibers = _z_fibers(p)
         total = int(fibers[0].sum() + fibers[1:, 0].sum())
         return _z_points(total - 1, p)
 
     if method == "charsum":
         raise ValueError(f"charsum method not defined for {variety}")
+    if variety == "Ztilde":
+        return _ztilde(count_variety("Zsatake", p, "charsum"),
+                       count_variety("FermatSurface", p, "naive"), p)
 
+    w = _grid(p, 2)
     if variety == "FermatSurface":
         if p > SURFACE_CAP:
             raise ValueError(f"surface enumeration capped at p <= {SURFACE_CAP}")
-        # [Z0 : Z1 : Z2 : Z3], Z0^4 - Z1^4 = Z3^4 - Z2^4
-        return _count_split(p, 3, 2, lambda h: _quartic_diff(h[:, 0], h[:, 1], p),
-                            lambda t: _quartic_diff(t[:, 1], t[:, 0], p))
-
-    if variety == "FermatCurve":
+        # (Z0, Z1) against (Z2, Z3): Z0^4 - Z1^4 = Z3^4 - Z2^4
+        left, right = _quartic_diff(w[:, 0], w[:, 1], p), _quartic_diff(w[:, 1], w[:, 0], p)
+    elif variety == "FermatCurve":
         if p > SURFACE_CAP:
             raise ValueError(f"curve enumeration capped at p <= {SURFACE_CAP}")
-        # [x0 : x1 : x2], x0^4 = x1^4 - x2^4
-        return _count_split(p, 2, 1, lambda h: _pow4(h[:, 0], p),
-                            lambda t: _quartic_diff(t[:, 0], t[:, 1], p))
-
-    if variety in ("ConeF", "U1c"):
-        # [t : Z0 : Z1 : Z2 : Z3] on the same quartic, t free; U1c keeps
-        # the cone points with t = 0 or Z0^2 + Z1^2 = 0
-        if p > CHARSUM_Z_CAP:
-            raise ValueError(f"cone enumeration capped at p <= {CHARSUM_Z_CAP}")
-        cone = lambda h: _quartic_diff(h[:, 1], h[:, 2], p)
-        u1c = lambda h: np.where((h[:, 0] == 0) | ((h[:, 1] ** 2 + h[:, 2] ** 2) % p == 0),
-                                 cone(h), -1)
-        return _count_split(p, 4, 3, cone if variety == "ConeF" else u1c,
-                            lambda t: _quartic_diff(t[:, 1], t[:, 0], p))
-
-    return _ztilde(count_variety("Zsatake", p, "charsum"),
-                   count_variety("FermatSurface", p, "naive"), p)
+        # x0 against (x1, x2): x0^4 = x1^4 - x2^4
+        left, right = _pow4(np.arange(p, dtype=np.int64), p), _quartic_diff(w[:, 0], w[:, 1], p)
+    else:
+        # ConeF, (t, Z0, Z1) against (Z2, Z3) on the same quartic, t free;
+        # U1c keeps the cone points with t = 0 or Z0^2 + Z1^2 = 0
+        if p > Z_CAP:
+            raise ValueError(f"cone enumeration capped at p <= {Z_CAP}")
+        h = _grid(p, 3)
+        left, right = _quartic_diff(h[:, 1], h[:, 2], p), _quartic_diff(w[:, 1], w[:, 0], p)
+        if variety == "U1c":
+            left = np.where((h[:, 0] == 0) | ((h[:, 1] ** 2 + h[:, 2] ** 2) % p == 0), left, -1)
+    return _z_points(_affine_matches(left, right) - 1, p)
 
 
 def _ztilde(z: int, f: int, p: int) -> int:
@@ -301,16 +283,8 @@ def verify_count_formulas(p: int, a_p: int) -> dict:
 # the birational map between the cone and Z
 
 def _inverse_mod(x, p: int):
-    """x^(p-2) mod p entrywise: the inverse of each nonzero x, and 0 for 0."""
-    out = np.ones_like(x)
-    base = x % p
-    e = p - 2
-    while e:
-        if e & 1:
-            out = out * base % p
-        base = base * base % p
-        e >>= 1
-    return out
+    """The inverse mod p of each entry of x, and 0 for 0, read from a table."""
+    return np.array([0] + [pow(v, -1, p) for v in range(1, p)], dtype=np.int64)[x % p]
 
 
 def phi_image(t, z, p: int) -> tuple:
@@ -367,8 +341,8 @@ def verify_birational_map(p: int) -> dict:
     it fails: the target equations, then the inverse, then landing in U2.
     """
     _check_odd_prime(p)
-    if p > CHARSUM_Z_CAP:
-        raise ValueError(f"birational check capped at p <= {CHARSUM_Z_CAP}")
+    if p > Z_CAP:
+        raise ValueError(f"birational check capped at p <= {Z_CAP}")
     # U1 as a boolean mask over F_p^4: Z0^4 - Z1^4 = Z3^4 - Z2^4, Z0^2 + Z1^2 != 0
     x = np.arange(p, dtype=np.int64)
     x4 = _pow4(x, p)

@@ -55,19 +55,9 @@ def parity(m) -> str:
 
 
 def even_characteristics(genus: int) -> list[Characteristic]:
-    if genus == 1:
-        it = ((a, b) for a in (0, 1) for b in (0, 1))
-    elif genus == 2:
-        it = (
-            (a, b, c, d)
-            for a in (0, 1)
-            for b in (0, 1)
-            for c in (0, 1)
-            for d in (0, 1)
-        )
-    else:
+    if genus not in (1, 2):
         raise ValueError("genus must be 1 or 2")
-    return [m for m in it if parity(m) == "even"]
+    return [m for m in itertools.product((0, 1), repeat=2 * genus) if parity(m) == "even"]
 
 
 # the six-tuple generating the 15-element orbit

@@ -9,12 +9,9 @@ import pytest
 from siegelz import pointcount
 from siegelz.cmform import a_p
 from siegelz.pointcount import (
-    CHARSUM_Z_CAP,
-    NAIVE_Z_CAP,
     SURFACE_CAP,
-    _count_split,
+    Z_CAP,
     _line_catalog,
-    _projective_reps,
     big_quadrics,
     count_variety,
     count_z_slice_x0_zero,
@@ -30,42 +27,6 @@ from siegelz.pointcount import (
 
 PRIMES = (3, 5, 7, 11, 13)
 ODD_PRIMES_TO_41 = [q for q in range(3, 42, 2) if all(q % d for d in range(3, q, 2))]
-
-
-def _normalized(rows, p):
-    """The rows scaled so that their first nonzero entry is 1."""
-    inverse = np.array([0] + [pow(v, p - 2, p) for v in range(1, p)], dtype=np.int64)
-    lead = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
-    return rows * inverse[lead][:, None] % p
-
-
-def test_projective_reps_are_distinct_with_leading_one():
-    for p, m in ((3, 0), (3, 1), (5, 3), (3, 6), (7, 3)):
-        reps = _projective_reps(p, m)
-        assert len(reps) == (p ** (m + 1) - 1) // (p - 1) and reps.shape[1] == m + 1
-        assert len({tuple(r) for r in reps.tolist()}) == len(reps)
-        leading = reps[np.arange(len(reps)), (reps != 0).argmax(axis=1)]
-        assert np.all(leading == 1) and reps.min() >= 0 and reps.max() < p
-
-
-def test_count_split_covers_projective_space_once():
-    zero = lambda rows: np.zeros(len(rows), dtype=np.int64)
-    for n, primes in ((2, (3, 5, 7)), (3, (3, 5, 7)), (4, (3, 5)), (7, (3, 5))):
-        for p in primes:
-            for s in range(1, n + 1):
-                assert _count_split(p, n, s, zero, zero) == (p ** (n + 1) - 1) // (p - 1)
-    # the points the split tests, rebuilt from what each side is given, are
-    # one representative of every point of P^n
-    for p, n in ((3, 2), (3, 4), (5, 3), (3, 7)):
-        for s in range(1, n + 1):
-            seen = []  # heads and tails alternate, as each comparison reads them
-            spy = lambda rows: seen.append(rows) or zero(rows)
-            _count_split(p, n, s, spy, spy)
-            points = np.concatenate([np.hstack([np.repeat(h, len(t), axis=0), np.tile(t, (len(h), 1))])
-                                     for h, t in zip(seen[::2], seen[1::2])])
-            assert len(points) == (p ** (n + 1) - 1) // (p - 1)
-            assert points.any(axis=1).all()
-            assert len({tuple(r) for r in _normalized(points, p).tolist()}) == len(points)
 
 
 def _reference_chart_rows(p, n):
@@ -103,10 +64,11 @@ def _u1c_predicate(w, p):
 
 
 REFERENCE_COUNTS = {
-    # variety: (n, row predicate, the largest prime its cap accepts)
-    "Zsatake": (7, zsatake_vanishes, NAIVE_Z_CAP),
-    "ConeF": (4, lambda w, p: fermat_surface_vanishes(w[:, 1:], p), CHARSUM_Z_CAP),
-    "U1c": (4, _u1c_predicate, CHARSUM_Z_CAP),
+    # variety: (n, row predicate, the largest prime the reference enumerates:
+    # the cap, or 7 for Z, whose reference walks all of P^7)
+    "Zsatake": (7, zsatake_vanishes, 7),
+    "ConeF": (4, lambda w, p: fermat_surface_vanishes(w[:, 1:], p), Z_CAP),
+    "U1c": (4, _u1c_predicate, Z_CAP),
     "FermatSurface": (3, fermat_surface_vanishes, SURFACE_CAP),
     "FermatCurve": (2, fermat_curve_vanishes, SURFACE_CAP),
 }
@@ -169,15 +131,45 @@ def test_zsatake_at_three():
 
 
 def test_method_agreement():
-    for p in (3, 5, 7):
+    for p in PRIMES:
         naive = count_variety("Zsatake", p, "naive")
         charsum = count_variety("Zsatake", p, "charsum")
         assert naive == charsum
 
 
+def test_each_legendre_flip_separates_the_z_counts(monkeypatch):
+    """The naive Z count squares every Y and reads no Legendre table, so
+    flipping any one nonzero entry of `_chi_table(p)` moves the
+    character-sum count off it and fails the `counts` claim that they agree."""
+    from siegelz import cli
+
+    real = pointcount._chi_table
+    claim = "naive and character-sum counts agree on Z"
+    try:
+        for p in (3, 5, 7):
+            naive = count_variety("Zsatake", p, "naive")
+            for k in range(1, p):
+                def flipped(q, p=p, k=k):
+                    table = real(q)
+                    if q == p:
+                        table[k] = -table[k]
+                    return table
+
+                monkeypatch.setattr(pointcount, "_chi_table", flipped)
+                pointcount._z_fibers.cache_clear()
+                assert count_variety("Zsatake", p, "charsum") != naive, (p, k)
+                assert count_variety("Zsatake", p, "naive") == naive
+                reports = cli.suite_counts(cli.RunConfig(prime_list=[p]), {})
+                status = {r.details["p"]: r.status for r in reports if r.claim == claim}
+                assert status == {q: "fail" if q == p else "pass" for q in (3, 5, 7)}, (p, k)
+    finally:
+        monkeypatch.undo()
+        pointcount._z_fibers.cache_clear()
+
+
 def test_caps_enforced():
     with pytest.raises(ValueError):
-        count_variety("Zsatake", 11, "naive")
+        count_variety("Zsatake", 17, "naive")
     with pytest.raises(ValueError):
         count_variety("Zsatake", 17, "charsum")
     with pytest.raises(ValueError):

@@ -8,10 +8,12 @@ products run on those arrays: in both genera, pair products are summed in
 a dense box of product indices, compressed by the common stride of each
 exponent column, filled in slabs of bounded size and read off in sorted
 order.  A slab with few pairs is filled in one broadcast, a larger one
-term by term, so a small product costs a few numpy calls.  One bound,
-l1(small) * linf(big) below 2**62, proves every int64 partial sum exact,
-whatever order a fill sums in.  `series_product` multiplies many factors,
-squaring the product of one of each pair of equal ones.
+term by term, so a small product costs a few numpy calls.  What the
+kernel reads of an input (its summary) is computed once per series and
+kept on it, and a factor of one term is a shift and a scale of the other.
+One bound, l1(small) * linf(big) below 2**62, proves every int64 partial
+sum exact, whatever order a fill sums in.  `series_product` multiplies
+many factors, squaring the product of one of each pair of equal ones.
 `QuarterSeries.coeffs` reads the arrays as a mapping of GaussInts.
 Everything here is exact: no floats enter until a series or polynomial is
 explicitly evaluated.
@@ -218,10 +220,12 @@ class QuarterSeries:
 
     `exps` holds the exponent columns and `re` and `im` the coefficient
     parts; `coeffs` reads them as a mapping {index: GaussInt}.  A series is
-    immutable, so the caches of the theta layer can share one.
+    immutable, so the caches of the theta layer can share one.  The pair
+    kernel's summary of a series (_summary) is kept in the last slot once
+    computed; copies, pickles and == never read it.
     """
 
-    __slots__ = ("genus", "order", "exps", "re", "im")
+    __slots__ = ("genus", "order", "exps", "re", "im", "_kernel_summary")
 
     def __init__(self, genus: int, order: int, coeffs=None):
         if genus not in (1, 2):
@@ -240,19 +244,31 @@ class QuarterSeries:
 
     def _set(self, genus, order, exps, re, im):
         """Store the nonzero ones of terms with distinct indices in canonical order."""
-        if order < 0:
-            raise ValueError("order must be nonnegative")
         keep = (re != 0) | (im != 0)
         self._store(genus, order, [_int_array(x[keep]) for x in (*exps, re, im)])
 
     def _store(self, genus, order, arrays):
         """Store the arrays of nonzero terms with distinct indices in canonical
         order, each already int64 if every entry is below 2**62 and of Python
-        ints otherwise."""
+        ints otherwise.  The kernel summary is computed on first use."""
+        if genus not in (1, 2):
+            raise ValueError(f"genus must be 1 or 2, got {genus}")
+        if order < 0:
+            raise ValueError("order must be nonnegative")
         for x in arrays:
             x.flags.writeable = False
-        for name, value in zip(self.__slots__, (genus, order, tuple(arrays[:-2]), *arrays[-2:])):
+        values = (genus, order, tuple(arrays[:-2]), *arrays[-2:], None)
+        for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
+
+    @classmethod
+    def _of_terms(cls, genus: int, order: int, arrays) -> "QuarterSeries":
+        """The series of the arrays (exponent columns, then re and im) of
+        nonzero terms with distinct indices in canonical order, each already
+        int64 if every entry is below 2**62 and of Python ints otherwise."""
+        out = cls.__new__(cls)
+        out._store(genus, order, arrays)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError(f"QuarterSeries is immutable; cannot set {name!r}")
@@ -276,7 +292,8 @@ class QuarterSeries:
 
     @classmethod
     def one(cls, genus: int, order: int) -> "QuarterSeries":
-        return cls(genus, order, {0 if genus == 1 else (0, 0, 0): ONE})
+        zero = np.zeros(1, np.int64)
+        return cls._of_terms(genus, order, [zero] * (2 * genus - 1) + [np.ones(1, np.int64), zero])
 
     @property
     def coeffs(self) -> "SeriesCoeffs":
@@ -433,31 +450,59 @@ _BROADCAST_PAIRS = 1 << 15
 
 
 class _Summary(NamedTuple):
-    """What the pair kernel reads of one input, in one pass.  `cols` holds
-    the code columns as rows: the keys of the canonical order (the degree
-    e1 + e3 fits int64, as each part is below 2**62), as Python ints if
-    four times an entry reaches 2**62.  Per column, as Python ints: the
-    minimum and maximum, min(c + d) and max(c - d) with d the degree
-    column, and the gcd of the differences.  `norms` holds |re| + |im| of
-    each coefficient, exactly (each part is below 2**62 in int64)."""
-    cols: np.ndarray
+    """What the pair kernel reads of one input, about its code columns (the
+    keys of the canonical order, _code_columns) and coefficients.  `wide`
+    says whether four times a code entry reaches 2**62.  Per column, as
+    Python ints: the minimum and maximum, min(c + d) and max(c - d) with d
+    the degree column, and the gcd of the differences.  `l1` and `linf` are
+    the sum and the maximum of |re| + |im| over the coefficients, as Python
+    ints, and `nonzero` says whether re and im each have a nonzero entry.
+    It holds no array, so that the series a cache keeps stay small."""
+    wide: bool
     low: list
     high: list
     plus: list
     minus: list
     gcd: list
-    norms: np.ndarray
+    l1: int
+    linf: int
+    nonzero: tuple
+
+
+def _code_columns(s: QuarterSeries, dtype=None) -> np.ndarray:
+    """The code columns of s as rows: the keys of the canonical order (the
+    degree e1 + e3 fits int64, as each part is below 2**62)."""
+    return np.array(_term_order(s.exps), dtype)
 
 
 def _summary(s: QuarterSeries) -> _Summary:
-    cols = np.stack(_term_order(s.exps))
-    low, high = cols.min(1).tolist(), cols.max(1).tolist()
-    if 4 * max(map(abs, low + high)) >= _INT64_SAFE:
+    """The summary of s: one min and one max over its code columns stacked
+    with their sums and differences with the degree column."""
+    def extremes(cols):
+        ext = np.concatenate((cols, cols + cols[0], cols - cols[0]))
+        return ext.min(1).tolist(), ext.max(1).tolist()
+
+    cols = _code_columns(s)
+    k = len(cols)
+    low, high = extremes(cols)
+    wide = cols.dtype == object or 4 * max(map(abs, low[:k] + high[:k])) >= _INT64_SAFE
+    if wide and cols.dtype != object:
         cols = cols.astype(object)  # c + d could wrap in int64
-    return _Summary(cols, low, high, (cols + cols[0]).min(1).tolist(),
-                    (cols - cols[0]).max(1).tolist(),
-                    np.gcd.reduce(cols - cols[:, :1], axis=1).tolist(),
-                    np.abs(s.re) + np.abs(s.im))
+        low, high = extremes(cols)
+    nonzero = bool(s.re.any()), bool(s.im.any())
+    # exact: each part is below 2**62 in int64
+    norms = np.abs(s.re) + np.abs(s.im) if nonzero[1] else np.abs(s.re)
+    linf = int(norms.max())
+    l1 = int(norms.sum()) if len(norms) * linf < _INT64_SAFE else sum(norms.tolist())
+    return _Summary(wide, low[:k], high[:k], low[k:2 * k], high[2 * k:],
+                    np.gcd.reduce(cols - cols[:, :1], axis=1).tolist(), l1, linf, nonzero)
+
+
+def _kernel_summary(s: QuarterSeries) -> _Summary:
+    """_summary(s), computed once per series and kept on it."""
+    if s._kernel_summary is None:
+        object.__setattr__(s, "_kernel_summary", _summary(s))
+    return s._kernel_summary
 
 
 class _Box(NamedTuple):
@@ -477,9 +522,9 @@ def _mul_schoolbook(a: QuarterSeries, b: QuarterSeries, order: int) -> QuarterSe
 
     Each product index is coded as its cell in a dense box, so that codes
     add under multiplication, and the products are added into their cells
-    with `np.add.at`; no sort is needed.  The set-up reads one summary of
-    each input (_summary) and does the box and overflow arithmetic on
-    Python ints.
+    with `np.add.at`; no sort is needed.  The set-up reads the summary
+    kept on each input (_kernel_summary) and does the box and overflow
+    arithmetic on Python ints.  A factor of one term takes _mul_one_term.
 
     The box has one axis per code column, the keys of the canonical order
     (_term_order): the degree d (e, or e1 + e3), then e1 and e2 in genus 2
@@ -528,31 +573,32 @@ def _mul_schoolbook(a: QuarterSeries, b: QuarterSeries, order: int) -> QuarterSe
     small, big = (a, b) if len(a.re) <= len(b.re) else (b, a)
     if small.is_zero():
         return QuarterSeries.zero(a.genus, order)
-    ss, sb = _summary(small), _summary(big)
+    if len(small.re) == 1:
+        return _mul_one_term(small, big, order)
+    ss, sb = _kernel_summary(small), _kernel_summary(big)
     box = _box(ss, sb, order)
     widths = box.width
     if min(widths) < 1:
         return QuarterSeries.zero(a.genus, order)
     radix = [math.prod(widths[j + 1:]) for j in range(len(widths))]
-    # k is monotone in its column, so |k| peaks at the column's minimum or maximum
-    reach = max(sum(r * max(abs((v - o) // st) for v in ends) for r, st, o, *ends in zip(
+    # k is monotone in its column, so |k| peaks at the column's minimum or
+    # maximum, and every (c - offset) is a multiple of the step
+    reach = max(sum(r * (max(abs(v - o), abs(w - o)) // st) for r, st, o, v, w in zip(
         radix, box.step, off, s.low, s.high)) for s, off in zip((ss, sb), box.offsets))
-    size = sum(ss.norms.tolist()) * int(sb.norms.max())  # l1 summed as Python ints
-    int64 = (ss.cols.dtype != object and sb.cols.dtype != object and
-             max(4 * order, size, reach, widths[0] * radix[0]) < _INT64_SAFE)
+    int64 = (not ss.wide and not sb.wide and
+             max(4 * order, ss.l1 * sb.linf, reach, widths[0] * radix[0]) < _INT64_SAFE)
     dtype = np.int64 if int64 else object
+    step, rad = np.array(box.step, dtype)[:, None], np.array(radix, dtype)
 
-    def arrays(s, x, off):
+    def arrays(s, off):
         """The degree steps, cell codes and coefficients of a series."""
-        k = ((x.cols.astype(dtype, copy=False) - np.array(off, dtype)[:, None])
-             // np.array(box.step, dtype)[:, None])
-        return k[0], np.array(radix, dtype) @ k, s.re.astype(dtype, copy=False), \
-            s.im.astype(dtype, copy=False)
+        k = (_code_columns(s, dtype) - np.array(off, dtype)[:, None]) // step
+        return k[0], rad @ k, s.re.astype(dtype, copy=False), s.im.astype(dtype, copy=False)
 
-    sdeg, sidx, sre, sim = arrays(small, ss, box.offsets[0])
-    bdeg, bidx, bre, bim = arrays(big, sb, box.offsets[1])  # bdeg ascends: canonical order
+    sdeg, sidx, sre, sim = arrays(small, box.offsets[0])  # both ascend in degree:
+    bdeg, bidx, bre, bim = arrays(big, box.offsets[1])  # the canonical order
     # (accumulator, signed small part, big part): re += cr r - ci m, im += cr m + ci r
-    nonzero = [x.any() for x in (sre, sim, bre, bim)]
+    nonzero = ss.nonzero + sb.nonzero
     parts = [(acc, sign * (sre, sim)[i], (bre, bim)[j]) for acc, i, j, sign in
              ((0, 0, 0, 1), (0, 1, 1, -1), (1, 0, 1, 1), (1, 1, 0, 1))
              if nonzero[i] and nonzero[2 + j]]
@@ -561,14 +607,15 @@ def _mul_schoolbook(a: QuarterSeries, b: QuarterSeries, order: int) -> QuarterSe
     # every degree step is >= 0, and the box starts at the lowest degree of a pair
     out, row, first = [], 0, np.zeros(len(sdeg), np.intp)
     while row < rows:
-        # the partners of each small term in degree steps [row, end) are first:last
+        # the partners of each small term in degree steps [row, end) are
+        # first:last, both non-increasing along the small series
         end = min(row + max(1, _BOX_CELLS // inner), rows)
         last = np.searchsorted(bdeg, end - sdeg)
         accs = [np.zeros((end - row) * inner, dtype) for _ in range(1 + with_im)]
-        lo, hi = int(first.min()), int(last.max())
+        lo, hi = int(first[-1]), int(last[0])
         if len(sdeg) * (hi - lo) <= _BROADCAST_PAIRS:
-            j = np.arange(lo, hi)
-            pair = (first[:, None] <= j) & (j < last[:, None])
+            j = np.arange(lo, hi)  # on the first slab every first is 0
+            pair = (first[:, None] <= j) & (j < last[:, None]) if row else j < last[:, None]
             cells = (sidx[:, None] + (bidx[lo:hi] - row * inner))[pair].astype(np.intp, copy=False)
             for acc, sp, bp in parts:
                 np.add.at(accs[acc], cells, (sp[:, None] * bp[lo:hi])[pair])
@@ -591,18 +638,41 @@ def _mul_schoolbook(a: QuarterSeries, b: QuarterSeries, order: int) -> QuarterSe
             break
         # skip the degrees that no pair reaches
         first, row = last, int((sdeg[live] + bdeg[last[live]]).min())
-    code, re, im = (np.concatenate([part[j] for part in out]) for j in range(3))
+    code, re, im = out[0] if len(out) == 1 else (
+        np.concatenate([part[j] for part in out]) for j in range(3))
     ks = []  # the steps of each cell along the axes, from its code
     for r in radix[:-1]:
         ks.append(code // r)
         code = code % r
-    exps = [base + step * k for base, step, k in zip(box.base, box.step, (*ks, code))]
+    exps = [base + st * k for base, st, k in zip(box.base, box.step, (*ks, code))]
     exps = exps if a.genus == 1 else [exps[1], exps[2], exps[0] - exps[1]]  # (e1, e2, e3)
     if not int64:
         return QuarterSeries.from_arrays(a.genus, order, exps, re, im)
-    product = QuarterSeries.__new__(QuarterSeries)
-    product._store(a.genus, order, [*exps, re, im])  # nonzero, and below 2**62 by the bound
-    return product
+    return QuarterSeries._of_terms(a.genus, order, [*exps, re, im])  # below 2**62 by the bound
+
+
+def _mul_one_term(term: QuarterSeries, big: QuarterSeries, order: int) -> QuarterSeries:
+    """The truncated product of big and a series of one term, c * q^s: big's
+    indices shifted by s and its coefficients scaled by c.  The shift keeps
+    the canonical order, so the truncation keeps a prefix, and c(r + i m) is
+    never 0 in Z[i].  As in the pair kernel, it runs on int64 when four
+    times every code entry of both inputs and l1(term) * linf(big) are
+    below 2**62: then each exponent sums two entries below 2**61, and
+    |cr r - ci m|, |cr m + ci r| <= (|cr| + |ci|) max(|r|, |m|)."""
+    index = [int(x[0]) for x in term.exps]
+    code = _term_order(index)
+    cr, ci = int(term.re[0]), int(term.im[0])
+    sb = _kernel_summary(big)
+    int64 = (not sb.wide and 4 * max(map(abs, code)) < _INT64_SAFE and
+             (abs(cr) + abs(ci)) * sb.linf < _INT64_SAFE)
+    dtype = np.int64 if int64 else object
+    n = int(np.searchsorted(big._degrees(), order - code[0], "right"))
+    exps = [x[:n].astype(dtype, copy=False) + v for x, v in zip(big.exps, index)]
+    r, m = (x[:n].astype(dtype, copy=False) for x in (big.re, big.im))
+    re, im = cr * r - ci * m, cr * m + ci * r
+    if not int64:
+        return QuarterSeries.from_arrays(big.genus, order, exps, re, im)
+    return QuarterSeries._of_terms(big.genus, order, [*exps, re, im])
 
 
 def _box(ss: _Summary, sb: _Summary, order: int) -> _Box:

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import GaussInt, QuarterSeries, _summed, i_power, series_mul, series_product
+from .arith import GaussInt, QuarterSeries, i_power, series_mul, series_product
 
 # ---------------------------------------------------------------------------
 # characteristics
@@ -325,16 +325,20 @@ def cocycle(M: np.ndarray, tau) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # exact expansions
 
-# i^k for k mod 4, as (re, im) rows
-_I_POWERS = np.array([[1, 0], [0, 1], [-1, 0], [0, -1]], dtype=np.int64)
+# i^k + i^-k for k mod 4: the coefficient of the terms of b and -b
+_MIRROR_SUMS = np.array([2, 0, -2, 0], dtype=np.int64)
 
 
 def theta_expansion(m, order: int) -> QuarterSeries:
     """Exact expansion of the theta constant with integral characteristic m.
 
-    One term per b = 2x in (2Z + (m' mod 2))^g with |b|^2 <= order: index
-    b^2 in genus 1 and (b1^2, 2 b1 b2, b2^2) in genus 2, coefficient
-    i^(b.m'').  The box sits around the reduced shift, so an unreduced
+    A sum over b = 2x in (2Z + (m' mod 2))^g with |b|^2 <= order of the
+    index b^2 in genus 1 and (b1^2, 2 b1 b2, b2^2) in genus 2, with
+    coefficient i^(b.m'').  An index determines b up to sign, so one term
+    is built per pair b, -b: b >= 0 in genus 1, b1 > 0 or b1 = 0 <= b2 in
+    genus 2, with coefficient i^(b.m'') + i^(-b.m''), and 1 at b = 0.  As
+    b = m' mod 2, b.m'' = m'.m'' mod 2 on the whole lattice, so every pair
+    cancels for an odd m and none for an even one, and an unreduced
     characteristic m + 2k gives (-1)^(m'.k'') times the series of m.
     Cached on (m as a tuple of ints, order); the series' arrays are read-only.
     """
@@ -344,15 +348,28 @@ def theta_expansion(m, order: int) -> QuarterSeries:
 @lru_cache(maxsize=64)
 def _theta_series(m: tuple, order: int) -> QuarterSeries:
     g = genus_of(m)
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    if parity(m) == "odd":
+        return QuarterSeries.zero(g, order)
     mp, mpp = split_char(m)
     r = math.isqrt(order)
-    axis = np.arange(-r, r + 1)
-    grid = np.broadcast_arrays(*np.ix_(*(axis[axis % 2 == c % 2] for c in mp)))
-    keep = sum(x * x for x in grid) <= order
-    b = [x[keep] for x in grid]
-    exps = [b[0] * b[0]] if g == 1 else [b[0] * b[0], 2 * b[0] * b[1], b[1] * b[1]]
-    re, im = _I_POWERS[sum(x * k for x, k in zip(b, mpp)) % 4].T
-    return QuarterSeries.from_arrays(g, order, *_summed([(exps, re, im)]))
+    b1 = np.arange(mp[0] % 2, r + 1, 2)  # b1 >= 0, ascending, so b1^2 ascends
+    if g == 1:
+        b, exps = [b1], [b1 * b1]
+    else:
+        top = r - (r - mp[1]) % 2  # the largest b2 <= r with b2 = m2' mod 2
+        grid = np.broadcast_arrays(b1[:, None], np.arange(-top, top + 1, 2))
+        keep = (grid[0] > 0) | (grid[1] >= 0)
+        keep &= grid[0] * grid[0] + grid[1] * grid[1] <= order
+        b = [x[keep] for x in grid]
+        e1, e2, e3 = b[0] * b[0], 2 * b[0] * b[1], b[1] * b[1]
+        perm = np.lexsort((e2, e1, e1 + e3))  # canonical order: degree, e1, e2
+        b, exps = [x[perm] for x in b], [e1[perm], e2[perm], e3[perm]]
+    re = _MIRROR_SUMS[sum(x * k for x, k in zip(b, mpp)) % 4]
+    if not any(c % 2 for c in mp):
+        re[0] = 1  # b = 0, the only term of degree 0, is its own mirror
+    return QuarterSeries._of_terms(g, order, [*exps, re, np.zeros(len(re), np.int64)])
 
 
 @lru_cache(maxsize=16)
@@ -364,6 +381,8 @@ def fz_expansion(order: int) -> QuarterSeries:
 def six_tuple_expansion(ms, order: int) -> QuarterSeries:
     """Exact expansion of the product of the theta constants of ms, which
     share one genus, multiplied in one sparse factor at a time."""
+    if not len(ms):
+        raise ValueError("a product needs at least one factor")
     prod = QuarterSeries.one(genus_of(ms[0]), order)
     for m in ms:
         prod = series_mul(prod, theta_expansion(m, order))
@@ -890,7 +909,7 @@ def igusa_residuals(ms, M: np.ndarray, tau, tol: float = 1e-12) -> tuple:
     th_0 = theta_values(ms, tau, tol)
     phases = np.exp(1j * np.pi * eighths / 2)
     squared = float(np.abs(th_m ** 2 - ksq * phases * det_j * th_0 ** 2).max(initial=0.0))
-    if not ms or len(ms) % 2 or min(np.abs(th_m).min(), np.abs(th_0).min()) <= tol:
+    if not len(ms) or len(ms) % 2 or min(np.abs(th_m).min(), np.abs(th_0).min()) <= tol:
         return squared, None
     # relative to the larger side, so that a wrong root of unity reads O(1)
     # however small the product, and the cocycle power inflates nothing

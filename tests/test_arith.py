@@ -753,6 +753,112 @@ def test_genus2_series_are_stored_degree_major(data, order):
                 s.coeffs[absent]
 
 
+def _assert_stored_canonically(s):
+    """Every array of s is read-only, int64 exactly when each entry is below
+    2**62 and of Python ints otherwise, and the terms ascend strictly in the
+    storage order."""
+    for x in (*s.exps, s.re, s.im):
+        small = all(abs(int(v)) < 1 << 62 for v in x)
+        assert x.dtype == (np.int64 if small else object) and not x.flags.writeable
+    keys = [(k,) for k in s.coeffs] if s.genus == 1 else _degree_major(s)
+    assert all(k < l for k, l in zip(keys, keys[1:]))
+
+
+def _one_term(genus, order):
+    """A series of one term: any index of degree at most the order, with
+    parts up to 2**70 and at the 2**60 and 2**62 limits of the int64 guards,
+    so that shifted exponents can leave int64, and any nonzero coefficient,
+    small or up to and beyond the 2**62 limit of int64 storage."""
+    part = st.one_of(st.integers(-6, 6), st.integers(-(1 << 70), 1 << 70),
+                     st.sampled_from([1 << 60, -(1 << 60), (1 << 61) + 1, (1 << 62) - 1,
+                                      -(1 << 62)]))
+    if genus == 1:
+        index = st.one_of(st.integers(-6, order), part.filter(lambda e: e <= order))
+    else:  # (e1, e2, e3) with e1 + e3 = d <= order
+        index = st.tuples(part, part, st.integers(-6, order)).map(
+            lambda t: (t[0], t[1], t[2] - t[0]))
+    return st.builds(lambda k, c: QuarterSeries(genus, order, {k: c}), index,
+                     st.one_of(_gauss, _mixed).filter(bool))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from([1, 2]), st.integers(0, 12))
+def test_a_one_term_factor_is_a_shift_and_a_scale(data, genus, order):
+    """A product with a one-term factor, on either side, is the brute-force
+    product, stored canonically, and makes no np.add.at: it is a shift of
+    the other factor's indices and a scale of its coefficients."""
+    term = data.draw(_one_term(genus, order))
+    other = data.draw(st.one_of(_ring_series(genus, order), _parted_series(genus, order, 3)))
+    brute = brute_mul_g1 if genus == 1 else brute_mul_g2
+    for o in (order, data.draw(st.integers(0, order))):
+        counting = _CountingNumpy()
+        with mock.patch.object(arith, "np", counting):
+            products = series_mul(term, other, o), series_mul(other, term, o)
+        assert counting.add_at_calls == 0
+        for prod in products:
+            assert prod == brute(term, other, o)
+            _assert_stored_canonically(prod)
+
+
+_TOP = (1 << 62) - 1  # the largest entry of int64 storage
+
+
+@pytest.mark.parametrize("term, other", [
+    # the index's code reaches the guard: shifted exponents leave int64
+    (QuarterSeries(1, 4, {-(1 << 62): 1}), QuarterSeries(1, 4, {0: 1, 3: 2})),
+    (QuarterSeries(2, 4, {(1 << 70, 0, 3 - (1 << 70)): 1}), QuarterSeries(2, 4, {(0, 0, 0): 1, (1, 0, 1): 2})),
+    # the other factor's columns are wide: an exponent sum reaches 2**62
+    (QuarterSeries(2, 4, {(1, 0, 0): 1}), QuarterSeries(2, 4, {(0, 0, 0): 1, (_TOP, 1, -_TOP): 2})),
+    # |cr| + |ci| times linf reaches 2**62, though |cr| times linf does not
+    (QuarterSeries(1, 4, {1: GaussInt(1, _TOP)}), QuarterSeries(1, 4, {0: GaussInt(1, 1), 2: 1})),
+], ids=["g1-index", "g2-index", "wide-columns", "gaussian-scale"])
+def test_a_one_term_factor_at_the_int64_guards(term, other):
+    brute = brute_mul_g1 if term.genus == 1 else brute_mul_g2
+    for prod in (series_mul(term, other), series_mul(other, term)):
+        assert prod == brute(term, other, 4)
+        _assert_stored_canonically(prod)
+
+
+def _reference_summary(s):
+    """The fields of the pair kernel's summary, from the coeffs mapping in
+    Python: whether four times a code entry reaches 2**62; per code column
+    (e, or e1 + e3, e1, e2) its minimum, maximum, min(c + d), max(c - d) and
+    the gcd of its differences; then the l1 and linf norms of |re| + |im|
+    and whether re and im have a nonzero."""
+    keys = [(k,) if s.genus == 1 else (k[0] + k[2], k[0], k[1]) for k in s.coeffs]
+    cols = list(zip(*keys))
+    d = cols[0]
+    norms = [abs(v.re) + abs(v.im) for v in s.coeffs.values()]
+    return (4 * max(abs(v) for k in keys for v in k) >= 1 << 62,
+            [min(c) for c in cols], [max(c) for c in cols],
+            [min(x + y for x, y in zip(c, d)) for c in cols],
+            [max(x - y for x, y in zip(c, d)) for c in cols],
+            [math.gcd(*(x - c[0] for x in c)) for c in cols], sum(norms), max(norms),
+            (any(v.re for v in s.coeffs.values()), any(v.im for v in s.coeffs.values())))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data(), st.sampled_from([1, 2]), st.integers(0, 12))
+def test_the_kernel_summary_is_computed_once_and_kept_on_the_series(data, genus, order):
+    """The summary a series keeps equals a fresh _summary and the Python
+    reference, for every way of making a series; copies and pickles, and ==,
+    never carry or read it."""
+    a, b = (data.draw(_ring_series(genus, order)) for _ in range(2))
+    cut = data.draw(st.integers(0, order))
+    built = [a, QuarterSeries.from_arrays(genus, order, a.exps, a.re, a.im), series_mul(a, b),
+             series_mul(a, b, cut), a.truncate(cut), QuarterSeries.one(genus, order),
+             theta_expansion((0, 1) if genus == 1 else (0, 1, 1, 0), order)]
+    for s in (s for s in built if not s.is_zero()):
+        twin = QuarterSeries.from_arrays(genus, s.order, s.exps, s.re, s.im)
+        kept = arith._kernel_summary(s)
+        assert arith._kernel_summary(s) is kept is s._kernel_summary
+        assert kept == arith._summary(s) and list(kept) == list(_reference_summary(s))
+        assert arith._code_columns(s).tolist() == [list(c) for c in zip(*(
+            [(k,) for k in s.coeffs] if genus == 1 else _degree_major(s)))]
+        for copied in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+            assert copied == s == twin and copied._kernel_summary is None
+
+
 @pytest.mark.parametrize("bits", [8, 16, 62, 63, 64, 72])
 def test_pair_kernel_is_exact_where_its_int64_bound_is_tight(bits):
     # with every coefficient m, the product's top entry n * m**2 reaches the

@@ -157,6 +157,50 @@ def test_theta_expansion_of_unreduced_characteristics():
     assert theta_expansion((9, 0), 16).coeffs == {1: GaussInt(2), 9: GaussInt(2)}
 
 
+def _theta_arrays_by_definition(m, order):
+    """The stored arrays of theta[m], as (dtype, entries) per exponent column
+    and then re and im, from its defining sum: i^(b.m'') added into a dict
+    at the index of every b in (2Z + m')^g with |b|^2 <= order, the zero
+    sums dropped, and the indices sorted by the degree, then e1 and e2."""
+    g = len(m) // 2
+    r = math.isqrt(order)
+    axes = [[b for b in range(-r, r + 1) if (b - c) % 2 == 0] for c in m[:g]]
+    sums = {}
+    for b in itertools.product(*axes):
+        if sum(v * v for v in b) <= order:
+            key = (b[0] * b[0],) if g == 1 else (b[0] * b[0], 2 * b[0] * b[1], b[1] * b[1])
+            phase = ((1, 0), (0, 1), (-1, 0), (0, -1))[sum(v * w for v, w in zip(b, m[g:])) % 4]
+            sums[key] = [x + y for x, y in zip(sums.get(key, (0, 0)), phase)]
+    keys = sorted((k for k, v in sums.items() if any(v)),
+                  key=lambda k: k if g == 1 else (k[0] + k[2], k[0], k[1]))
+    columns = [[k[j] for k in keys] for j in range(2 * g - 1)]
+    columns += [[sums[k][j] for k in keys] for j in (0, 1)]
+    return [(np.dtype(np.int64), c) for c in columns]
+
+
+@pytest.mark.parametrize("genus", [1, 2])
+def test_theta_expansion_matches_its_defining_sum_for_unreduced_characteristics(genus):
+    """The half-lattice build (one term per pair b, -b) gives the arrays and
+    dtypes of the full defining sum, for every characteristic with entries
+    0 to 3 (odd ones, zero series, included)."""
+    orders = (0, 1, 16, 60, 140, 260) + ((2400,) if genus == 1 else ())
+    for m in itertools.product(range(4), repeat=2 * genus):
+        for order in orders:
+            s = theta_expansion(m, order)
+            built = [(x.dtype, x.tolist()) for x in (*s.exps, s.re, s.im)]
+            assert built == _theta_arrays_by_definition(m, order), (m, order)
+            assert all(not x.flags.writeable for x in (*s.exps, s.re, s.im))
+
+
+def test_expansions_name_a_negative_order_and_an_empty_tuple():
+    for m in ((0, 0), (1, 1), (0, 0, 0, 0)):
+        with pytest.raises(ValueError, match="order must be nonnegative"):
+            theta_expansion(m, -1)
+    for ms in ([], ()):
+        with pytest.raises(ValueError, match="at least one factor"):
+            six_tuple_expansion(ms, 10)
+
+
 def test_theta_expansion_phases_in_zi():
     t = theta_expansion((1, 1, 1, 1), 30)
     assert t.coeffs and all(isinstance(c, GaussInt) for c in t.coeffs.values())
@@ -744,6 +788,19 @@ def test_verify_igusa_rejects_odd_and_outside_level2():
         verify_igusa_transformation([(1, 0, 1, 0)], E_GENERATORS[0], TAU_A)
     with pytest.raises(ValueError):
         verify_igusa_transformation([(0, 0, 0, 0)], J4, TAU_A)
+
+
+def test_transformation_law_takes_an_array_of_characteristics():
+    # theta_values and character_eighths read an int array of characteristics;
+    # the law's residuals read it as they read the list
+    evens = even_characteristics(2)
+    for M in random_gamma2_elements(4, seed=3):
+        for tau in (TAU_A, TAU_B):
+            assert igusa_residuals(np.array(evens), M, tau, 1e-13) == \
+                igusa_residuals(evens, M, tau, 1e-13)
+            assert verify_igusa_transformation(np.array(evens), M, tau, 1e-13) == \
+                verify_igusa_transformation(evens, M, tau, 1e-13)
+    assert igusa_residuals(np.zeros((0, 4), np.int64), J4 @ J4, TAU_A)[1] is None
 
 
 def test_wrong_character_fails_the_tuple_part_off_the_vanishing_locus(monkeypatch):

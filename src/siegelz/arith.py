@@ -240,7 +240,9 @@ class QuarterSeries:
         cols = [_int_array([index[j] for index in indices]) for j in range(2 * genus - 1)]
         vals = [_as_gauss(v) for v in coeffs.values()]
         re, im = (_int_array([getattr(v, part) for v in vals]) for part in ("re", "im"))
-        self._set(genus, order, *_summed([(cols, re, im)]))
+        # a mapping holds each index once, as equal keys (1, np.int64(1), True) are one key
+        perm = np.lexsort(_term_order(cols)[::-1])
+        self._set(genus, order, [c[perm] for c in cols], re[perm], im[perm])
 
     def _set(self, genus, order, exps, re, im):
         """Store the nonzero ones of terms with distinct indices in canonical order."""
@@ -422,23 +424,6 @@ def series_product(factors) -> QuarterSeries:
     if not rest:
         raise ValueError("a product needs at least one factor")
     return reduce(series_mul, rest)
-
-
-def _summed(parts: list) -> tuple:
-    """The terms of the (exps, re, im) parts as (exps, re, im) again, in
-    canonical order, with the coefficients of equal indices summed."""
-    cols = [np.concatenate(col) for col in zip(*(part[0] for part in parts))]
-    re, im = (np.concatenate([part[j] for part in parts]) for j in (1, 2))
-    if not len(re):
-        return cols, re, im
-    perm = np.lexsort(_term_order(cols)[::-1])
-    cols = [c[perm] for c in cols]
-    same = np.ones(len(re) - 1, dtype=bool)
-    for c in cols:
-        same &= c[1:] == c[:-1]
-    starts = np.flatnonzero(np.concatenate(([True], ~same)))
-    return ([c[starts] for c in cols],
-            np.add.reduceat(re[perm], starts), np.add.reduceat(im[perm], starts))
 
 
 # The pair kernel's dense accumulator holds at most this many cells at once

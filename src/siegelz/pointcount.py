@@ -2,17 +2,18 @@
 
 Naive counts and fiberwise character sums for the quartic surface, its
 tangent cone, the four-quadric model of the Satake variety Z in P^7, the
-blown-up model, and the thirty boundary lines. A naive count splits the
-coordinates into a head and a tail, and counts the affine solutions of one
-equality between a value of the head and a value of the tail as a product
-of the two value histograms (`_affine_matches`); less the origin, over
-p - 1, they give the projective points, as the character sums do. Counts
-are exact integers; closed-form predictions are checked as integer
-residuals, never as floating point.
+blown-up model, and the thirty boundary lines, one stack of 2 x 4 matrices
+over F_p. A naive count splits the coordinates into a head and a tail, and
+counts the affine solutions of one equality between a value of the head
+and a value of the tail as a product of the two value histograms
+(`_affine_matches`); less the origin, over p - 1, they give the projective
+points, as the character sums do. Counts are exact integers; closed-form
+predictions are checked as integer residuals, never as floating point.
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 
 import numpy as np
@@ -385,51 +386,42 @@ def verify_birational_map(p: int) -> dict:
 # ---------------------------------------------------------------------------
 # boundary lines
 
-def _line_catalog(p: int, rational_only: bool = False):
-    """The 30 boundary lines as parametrized maps P^1 -> P^3 over F_p."""
+def _line_catalog(p: int, rational_only: bool = False) -> tuple[list, np.ndarray]:
+    """The names of the 30 boundary lines in P^3 over F_p, and the stack of
+    their (2, 4) matrices: each line's points at (u, v) = (1, 0) and (0, 1),
+    so that (u, v) maps to u row 0 + v row 1."""
     lines = []
+    signs = list(itertools.product((("+", 1), ("-", -1)), repeat=2))
     if not rational_only:
         if p % 4 != 1:
             raise ValueError("sqrt(-1) needed in F_p: require p = 1 mod 4")
         i = min(x for x in range(2, p) if (x * x + 1) % p == 0)
-        for s1 in (1, -1):
-            for s2 in (1, -1):
-                tag = f"({'+' if s1 == 1 else '-'},{'+' if s2 == 1 else '-'})"
-                lines.append((f"L1{tag}", lambda u, v, a=s1 * i, b=s2 * i: (a * u % p, b * v % p, u, v)))
-                lines.append((f"L2{tag}", lambda u, v, a=s1 * i, b=s2 * i: (a * u % p, u, b * v % p, v)))
-                lines.append((f"L3{tag}", lambda u, v, a=s1 * i, b=s2 * i: (a * v % p, b * u % p, u, v)))
-    for s1 in (1, -1):
-        for s2 in (1, -1):
-            tag = f"({'+' if s1 == 1 else '-'},{'+' if s2 == 1 else '-'})"
-            lines.append((f"L4{tag}", lambda u, v, a=s1, b=s2: (a * v % p, b * u % p, u, v)))
-            lines.append((f"L5{tag}", lambda u, v, a=s1, b=s2: (a * u % p, u, b * v % p, v)))
-            lines.append((f"L6{tag}", lambda u, v, a=s1, b=s2: (a * u % p, b * v % p, u, v)))
-    for i in range(4):
-        for j in range(i + 1, 4):
-            def mk(i=i, j=j):
-                def param(u, v):
-                    pt = [0, 0, 0, 0]
-                    free = [k for k in range(4) if k not in (i, j)]
-                    pt[free[0]] = u
-                    pt[free[1]] = v
-                    return tuple(pt)
-                return param
-            lines.append((f"l{i}{j}", mk()))
-    return lines
+        for (t1, s1), (t2, s2) in signs:
+            a, b, tag = s1 * i, s2 * i, f"({t1},{t2})"
+            lines += [(f"L1{tag}", ((a, 0, 1, 0), (0, b, 0, 1))),
+                      (f"L2{tag}", ((a, 1, 0, 0), (0, 0, b, 1))),
+                      (f"L3{tag}", ((0, b, 1, 0), (a, 0, 0, 1)))]
+    for (t1, a), (t2, b) in signs:
+        tag = f"({t1},{t2})"
+        lines += [(f"L4{tag}", ((0, b, 1, 0), (a, 0, 0, 1))),
+                  (f"L5{tag}", ((a, 1, 0, 0), (0, 0, b, 1))),
+                  (f"L6{tag}", ((a, 0, 1, 0), (0, b, 0, 1)))]
+    # l_ij: the coordinate line x_i = x_j = 0
+    eye = np.eye(4, dtype=np.int64)
+    for i, j in itertools.combinations(range(4), 2):
+        lines.append((f"l{i}{j}", eye[[k for k in range(4) if k not in (i, j)]]))
+    return [name for name, _ in lines], np.array([m for _, m in lines], dtype=np.int64) % p
 
 
 def verify_boundary_lines(p: int, rational_only: bool = False) -> dict:
     """For each boundary line, the set of the ten quadrics vanishing
     identically along it (tested at every parameter value in P^1(F_p))."""
     _check_odd_prime(p)
-    lines = _line_catalog(p, rational_only)
-    # every line is linear in (u, v), so its images of (1, 0) and (0, 1) give
-    # it as a matrix; the parameters (1, v) for v in F_p and (0, 1), for
-    # every line at once, make pts[line, coordinate, parameter]
-    mats = np.array([(param(1, 0), param(0, 1)) for _, param in lines], dtype=np.int64)
+    names, mats = _line_catalog(p, rational_only)
+    # the parameters (1, v) for v in F_p and (0, 1), for every line at once,
+    # make pts[line, coordinate, parameter]
     u = np.append(np.ones(p, dtype=np.int64), 0)
     v = np.append(np.arange(p, dtype=np.int64), 1)
     pts = (mats[:, 0, :, None] * u + mats[:, 1, :, None] * v) % p
     vanishing = np.all(np.stack(big_quadrics(*pts.transpose(1, 0, 2), p)) == 0, axis=2)
-    return {name: np.flatnonzero(vanishing[:, k]).tolist()
-            for k, (name, _) in enumerate(lines)}
+    return {name: np.flatnonzero(vanishing[:, k]).tolist() for k, name in enumerate(names)}

@@ -4,7 +4,9 @@ Exact truncated expansions, and numeric lattice sums with a proven tail
 bound, every characteristic at a point in one pass. One vectorized action
 of a symplectic matrix gives the unreduced images m M^-1 + (diag CD^T,
 diag AB^T) and the eighth-integer phases; a cached table per matrix turns
-them into each characteristic's share of the exact character. Also: the
+them into each characteristic's share of the exact character, and the
+same action mod 2 gives the generators' permutations of the ten evens as one
+array, whose orbits on six-subsets min-label propagation finds. Also: the
 generators e_1..e_10 of Gamma(2)/Gamma(4,8) with their pair characters,
 the stabilizer generators and orbit of the six-theta product F_Z, and F_Z.
 
@@ -928,52 +930,39 @@ def verify_igusa_transformation(ms, M: np.ndarray, tau, tol: float = 1e-12) -> f
 # ---------------------------------------------------------------------------
 # orbits
 
-def char_permutation(M: np.ndarray) -> dict:
-    """The induced permutation of the ten even characteristics (mod 2)."""
-    if not is_symplectic(M):
-        raise ValueError("matrix is not symplectic")
-    evens = even_characteristics(2)
-    raw, _ = _action(M, evens)
-    perm = dict(zip(evens, map(tuple, (raw % 2).tolist())))
-    if set(perm.values()) != set(perm.keys()):
-        raise AssertionError("action does not permute the even characteristics")
-    return perm
-
-
 @lru_cache(maxsize=1)
 def orbit_decomposition() -> tuple[frozenset, ...]:
     """Partition of all 210 six-element subsets of the ten even genus-2
-    characteristics into orbits of the full symplectic group, built once."""
+    characteristics into orbits of the full symplectic group, built once,
+    each orbit in the place of its first subset in combinations order.
+
+    perms[k] is generator k's permutation of the evens, and images[k] its map
+    of the subsets, each coded as a 10-bit mask.  Each subset's label, at
+    first its index, takes the least label among its images, then its label's
+    label, until none moves.  Every generator has finite order, so each orbit
+    is strongly connected and ends labelled by its least index.
+    """
     evens = even_characteristics(2)
-    # a subset is a 10-bit mask over evens; each generator maps the low five
-    # and the high five bits by a 32-entry table each, so the image of the
-    # mask x is lo[x & 31] | hi[x >> 5]
-    bit = {m: 1 << k for k, m in enumerate(evens)}
-    tables = []
-    for M in sp2z_generators():
-        perm = char_permutation(M)
-        img = [bit[perm[m]] for m in evens]
-        tables.append([[sum(img[s + k] for k in range(5) if x >> k & 1) for x in range(32)]
-                       for s in (0, 5)])
-    subsets = {sum(bit[m] for m in c): frozenset(c) for c in itertools.combinations(evens, 6)}
-    orbits: list[frozenset] = []
-    seen: set[int] = set()
-    for seed in subsets:
-        if seed in seen:
-            continue
-        orbit = {seed}
-        frontier = [seed]
-        while frontier:
-            x = frontier.pop()
-            for lo, hi in tables:
-                y = lo[x & 31] | hi[x >> 5]
-                if y not in orbit:
-                    orbit.add(y)
-                    frontier.append(y)
-        seen |= orbit
-        orbits.append(frozenset(subsets[x] for x in orbit))
-    assert sum(len(o) for o in orbits) == 210
-    return tuple(orbits)
+    red = np.stack([_action(M, evens)[0] % 2 for M in sp2z_generators()])
+    hits = (red[:, :, None] == np.array(evens)).all(3)  # [generator, even, image]
+    # an image matches at most one of the distinct evens, so ten images that
+    # hit every even once make a permutation
+    for k, h in enumerate(hits):
+        if (h.sum(0) != 1).any():
+            raise AssertionError(f"action of generator {k} does not permute the even characteristics")
+    perms = hits.argmax(2)
+    combos = np.array(list(itertools.combinations(range(len(evens)), 6)))
+    index = np.zeros(1 << len(evens), dtype=np.int64)
+    index[(1 << combos).sum(1)] = np.arange(len(combos))
+    images = index[(1 << perms[:, combos]).sum(2)]
+    label, last = np.arange(len(combos)), None
+    while not np.array_equal(label, last):
+        last = label
+        label = np.minimum(label, label[images].min(0))
+        label = label[label]
+    subsets = list(map(frozenset, itertools.combinations(evens, 6)))
+    return tuple(frozenset(subsets[i] for i in np.flatnonzero(label == root).tolist())
+                 for root in np.flatnonzero(label == np.arange(len(label))).tolist())
 
 
 def fz_orbit() -> frozenset:

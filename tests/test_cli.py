@@ -257,6 +257,23 @@ def test_orbit_claims_fail_when_f_z_is_in_no_orbit(monkeypatch):
     json.dumps([asdict(r) for r in reports], allow_nan=False)
 
 
+def test_orbit_claim_fails_without_the_inversion(monkeypatch):
+    """Without J4 the other five generators split the 210 six-tuples into 12
+    orbits, F_Z's of 3 members, so the orbit-count claim fails."""
+    from siegelz import theta
+
+    real = theta.sp2z_generators
+    monkeypatch.setattr(theta, "sp2z_generators",
+                        lambda: [g for g in real() if not (g == theta.J4).all()])
+    theta.orbit_decomposition.cache_clear()
+    try:
+        reports, code = run(RunConfig(selected_suites=["orbits"]))
+    finally:
+        theta.orbit_decomposition.cache_clear()
+    assert code == 1 and reports[0].status == "fail"
+    assert (reports[0].details["orbits"], reports[0].details["fz_orbit_size"]) == (12, 3)
+
+
 @pytest.mark.parametrize("new, status", [((0, 0, 0, 0), "fail"), ((0, 0, 1, 1), "pass"),
                                          ((1, 0, 0, 1), "fail")],
                          ids=["image 00", "same image 01", "m1' odd"])

@@ -18,7 +18,6 @@ from siegelz.theta import (
     G_TUPLE,
     J4,
     apply_moebius,
-    char_permutation,
     character_as_gauss,
     character_eighths,
     character_value,
@@ -759,11 +758,6 @@ def test_characteristic_action_inversion_swaps():
     assert red == (0, 1, 1, 0)
 
 
-def test_characteristic_action_rejects_non_symplectic():
-    with pytest.raises(ValueError):
-        char_permutation(np.eye(4, dtype=np.int64) * 2)
-
-
 def test_action_respects_group_law_mod2():
     for M1 in E_GENERATORS[:4]:
         for M2 in E_GENERATORS[4:]:
@@ -1216,14 +1210,23 @@ def test_orbit_decomposition_shape():
     assert isinstance(fz_orbit(), frozenset)
 
 
-def _reference_orbits() -> set:
+def _generator_permutations() -> list[dict]:
+    """Each generator's permutation of the even characteristics, as a dict
+    read off theta._action."""
+    evens = even_characteristics(2)
+    return [dict(zip(evens, map(tuple, (theta._action(M, evens)[0] % 2).tolist())))
+            for M in sp2z_generators()]
+
+
+def _reference_orbits() -> list:
     """orbit_decomposition transcribed as a BFS on frozensets of
-    characteristics."""
-    perms = [char_permutation(M) for M in sp2z_generators()]
-    remaining = {frozenset(c) for c in itertools.combinations(even_characteristics(2), 6)}
-    orbits = set()
-    while remaining:
-        seed = next(iter(remaining))
+    characteristics, seeded from each subset not yet reached in
+    combinations order."""
+    perms = _generator_permutations()
+    orbits = []
+    for seed in map(frozenset, itertools.combinations(even_characteristics(2), 6)):
+        if any(seed in orbit for orbit in orbits):
+            continue
         orbit = {seed}
         frontier = [seed]
         while frontier:
@@ -1233,24 +1236,58 @@ def _reference_orbits() -> set:
                 if img not in orbit:
                     orbit.add(img)
                     frontier.append(img)
-        orbits.add(frozenset(orbit))
-        remaining -= orbit
+        orbits.append(frozenset(orbit))
     return orbits
 
 
 def test_orbit_decomposition_matches_the_frozenset_bfs():
     orbits = orbit_decomposition()
-    assert set(orbits) == _reference_orbits()
-    assert sorted(len(o) for o in orbits) == [15, 15, 180]
+    assert list(orbits) == _reference_orbits()
+    assert [len(o) for o in orbits] == [15, 180, 15]
 
 
 def test_orbit_closure_under_every_generator():
     orbits = orbit_decomposition()
-    perms = [char_permutation(M) for M in sp2z_generators()]
+    perms = _generator_permutations()
+    assert all(sorted(perm.values()) == sorted(perm) for perm in perms)
     for orbit in orbits:
         for tup in orbit:
             for perm in perms:
                 assert frozenset(perm[m] for m in tup) in orbit
+
+
+@pytest.fixture
+def rebuilt_orbits():
+    """orbit_decomposition built afresh in the test, and dropped after it, so
+    that a patched generator set or action reaches it and no other test."""
+    theta.orbit_decomposition.cache_clear()
+    yield
+    theta.orbit_decomposition.cache_clear()
+
+
+def test_orbits_do_not_depend_on_the_generator_order(monkeypatch, rebuilt_orbits):
+    expected = orbit_decomposition()
+    theta.orbit_decomposition.cache_clear()
+    monkeypatch.setattr(theta, "sp2z_generators", lambda real=sp2z_generators: real()[::-1])
+    assert orbit_decomposition() == expected
+
+
+@pytest.mark.parametrize("image", ["repeated", "odd"])
+def test_an_action_that_permutes_no_evens_is_refused(monkeypatch, rebuilt_orbits, image):
+    """Generator 3 sending two evens to one image, or one even to an odd
+    characteristic, is named, not closed over."""
+    real = theta._action
+    bad = sp2z_generators()[3]
+
+    def action(M, ms):
+        raw, eighths = real(M, ms)
+        if np.array_equal(M, bad):
+            raw[1] = raw[0] if image == "repeated" else (1, 1, 1, 1)
+        return raw, eighths
+
+    monkeypatch.setattr(theta, "_action", action)
+    with pytest.raises(AssertionError, match="generator 3 does not permute the even characteristics"):
+        orbit_decomposition()
 
 
 def test_fz_orbit_exceptional_member():

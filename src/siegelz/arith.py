@@ -160,6 +160,12 @@ def gauss_primary_decompose(p: int) -> GaussInt:
     """
     if not is_prime(p) or p % 4 != 1:
         raise ValueError(f"{p} does not split in Z[i]")
+    return _split_primary(p)
+
+
+def _split_primary(p: int) -> GaussInt:
+    """gauss_primary_decompose for a prime p = 1 mod 4 that the caller has
+    already checked."""
     c = 2
     while pow(c, (p - 1) // 2, p) != p - 1:  # a quadratic non-residue
         c += 1

@@ -20,7 +20,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .arith import gauss_primary_decompose, is_prime, kronecker_char, series_product
+from .arith import _split_primary, is_prime, kronecker_char, series_product
 from .theta import G_TUPLE, theta_expansion
 
 
@@ -129,9 +129,15 @@ def a_p(p: int) -> int:
         raise ValueError("p = 2 is ramified; the eigenvalue is not defined here")
     if not is_prime(p) or p % 2 == 0:
         raise ValueError(f"{p} is not an odd prime")
+    return _a_p(p)
+
+
+def _a_p(p: int) -> int:
+    """a_p at an odd prime p, with no primality test: for callers whose
+    sieve has found p."""
     if p % 4 == 3:
         return 0
-    pi = gauss_primary_decompose(p)
+    pi = _split_primary(p)
     return 2 * (pi.re * pi.re - pi.im * pi.im)
 
 
@@ -153,7 +159,7 @@ def _g_hecke(order: int) -> EllipticQExpansion:
         elif p == 2:
             a[n] = 0
         elif m == 1:
-            a[n] = a_p(p)
+            a[n] = _a_p(p)  # p is a prime of the sieve
         else:
             a[n] = a[p] * a[m] - kronecker_char(-1, p) * p * p * a[m // p]
     return EllipticQExpansion(order, dict(enumerate(a)))

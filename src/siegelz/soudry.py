@@ -32,12 +32,7 @@ import numpy as np
 from . import theta
 from .arith import QuarterSeries
 from .cmform import odd_coset_sum
-from .theta import (
-    apply_moebius,
-    check_siegel_point,
-    cocycle,
-    theta_gradient,
-)
+from .theta import apply_moebius, cocycle, theta_gradient
 
 
 class VectorValue(NamedTuple):
@@ -81,38 +76,59 @@ def resolve_ez_convention() -> EzConvention:
 
 def ez_eval(tau, tol: float = 1e-10) -> VectorValue:
     """The three components (h0, h1, h2) = (S1^2, S1 S2, S2^2) at a point of
-    the upper half space, each within tol.
+    the upper half space, each within tol; at a stack of points (..., 2, 2),
+    each component is an array of the stack's shape, from one gradient pass.
 
-    S = -i theta_gradient((1, 0, 1, 1)) on theta's row windows of moment
-    degree 1, each component within tol / 2M.  With a = pi lambda_min(Im tau),
-    the sums of exp(-a n^2) and |n| exp(-a n^2) over any c + Z are at most
-    sqrt(pi/a) + 1 and 1/a + 2/sqrt(2ea) (integral plus maxima); their product
-    M bounds |S_k| and its windowed truncations, so
+    S = -i theta_gradient((1, 0, 1, 1), tau, .) on theta's row windows of
+    moment degree 1, each component within tol / 2M at its point.  With
+    a = pi lambda_min(Im tau), the sums of exp(-a n^2) and |n| exp(-a n^2)
+    over any c + Z are at most sqrt(pi/a) + 1 and 1/a + 2/sqrt(2ea)
+    (integral plus maxima); their product M bounds |S_k| and its windowed
+    truncations, so
     |S_i S_j - S~_i S~_j| <= |S_i - S~_i| |S_j| + |S~_i| |S_j - S~_j| <= tol.
     """
     tau = np.asarray(tau, dtype=complex)
-    check_siegel_point(tau)
-    a = math.pi * float(np.linalg.eigvalsh(tau.imag).min())
-    bound = (1 / a + 2 / math.sqrt(2 * math.e * a)) * (math.sqrt(math.pi / a) + 1)
-    s1, s2 = -1j * theta_gradient((1, 0, 1, 1), tau, tol / (2 * bound))
-    return VectorValue(s1 * s1, s1 * s2, s2 * s2)
+    if tau.shape[-2:] != (2, 2):
+        raise ValueError("period matrix must be 2x2")
+    # theta_gradient checks tau; a bad point only makes these tols NaN first
+    with np.errstate(invalid="ignore", divide="ignore"):
+        a = math.pi * np.linalg.eigvalsh(tau.imag)[..., 0]
+        bound = (1 / a + 2 / np.sqrt(2 * math.e * a)) * (np.sqrt(math.pi / a) + 1)
+    tols = tol / (2 * bound)
+    s = -1j * theta_gradient((1, 0, 1, 1), tau, tols if tols.ndim else float(tols))
+    h = _cmul(s[..., [0, 0, 1]], s[..., [0, 1, 1]])
+    return VectorValue(*(h[..., k][()] for k in range(3)))
+
+
+def _cmul(a, b):
+    """a b for complex arrays by the textbook formula, each product rounded
+    on its own, as numpy multiplies two complex scalars; its array loop
+    fuses them.  So a point of a stack gets the bits of its single call."""
+    return (np.asarray(a.real * b.real - a.imag * b.imag)
+            + 1j * (a.real * b.imag + a.imag * b.real))
 
 
 # ---------------------------------------------------------------------------
 # the 2-form and its pullback
 
-def _wedge_coefficients(a, b):
-    """Coefficients of a ^ b in the basis (w12, w13, w23) for 1-forms given
-    in the basis (d tau1, d tau2, d tau3)."""
-    c12 = a[0] * b[1] - a[1] * b[0]
-    c13 = a[0] * b[2] - a[2] * b[0]
-    c23 = a[1] * b[2] - a[2] * b[1]
-    return np.array([c12, c13, c23])
+# the products of (d tau1, d tau2, d tau3) in M^-1 = (m11, m12, m21, m22):
+# d tau1 = (m11^2, 2 m11 m21, m21^2), d tau2 = (m11 m12, m11 m22 + m12 m21,
+# m21 m22) and d tau3 = (m12^2, 2 m12 m22, m22^2), the factors 2 m11 and
+# 2 m12 at 4 and 5
+_FORM_LEFT = np.array([0, 4, 2, 0, 0, 1, 2, 1, 5, 3])
+_FORM_RIGHT = np.array([0, 2, 2, 1, 3, 2, 3, 1, 3, 3])
+_FORM_TERMS = np.array([0, 1, 2, 3, 4, 6, 7, 8, 9])  # with 5 added to 4
+# a ^ b in the basis (w12, w13, w23) is (a0 b1 - a1 b0, a0 b2 - a2 b0,
+# a1 b2 - a2 b1), for the pairs (dt1, dt2), (dt1, dt3) and (dt2, dt3)
+_WEDGE_LEFT = (np.repeat([0, 0, 1], 6), np.tile([0, 1, 0, 2, 1, 2], 3))
+_WEDGE_RIGHT = (np.repeat([1, 2, 2], 6), np.tile([1, 0, 2, 0, 2, 1], 3))
 
 
 def two_form_pullback(gamma: np.ndarray, tau, tol: float = 1e-10) -> np.ndarray:
     """Coefficients of the pulled-back 2-form h0 dt1^dt2 + h1 dt1^dt3 +
-    h2 dt2^dt3 through tau -> gamma tau, in the same basis at tau.
+    h2 dt2^dt3 through tau -> gamma tau, in the same basis at tau: shape
+    (3,), or (..., 3) for stacks of gamma (..., 4, 4) and tau (..., 2, 2),
+    which broadcast.
 
     The pairing of the components with the wedge basis is the unique
     invariant one for the weight (3,1) transformation of the lattice sum;
@@ -122,22 +138,27 @@ def two_form_pullback(gamma: np.ndarray, tau, tol: float = 1e-10) -> np.ndarray:
     gtau = apply_moebius(gamma, tau)
     h = ez_eval(gtau, tol)
     M = np.linalg.inv(cocycle(gamma, tau))
-    m11, m12, m21, m22 = M[0, 0], M[0, 1], M[1, 0], M[1, 1]
-    dt1 = np.array([m11 * m11, 2 * m11 * m21, m21 * m21])
-    dt2 = np.array([m11 * m12, m11 * m22 + m12 * m21, m21 * m22])
-    dt3 = np.array([m12 * m12, 2 * m12 * m22, m22 * m22])
-    return (
-        h.h0 * _wedge_coefficients(dt1, dt2)
-        + h.h1 * _wedge_coefficients(dt1, dt3)
-        + h.h2 * _wedge_coefficients(dt2, dt3)
-    )
+    m = np.moveaxis(M.reshape(M.shape[:-2] + (4,)), -1, 0)
+    m = np.concatenate([m, 2 * m[:2]])
+    p = _cmul(m[_FORM_LEFT], m[_FORM_RIGHT])
+    dt = p[_FORM_TERMS]
+    dt[4] += p[5]  # m11 m22 + m12 m21
+    dt = dt.reshape((3, 3) + dt.shape[1:])
+    q = _cmul(dt[_WEDGE_LEFT], dt[_WEDGE_RIGHT])
+    wedges = (q[0::2] - q[1::2]).reshape((3, 3) + q.shape[1:])
+    # h0 dt1^dt2 + h1 dt1^dt3 + h2 dt2^dt3, summed in that order
+    pulled = (np.array(h)[:, None] * wedges).sum(0)
+    return np.moveaxis(pulled, 0, -1)
 
 
-def ez_two_form_check(gamma: np.ndarray, tau, tol: float = 1e-10) -> float:
-    """Max component residual of 2-form invariance under gamma at tau."""
+def ez_two_form_check(gamma: np.ndarray, tau, tol: float = 1e-10):
+    """Max component residual of 2-form invariance under gamma at tau: a
+    float, or an array of the broadcast shape for stacks as in
+    two_form_pullback, with E_Z evaluated once at the stack tau itself."""
     pulled = two_form_pullback(gamma, tau, tol)
-    here = ez_eval(np.asarray(tau, dtype=complex), tol)
-    return float(np.abs(pulled - np.array([here.h0, here.h1, here.h2])).max())
+    here = np.stack(ez_eval(tau, tol), -1)
+    worst = np.abs(pulled - here).max(-1)
+    return float(worst) if worst.ndim == 0 else worst
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-import sys
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -85,8 +84,9 @@ def _mat(rows) -> np.ndarray:
 
 
 def blocks(M: np.ndarray):
-    g = M.shape[0] // 2
-    return M[:g, :g], M[:g, g:], M[g:, :g], M[g:, g:]
+    """A, B, C, D of M, or of each matrix of a stack (..., 2g, 2g)."""
+    g = M.shape[-1] // 2
+    return M[..., :g, :g], M[..., :g, g:], M[..., g:, :g], M[..., g:, g:]
 
 
 def _symplectic_form(g: int) -> np.ndarray:
@@ -280,38 +280,55 @@ def siegel_point(t1: complex, t2: complex, t3: complex) -> np.ndarray:
     return tau
 
 
-def _isclose(x: complex, y: complex) -> bool:
-    """np.isclose(x, y) at its defaults, rtol 1e-5 and atol 1e-8, on scalars."""
-    return x == y or (cmath.isfinite(y) and abs(x - y) <= 1e-8 + 1e-5 * abs(y))
-
-
 def check_siegel_point(tau: np.ndarray):
     """Raise ValueError unless tau is a point of the upper half plane, or a
-    2x2 period matrix that is symmetric (by np.allclose(tau, tau.T)) with
-    positive definite imaginary part."""
+    2x2 period matrix, or a stack (..., 2, 2) of them, each symmetric (by
+    np.isclose(tau, tau.T) at its defaults) with positive definite imaginary
+    part (Im tau_11 > 0 and np.linalg.det(Im tau) > 0).  For a stack the
+    message names the first bad point's index."""
     tau = np.asarray(tau, dtype=complex)
     if tau.shape == ():
         if tau.imag <= 0:
             raise ValueError("imaginary part must be positive")
         return
-    if tau.shape != (2, 2):
+    if tau.shape[-2:] != (2, 2):
         raise ValueError("period matrix must be 2x2")
-    t = tau.tolist()
-    if not all(_isclose(t[i][j], t[j][i]) for i in (0, 1) for j in (0, 1)):
-        raise ValueError("period matrix must be symmetric")
-    (y00, y01), (y10, y11) = ((v.imag for v in row) for row in t)
-    # leading principal minors; where rounding could flip the sign of the
-    # determinant (within 8 eps of its two products, or not finite), the LU
-    # determinant decides, so exactly the points np.linalg.det accepts pass
-    det = y00 * y11 - y01 * y10
-    if y00 > 0 and not abs(det) > 8 * sys.float_info.epsilon * (
-            abs(y00 * y11) + abs(y01 * y10)) + 1e-300:
-        det = np.linalg.det(tau.imag)
-    if y00 <= 0 or det <= 0:
-        raise ValueError("imaginary part must be positive definite")
+    v = tau.reshape(-1, 4)
+    Y = v.imag
+    x, y = v[:, 1], v[:, 2]
+    det = np.linalg.det(Y.reshape(-1, 2, 2))
+    if ((x == y) & (Y[:, 0] > 0) & (det > 0)).all() and not np.isnan(v).any():
+        return
+    sym = x == y
+    # np.isclose both ways: within 1e-8 + 1e-5 times the smaller modulus
+    with np.errstate(invalid="ignore", over="ignore"):
+        sym |= np.isfinite(x) & np.isfinite(y) & (
+            np.abs(x - y) <= 1e-8 + 1e-5 * np.minimum(np.abs(x), np.abs(y)))
+    sym &= ~np.isnan(v).any(1)  # a NaN is not close to itself
+    bad = ~sym | (Y[:, 0] <= 0) | (det <= 0)
+    if bad.any():
+        k = int(bad.argmax())
+        message = ("imaginary part must be positive definite" if sym[k]
+                   else "period matrix must be symmetric")
+        if tau.ndim > 2:
+            where = np.unravel_index(k, tau.shape[:-2])
+            message += f" at point {int(where[0]) if len(where) == 1 else tuple(map(int, where))}"
+        raise ValueError(message)
+
+
+def _points(tau) -> np.ndarray:
+    """tau as a complex period matrix or stack of them, checked."""
+    tau = np.asarray(tau, dtype=complex)
+    if tau.ndim < 2:
+        raise ValueError("period matrix must be 2x2")
+    check_siegel_point(tau)
+    return tau
 
 
 def apply_moebius(M: np.ndarray, tau) -> np.ndarray:
+    """M tau = (A tau + B)(C tau + D)^-1, broadcast over stacks of matrices
+    (..., 4, 4) and points (..., 2, 2); each point of a stack gets the bits
+    of its own single call."""
     A, B, C, D = blocks(M)
     tau = np.asarray(tau, dtype=complex)
     num = A @ tau + B
@@ -320,6 +337,7 @@ def apply_moebius(M: np.ndarray, tau) -> np.ndarray:
 
 
 def cocycle(M: np.ndarray, tau) -> np.ndarray:
+    """C tau + D, broadcast as in apply_moebius."""
     _, _, C, D = blocks(M)
     return C @ np.asarray(tau, dtype=complex) + D
 
@@ -450,7 +468,7 @@ def theta_eval(m, tau, tol: float = 1e-12) -> complex:
     if t.imag <= 0:
         raise ValueError("imaginary part must be positive")
     mp, mpp = int(m[0]) % 2, int(m[1])
-    R = _window_radius(t.imag, 1.0, 0.0, tol)
+    R = float(_window_radius(t.imag, 1.0, 0.0, tol))
     x = np.arange(math.ceil(-R - mp / 2), math.floor(R - mp / 2) + 1) + mp / 2
     expo = 1j * math.pi * (t * x * x + x * (mpp % 2))
     sign = -1 if mp * (mpp // 2) % 2 else 1
@@ -459,57 +477,88 @@ def theta_eval(m, tau, tol: float = 1e-12) -> complex:
 
 def theta_values(ms, tau, tol: float = 1e-12) -> np.ndarray:
     """Numeric genus-2 theta constants theta[m](tau) for every m in ms, each
-    with its discarded tail below tol, from one lattice pass.
+    with its discarded tail below tol, at a period matrix tau or at each
+    point of a stack (..., 2, 2): shape (..., len(ms)), from one lattice
+    pass for the whole stack.
 
-    One exp runs over the lattice x = b/2, b = 2a + (m' mod 2), in one block
-    for each class m' mod 2 that ms needs: rows 0 <= x1 <= R1, each holding
-    the window |x2 + t x1| <= R2 that _row_windows proves enough (the
-    ellipsoid of Im tau, not a square box at its smallest eigenvalue).  As
-    x -> -x keeps each term and maps the windows to themselves, each term of
-    the block stands for x and -x (see _window_block).  Each characteristic
-    is the sum of its class's block weighted by the phases i^(b.m'') of x
-    and -x, times the reduction sign (-1)^(m'.k'') for m = m mod 2 + 2k: a
-    sum around its reduced shift in which every window point has weight 1
-    and every padding point a weight in [0, 1], so the tail bound holds.
-    The phases are exact, so only the order of summation differs from one
-    sum per characteristic.  The pass is cached on the bytes of tau and of
-    the characteristics, and tol; each call returns a fresh array.
+    The pass sums exp(pi i x.tau.x) over the lattice x = b/2,
+    b = 2a + (m' mod 2), for each class m' mod 2 that ms needs: at each
+    point the rows 0 <= x1 <= R1, each holding the window |x2 + t x1| <= R2
+    that _row_windows proves enough there (the ellipsoid of Im tau, not a
+    square box at its smallest eigenvalue).  As x -> -x keeps each term and
+    maps the windows to themselves, each term of the rows stands for x and
+    -x (see _window_rows).  Each characteristic is the sum of its class's
+    rows weighted by the phases i^(b.m'') of x and -x, times the reduction
+    sign (-1)^(m'.k'') for m = m mod 2 + 2k: a sum around its reduced shift
+    in which every window point has weight 1 and every padding point a
+    weight in [0, 1], so the tail bound holds.  The phases are exact, so
+    only the order of summation differs from one sum per characteristic,
+    and each row is summed alone, so a point of a stack gets the bits of
+    its own single call.  The pass is cached on the bytes and shape of tau,
+    the bytes of the characteristics, and tol; each call returns a fresh
+    array.
     """
     m = np.asarray(ms, dtype=np.int64) if len(ms) else np.zeros((0, 4), dtype=np.int64)
     if m.ndim != 2 or m.shape[1] != 4:
         raise ValueError("theta_values takes genus-2 characteristics of 4 entries")
-    tau = np.asarray(tau, dtype=complex)
-    check_siegel_point(tau)
+    tau = _points(tau)
     return _theta_sums(m.tobytes(), tau.tobytes(), tau.shape, tol).copy()
 
 
-def _tail(y: float, R: float, degree: int) -> float:
-    """T0(y, R) or T1(y, R) of _row_windows."""
-    if degree == 0:
-        return 2 * math.exp(-math.pi * y * R * R) / -math.expm1(-2 * math.pi * y * R)
-    r = max(R, 1 / math.sqrt(2 * math.pi * y))
-    return 2 * r * math.exp(-math.pi * y * r * r) + math.exp(-math.pi * y * R * R) / (math.pi * y)
+# eight radii tried at once by _window_radius, on a leading axis
+_STEPS = np.arange(8) / 2
 
 
-def _window_radius(y: float, a0: float, a1: float, tol: float) -> float:
-    """The smallest R in {1/2, 1, 3/2, ...} with a0 T0(y, R) + a1 T1(y, R) < tol."""
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, not {tol}")
-    # T0 >= 2 exp(-pi y R^2) and T1 >= 2 (R + 1/(2 pi y)) exp(-pi y R^2), so no R <= r
-    # will do; r is infinite where the bound over tol overflows: too fine for floats
-    r = math.sqrt(max(0.0, math.log(2 * (a0 + a1 / (2 * math.pi * y)) / tol)) / (math.pi * y))
-    R = max(1, math.floor(2 * min(r, 401))) / 2
-    while R <= 400 and a0 * _tail(y, R, 0) + a1 * _tail(y, R, 1) >= tol:
-        R += 0.5
-    if R > 400:
+def _moment_tail(y, R, e):
+    """T1(y, R) of _row_windows, given e = exp(-pi y R^2), elementwise."""
+    r = np.maximum(R, 1 / np.sqrt(2 * math.pi * y))
+    return 2 * r * np.exp(-math.pi * y * r * r) + e / (math.pi * y)
+
+
+def _window_radius(y, a0, a1, tol) -> np.ndarray:
+    """The smallest R in {1/2, 1, 3/2, ...} with a0 T0(y, R) + a1 T1(y, R) < tol,
+    elementwise over arrays that broadcast together."""
+    y, tol = np.asarray(y, dtype=float), np.asarray(tol, dtype=float)
+    if not 0 < tol.min() <= tol.max() < math.inf:  # NaN fails too
+        bad = tol[~((0 < tol) & (tol < math.inf))]
+        raise ValueError(f"tol must be positive and finite, not {bad[0]}")
+    moment = np.any(a1)
+    with np.errstate(over="ignore", divide="ignore"):
+        # T0 >= 2 exp(-pi y R^2) and T1 >= 2 (R + 1/(2 pi y)) exp(-pi y R^2), so
+        # no R <= r will do; r is infinite where the bound over tol overflows:
+        # too fine for floats
+        weight = a0 + a1 / (2 * math.pi * y) if moment else a0
+        r = np.sqrt(np.maximum(0.0, np.log(2 * weight / tol)) / (math.pi * y))
+    R = np.maximum(1, np.floor(2 * np.minimum(r, 401))) / 2
+    # the bound falls as R grows, so the first of eight steps of 1/2 that
+    # meets tol is where stepping one at a time would stop
+    steps = _STEPS.reshape((-1,) + (1,) * R.ndim)
+    ny, n2y = -math.pi * y, -2 * math.pi * y
+    while True:
+        Rs = R + steps
+        e = np.exp(ny * Rs * Rs)
+        bound = a0 * (2 * e / -np.expm1(n2y * Rs))  # a0 T0(y, R)
+        if moment:
+            bound = bound + a1 * _moment_tail(y, Rs, e)
+        met = bound < tol
+        found = met.any(0)
+        if found.all():
+            R = R + met.argmax(0) / 2
+            break
+        R = np.where(found, R + met.argmax(0) / 2, Rs[-1] + 0.5)
+        if (R[~found] > 400).all():
+            break
+    if (R > 400).any():
         raise ValueError("tolerance unreachable at this tau")
     return R
 
 
-def _row_windows(Y: np.ndarray, tol: float, degree: int = 0) -> tuple[float, float, float, float]:
-    """(s, t, R1, R2): the sums keep each x with |x1| <= R1, |x2 + t x1| <= R2;
-    the terms exp(-pi x.Y.x) they drop, in degree 1 times |x1| + |x2| (which
-    bounds a gradient component's), sum to less than tol.
+def _row_windows(Y: np.ndarray, tol, degree: int = 0):
+    """(s, t, R1, R2) for Im tau or a stack Y (..., 2, 2) of them, each of
+    the stack's shape, and tol a float or one per point: the sums keep each
+    x with |x1| <= R1, |x2 + t x1| <= R2; the terms exp(-pi x.Y.x) they
+    drop, in degree 1 times |x1| + |x2| (which bounds a gradient
+    component's), sum to less than tol.
 
     Completing the square, x.Y.x = s x1^2 + y22 w^2 with w = x2 + t x1,
     s = det Y / y22 and t = y12 / y22.  For y > 0 and v in any u + Z, the
@@ -531,13 +580,21 @@ def _row_windows(Y: np.ndarray, tol: float, degree: int = 0) -> tuple[float, flo
     c M1(s) T0(y22, R2) + M0(s) T1(y22, R2).  Each radius is the smallest
     half-integer that puts its part below tol/2.
     """
-    y11, y12, y22 = float(Y[0, 0]), float(Y[0, 1]), float(Y[1, 1])
+    y11, y12, y22 = Y[..., 0, 0], Y[..., 0, 1], Y[..., 1, 1]
     t = y12 / y22
     s = y11 - y12 * t
-    c, m0y, m0s = 1 + abs(t), 1 + 1 / math.sqrt(y22), 1 + 1 / math.sqrt(s)
-    rows = (_tail(y22, 0.0, 1), c * m0y) if degree else (m0y, 0.0)
-    cols = (c * _tail(s, 0.0, 1), m0s) if degree else (m0s, 0.0)
-    return s, t, _window_radius(s, *rows, tol / 2), _window_radius(y22, *cols, tol / 2)
+    # both radii in one call: R1 over s, R2 over y22, each bound weighed by
+    # the other variable's window sums
+    ys = np.array([s, y22])
+    m0 = (1 + 1 / np.sqrt(ys))[::-1]  # M0(y22), M0(s)
+    if degree:
+        c = 1 + np.abs(t)
+        m1 = _moment_tail(ys, 0.0, 1.0)  # M1 = T1(y, 0)
+        a0, a1 = np.array([m1[1], c * m1[0]]), np.array([c * m0[0], m0[1]])
+    else:
+        a0, a1 = m0, 0.0
+    R1, R2 = _window_radius(ys, a0, a1, np.asarray(tol, dtype=float) / 2)
+    return s, t, R1, R2
 
 
 # i^(b.m'') = i^(m'.m'') (-1)^(a.m'') for b = 2a + m', indexed by m' and m''
@@ -553,112 +610,235 @@ _PARITY_PHASES = np.array([(1, 1j, -1, -1j)[(c1 * e + c2 * f) % 4]
                           ).reshape(4, 2, 2, 2, 2)
 _PARITY_PHASES.flags.writeable = False
 
+# the cells of one chunk of a lattice pass: its transients peak near 40
+# bytes a cell, so a pass over any stack of points stays below what one
+# point with radii near 80 took as a single block; larger chunks save little
+# time and raise verify all's peak resident memory (0.8 MB at 1 << 14)
+_CELL_BUDGET = 1 << 12
 
-def _window_block(tau, t, R1, R2, h1, h2):
-    """x1, x2 and the weighted terms exp(pi i x.tau.x) of the windows of
-    _row_windows at x = (a1 + h1, a2 + h2) with x1 >= 0, h1 and h2 each 0 or
-    1/2 (or arrays of shape (classes, 1, 1), one block per class).
+
+def _runs(sizes) -> list:
+    """Consecutive runs [lo, hi) of items of these sizes, laid end to end:
+    each run lies within one block of _CELL_BUDGET cells, or is a single item
+    that crosses the end of a block."""
+    ends = np.cumsum(sizes)
+    if not len(sizes) or ends[-1] <= _CELL_BUDGET:
+        return [(0, len(sizes))] if len(sizes) else []
+    first, last = (ends - sizes) // _CELL_BUDGET, (ends - 1) // _CELL_BUDGET
+    cuts = (np.flatnonzero(np.diff(first) | np.diff(last)) + 1).tolist()
+    return list(zip([0, *cuts], [*cuts, len(sizes)]))
+
+
+def _window_rows(t, R2, count, cols, h1, h2):
+    """The rows of a lattice pass over points with windows (t, R1, R2) and
+    _grid(R1, R2) = (count, cols), one entry per point, in each class
+    x = (a1 + h1, a2 + h2), h1 and h2 one entry per class, each 0 or 1/2:
+    each row's point, x1, the x2 it starts at and its width, ordered by
+    point, then class, then x1; and the index of the first row of each
+    (point, class).
 
     x -> -x maps each window to its mirror and keeps each term, so the rows
     x1 >= 0 stand for all: they run over an even number of a1 from 0 and
     hold x1 <= R1, and the row x1 = 0 of an integral class (h1 = 0), its own
-    mirror, is weighted 1/2.  Each row starts at an even a2, and an even
-    number of columns, at least 2 R2 + 2, holds its window.  With the
-    mirrors, the block weighs every window point by 1 and every padding
-    point by 1/2 or 1, so the part of the lattice sum it misses is at most
-    the dropped tail that _row_windows bounds."""
-    rows = math.floor(R1) + 1
-    x1 = np.arange(rows + rows % 2)[:, None] + h1
-    a2 = np.floor(-t * x1 - R2 - h2)
-    x2 = (a2 - a2 % 2 + h2) + np.arange(2 * math.ceil(R2) + 2)
-    # the terms of x.tau.x as in the defining sum, so the rounding of each
-    # term's phase does not depend on where its window starts; the x2^2 term
-    # goes into the real and imaginary parts through one float array, which
-    # keeps each term's rounding and the transients near twice the block
-    block = 2 * tau[0, 1] * x1 * x2
-    block += tau[0, 0] * x1 * x1
-    part = np.multiply(tau[1, 1].real, x2)
-    part *= x2
-    block.real += part
-    np.multiply(tau[1, 1].imag, x2, out=part)
-    part *= x2
-    block.imag += part
-    block *= 1j * math.pi
-    np.exp(block, out=block)
-    block[..., :1, :] *= np.where(x1[..., :1, :], 1.0, 0.5)
-    return x1, x2, block
+    mirror, is weighted 1/2 (by _row_sums).  Each row starts at an even a2,
+    and an even number of columns, at least 2 R2 + 2, holds its window.
+    With the mirrors, the rows weigh every window point by 1 and every
+    padding point by 1/2 or 1, so the part of the lattice sum they miss is
+    at most the dropped tail that _row_windows bounds."""
+    k = len(h1)
+    count = np.repeat(count, k)  # the rows of each (point, class)
+    first = np.cumsum(count) - count
+    group = np.repeat(np.arange(len(count)), count)
+    point, cls = group // k, group % k
+    x1 = (np.arange(len(group)) - first[group]) + h1[cls]
+    shift = h2[cls]
+    a2 = np.floor(-t[point] * x1 - R2[point] - shift)
+    start = a2 - a2 % 2 + shift
+    return point, x1, start, cols[point], first
+
+
+def _grid(R1, R2) -> tuple:
+    """The rows x1 >= 0 of a class at each point, floor(R1) + 1 made even,
+    and the cells of each of its rows, an even number at least 2 R2 + 2."""
+    return 2 * (np.floor(R1).astype(np.int64) // 2) + 2, 2 * np.ceil(R2).astype(np.int64) + 2
+
+
+def _row_terms(tau, point, x1, start, width):
+    """x2 and the terms exp(pi i x.tau.x) of the cells of these rows, at
+    tau[point] for each row, as flat arrays, row after row.
+
+    Each term is formed as in the defining sum,
+    tau11 x1^2 + 2 tau12 x1 x2 + tau22 x2^2, from per-row coefficients, so
+    its bits depend neither on where its row starts nor on the other rows.
+    The real and imaginary parts go through float arrays of one entry a
+    cell, each freed once it is written into the terms."""
+    t = tau[point]
+    c0 = t[:, 0, 0] * x1 * x1
+    c1 = 2 * t[:, 0, 1] * x1
+    t22 = t[:, 1, 1]
+    x2 = np.repeat(start - (np.cumsum(width) - width), width)
+    x2 += np.arange(len(x2), dtype=float)
+    terms = np.empty(len(x2), dtype=complex)
+    # pi i (u + i v) = -pi v + pi i u, each product exact but for its rounding
+    for out, scale, lin, const, quad in ((terms.imag, math.pi, c1.real, c0.real, t22.real),
+                                         (terms.real, -math.pi, c1.imag, c0.imag, t22.imag)):
+        part = np.repeat(lin, width)
+        part *= x2
+        part += np.repeat(const, width)
+        square = np.repeat(quad, width)
+        square *= x2
+        square *= x2
+        part += square
+        del square
+        np.multiply(part, scale, out=out)
+        del part
+    np.exp(terms, out=terms)
+    return x2, terms
+
+
+def _chunk_sums(tau, point, x1, start, width) -> np.ndarray:
+    """The sums of _row_sums for these rows, from one block of their terms."""
+    _, terms = _row_terms(tau, point, x1, start, width)
+    # rows start at an even a2, so the cells pair up as a2 even, a2 odd
+    return np.add.reduceat(terms.reshape(-1, 2), (np.cumsum(width) - width) // 2, axis=0)
+
+
+def _row_sums(tau, t, R1, R2, h1, h2):
+    """The lattice pass over the points tau (n, 2, 2) with windows
+    (t, R1, R2), in the classes (h1, h2) of _window_rows.  Yields, for runs
+    of consecutive points lo:hi, the first row of each (point, class),
+    counted from the run's, and each row's sums of its terms by the parity
+    of a2, as (rows, 2), the row x1 = 0 weighted 1/2.  Runs of points and
+    the chunks of whole rows whose terms are built at once each hold about
+    _CELL_BUDGET cells, and each row is summed alone, so the pass peaks near
+    one chunk whatever the stack."""
+    count, cols = _grid(R1, R2)
+    for lo, hi in _runs(len(h1) * count * cols):
+        point, x1, start, width, first = _window_rows(t[lo:hi], R2[lo:hi], count[lo:hi],
+                                                      cols[lo:hi], h1, h2)
+        sums = np.concatenate([_chunk_sums(tau[lo:hi], point[a:b], x1[a:b], start[a:b], width[a:b])
+                               for a, b in _runs(width)])
+        sums[x1 == 0] *= 0.5
+        yield lo, hi, first, sums
 
 
 @lru_cache(maxsize=128)
 def _theta_sums(ms: bytes, point: bytes, shape: tuple, tol: float) -> np.ndarray:
     """The read-only values of theta_values for the int64 characteristics and
-    the complex point with these bytes (the point of this shape)."""
-    m = np.frombuffer(ms, dtype=np.int64).reshape(-1, 4)
-    tau = np.frombuffer(point, dtype=complex).reshape(shape)
-    _, t, R1, R2 = _row_windows(tau.imag, tol)
-    red = m % 2
-    signs = 1 - 2 * ((red[:, :2] * (m[:, 2:] // 2)).sum(1) % 2)
-    codes = 2 * red[:, 0] + red[:, 1]
-    # one block per class m' mod 2 that ms needs, with x = b/2 = a + m'/2
-    classes = np.flatnonzero(np.bincount(codes, minlength=4))
-    h1, h2 = (classes // 2 / 2)[:, None, None], (classes % 2 / 2)[:, None, None]
-    _, _, block = _window_block(tau, t, R1, R2, h1, h2)
-    # each block summed over the four parity classes of (a1, a2)
-    n, r, w = block.shape
-    parts = np.zeros((4, 2, 2), dtype=complex)
-    parts[classes] = block.reshape(n, r // 2, 2, w // 2, 2).sum((1, 3))
-    sums = (_PARITY_PHASES * parts[:, None, None]).sum((3, 4))  # by m' mod 2, then m'' mod 2
-    values = signs * sums[codes, red[:, 2], red[:, 3]]
+    the complex points with these bytes (a point or stack of this shape)."""
+    tau = np.frombuffer(point, dtype=complex).reshape(-1, 2, 2)
+    h1, h2, index, weights = _class_weights(ms)
+    values = np.zeros((len(tau), len(index)), dtype=complex)
+    if len(h1):
+        _, t, R1, R2 = _row_windows(tau.imag, tol)
+        for lo, hi, first, sums in _row_sums(tau, t, R1, R2, h1, h2):
+            # each (point, class) summed over the four parity classes of
+            # (a1, a2): its rows come in pairs a1 even, a1 odd
+            parts = np.add.reduceat(sums.reshape(-1, 4), first // 2, axis=0)
+            values[lo:hi] = (parts.reshape(hi - lo, len(h1), 4)[:, index] * weights).sum(-1)
+    values = values.reshape(shape[:-2] + (len(index),))
     values.flags.writeable = False
     return values
 
 
-def theta_gradient(m, tau, tol: float = 1e-12) -> np.ndarray:
+@lru_cache(maxsize=16)
+def _class_weights(ms: bytes):
+    """For the int64 characteristics with these bytes: the shifts (h1, h2) =
+    m'/2 of each class m' mod 2 they need, the index of each one's class
+    among those, and the weights of its class's four parity parts (a1 mod 2,
+    a2 mod 2): the phases of _PARITY_PHASES times the reduction sign
+    (-1)^(m'.k'') for m = m mod 2 + 2k."""
+    m = np.frombuffer(ms, dtype=np.int64).reshape(-1, 4)
+    red = m % 2
+    signs = 1 - 2 * ((red[:, :2] * (m[:, 2:] // 2)).sum(1) % 2)
+    codes = 2 * red[:, 0] + red[:, 1]
+    classes = np.flatnonzero(np.bincount(codes, minlength=4))
+    weights = signs[:, None] * _PARITY_PHASES[codes, red[:, 2], red[:, 3]].reshape(-1, 4)
+    weights.flags.writeable = False
+    return classes // 2 / 2, classes % 2 / 2, np.searchsorted(classes, codes), weights
+
+
+def theta_gradient(m, tau, tol=1e-12) -> np.ndarray:
     """grad_z theta[m](tau, 0) / 2 pi i for an odd genus-2 characteristic m,
     the sum of x exp(pi i x.tau.x) i^(b.m'') over x = b/2, each component
-    with its discarded tail below tol.
+    with its discarded tail below tol, at tau or at each point of a stack
+    (..., 2, 2): shape (..., 2), from one lattice pass.  tol is a float, or
+    an array of one tol per point (broadcast to the stack).
 
     Unreduced m are reduced as in theta_values, and the sum runs over the
-    windows of _row_windows in degree 1, in theta_values' block of the rows
-    x1 >= 0, whose rows start at even a2: i^(b.m'') is a row phase times a
-    column phase.  As x -> -x multiplies i^(b.m'') by (-1)^(m'.m'') = -1,
-    the summand is even, so twice the block's sum is the sum over its points
-    and their mirrors, which weighs every window point by 1 and every
-    padding point by a weight in [0, 1]: the tail bound holds.  As in
-    theta_values, the pass is cached on the bytes of m and tau, and tol;
+    windows of _row_windows in degree 1, in theta_values' rows x1 >= 0,
+    which start at even a2: i^(b.m'') is a row phase times a column phase
+    that depends on a2 mod 2 alone.  As x -> -x multiplies i^(b.m'') by
+    (-1)^(m'.m'') = -1, the summand is even, so twice the rows' sum is the
+    sum over their points and their mirrors, which weighs every window
+    point by 1 and every padding point by a weight in [0, 1]: the tail
+    bound holds.  As in theta_values, the pass is cached on the bytes of m
+    and tau, tau's shape, and tol (a tuple of floats for per-point tols);
     each call returns a fresh array.
     """
     m = tuple(int(v) for v in m)
     if genus_of(m) != 2 or parity(m) != "odd":
         raise ValueError(f"theta_gradient takes an odd genus-2 characteristic, not {m}")
-    tau = np.asarray(tau, dtype=complex)
-    check_siegel_point(tau)
+    tau = _points(tau)
+    if np.ndim(tol):
+        tol = tuple(np.broadcast_to(np.asarray(tol, dtype=float), tau.shape[:-2]).ravel().tolist())
     return _gradient_sums(np.array(m, dtype=np.int64).tobytes(), tau.tobytes(),
                           tau.shape, tol).copy()
 
 
 @lru_cache(maxsize=128)
-def _gradient_sums(char: bytes, point: bytes, shape: tuple, tol: float) -> np.ndarray:
+def _gradient_sums(char: bytes, point: bytes, shape: tuple, tol) -> np.ndarray:
     """The read-only value of theta_gradient for the int64 characteristic and
-    the complex point with these bytes (the point of this shape)."""
+    the complex points with these bytes (a point or stack of this shape), at
+    tol, a float or a tuple of one per point."""
     m = np.frombuffer(char, dtype=np.int64).tolist()
-    tau = np.frombuffer(point, dtype=complex).reshape(shape)
+    tau = np.frombuffer(point, dtype=complex).reshape(-1, 2, 2)
     _, t, R1, R2 = _row_windows(tau.imag, tol, degree=1)
-    red = [v % 2 for v in m]
-    sign = -1 if (red[0] * (m[2] // 2) + red[1] * (m[3] // 2)) % 2 else 1
-    x1, x2, block = _window_block(tau, t, R1, R2, red[0] / 2, red[1] / 2)
-    phase = np.array([1, 1j, -1, -1j])
-    block *= phase[(2 * x1).astype(np.int64) * red[2] % 4]
-    block *= phase[(2 * x2[0]).astype(np.int64) * red[3] % 4]
-    # the summand is even in x, so the half block with its mirror is twice it
-    grad = 2 * sign * np.array([(x1 * block).sum(), (x2 * block).sum()])
+    sign = -1 if (m[0] % 2 * (m[2] // 2) + m[1] % 2 * (m[3] // 2)) % 2 else 1
+    count, cols = _grid(R1, R2)
+    grad = np.concatenate([_gradient_run(tau[lo:hi], t[lo:hi], R2[lo:hi], count[lo:hi],
+                                         cols[lo:hi], m)
+                           for lo, hi in _runs(count * cols)])
+    # the summand is even in x, so the rows with their mirrors give twice it
+    grad = (2 * sign * grad).reshape(shape[:-2] + (2,))
     grad.flags.writeable = False
     return grad
 
 
-def fz_eval(tau, tol: float = 1e-12) -> complex:
-    """Numeric value of the six-theta product."""
-    return complex(np.prod(theta_values(FZ_TUPLE, tau, tol)))
+_PHASES = np.array([1, 1j, -1, -1j])  # i^k at k mod 4
+
+
+def _gradient_run(tau, t, R2, count, cols, m) -> np.ndarray:
+    """The sums of x exp(pi i x.tau.x) i^(b.m'') over the rows x1 >= 0 of
+    these points, as (points, 2), from one block of their terms.  The row
+    x1 = 0 is weighted 1/2 and each term takes a row phase times a column
+    phase (the rows start at an even a2), and each point's weighted terms are
+    summed as one contiguous run, pairwise as numpy sums an array, as the
+    pass of the point alone would."""
+    red = [v % 2 for v in m]
+    local, x1, start, width, first = _window_rows(t, R2, count, cols, np.array([red[0] / 2]),
+                                                  np.array([red[1] / 2]))
+    x2, terms = _row_terms(tau, local, x1, start, width)
+    at = np.cumsum(width) - width
+    for a, w in zip(at[x1 == 0].tolist(), width[x1 == 0].tolist()):
+        terms[a:a + w] *= 0.5
+    terms *= np.repeat(_PHASES[(2 * x1).astype(np.int64) * red[2] % 4], width)
+    pairs = terms.reshape(-1, 2)  # a2 even, a2 odd: b2 = m2' + 2 a2 mod 4
+    pairs *= _PHASES[(red[1] + 2 * np.arange(2)) * red[3] % 4]
+    rows, cells = [*first.tolist(), len(x1)], [*at[first].tolist(), len(terms)]
+    grad = np.empty((len(tau), 2), dtype=complex)
+    for p in range(len(tau)):
+        run = slice(cells[p], cells[p + 1])
+        x1p = np.repeat(x1[rows[p]:rows[p + 1]], width[rows[p]:rows[p + 1]])
+        grad[p] = (x1p * terms[run]).sum(), (x2[run] * terms[run]).sum()
+    return grad
+
+
+def fz_eval(tau, tol: float = 1e-12):
+    """Numeric value of the six-theta product at tau (a complex), or at each
+    point of a stack (..., 2, 2) (an array of the stack's shape)."""
+    value = np.prod(theta_values(FZ_TUPLE, tau, tol), axis=-1)
+    return complex(value) if value.ndim == 0 else value
 
 
 # ---------------------------------------------------------------------------
@@ -897,34 +1077,58 @@ def igusa_residuals(ms, M: np.ndarray, tau, tol: float = 1e-12) -> tuple:
     for an odd or empty tuple, and where a factor is below tol on either
     side: there the product vanishes at evaluation precision (the ten-theta
     product on the diagonal locus, say) and the check could not fail.
+
+    M may be a stack (..., 4, 4) and tau a stack (..., 2, 2); they broadcast,
+    and both residuals are then arrays of the broadcast shape, the second
+    NaN where a single call gives None.  One lattice pass serves the images
+    and one the points tau, whatever the stack.
     """
     for m in ms:
         if parity(m) != "even":
             raise ValueError(f"odd characteristic {m} vanishes identically")
-    table = _level2_table(M)
-    eighths = np.array([table.eighths[_code(m, table.n)] for m in ms], dtype=np.int64)
+    M = np.asarray(M)
+    lead = M.shape[:-2]
+    tables = [_level2_table(A) for A in M.reshape(-1, *M.shape[-2:])]
+    n = M.shape[-1]
+    chars = np.asarray(ms, dtype=np.int64) if len(ms) else np.zeros((0, n), dtype=np.int64)
+    if chars.ndim != 2 or chars.shape[1] != n:
+        raise ValueError(f"characteristics do not have {n} entries")
+    codes = (chars % 2) @ (1 << np.arange(n - 1, -1, -1))
+    eighths = np.array([table.eighths for table in tables])[:, codes].reshape(lead + (len(ms),))
+    ksq = np.array([-1 if table.kappa else 1 for table in tables]).reshape(lead + (1,))
     tau = np.asarray(tau, dtype=complex)
     mtau = apply_moebius(M, tau)
-    det_j = complex(np.linalg.det(cocycle(M, tau)))
-    ksq = -1 if table.kappa else 1
-    th_m = theta_values([tuple(v % 2 for v in m) for m in ms], mtau, tol)
+    det_j = np.linalg.det(cocycle(M, tau))
+    th_m = theta_values(chars % 2, mtau, tol)
     th_0 = theta_values(ms, tau, tol)
     phases = np.exp(1j * np.pi * eighths / 2)
-    squared = float(np.abs(th_m ** 2 - ksq * phases * det_j * th_0 ** 2).max(initial=0.0))
-    if not len(ms) or len(ms) % 2 or min(np.abs(th_m).min(), np.abs(th_0).min()) <= tol:
-        return squared, None
-    # relative to the larger side, so that a wrong root of unity reads O(1)
-    # however small the product, and the cocycle power inflates nothing
-    num = np.prod(th_m)
-    den = np.prod(th_0) * det_j ** (len(ms) // 2)
-    chi = character_value(_exponent(table, ms))
-    return squared, float(abs(num - chi * den) / max(abs(num), abs(den)))
+    squared = np.abs(th_m ** 2 - ksq * phases * det_j[..., None] * th_0 ** 2).max(-1, initial=0.0)
+    tup = np.full(squared.shape, np.nan)
+    if len(ms) and not len(ms) % 2:
+        # relative to the larger side, so that a wrong root of unity reads O(1)
+        # however small the product, and the cocycle power inflates nothing
+        num = np.prod(th_m, axis=-1)
+        den = np.prod(th_0, axis=-1) * det_j ** (len(ms) // 2)
+        chi = np.array([character_value(_EIGHTHS[(sum(table.weights[c] for c in codes.tolist())
+                                                     + 4 * (len(ms) // 2) * table.kappa) % 8])
+                        for table in tables]).reshape(lead)
+        small = np.minimum(np.abs(th_m).min(-1), np.abs(th_0).min(-1)) <= tol
+        with np.errstate(invalid="ignore", divide="ignore"):
+            ratio = np.abs(num - chi * den) / np.maximum(np.abs(num), np.abs(den))
+        tup = np.where(small, np.nan, ratio)
+    if squared.ndim:
+        return squared, tup
+    return float(squared), None if np.isnan(tup) else float(tup)
 
 
-def verify_igusa_transformation(ms, M: np.ndarray, tau, tol: float = 1e-12) -> float:
-    """The larger of the two residuals of ``igusa_residuals``."""
+def verify_igusa_transformation(ms, M: np.ndarray, tau, tol: float = 1e-12):
+    """The larger of the two residuals of ``igusa_residuals`` (an array for
+    stacks, as there)."""
     squared, tup = igusa_residuals(ms, M, tau, tol)
-    return squared if tup is None else max(squared, tup)
+    if tup is None:
+        return squared
+    worst = np.fmax(squared, tup)
+    return float(worst) if worst.ndim == 0 else worst
 
 
 # ---------------------------------------------------------------------------

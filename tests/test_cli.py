@@ -77,6 +77,52 @@ def test_reports_deterministic():
     assert strip(reports1) == strip(reports2)
 
 
+def _all_lru_caches():
+    """Every lru_cache of the package's modules."""
+    import sys
+
+    return [fn for name, mod in list(sys.modules.items())
+            if name == "siegelz" or name.startswith("siegelz.")
+            for fn in vars(mod).values() if hasattr(fn, "cache_clear")]
+
+
+def test_report_json_equals_an_asdict_dump(monkeypatch, tmp_path, capsys):
+    """--out writes each report through a shallow field dict: the file is
+    byte for byte the dump of the same reports through dataclasses.asdict."""
+    from dataclasses import asdict
+
+    from siegelz import cli
+
+    real, seen = cli.run, []
+    monkeypatch.setattr(cli, "run", lambda cfg: seen.append(real(cfg)) or seen[-1])
+    out = tmp_path / "all.json"
+    assert main(["all", "--out", str(out)]) == 1
+    ((reports, _),) = seen
+    payload = {"schema": cli.SCHEMA,
+               "config": {"primes": [3, 5, 7, 11, 13], "order": 200, "tol": 1e-8,
+                          "suites": ["all"]},
+               "reports": [asdict(r) for r in reports]}
+    assert out.read_text() == json.dumps(payload, indent=2) + "\n"
+
+
+def test_verify_all_reports_do_not_depend_on_warm_caches(tmp_path, capsys):
+    """Two `verify all --out` runs in one process, the first with every
+    cache of the package cleared and the second on the caches it left,
+    give the same reports apart from their runtimes: no cached stack, pass
+    or series depends on the order it was asked for in."""
+    for fn in _all_lru_caches():
+        fn.cache_clear()
+    texts = []
+    for name in ("cold.json", "warm.json"):
+        assert main(["all", "--out", str(tmp_path / name)]) == 1
+        texts.append(json.loads((tmp_path / name).read_text()))
+    for payload in texts:
+        for r in payload["reports"]:
+            assert r.pop("runtime") >= 0
+    assert len(texts[0]["reports"]) == 60 and texts[0] == texts[1]
+    assert sum(fn.cache_info().hits for fn in _all_lru_caches()) > 0
+
+
 def test_ez_suite_passes_at_the_given_tolerance():
     def level48_status(tol):
         reports, _ = run(RunConfig(selected_suites=["ez"], numeric_tol=tol))
@@ -173,8 +219,10 @@ def _spy_genus2_products(monkeypatch):
 def test_verify_all_builds_each_exact_object_once(monkeypatch):
     """One run of every suite never builds F_Z and makes no genus-2 product
     (both degeneration claims multiply the factors' degenerations in genus
-    1), runs the theta lattice pass once per distinct (tau, tol,
-    characteristics) and splits the six-tuples into orbits once."""
+    1), asks for each theta lattice pass once, one per claim's stack of
+    points, and runs it once per distinct (tau, tol, characteristics), so a
+    second run in the process runs none, and splits the six-tuples into
+    orbits once."""
     import numpy as np
 
     from siegelz import theta
@@ -198,9 +246,11 @@ def test_verify_all_builds_each_exact_object_once(monkeypatch):
     assert products == []
     # each miss of the pass's cache is one lattice pass
     passes = theta._theta_sums.cache_info().misses
-    assert passes == len(set(keys)) < len(keys)
+    assert passes == len(set(keys)) == len(keys)
     info = theta.orbit_decomposition.cache_info()
     assert (info.misses, info.hits) == (1, 2)
+    assert run(RunConfig())[1] == 1
+    assert len(keys) == 2 * passes and theta._theta_sums.cache_info().misses == passes
 
 
 def test_no_fz_build_above_the_phi_match_order(monkeypatch):
@@ -330,7 +380,7 @@ def test_g_triple_weil_claim_fails_on_a_wrong_eigenvalue(monkeypatch):
     from siegelz import cli, cmform
     from siegelz.arith import GaussInt
 
-    monkeypatch.setattr(cmform, "gauss_primary_decompose", lambda p: GaussInt(p, 0))
+    monkeypatch.setattr(cmform, "_split_primary", lambda p: GaussInt(p, 0))
     cmform._g_hecke.cache_clear()
     try:
         reports = cli.suite_g_triple(RunConfig(), {})

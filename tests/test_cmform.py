@@ -118,6 +118,38 @@ def test_hecke_build_matches_trial_division(order):
     assert g_expansion("hecke_character", order).a == expected
 
 
+def test_hecke_build_trusts_its_sieve_and_equals_a_build_through_a_p(monkeypatch):
+    """_g_hecke reads a_p at the primes its sieve found through cmform._a_p,
+    with no primality test; routing each read through the public a_p, which
+    checks every prime, gives the same expansion at 3000, and a_p still
+    rejects what is not an odd prime."""
+    tests = []
+    for module in (arith, cmform):
+        real_is_prime = module.is_prime
+        monkeypatch.setattr(module, "is_prime", lambda n, f=real_is_prime: tests.append(n) or f(n))
+    cmform._g_hecke.cache_clear()
+    fast = cmform._g_hecke(3000)
+    assert tests == []
+    monkeypatch.undo()
+
+    real, public, reads = cmform._a_p, cmform.a_p, []
+
+    def through_a_p(p):
+        reads.append(p)
+        with monkeypatch.context() as inner:
+            inner.setattr(cmform, "_a_p", real)
+            return public(p)
+
+    monkeypatch.setattr(cmform, "_a_p", through_a_p)
+    cmform._g_hecke.cache_clear()
+    checked = cmform._g_hecke(3000)
+    cmform._g_hecke.cache_clear()
+    assert reads == odd_primes(3000) and checked == fast
+    for bad in (1, 2, 9, 15, 3001 * 3):
+        with pytest.raises(ValueError):
+            cmform.a_p(bad)
+
+
 def _theta_product_by_squares(order):
     """The theta-product build with each factor squared before it is
     multiplied in: the reference for the factor-by-factor build."""

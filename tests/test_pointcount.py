@@ -337,6 +337,29 @@ def test_birational_map_matches_the_pointwise_loop(monkeypatch):
             assert error == _raised(_reference_birational_map, p)
 
 
+def test_a_map_that_merges_two_images_is_no_bijection(monkeypatch):
+    """The distinct images are counted on their own: a phi_image that sends
+    the second point of U1 to the first one's image lowers distinct_images
+    by one and makes bijective False.  The round trip would stop at the
+    merged point first, so phi_inverse is patched to replay the inverse of
+    the unmerged images, row for row."""
+    honest = {p: verify_birational_map(p) for p in (3, 13)}
+    real_image, real_inverse = pointcount.phi_image, pointcount.phi_inverse
+    unmerged = []
+
+    def merged(t, z, p):
+        w = real_image(t, z, p)
+        unmerged.append(w)
+        return tuple(np.concatenate([v[:1], v[:1], v[2:]]) for v in w)
+
+    monkeypatch.setattr(pointcount, "phi_image", merged)
+    monkeypatch.setattr(pointcount, "phi_inverse", lambda w, p: real_inverse(unmerged[-1], p))
+    for p, want in honest.items():
+        got = verify_birational_map(p)
+        assert got["distinct_images"] == want["distinct_images"] - 1 == got["u1_count"] - 1
+        assert not got["bijective"] and want["bijective"]
+
+
 def test_boundary_lines_match_the_pointwise_loop():
     for p in ODD_PRIMES_TO_41:
         assert verify_boundary_lines(p, True) == _reference_boundary_lines(p, True)

@@ -268,16 +268,18 @@ def test_ez_eval_takes_one_gradient_of_theta_1011(monkeypatch):
 
 
 def test_verify_ez_takes_each_gradient_pass_once(monkeypatch):
-    """verify ez evaluates E_Z again at its sample points: the gradient pass
-    runs once per distinct (m, tau, tol), and every call returns a fresh
-    array that its caller may write to."""
+    """verify ez evaluates E_Z again at its stack of sample points in every
+    claim: the gradient pass runs once per distinct (m, tau, tol), tol one
+    per point of the stack, and every call returns a fresh array that its
+    caller may write to."""
     from siegelz.cli import RunConfig, run
 
     keys, grads = [], []
     real = soudry.theta_gradient
 
     def spy(m, tau, tol=1e-12):
-        keys.append((tuple(m), np.asarray(tau, dtype=complex).tobytes(), tol))
+        keys.append((tuple(m), np.asarray(tau, dtype=complex).tobytes(),
+                     np.asarray(tol, dtype=float).tobytes()))
         grads.append(real(m, tau, tol))
         return grads[-1]
 
@@ -296,6 +298,32 @@ def test_verify_ez_takes_each_gradient_pass_once(monkeypatch):
     assert np.array_equal(again, want)
     assert np.array_equal(again, theta._gradient_sums.__wrapped__(
         np.array(ODD_CHAR, dtype=np.int64).tobytes(), tau.tobytes(), tau.shape, 1e-10))
+
+
+def test_e_z_on_a_stack_equals_its_points_one_by_one():
+    """ez_eval, two_form_pullback and ez_two_form_check on stacks give each
+    point the bits of its single call, on the `ez` claims' samples (the
+    level-(4,8) words and the stabilizer generators at the three sample
+    points) and at the ill-conditioned images; a single point keeps the
+    shapes and types of a single call."""
+    words = np.stack(random_gamma48_elements(10, seed=3, small_c=True) + gammaZ_generators())
+    pts = np.stack(EZ_SAMPLE_POINTS)
+    checks = ez_two_form_check(words[:, None], pts, 1e-13)
+    pulled = two_form_pullback(words[:, None], pts, 1e-13)
+    assert checks.shape == (15, 3) and pulled.shape == (15, 3, 3)
+    for k, g in enumerate(words):
+        for j, tau in enumerate(pts):
+            assert checks[k, j] == ez_two_form_check(g, tau, 1e-13)
+            assert np.array_equal(pulled[k, j], two_form_pullback(g, tau, 1e-13))
+    far = np.stack([*EZ_SAMPLE_POINTS, *_ill_conditioned_points()])
+    here = ez_eval(far, 1e-9)
+    assert all(h.shape == (6,) for h in here)
+    for j, tau in enumerate(far):
+        single = ez_eval(tau, 1e-9)
+        assert all(np.ndim(h) == 0 and isinstance(h, complex) for h in single)
+        assert np.array_equal(np.stack(here, -1)[j], _vec(single))
+    assert type(ez_two_form_check(words[0], pts[0], 1e-13)) is float
+    assert two_form_pullback(words[0], pts[0], 1e-13).shape == (3,)
 
 
 def test_e1e6_sign_is_the_odd_theta_pair_character():

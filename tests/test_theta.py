@@ -542,55 +542,110 @@ def test_theta_gradient_tail_bound_against_a_tighter_evaluation():
 
 
 def test_window_block_holds_one_term_of_each_mirror_pair():
-    """The block has no row x1 < 0, holds every window point of its rows, and
-    is the defining term exp(pi i x.tau.x), bit for bit, weighted 1/2 on the
-    row x1 = 0, and only there, where h1 = 0: alone and stacked by class."""
-    for tau in (TAU_GENERIC, _ill_conditioned_points()[0]):
-        _, t, R1, R2 = theta._row_windows(tau.imag, 1e-13)
-        h = np.array([0, 0.5])
-        h1, h2 = np.repeat(h, 2)[:, None, None], np.tile(h, 2)[:, None, None]
-        stacked = theta._window_block(tau, t, R1, R2, h1, h2)
-        for c, (a, b) in enumerate(itertools.product(h, h)):
-            for x1, x2, block in (theta._window_block(tau, t, R1, R2, a, b),
-                                  [part[c] for part in stacked]):
-                assert x1[0, 0] == a and x1.min() >= 0 and x1.max() >= R1
-                # the points just outside each row are outside its window
-                assert np.all(x2[:, :1] - 1 < -t * x1 - R2) and np.all(x2[:, -1:] + 1 > -t * x1 + R2)
-                terms = np.exp(1j * np.pi * (tau[0, 0] * x1 * x1 + 2 * tau[0, 1] * x1 * x2
-                                             + tau[1, 1] * x2 * x2))
-                weight = np.ones_like(x1)
-                weight[0] = 0.5 if a == 0 else 1
-                assert np.array_equal(block, weight * terms), (a, b)
+    """The rows have no x1 < 0 and hold every window point, and each cell
+    is the defining term exp(pi i x.tau.x), bit for bit, at a point alone
+    and in a stack, in every class; the row x1 = 0 is weighted 1/2, and
+    only there, where h1 = 0."""
+    points = np.stack([TAU_GENERIC, _ill_conditioned_points()[0]])
+    _, t, R1, R2 = theta._row_windows(points.imag, 1e-13)
+    h = np.array([0, 0.5])
+    h1, h2 = np.repeat(h, 2), np.tile(h, 2)
+    stacked = theta._window_rows(t, R2, *theta._grid(R1, R2), h1, h2)
+    point, x1, start, width, first = stacked
+    for p in range(len(points)):
+        for c, (a, b) in enumerate(zip(h1, h2)):
+            alone = theta._window_rows(t[p:p + 1], R2[p:p + 1], *theta._grid(R1[p:p + 1], R2[p:p + 1]),
+                                       h1[c:c + 1], h2[c:c + 1])
+            rows = slice(first[4 * p + c], first[4 * p + c] + len(alone[1]))
+            for got, want in zip(stacked[1:4], alone[1:4]):
+                assert np.array_equal(got[rows], want)
+            assert np.all(point[rows] == p)
+            r1, s2, w = alone[1], alone[2], alone[3]
+            assert r1[0] == a and r1.min() >= 0 and r1.max() >= R1[p] and len(r1) % 2 == 0
+            assert np.all(w % 2 == 0) and np.all((s2 - b) % 2 == 0)
+            # the points just outside each row are outside its window
+            assert np.all(s2 - 1 < -t[p] * r1 - R2[p]) and np.all(s2 + w > -t[p] * r1 + R2[p])
+    # the terms of the stack's rows, and of the second point's rows alone
+    for tau, rows, local in ((points, point >= 0, point),
+                             (points[1:], point == 1, point[point == 1] - 1)):
+        x2, terms = theta._row_terms(tau, local, x1[rows], start[rows], width[rows])
+        assert np.array_equal(x2, np.concatenate([s + np.arange(w) for s, w in
+                                                  zip(start[rows], width[rows])]))
+        X1, T = np.repeat(x1[rows], width[rows]), tau[np.repeat(local, width[rows])]
+        want = np.exp(1j * np.pi * (T[:, 0, 0] * X1 * X1 + 2 * T[:, 0, 1] * X1 * x2
+                                    + T[:, 1, 1] * x2 * x2))
+        assert np.array_equal(terms, want)
+    # the weights of _row_sums: 1/2 on the row x1 = 0, 1 elsewhere
+    ((lo, hi, _, sums),) = theta._row_sums(points[:1], t[:1], R1[:1], R2[:1], h1, h2)
+    rows = point == 0
+    x1 = x1[rows]
+    _, terms = theta._row_terms(points[:1], point[rows], x1, start[rows], width[rows])
+    plain = np.add.reduceat(terms.reshape(-1, 2), (np.cumsum(width[rows]) - width[rows]) // 2)
+    assert (lo, hi) == (0, 1) and np.count_nonzero(x1 == 0) == 2  # the integral classes
+    assert np.array_equal(sums, np.where(x1 == 0, 0.5, 1.0)[:, None] * plain)
+
+
+def _pass_cells(monkeypatch):
+    """The cell counts of the chunks of terms that the passes build."""
+    cells = []
+    build = theta._row_terms
+
+    def recorded(*args):
+        x2, terms = build(*args)
+        cells.append(len(terms))
+        return x2, terms
+
+    monkeypatch.setattr(theta, "_row_terms", recorded)
+    return cells
+
+
+def _peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# the largest single block of the six-theta claim before passes were chunked:
+# two classes of 82 rows of 160 cells at the isotropic ill-conditioned image
+_ONE_POINT_BLOCK = 16 * 2 * 82 * 160
 
 
 def test_theta_values_pass_peaks_near_its_block(monkeypatch):
     """An uncached pass at the isotropic ill-conditioned image (rows up to
-    R1 = 80, windows of R2 = 78.5) builds one block of the rows x1 >= 0 per
-    class and allocates at most 2.5 times that complex block at its peak:
-    the block is built in place."""
+    R1 = 80, windows of R2 = 78.5) sums the rows x1 >= 0 of its two classes,
+    82 rows of 160 cells each, and allocates at most 2.5 times their complex
+    bytes at its peak: the terms are built in place, in chunks."""
     tau = _ill_conditioned_points()[2]
     assert theta._row_windows(tau.imag, 1e-13)[2:] == (80, 78.5)
-    shapes = []
-    build = theta._window_block
-
-    def recorded(*args):
-        x1, x2, block = build(*args)
-        shapes.append(block.shape)
-        return x1, x2, block
-
-    monkeypatch.setattr(theta, "_window_block", recorded)
+    cells = _pass_cells(monkeypatch)
     theta._theta_sums.cache_clear()
-    tracemalloc.start()
-    try:
-        theta_values(FZ_TUPLE, tau, 1e-13)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _peak(theta_values, FZ_TUPLE, tau, 1e-13)
     classes = len({(m[0] % 2, m[1] % 2) for m in FZ_TUPLE})
-    # the rows 0 <= a1 <= 80 and one more for an even count; 2 * 79 + 2 columns
-    assert shapes == [(classes, 82, 160)]
-    block_bytes = 16 * classes * 82 * 160
-    assert peak <= 2.5 * block_bytes, peak / block_bytes
+    assert sum(cells) == classes * 82 * 160 and len(cells) > 1
+    assert max(cells) <= theta._CELL_BUDGET + 160
+    assert peak <= 2.5 * _ONE_POINT_BLOCK, peak / _ONE_POINT_BLOCK
+
+
+def test_a_stacked_pass_peaks_no_higher_than_one_point(monkeypatch):
+    """One pass over 33 points, the level-(4,8) images of the six-theta
+    claim and the ill-conditioned images, for all 16 characteristics, or
+    the gradient over them, builds over nine times the cells of the largest
+    single point in chunks of the cell budget, and peaks below the bound
+    that point's pass keeps."""
+    points = np.stack(_level48_images() + _ill_conditioned_points())
+    allchars = list(itertools.product((0, 1), repeat=4))
+    cells = _pass_cells(monkeypatch)
+    theta._theta_sums.cache_clear()
+    peak = _peak(theta_values, allchars, points, 1e-13)
+    assert sum(cells) > 9 * _ONE_POINT_BLOCK / 16
+    assert max(cells) <= theta._CELL_BUDGET + 2 * 79 + 2
+    assert peak <= 2.5 * _ONE_POINT_BLOCK, peak / _ONE_POINT_BLOCK
+    theta._gradient_sums.cache_clear()
+    peak = _peak(theta_gradient, (1, 0, 1, 1), points, 1e-15)
+    assert peak <= 2.5 * _ONE_POINT_BLOCK, peak / _ONE_POINT_BLOCK
 
 
 def _siegel_points_by_eigenvalues():
@@ -824,6 +879,117 @@ def test_wrong_character_fails_the_tuple_part_where_the_product_is_small(monkeyp
     monkeypatch.setattr(theta, "character_value", lambda t: 1j * real(t))
     wrong = [igusa_residuals(evens, M, tau, 1e-13)[1] for M in words]
     assert max(right) < 1e-8 and min(wrong) > 0.1
+
+
+# ---------------------------------------------------------------------------
+# stacks of points
+
+def _claim_samples():
+    """(M, tau, characteristics) of every evaluation of theta-table: its two
+    points under the 20 level-2 words of claim 1, TAU_GENERIC under the ten
+    generators (claim 2), and the two points under the 15 elements of claim 4."""
+    evens = even_characteristics(2)
+    samples = [(M, tau, evens) for M in random_gamma2_elements(20, seed=1) for tau in (TAU_A, TAU_B)]
+    samples += [(M, TAU_GENERIC, evens) for M in E_GENERATORS]
+    samples += [(M, tau, FZ_TUPLE) for M in gammaZ_generators() + random_gamma48_elements(10, seed=2)
+                for tau in (TAU_A, TAU_B)]
+    return samples
+
+
+def test_a_stack_equals_its_points_one_by_one():
+    """apply_moebius, cocycle, theta_values and fz_eval on a stack, of one
+    or two stack axes, give each point the bits of its single call, at every
+    claim sample of theta-table and the ill-conditioned level-(4,8) images;
+    theta_gradient with one tol per point gives each point the bits of a
+    single call at its tol."""
+    samples = _claim_samples()
+    Ms, taus = np.stack([s[0] for s in samples]), np.stack([s[1] for s in samples])
+    images, cocycles = apply_moebius(Ms, taus), cocycle(Ms, taus)
+    for k, (M, tau, _) in enumerate(samples):
+        assert np.array_equal(images[k], apply_moebius(M, tau))
+        assert np.array_equal(cocycles[k], cocycle(M, tau))
+    points = np.concatenate([images, np.stack(_ill_conditioned_points() + list(GRADIENT_POINTS))])
+    grid = points.reshape(3, 29, 2, 2)
+    allchars = list(itertools.product((0, 1), repeat=4))
+    values, fz = theta_values(allchars, grid, 1e-13), fz_eval(grid, 1e-13)
+    assert values.shape == (3, 29, 16) and fz.shape == (3, 29)
+    tols = np.geomspace(1e-15, 1e-9, 87).reshape(3, 29)
+    grads = theta_gradient((1, 0, 1, 1), grid, tols)
+    assert grads.shape == (3, 29, 2)
+    for (i, j), tau in zip(np.ndindex(3, 29), points):
+        assert np.array_equal(values[i, j], theta_values(allchars, tau, 1e-13))
+        assert fz[i, j] == fz_eval(tau, 1e-13)
+        assert np.array_equal(grads[i, j], theta_gradient((1, 0, 1, 1), tau, float(tols[i, j])))
+
+
+def test_single_points_keep_their_shapes_and_stacks_broadcast():
+    """A single point is a stack of one with the shapes and types of a
+    single call; matrices (..., 4, 4) and points (..., 2, 2) broadcast."""
+    evens = even_characteristics(2)
+    assert theta_values(FZ_TUPLE, TAU_B).shape == (6,)
+    assert theta_gradient((1, 0, 1, 1), TAU_B).shape == (2,)
+    assert type(fz_eval(TAU_B)) is complex
+    assert apply_moebius(E6, TAU_B).shape == cocycle(E6, TAU_B).shape == (2, 2)
+    squared, tup = igusa_residuals(evens, E6, TAU_B, 1e-13)
+    assert type(squared) is float and type(tup) is float
+    assert igusa_residuals(evens, E6, TAU_A, 1e-13)[1] is None
+    assert type(verify_igusa_transformation(evens, E6, TAU_B, 1e-13)) is float
+    Ms = np.stack(random_gamma2_elements(3, seed=1))[:, None]  # (3, 1, 4, 4)
+    pts = np.stack([TAU_A, TAU_B])  # (2, 2, 2)
+    images = apply_moebius(Ms, pts)
+    assert images.shape == (3, 2, 2, 2) and cocycle(Ms, pts).shape == (3, 2, 2, 2)
+    assert theta_values(FZ_TUPLE, images).shape == (3, 2, 6)
+    assert theta_values([], images).shape == (3, 2, 0)
+    assert fz_eval(images).shape == (3, 2)
+    assert theta_gradient((1, 0, 1, 1), images, np.array([1e-12, 1e-10])).shape == (3, 2, 2)
+    with pytest.raises(ValueError):
+        theta_gradient((1, 0, 1, 1), images, np.array([1e-12, 1e-11, 1e-10]))
+    squared, tup = igusa_residuals(evens, Ms, pts, 1e-13)
+    assert squared.shape == tup.shape == verify_igusa_transformation(evens, Ms, pts, 1e-13).shape == (3, 2)
+
+
+def test_check_siegel_point_names_the_bad_point_of_a_stack():
+    """A stack passes when every point does; one bad point is named by its
+    index, the first one when there are more, with the reason a single call
+    gives, which names no index; the lattice passes check their stacks."""
+    good = np.stack([TAU_A, TAU_B, TAU_GENERIC, TAU_A])
+    check_siegel_point(good)
+    check_siegel_point(good.reshape(2, 2, 2, 2))
+    asym, flat = good.copy(), good.copy()
+    asym[2, 0, 1] += 1
+    flat[3] = flat[3].real - 1j * flat[3].imag
+    flat[1, 1, 1] = 0.1j
+    for stack, message in ((asym, "period matrix must be symmetric at point 2"),
+                           (flat, "imaginary part must be positive definite at point 1")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check_siegel_point(stack)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            theta_values(FZ_TUPLE, stack)
+    with pytest.raises(ValueError, match=r"^imaginary part must be positive definite at point \(1, 1\)$"):
+        check_siegel_point(np.concatenate([good[:3], flat[3:]]).reshape(2, 2, 2, 2))
+    with pytest.raises(ValueError, match="^imaginary part must be positive definite$"):
+        check_siegel_point(flat[3])
+    with pytest.raises(ValueError, match="^period matrix must be 2x2$"):
+        theta_gradient((1, 0, 1, 1), np.array([2j, 1j]))
+
+
+def test_igusa_residuals_on_a_stack_give_nan_where_a_point_gives_none():
+    """On claim 1's 20 words by its two points, the stacked residuals are
+    the single calls', with NaN for the tuple part where a single call gives
+    None: at TAU_A, where the ten-theta product vanishes, so 20 tuple checks
+    remain; an odd tuple gives NaN everywhere."""
+    evens = even_characteristics(2)
+    words = random_gamma2_elements(20, seed=1)
+    squared, tup = igusa_residuals(evens, np.stack(words)[:, None], np.stack([TAU_A, TAU_B]), 1e-13)
+    worst = verify_igusa_transformation(evens, np.stack(words)[:, None], np.stack([TAU_A, TAU_B]), 1e-13)
+    for k, M in enumerate(words):
+        for j, tau in enumerate((TAU_A, TAU_B)):
+            s1, t1 = igusa_residuals(evens, M, tau, 1e-13)
+            assert squared[k, j] == s1
+            assert np.isnan(tup[k, j]) if t1 is None else tup[k, j] == t1
+            assert worst[k, j] == verify_igusa_transformation(evens, M, tau, 1e-13)
+    assert np.isnan(tup[:, 0]).all() and np.count_nonzero(~np.isnan(tup)) == 20
+    assert np.isnan(igusa_residuals(evens[:3], np.stack(words), TAU_B, 1e-13)[1]).all()
 
 
 def kappa_squared(M: np.ndarray) -> int:

@@ -87,41 +87,40 @@ def ez_eval(tau, tol: float = 1e-10) -> VectorValue:
     truncations, so
     |S_i S_j - S~_i S~_j| <= |S_i - S~_i| |S_j| + |S~_i| |S_j - S~_j| <= tol.
     """
-    tau = np.asarray(tau, dtype=complex)
-    if tau.shape[-2:] != (2, 2):
-        raise ValueError("period matrix must be 2x2")
-    # theta_gradient checks tau; a bad point only makes these tols NaN first
-    with np.errstate(invalid="ignore", divide="ignore"):
-        a = math.pi * np.linalg.eigvalsh(tau.imag)[..., 0]
-        bound = (1 / a + 2 / np.sqrt(2 * math.e * a)) * (np.sqrt(math.pi / a) + 1)
-    tols = tol / (2 * bound)
-    s = -1j * theta_gradient((1, 0, 1, 1), tau, tols if tols.ndim else float(tols))
-    h = _cmul(s[..., [0, 0, 1]], s[..., [0, 1, 1]])
-    return VectorValue(*(h[..., k][()] for k in range(3)))
-
-
-def _cmul(a, b):
-    """a b for complex arrays by the textbook formula, each product rounded
-    on its own, as numpy multiplies two complex scalars; its array loop
-    fuses them.  So a point of a stack gets the bits of its single call."""
-    return (np.asarray(a.real * b.real - a.imag * b.imag)
-            + 1j * (a.real * b.imag + a.imag * b.real))
+    tau = theta._points(tau)
+    a = math.pi * np.linalg.eigvalsh(tau.imag)[..., 0]
+    bound = (1 / a + 2 / np.sqrt(2 * math.e * a)) * (np.sqrt(math.pi / a) + 1)
+    s = -1j * theta_gradient((1, 0, 1, 1), tau, tol / (2 * bound))
+    # the products of E_Z and of its 2-form run a point at a time on Python
+    # complex numbers, a few dozen a point, so that a point of a stack gets
+    # the bits of its single call: a numpy loop over an array may round a
+    # complex product otherwise than one over a scalar
+    h = [(s1 * s1, s1 * s2, s2 * s2) for s1, s2 in s.reshape(-1, 2).tolist()]
+    if tau.ndim == 2:
+        return VectorValue(*h[0])
+    return VectorValue(*(np.array(c).reshape(tau.shape[:-2]) for c in zip(*h)))
 
 
 # ---------------------------------------------------------------------------
 # the 2-form and its pullback
 
-# the products of (d tau1, d tau2, d tau3) in M^-1 = (m11, m12, m21, m22):
-# d tau1 = (m11^2, 2 m11 m21, m21^2), d tau2 = (m11 m12, m11 m22 + m12 m21,
-# m21 m22) and d tau3 = (m12^2, 2 m12 m22, m22^2), the factors 2 m11 and
-# 2 m12 at 4 and 5
-_FORM_LEFT = np.array([0, 4, 2, 0, 0, 1, 2, 1, 5, 3])
-_FORM_RIGHT = np.array([0, 2, 2, 1, 3, 2, 3, 1, 3, 3])
-_FORM_TERMS = np.array([0, 1, 2, 3, 4, 6, 7, 8, 9])  # with 5 added to 4
-# a ^ b in the basis (w12, w13, w23) is (a0 b1 - a1 b0, a0 b2 - a2 b0,
-# a1 b2 - a2 b1), for the pairs (dt1, dt2), (dt1, dt3) and (dt2, dt3)
-_WEDGE_LEFT = (np.repeat([0, 0, 1], 6), np.tile([0, 1, 0, 2, 1, 2], 3))
-_WEDGE_RIGHT = (np.repeat([1, 2, 2], 6), np.tile([1, 0, 2, 0, 2, 1], 3))
+def _wedge_coefficients(a, b) -> tuple:
+    """Coefficients of a ^ b in the basis (w12, w13, w23) for 1-forms given
+    in the basis (d tau1, d tau2, d tau3)."""
+    return (a[0] * b[1] - a[1] * b[0], a[0] * b[2] - a[2] * b[0], a[1] * b[2] - a[2] * b[1])
+
+
+def _pulled_form(m11: complex, m12: complex, m21: complex, m22: complex,
+                 h0: complex, h1: complex, h2: complex) -> tuple:
+    """h0 dt1^dt2 + h1 dt1^dt3 + h2 dt2^dt3 with (dt1, dt2, dt3) the images
+    of (d tau1, d tau2, d tau3) under M^-1 = [[m11, m12], [m21, m22]], in
+    the basis (w12, w13, w23)."""
+    dt1 = (m11 * m11, 2 * m11 * m21, m21 * m21)
+    dt2 = (m11 * m12, m11 * m22 + m12 * m21, m21 * m22)
+    dt3 = (m12 * m12, 2 * m12 * m22, m22 * m22)
+    w12, w13, w23 = (_wedge_coefficients(dt1, dt2), _wedge_coefficients(dt1, dt3),
+                     _wedge_coefficients(dt2, dt3))
+    return tuple(h0 * a + h1 * b + h2 * c for a, b, c in zip(w12, w13, w23))
 
 
 def two_form_pullback(gamma: np.ndarray, tau, tol: float = 1e-10) -> np.ndarray:
@@ -134,31 +133,32 @@ def two_form_pullback(gamma: np.ndarray, tau, tol: float = 1e-10) -> np.ndarray:
     invariant one for the weight (3,1) transformation of the lattice sum;
     it pins the orientation of the third basis element to d tau2 ^ d tau3.
     """
+    pulled, shape = _pulled_forms(gamma, tau, tol)
+    return np.array(pulled).reshape(shape + (3,))
+
+
+def _pulled_forms(gamma, tau, tol: float) -> tuple:
+    """The coefficients of two_form_pullback as one tuple a point, and the
+    broadcast shape of the stacks."""
     tau = np.asarray(tau, dtype=complex)
-    gtau = apply_moebius(gamma, tau)
-    h = ez_eval(gtau, tol)
+    h = np.array(ez_eval(apply_moebius(gamma, tau), tol))  # (3, ...), as gamma tau
     M = np.linalg.inv(cocycle(gamma, tau))
-    m = np.moveaxis(M.reshape(M.shape[:-2] + (4,)), -1, 0)
-    m = np.concatenate([m, 2 * m[:2]])
-    p = _cmul(m[_FORM_LEFT], m[_FORM_RIGHT])
-    dt = p[_FORM_TERMS]
-    dt[4] += p[5]  # m11 m22 + m12 m21
-    dt = dt.reshape((3, 3) + dt.shape[1:])
-    q = _cmul(dt[_WEDGE_LEFT], dt[_WEDGE_RIGHT])
-    wedges = (q[0::2] - q[1::2]).reshape((3, 3) + q.shape[1:])
-    # h0 dt1^dt2 + h1 dt1^dt3 + h2 dt2^dt3, summed in that order
-    pulled = (np.array(h)[:, None] * wedges).sum(0)
-    return np.moveaxis(pulled, 0, -1)
+    pulled = [_pulled_form(*m, *hk)
+              for m, hk in zip(M.reshape(-1, 4).tolist(), h.reshape(3, -1).T.tolist())]
+    return pulled, M.shape[:-2]
 
 
 def ez_two_form_check(gamma: np.ndarray, tau, tol: float = 1e-10):
     """Max component residual of 2-form invariance under gamma at tau: a
     float, or an array of the broadcast shape for stacks as in
     two_form_pullback, with E_Z evaluated once at the stack tau itself."""
-    pulled = two_form_pullback(gamma, tau, tol)
-    here = np.stack(ez_eval(tau, tol), -1)
-    worst = np.abs(pulled - here).max(-1)
-    return float(worst) if worst.ndim == 0 else worst
+    pulled, shape = _pulled_forms(gamma, tau, tol)
+    here = np.array(ez_eval(tau, tol))  # (3, ...), as tau
+    if shape:
+        here = np.broadcast_to(np.moveaxis(here, 0, -1), shape + (3,))
+    worst = [max(abs(p - q) for p, q in zip(row, at))
+             for row, at in zip(pulled, here.reshape(-1, 3).tolist())]
+    return np.array(worst).reshape(shape) if shape else worst[0]
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -280,12 +281,37 @@ def siegel_point(t1: complex, t2: complex, t3: complex) -> np.ndarray:
     return tau
 
 
+def _isclose(x: complex, y: complex) -> bool:
+    """np.isclose(x, y) at its defaults, rtol 1e-5 and atol 1e-8, on scalars."""
+    return x == y or (cmath.isfinite(y) and abs(x - y) <= 1e-8 + 1e-5 * abs(y))
+
+
+def _point_fault(t11: complex, t12: complex, t21: complex, t22: complex) -> str | None:
+    """Why the 2x2 matrix with these entries is no point of the Siegel upper
+    half space, or None: it must be symmetric (by np.allclose(tau, tau.T))
+    with positive definite imaginary part."""
+    if not (_isclose(t11, t11) and _isclose(t22, t22)
+            and _isclose(t12, t21) and _isclose(t21, t12)):
+        return "period matrix must be symmetric"
+    y00, y01, y10, y11 = t11.imag, t12.imag, t21.imag, t22.imag
+    # leading principal minors; where rounding could flip the sign of the
+    # determinant (within 8 eps of its two products, or not finite), the LU
+    # determinant decides, so exactly the points np.linalg.det accepts pass
+    det = y00 * y11 - y01 * y10
+    if y00 > 0 and not abs(det) > 8 * sys.float_info.epsilon * (
+            abs(y00 * y11) + abs(y01 * y10)) + 1e-300:
+        det = np.linalg.det(np.array([[y00, y01], [y10, y11]]))
+    if y00 <= 0 or det <= 0:
+        return "imaginary part must be positive definite"
+    return None
+
+
 def check_siegel_point(tau: np.ndarray):
     """Raise ValueError unless tau is a point of the upper half plane, or a
-    2x2 period matrix, or a stack (..., 2, 2) of them, each symmetric (by
-    np.isclose(tau, tau.T) at its defaults) with positive definite imaginary
-    part (Im tau_11 > 0 and np.linalg.det(Im tau) > 0).  For a stack the
-    message names the first bad point's index."""
+    2x2 period matrix, or a stack (..., 2, 2) of them, each passing
+    _point_fault's test.  For a stack the message names the first bad
+    point's index.  The test runs on Python scalars, a point at a time: a
+    few microseconds a point, against a dozen numpy calls for one point."""
     tau = np.asarray(tau, dtype=complex)
     if tau.shape == ():
         if tau.imag <= 0:
@@ -293,27 +319,14 @@ def check_siegel_point(tau: np.ndarray):
         return
     if tau.shape[-2:] != (2, 2):
         raise ValueError("period matrix must be 2x2")
-    v = tau.reshape(-1, 4)
-    Y = v.imag
-    x, y = v[:, 1], v[:, 2]
-    det = np.linalg.det(Y.reshape(-1, 2, 2))
-    if ((x == y) & (Y[:, 0] > 0) & (det > 0)).all() and not np.isnan(v).any():
-        return
-    sym = x == y
-    # np.isclose both ways: within 1e-8 + 1e-5 times the smaller modulus
-    with np.errstate(invalid="ignore", over="ignore"):
-        sym |= np.isfinite(x) & np.isfinite(y) & (
-            np.abs(x - y) <= 1e-8 + 1e-5 * np.minimum(np.abs(x), np.abs(y)))
-    sym &= ~np.isnan(v).any(1)  # a NaN is not close to itself
-    bad = ~sym | (Y[:, 0] <= 0) | (det <= 0)
-    if bad.any():
-        k = int(bad.argmax())
-        message = ("imaginary part must be positive definite" if sym[k]
-                   else "period matrix must be symmetric")
-        if tau.ndim > 2:
-            where = np.unravel_index(k, tau.shape[:-2])
-            message += f" at point {int(where[0]) if len(where) == 1 else tuple(map(int, where))}"
-        raise ValueError(message)
+    for k, entries in enumerate(tau.reshape(-1, 4).tolist()):
+        message = _point_fault(*entries)
+        if message:
+            if tau.ndim > 2:
+                where = np.unravel_index(k, tau.shape[:-2])
+                at = int(where[0]) if len(where) == 1 else tuple(map(int, where))
+                message += f" at point {at}"
+            raise ValueError(message)
 
 
 def _points(tau) -> np.ndarray:
@@ -478,8 +491,8 @@ def theta_eval(m, tau, tol: float = 1e-12) -> complex:
 def theta_values(ms, tau, tol: float = 1e-12) -> np.ndarray:
     """Numeric genus-2 theta constants theta[m](tau) for every m in ms, each
     with its discarded tail below tol, at a period matrix tau or at each
-    point of a stack (..., 2, 2): shape (..., len(ms)), from one lattice
-    pass for the whole stack.
+    point of a stack (..., 2, 2): shape (..., len(ms)), from one cached
+    lattice pass over the whole stack, a point at a time.
 
     The pass sums exp(pi i x.tau.x) over the lattice x = b/2,
     b = 2a + (m' mod 2), for each class m' mod 2 that ms needs: at each
@@ -487,14 +500,14 @@ def theta_values(ms, tau, tol: float = 1e-12) -> np.ndarray:
     that _row_windows proves enough there (the ellipsoid of Im tau, not a
     square box at its smallest eigenvalue).  As x -> -x keeps each term and
     maps the windows to themselves, each term of the rows stands for x and
-    -x (see _window_rows).  Each characteristic is the sum of its class's
+    -x (see _point_rows).  Each characteristic is the sum of its class's
     rows weighted by the phases i^(b.m'') of x and -x, times the reduction
     sign (-1)^(m'.k'') for m = m mod 2 + 2k: a sum around its reduced shift
     in which every window point has weight 1 and every padding point a
     weight in [0, 1], so the tail bound holds.  The phases are exact, so
     only the order of summation differs from one sum per characteristic,
-    and each row is summed alone, so a point of a stack gets the bits of
-    its own single call.  The pass is cached on the bytes and shape of tau,
+    and each point is summed on its own, so a point of a stack gets the
+    bits of its own single call.  The pass is cached on the bytes and shape of tau,
     the bytes of the characteristics, and tol; each call returns a fresh
     array.
     """
@@ -505,60 +518,39 @@ def theta_values(ms, tau, tol: float = 1e-12) -> np.ndarray:
     return _theta_sums(m.tobytes(), tau.tobytes(), tau.shape, tol).copy()
 
 
-# eight radii tried at once by _window_radius, on a leading axis
-_STEPS = np.arange(8) / 2
-
-
-def _moment_tail(y, R, e):
-    """T1(y, R) of _row_windows, given e = exp(-pi y R^2), elementwise."""
-    r = np.maximum(R, 1 / np.sqrt(2 * math.pi * y))
-    return 2 * r * np.exp(-math.pi * y * r * r) + e / (math.pi * y)
-
-
-def _window_radius(y, a0, a1, tol) -> np.ndarray:
+def _window_radius(y: float, a0: float, a1: float, tol: float) -> float:
     """The smallest R in {1/2, 1, 3/2, ...} with a0 T0(y, R) + a1 T1(y, R) < tol,
-    elementwise over arrays that broadcast together."""
-    y, tol = np.asarray(y, dtype=float), np.asarray(tol, dtype=float)
-    if not 0 < tol.min() <= tol.max() < math.inf:  # NaN fails too
-        bad = tol[~((0 < tol) & (tol < math.inf))]
-        raise ValueError(f"tol must be positive and finite, not {bad[0]}")
-    moment = np.any(a1)
-    with np.errstate(over="ignore", divide="ignore"):
-        # T0 >= 2 exp(-pi y R^2) and T1 >= 2 (R + 1/(2 pi y)) exp(-pi y R^2), so
-        # no R <= r will do; r is infinite where the bound over tol overflows:
-        # too fine for floats
-        weight = a0 + a1 / (2 * math.pi * y) if moment else a0
-        r = np.sqrt(np.maximum(0.0, np.log(2 * weight / tol)) / (math.pi * y))
-    R = np.maximum(1, np.floor(2 * np.minimum(r, 401))) / 2
-    # the bound falls as R grows, so the first of eight steps of 1/2 that
-    # meets tol is where stepping one at a time would stop
-    steps = _STEPS.reshape((-1,) + (1,) * R.ndim)
-    ny, n2y = -math.pi * y, -2 * math.pi * y
-    while True:
-        Rs = R + steps
-        e = np.exp(ny * Rs * Rs)
-        bound = a0 * (2 * e / -np.expm1(n2y * Rs))  # a0 T0(y, R)
-        if moment:
-            bound = bound + a1 * _moment_tail(y, Rs, e)
-        met = bound < tol
-        found = met.any(0)
-        if found.all():
-            R = R + met.argmax(0) / 2
-            break
-        R = np.where(found, R + met.argmax(0) / 2, Rs[-1] + 0.5)
-        if (R[~found] > 400).all():
-            break
-    if (R > 400).any():
-        raise ValueError("tolerance unreachable at this tau")
-    return R
+    the tails T0 and T1 of _row_windows."""
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, not {tol}")
+    c = math.pi * y
+    # T0 >= 2 exp(-pi y R^2) and T1 >= 2 (R + 1/(2 pi y)) exp(-pi y R^2), so no R <= r
+    # will do, at the r below and then, as T1's bound grows with R, at the r
+    # it gives with R = r; r is infinite where the bound over tol overflows:
+    # too fine for floats
+    r = math.sqrt(max(0.0, math.log(2 * (a0 + a1 / (2 * c)) / tol)) / c)
+    if a1 and r < 401:
+        r = math.sqrt(max(0.0, math.log(2 * (a0 + a1 * (r + 1 / (2 * c))) / tol)) / c)
+    R = max(1, math.floor(2 * min(r, 401))) / 2
+    peak = 1 / math.sqrt(2 * c)  # where v exp(-pi y v^2) peaks
+    while R <= 400:
+        e = math.exp(-c * R * R)
+        bound = a0 * (2 * e / -math.expm1(-2 * c * R))
+        if a1:
+            p = max(R, peak)
+            bound += a1 * (2 * p * math.exp(-c * p * p) + e / c)
+        if bound < tol:
+            return R
+        R += 0.5
+    raise ValueError("tolerance unreachable at this tau")
 
 
-def _row_windows(Y: np.ndarray, tol, degree: int = 0):
-    """(s, t, R1, R2) for Im tau or a stack Y (..., 2, 2) of them, each of
-    the stack's shape, and tol a float or one per point: the sums keep each
-    x with |x1| <= R1, |x2 + t x1| <= R2; the terms exp(-pi x.Y.x) they
-    drop, in degree 1 times |x1| + |x2| (which bounds a gradient
-    component's), sum to less than tol.
+def _row_windows(Y: np.ndarray, tol, degree: int = 0) -> list:
+    """(s, t, R1, R2) for Im tau, or for each point of a stack Y (..., 2, 2)
+    of them in order, as a list of tuples of floats, and tol a float or one
+    per point: the sums keep each x with |x1| <= R1, |x2 + t x1| <= R2; the
+    terms exp(-pi x.Y.x) they drop, in degree 1 times |x1| + |x2| (which
+    bounds a gradient component's), sum to less than tol.
 
     Completing the square, x.Y.x = s x1^2 + y22 w^2 with w = x2 + t x1,
     s = det Y / y22 and t = y12 / y22.  For y > 0 and v in any u + Z, the
@@ -579,22 +571,32 @@ def _row_windows(Y: np.ndarray, tol, degree: int = 0):
     c T1(s, R1) M0(y22) + T0(s, R1) M1(y22) and
     c M1(s) T0(y22, R2) + M0(s) T1(y22, R2).  Each radius is the smallest
     half-integer that puts its part below tol/2.
+
+    The rule runs a point at a time on Python floats, a few microseconds a
+    point: an array form costs some forty numpy calls whatever the stack,
+    more than the Python loop over the stacks the package evaluates.
     """
-    y11, y12, y22 = Y[..., 0, 0], Y[..., 0, 1], Y[..., 1, 1]
-    t = y12 / y22
-    s = y11 - y12 * t
-    # both radii in one call: R1 over s, R2 over y22, each bound weighed by
-    # the other variable's window sums
-    ys = np.array([s, y22])
-    m0 = (1 + 1 / np.sqrt(ys))[::-1]  # M0(y22), M0(s)
-    if degree:
-        c = 1 + np.abs(t)
-        m1 = _moment_tail(ys, 0.0, 1.0)  # M1 = T1(y, 0)
-        a0, a1 = np.array([m1[1], c * m1[0]]), np.array([c * m0[0], m0[1]])
-    else:
-        a0, a1 = m0, 0.0
-    R1, R2 = _window_radius(ys, a0, a1, np.asarray(tol, dtype=float) / 2)
-    return s, t, R1, R2
+    tols = (np.broadcast_to(np.asarray(tol, dtype=float), Y.shape[:-2]).ravel().tolist()
+            if np.ndim(tol) else itertools.repeat(tol))
+    windows = []
+    for (y11, y12, _, y22), eps in zip(Y.reshape(-1, 4).tolist(), tols):
+        t = y12 / y22
+        s = y11 - y12 * t
+        m0y, m0s = 1 + 1 / math.sqrt(y22), 1 + 1 / math.sqrt(s)
+        if degree:
+            c = 1 + abs(t)
+            rows, cols = (_moment_sum(y22), c * m0y), (c * _moment_sum(s), m0s)
+        else:
+            rows, cols = (m0y, 0.0), (m0s, 0.0)
+        windows.append((s, t, _window_radius(s, *rows, eps / 2),
+                        _window_radius(y22, *cols, eps / 2)))
+    return windows
+
+
+def _moment_sum(y: float) -> float:
+    """M1(y) = T1(y, 0) of _row_windows."""
+    r = 1 / math.sqrt(2 * math.pi * y)
+    return 2 * r * math.exp(-math.pi * y * r * r) + 1 / (math.pi * y)
 
 
 # i^(b.m'') = i^(m'.m'') (-1)^(a.m'') for b = 2a + m', indexed by m' and m''
@@ -610,116 +612,71 @@ _PARITY_PHASES = np.array([(1, 1j, -1, -1j)[(c1 * e + c2 * f) % 4]
                           ).reshape(4, 2, 2, 2, 2)
 _PARITY_PHASES.flags.writeable = False
 
-# the cells of one chunk of a lattice pass: its transients peak near 40
-# bytes a cell, so a pass over any stack of points stays below what one
-# point with radii near 80 took as a single block; larger chunks save little
-# time and raise verify all's peak resident memory (0.8 MB at 1 << 14)
+# the cells of the largest block of terms a pass builds at once: a point's
+# rows are built in chunks of at most this many cells (one row at least),
+# whose transients peak near 60 bytes a cell, so a pass over any stack stays
+# below what a point with radii near 80 took as a single block
 _CELL_BUDGET = 1 << 12
 
 
-def _runs(sizes) -> list:
-    """Consecutive runs [lo, hi) of items of these sizes, laid end to end:
-    each run lies within one block of _CELL_BUDGET cells, or is a single item
-    that crosses the end of a block."""
-    ends = np.cumsum(sizes)
-    if not len(sizes) or ends[-1] <= _CELL_BUDGET:
-        return [(0, len(sizes))] if len(sizes) else []
-    first, last = (ends - sizes) // _CELL_BUDGET, (ends - 1) // _CELL_BUDGET
-    cuts = (np.flatnonzero(np.diff(first) | np.diff(last)) + 1).tolist()
-    return list(zip([0, *cuts], [*cuts, len(sizes)]))
-
-
-def _window_rows(t, R2, count, cols, h1, h2):
-    """The rows of a lattice pass over points with windows (t, R1, R2) and
-    _grid(R1, R2) = (count, cols), one entry per point, in each class
-    x = (a1 + h1, a2 + h2), h1 and h2 one entry per class, each 0 or 1/2:
-    each row's point, x1, the x2 it starts at and its width, ordered by
-    point, then class, then x1; and the index of the first row of each
-    (point, class).
+def _point_rows(t: float, R2: float, count: int, h1, h2):
+    """x1 and the x2 it starts at of each row x1 >= 0 of one point's windows
+    (t, R1, R2), in the classes x = (a1 + h1, a2 + h2), h1 and h2 one entry
+    per class, each 0 or 1/2: count rows a class, class after class, count
+    = floor(R1) + 1 made even.
 
     x -> -x maps each window to its mirror and keeps each term, so the rows
     x1 >= 0 stand for all: they run over an even number of a1 from 0 and
     hold x1 <= R1, and the row x1 = 0 of an integral class (h1 = 0), its own
-    mirror, is weighted 1/2 (by _row_sums).  Each row starts at an even a2,
+    mirror, is weighted 1/2 by the passes.  Each row starts at an even a2,
     and an even number of columns, at least 2 R2 + 2, holds its window.
     With the mirrors, the rows weigh every window point by 1 and every
     padding point by 1/2 or 1, so the part of the lattice sum they miss is
     at most the dropped tail that _row_windows bounds."""
-    k = len(h1)
-    count = np.repeat(count, k)  # the rows of each (point, class)
-    first = np.cumsum(count) - count
-    group = np.repeat(np.arange(len(count)), count)
-    point, cls = group // k, group % k
-    x1 = (np.arange(len(group)) - first[group]) + h1[cls]
-    shift = h2[cls]
-    a2 = np.floor(-t[point] * x1 - R2[point] - shift)
-    start = a2 - a2 % 2 + shift
-    return point, x1, start, cols[point], first
+    x1 = (np.arange(count) + h1[:, None]).ravel()
+    shift = np.repeat(h2, count)
+    a2 = np.floor(-t * x1 - R2 - shift)
+    return x1, a2 - a2 % 2 + shift
 
 
-def _grid(R1, R2) -> tuple:
-    """The rows x1 >= 0 of a class at each point, floor(R1) + 1 made even,
-    and the cells of each of its rows, an even number at least 2 R2 + 2."""
-    return 2 * (np.floor(R1).astype(np.int64) // 2) + 2, 2 * np.ceil(R2).astype(np.int64) + 2
-
-
-def _row_terms(tau, point, x1, start, width):
-    """x2 and the terms exp(pi i x.tau.x) of the cells of these rows, at
-    tau[point] for each row, as flat arrays, row after row.
+def _row_terms(t11: complex, t12: complex, t22: complex, x1, start, width: int):
+    """x2 and the terms exp(pi i x.tau.x) of the cells of these rows of width
+    cells from start, at the point tau with these entries: each (rows, width).
 
     Each term is formed as in the defining sum,
-    tau11 x1^2 + 2 tau12 x1 x2 + tau22 x2^2, from per-row coefficients, so
-    its bits depend neither on where its row starts nor on the other rows.
-    The real and imaginary parts go through float arrays of one entry a
-    cell, each freed once it is written into the terms."""
-    t = tau[point]
-    c0 = t[:, 0, 0] * x1 * x1
-    c1 = 2 * t[:, 0, 1] * x1
-    t22 = t[:, 1, 1]
-    x2 = np.repeat(start - (np.cumsum(width) - width), width)
-    x2 += np.arange(len(x2), dtype=float)
-    terms = np.empty(len(x2), dtype=complex)
-    # pi i (u + i v) = -pi v + pi i u, each product exact but for its rounding
-    for out, scale, lin, const, quad in ((terms.imag, math.pi, c1.real, c0.real, t22.real),
-                                         (terms.real, -math.pi, c1.imag, c0.imag, t22.imag)):
-        part = np.repeat(lin, width)
-        part *= x2
-        part += np.repeat(const, width)
-        square = np.repeat(quad, width)
-        square *= x2
-        square *= x2
-        part += square
-        del square
-        np.multiply(part, scale, out=out)
-        del part
+    tau11 x1^2 + 2 tau12 x1 x2 + tau22 x2^2, so its bits depend neither on
+    where its row starts nor on the other rows."""
+    x2 = start[:, None] + np.arange(width)
+    terms = ((2 * t12) * x1)[:, None] * x2
+    terms += (t11 * x1 * x1)[:, None]
+    square = t22 * x2
+    square *= x2
+    terms += square
+    del square
+    terms *= 1j * math.pi
     np.exp(terms, out=terms)
     return x2, terms
 
 
-def _chunk_sums(tau, point, x1, start, width) -> np.ndarray:
-    """The sums of _row_sums for these rows, from one block of their terms."""
-    _, terms = _row_terms(tau, point, x1, start, width)
-    # rows start at an even a2, so the cells pair up as a2 even, a2 odd
-    return np.add.reduceat(terms.reshape(-1, 2), (np.cumsum(width) - width) // 2, axis=0)
+def _row_chunks(tau, windows, h1, h2):
+    """The lattice pass over the points tau (n, 2, 2) with the windows
+    (s, t, R1, R2) of _row_windows, in the classes (h1, h2) of _point_rows.
+    Yields, point after point, its rows' x1 and an iterator over chunks of
+    its rows, each the chunk's x1 with the x2 and terms of _row_terms.  A chunk holds at
+    most _CELL_BUDGET cells, or one row, so the pass peaks near one chunk
+    whatever the stack; a point's chunks depend on the point alone, so a
+    point of a stack gets the bits of its single call."""
+    for (t11, t12, _, t22), (_, tp, r1, r2) in zip(tau.reshape(-1, 4).tolist(), windows):
+        x1, start = _point_rows(tp, r2, 2 * (int(r1) // 2) + 2, h1, h2)
+        yield x1, _chunks(t11, t12, t22, x1, start, 2 * math.ceil(r2) + 2)
 
 
-def _row_sums(tau, t, R1, R2, h1, h2):
-    """The lattice pass over the points tau (n, 2, 2) with windows
-    (t, R1, R2), in the classes (h1, h2) of _window_rows.  Yields, for runs
-    of consecutive points lo:hi, the first row of each (point, class),
-    counted from the run's, and each row's sums of its terms by the parity
-    of a2, as (rows, 2), the row x1 = 0 weighted 1/2.  Runs of points and
-    the chunks of whole rows whose terms are built at once each hold about
-    _CELL_BUDGET cells, and each row is summed alone, so the pass peaks near
-    one chunk whatever the stack."""
-    count, cols = _grid(R1, R2)
-    for lo, hi in _runs(len(h1) * count * cols):
-        point, x1, start, width, first = _window_rows(t[lo:hi], R2[lo:hi], count[lo:hi],
-                                                      cols[lo:hi], h1, h2)
-        sums = np.concatenate([_chunk_sums(tau[lo:hi], point[a:b], x1[a:b], start[a:b], width[a:b])
-                               for a, b in _runs(width)])
-        sums[x1 == 0] *= 0.5
-        yield lo, hi, first, sums
+def _chunks(t11, t12, t22, x1, start, width):
+    """The chunks of _row_chunks for one point's rows."""
+    step = max(1, _CELL_BUDGET // width)
+    for a in range(0, len(x1), step):
+        rows = slice(a, a + step)
+        yield (x1[rows], *_row_terms(t11, t12, t22, x1[rows], start[rows], width))
 
 
 @lru_cache(maxsize=128)
@@ -730,12 +687,19 @@ def _theta_sums(ms: bytes, point: bytes, shape: tuple, tol: float) -> np.ndarray
     h1, h2, index, weights = _class_weights(ms)
     values = np.zeros((len(tau), len(index)), dtype=complex)
     if len(h1):
-        _, t, R1, R2 = _row_windows(tau.imag, tol)
-        for lo, hi, first, sums in _row_sums(tau, t, R1, R2, h1, h2):
-            # each (point, class) summed over the four parity classes of
-            # (a1, a2): its rows come in pairs a1 even, a1 odd
-            parts = np.add.reduceat(sums.reshape(-1, 4), first // 2, axis=0)
-            values[lo:hi] = (parts.reshape(hi - lo, len(h1), 4)[:, index] * weights).sum(-1)
+        windows = _row_windows(tau.imag, tol)
+        for p, (x1, chunks) in enumerate(_row_chunks(tau, windows, h1, h2)):
+            # each row's sums by the parity of a2: rows start at an even a2,
+            # so the cells pair up as a2 even, a2 odd
+            sums = np.concatenate([
+                np.add.reduceat(terms.reshape(-1, 2), np.arange(0, terms.size // 2, len(x2[0]) // 2))
+                for _, x2, terms in chunks])
+            sums[x1 == 0] *= 0.5  # the row x1 = 0 of an integral class is its own mirror
+            # each class summed over the four parity classes of (a1, a2): its
+            # rows come in pairs a1 even, a1 odd
+            parts = np.add.reduceat(sums.reshape(-1, 4), np.arange(0, len(x1) // 2,
+                                                                   len(x1) // (2 * len(h1))))
+            values[p] = (parts[index] * weights).sum(-1)
     values = values.reshape(shape[:-2] + (len(index),))
     values.flags.writeable = False
     return values
@@ -767,14 +731,15 @@ def theta_gradient(m, tau, tol=1e-12) -> np.ndarray:
 
     Unreduced m are reduced as in theta_values, and the sum runs over the
     windows of _row_windows in degree 1, in theta_values' rows x1 >= 0,
-    which start at even a2: i^(b.m'') is a row phase times a column phase
-    that depends on a2 mod 2 alone.  As x -> -x multiplies i^(b.m'') by
-    (-1)^(m'.m'') = -1, the summand is even, so twice the rows' sum is the
-    sum over their points and their mirrors, which weighs every window
-    point by 1 and every padding point by a weight in [0, 1]: the tail
-    bound holds.  As in theta_values, the pass is cached on the bytes of m
-    and tau, tau's shape, and tol (a tuple of floats for per-point tols);
-    each call returns a fresh array.
+    which start at even a2: i^(b.m'') is a row phase times a phase that
+    depends on a2 mod 2 alone, and each weighted term is summed with x1 and
+    with x2.  As x -> -x multiplies
+    i^(b.m'') by (-1)^(m'.m'') = -1, the summand is even, so twice the rows'
+    sum is the sum over their points and their mirrors, which weighs every
+    window point by 1 and every padding point by a weight in [0, 1]: the
+    tail bound holds.  As in theta_values, the pass is cached on the bytes
+    of m and tau, tau's shape, and tol (a tuple of floats for per-point
+    tols); each call returns a fresh array.
     """
     m = tuple(int(v) for v in m)
     if genus_of(m) != 2 or parity(m) != "odd":
@@ -786,52 +751,48 @@ def theta_gradient(m, tau, tol=1e-12) -> np.ndarray:
                           tau.shape, tol).copy()
 
 
+_PHASES = np.array([1, 1j, -1, -1j])  # i^k at k mod 4
+
+
 @lru_cache(maxsize=128)
 def _gradient_sums(char: bytes, point: bytes, shape: tuple, tol) -> np.ndarray:
     """The read-only value of theta_gradient for the int64 characteristic and
     the complex points with these bytes (a point or stack of this shape), at
     tol, a float or a tuple of one per point."""
-    m = np.frombuffer(char, dtype=np.int64).tolist()
     tau = np.frombuffer(point, dtype=complex).reshape(-1, 2, 2)
-    _, t, R1, R2 = _row_windows(tau.imag, tol, degree=1)
-    sign = -1 if (m[0] % 2 * (m[2] // 2) + m[1] % 2 * (m[3] // 2)) % 2 else 1
-    count, cols = _grid(R1, R2)
-    grad = np.concatenate([_gradient_run(tau[lo:hi], t[lo:hi], R2[lo:hi], count[lo:hi],
-                                         cols[lo:hi], m)
-                           for lo, hi in _runs(count * cols)])
+    sign, h1, h2, column, row_phase = _gradient_weights(char)
+    windows = _row_windows(tau.imag, tol, degree=1)
+    grad = np.zeros((len(tau), 2), dtype=complex)
+    for p, (_, chunks) in enumerate(_row_chunks(tau, windows, h1, h2)):
+        for x1, x2, terms in chunks:
+            # i^(b.m''): a row phase times a phase of a2 mod 2, the rows
+            # starting at an even a2; the row x1 = 0 is its own mirror
+            weight = _PHASES[(2 * x1).astype(np.int64) * row_phase % 4]
+            if not h1[0]:
+                weight[x1 == 0] *= 0.5
+            terms *= weight[:, None]
+            terms.reshape(-1, 2)[:] *= column
+            grad[p, 0] += (x1 * terms.sum(1)).sum()
+            grad[p, 1] += (x2 * terms).sum()
     # the summand is even in x, so the rows with their mirrors give twice it
     grad = (2 * sign * grad).reshape(shape[:-2] + (2,))
     grad.flags.writeable = False
     return grad
 
 
-_PHASES = np.array([1, 1j, -1, -1j])  # i^k at k mod 4
-
-
-def _gradient_run(tau, t, R2, count, cols, m) -> np.ndarray:
-    """The sums of x exp(pi i x.tau.x) i^(b.m'') over the rows x1 >= 0 of
-    these points, as (points, 2), from one block of their terms.  The row
-    x1 = 0 is weighted 1/2 and each term takes a row phase times a column
-    phase (the rows start at an even a2), and each point's weighted terms are
-    summed as one contiguous run, pairwise as numpy sums an array, as the
-    pass of the point alone would."""
+@lru_cache(maxsize=16)
+def _gradient_weights(char: bytes) -> tuple:
+    """For the int64 characteristic m with these bytes: the reduction sign
+    (-1)^(m'.k''), the shifts (h1, h2) = m'/2 of its class, as in
+    _class_weights, the phases i^(b2 m2'') of a2 even and a2 odd, as
+    b2 = m2' + 2 a2 mod 4, and m1'' mod 2, whose row phase is
+    i^(2 x1 m1'')."""
+    m = np.frombuffer(char, dtype=np.int64).tolist()
     red = [v % 2 for v in m]
-    local, x1, start, width, first = _window_rows(t, R2, count, cols, np.array([red[0] / 2]),
-                                                  np.array([red[1] / 2]))
-    x2, terms = _row_terms(tau, local, x1, start, width)
-    at = np.cumsum(width) - width
-    for a, w in zip(at[x1 == 0].tolist(), width[x1 == 0].tolist()):
-        terms[a:a + w] *= 0.5
-    terms *= np.repeat(_PHASES[(2 * x1).astype(np.int64) * red[2] % 4], width)
-    pairs = terms.reshape(-1, 2)  # a2 even, a2 odd: b2 = m2' + 2 a2 mod 4
-    pairs *= _PHASES[(red[1] + 2 * np.arange(2)) * red[3] % 4]
-    rows, cells = [*first.tolist(), len(x1)], [*at[first].tolist(), len(terms)]
-    grad = np.empty((len(tau), 2), dtype=complex)
-    for p in range(len(tau)):
-        run = slice(cells[p], cells[p + 1])
-        x1p = np.repeat(x1[rows[p]:rows[p + 1]], width[rows[p]:rows[p + 1]])
-        grad[p] = (x1p * terms[run]).sum(), (x2[run] * terms[run]).sum()
-    return grad
+    sign = -1 if (red[0] * (m[2] // 2) + red[1] * (m[3] // 2)) % 2 else 1
+    column = _PHASES[(red[1] + 2 * np.arange(2)) * red[3] % 4]
+    column.flags.writeable = False
+    return sign, np.array([red[0] / 2]), np.array([red[1] / 2]), column, red[2]
 
 
 def fz_eval(tau, tol: float = 1e-12):
@@ -931,13 +892,12 @@ def _code(m, n: int) -> int:
 _EIGHTHS = tuple(Fraction(k, 8) for k in range(8))
 
 
-def _exponent(table: _Table, ms) -> Fraction:
-    """The exact character t of the product over ms (pairs of characteristics
-    as wide as the table's matrix) under that matrix."""
-    n, weights = table.n, table.weights
-    t = 4 * (len(ms) // 2) * table.kappa
-    for m in ms:
-        t += weights[_code(m, n)]
+def _exponent(table: _Table, codes) -> Fraction:
+    """The exact character t, under the table's matrix, of the product over
+    the characteristics with these codes (_code), an even number of them."""
+    t = 4 * (len(codes) // 2) * table.kappa
+    for c in codes:
+        t += table.weights[c]
     return _EIGHTHS[t % 8]
 
 
@@ -950,7 +910,8 @@ def slash_character_exact(ms, M: np.ndarray) -> Fraction:
     """
     if len(ms) % 2:
         raise ValueError("need an even number of characteristics")
-    return _exponent(_level2_table(M), ms)
+    table = _level2_table(M)
+    return _exponent(table, [_code(m, table.n) for m in ms])
 
 
 def character_value(t: Fraction) -> complex:
@@ -1060,7 +1021,8 @@ def pair_character_any_parity(m1, m2, M: np.ndarray) -> Fraction:
     reduction sign, and kappa^2 is unchanged (trace D3 - 3 = trace D - 2),
     so the genus-2 table of M gives it.
     """
-    return _exponent(_level2_table(M), (m1, m2))
+    table = _level2_table(M)
+    return _exponent(table, (_code(m1, table.n), _code(m2, table.n)))
 
 
 # ---------------------------------------------------------------------------
@@ -1087,20 +1049,18 @@ def igusa_residuals(ms, M: np.ndarray, tau, tol: float = 1e-12) -> tuple:
         if parity(m) != "even":
             raise ValueError(f"odd characteristic {m} vanishes identically")
     M = np.asarray(M)
-    lead = M.shape[:-2]
-    tables = [_level2_table(A) for A in M.reshape(-1, *M.shape[-2:])]
-    n = M.shape[-1]
-    chars = np.asarray(ms, dtype=np.int64) if len(ms) else np.zeros((0, n), dtype=np.int64)
-    if chars.ndim != 2 or chars.shape[1] != n:
-        raise ValueError(f"characteristics do not have {n} entries")
-    codes = (chars % 2) @ (1 << np.arange(n - 1, -1, -1))
-    eighths = np.array([table.eighths for table in tables])[:, codes].reshape(lead + (len(ms),))
+    lead, n = M.shape[:-2], M.shape[-1]
+    tables = [_level2_table(A) for A in M.reshape(-1, n, n)]
+    codes = [_code(m, n) for m in ms]
+    eighths = np.array([[table.eighths[c] for c in codes] for table in tables],
+                       dtype=np.int64).reshape(lead + (len(ms),))
     ksq = np.array([-1 if table.kappa else 1 for table in tables]).reshape(lead + (1,))
+    chars = np.asarray(ms, dtype=np.int64).reshape(-1, n)
     tau = np.asarray(tau, dtype=complex)
     mtau = apply_moebius(M, tau)
     det_j = np.linalg.det(cocycle(M, tau))
     th_m = theta_values(chars % 2, mtau, tol)
-    th_0 = theta_values(ms, tau, tol)
+    th_0 = theta_values(chars, tau, tol)
     phases = np.exp(1j * np.pi * eighths / 2)
     squared = np.abs(th_m ** 2 - ksq * phases * det_j[..., None] * th_0 ** 2).max(-1, initial=0.0)
     tup = np.full(squared.shape, np.nan)
@@ -1109,13 +1069,10 @@ def igusa_residuals(ms, M: np.ndarray, tau, tol: float = 1e-12) -> tuple:
         # however small the product, and the cocycle power inflates nothing
         num = np.prod(th_m, axis=-1)
         den = np.prod(th_0, axis=-1) * det_j ** (len(ms) // 2)
-        chi = np.array([character_value(_EIGHTHS[(sum(table.weights[c] for c in codes.tolist())
-                                                     + 4 * (len(ms) // 2) * table.kappa) % 8])
-                        for table in tables]).reshape(lead)
+        chi = np.array([character_value(_exponent(table, codes)) for table in tables]).reshape(lead)
         small = np.minimum(np.abs(th_m).min(-1), np.abs(th_0).min(-1)) <= tol
-        with np.errstate(invalid="ignore", divide="ignore"):
-            ratio = np.abs(num - chi * den) / np.maximum(np.abs(num), np.abs(den))
-        tup = np.where(small, np.nan, ratio)
+        np.divide(np.abs(num - chi * den), np.maximum(np.abs(num), np.abs(den)),
+                  out=tup, where=~small)
     if squared.ndim:
         return squared, tup
     return float(squared), None if np.isnan(tup) else float(tup)

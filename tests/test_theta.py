@@ -373,7 +373,7 @@ def test_row_windows_are_the_smallest_their_bound_allows(monkeypatch):
         s = y11 - y12 * t
         for tol in (1e-4, 1e-8, 1e-13, 1e-16):
             for degree in (0, 1):
-                *center, R1, R2 = theta._row_windows(tau.imag, tol, degree)
+                ((*center, R1, R2),) = theta._row_windows(tau.imag, tol, degree)
                 assert center == [s, t]
                 assert 2 * R1 == int(2 * R1) and 2 * R2 == int(2 * R2)
                 rows, cols = _stated_window_bound(s, y22, t, R1, R2, degree)
@@ -543,46 +543,46 @@ def test_theta_gradient_tail_bound_against_a_tighter_evaluation():
 
 def test_window_block_holds_one_term_of_each_mirror_pair():
     """The rows have no x1 < 0 and hold every window point, and each cell
-    is the defining term exp(pi i x.tau.x), bit for bit, at a point alone
-    and in a stack, in every class; the row x1 = 0 is weighted 1/2, and
-    only there, where h1 = 0."""
+    is the defining term exp(pi i x.tau.x), bit for bit, in every class, in
+    one block and in chunks of rows, and a point's chunks are the same alone
+    and in a stack.  (The 1/2 weight of the row x1 = 0 is checked by the
+    defining-sum tests.)"""
     points = np.stack([TAU_GENERIC, _ill_conditioned_points()[0]])
-    _, t, R1, R2 = theta._row_windows(points.imag, 1e-13)
+    windows = theta._row_windows(points.imag, 1e-13)
     h = np.array([0, 0.5])
     h1, h2 = np.repeat(h, 2), np.tile(h, 2)
-    stacked = theta._window_rows(t, R2, *theta._grid(R1, R2), h1, h2)
-    point, x1, start, width, first = stacked
-    for p in range(len(points)):
+    stacked = theta._row_chunks(points, windows, h1, h2)
+    for p, tau in enumerate(points):
+        _, t, R1, R2 = windows[p]
+        count, width = 2 * (int(R1) // 2) + 2, 2 * math.ceil(R2) + 2
+        x1, start = theta._point_rows(t, R2, count, h1, h2)
         for c, (a, b) in enumerate(zip(h1, h2)):
-            alone = theta._window_rows(t[p:p + 1], R2[p:p + 1], *theta._grid(R1[p:p + 1], R2[p:p + 1]),
-                                       h1[c:c + 1], h2[c:c + 1])
-            rows = slice(first[4 * p + c], first[4 * p + c] + len(alone[1]))
-            for got, want in zip(stacked[1:4], alone[1:4]):
-                assert np.array_equal(got[rows], want)
-            assert np.all(point[rows] == p)
-            r1, s2, w = alone[1], alone[2], alone[3]
-            assert r1[0] == a and r1.min() >= 0 and r1.max() >= R1[p] and len(r1) % 2 == 0
-            assert np.all(w % 2 == 0) and np.all((s2 - b) % 2 == 0)
+            r1, s2 = x1[c * count:(c + 1) * count], start[c * count:(c + 1) * count]
+            assert r1[0] == a and r1.min() >= 0 and r1.max() >= R1 and count % 2 == 0
+            assert width % 2 == 0 and np.all((s2 - b) % 2 == 0)
             # the points just outside each row are outside its window
-            assert np.all(s2 - 1 < -t[p] * r1 - R2[p]) and np.all(s2 + w > -t[p] * r1 + R2[p])
-    # the terms of the stack's rows, and of the second point's rows alone
-    for tau, rows, local in ((points, point >= 0, point),
-                             (points[1:], point == 1, point[point == 1] - 1)):
-        x2, terms = theta._row_terms(tau, local, x1[rows], start[rows], width[rows])
-        assert np.array_equal(x2, np.concatenate([s + np.arange(w) for s, w in
-                                                  zip(start[rows], width[rows])]))
-        X1, T = np.repeat(x1[rows], width[rows]), tau[np.repeat(local, width[rows])]
-        want = np.exp(1j * np.pi * (T[:, 0, 0] * X1 * X1 + 2 * T[:, 0, 1] * X1 * x2
-                                    + T[:, 1, 1] * x2 * x2))
+            assert np.all(s2 - 1 < -t * r1 - R2) and np.all(s2 + width > -t * r1 + R2)
+        entries = tau.ravel()[[0, 1, 3]].tolist()
+        x2, terms = theta._row_terms(*entries, x1, start, width)
+        assert np.array_equal(x2, start[:, None] + np.arange(width))
+        X1 = x1[:, None]
+        want = np.exp(1j * np.pi * (tau[0, 0] * X1 * X1 + 2 * tau[0, 1] * X1 * x2
+                                    + tau[1, 1] * x2 * x2))
         assert np.array_equal(terms, want)
-    # the weights of _row_sums: 1/2 on the row x1 = 0, 1 elsewhere
-    ((lo, hi, _, sums),) = theta._row_sums(points[:1], t[:1], R1[:1], R2[:1], h1, h2)
-    rows = point == 0
-    x1 = x1[rows]
-    _, terms = theta._row_terms(points[:1], point[rows], x1, start[rows], width[rows])
-    plain = np.add.reduceat(terms.reshape(-1, 2), (np.cumsum(width[rows]) - width[rows]) // 2)
-    assert (lo, hi) == (0, 1) and np.count_nonzero(x1 == 0) == 2  # the integral classes
-    assert np.array_equal(sums, np.where(x1 == 0, 0.5, 1.0)[:, None] * plain)
+        for step in (1, 3):
+            chunks = [theta._row_terms(*entries, x1[a:a + step], start[a:a + step], width)[1]
+                      for a in range(0, len(x1), step)]
+            assert np.array_equal(np.concatenate(chunks), want)
+        # the pass's chunks, of this point alone and in the stack
+        ((alone_x1, alone),) = theta._row_chunks(points[p:p + 1], windows[p:p + 1], h1, h2)
+        stacked_x1, in_stack = next(stacked)
+        assert np.array_equal(alone_x1, x1) and np.array_equal(stacked_x1, x1)
+        alone, in_stack = list(alone), list(in_stack)
+        assert len(alone) == len(in_stack) == -(-len(x1) // (theta._CELL_BUDGET // width))
+        assert len(alone) > 1 or p == 0  # the ill-conditioned point's rows come in chunks
+        for got in (alone, in_stack):
+            for part, full in zip(zip(*got), (x1, x2, terms)):
+                assert np.array_equal(np.concatenate(part), full)
 
 
 def _pass_cells(monkeypatch):
@@ -592,7 +592,7 @@ def _pass_cells(monkeypatch):
 
     def recorded(*args):
         x2, terms = build(*args)
-        cells.append(len(terms))
+        cells.append(terms.size)
         return x2, terms
 
     monkeypatch.setattr(theta, "_row_terms", recorded)
@@ -619,7 +619,7 @@ def test_theta_values_pass_peaks_near_its_block(monkeypatch):
     82 rows of 160 cells each, and allocates at most 2.5 times their complex
     bytes at its peak: the terms are built in place, in chunks."""
     tau = _ill_conditioned_points()[2]
-    assert theta._row_windows(tau.imag, 1e-13)[2:] == (80, 78.5)
+    assert theta._row_windows(tau.imag, 1e-13)[0][2:] == (80, 78.5)
     cells = _pass_cells(monkeypatch)
     theta._theta_sums.cache_clear()
     peak = _peak(theta_values, FZ_TUPLE, tau, 1e-13)

@@ -91,10 +91,10 @@ def ez_eval(tau, tol: float = 1e-10) -> VectorValue:
     a = math.pi * np.linalg.eigvalsh(tau.imag)[..., 0]
     bound = (1 / a + 2 / np.sqrt(2 * math.e * a)) * (np.sqrt(math.pi / a) + 1)
     s = -1j * theta_gradient((1, 0, 1, 1), tau, tol / (2 * bound))
-    # the products of E_Z and of its 2-form run a point at a time on Python
-    # complex numbers, a few dozen a point, so that a point of a stack gets
-    # the bits of its single call: a numpy loop over an array may round a
-    # complex product otherwise than one over a scalar
+    # the products of E_Z, and those of the 2-form's wedges, run a point at a
+    # time on Python complex numbers, rounded as numpy rounds a product of
+    # two scalars; its loop over arrays may round them otherwise, so a point
+    # of a stack gets the bits of its single call
     h = [(s1 * s1, s1 * s2, s2 * s2) for s1, s2 in s.reshape(-1, 2).tolist()]
     if tau.ndim == 2:
         return VectorValue(*h[0])
@@ -110,17 +110,15 @@ def _wedge_coefficients(a, b) -> tuple:
     return (a[0] * b[1] - a[1] * b[0], a[0] * b[2] - a[2] * b[0], a[1] * b[2] - a[2] * b[1])
 
 
-def _pulled_form(m11: complex, m12: complex, m21: complex, m22: complex,
-                 h0: complex, h1: complex, h2: complex) -> tuple:
-    """h0 dt1^dt2 + h1 dt1^dt3 + h2 dt2^dt3 with (dt1, dt2, dt3) the images
-    of (d tau1, d tau2, d tau3) under M^-1 = [[m11, m12], [m21, m22]], in
-    the basis (w12, w13, w23)."""
+def _wedges(m11: complex, m12: complex, m21: complex, m22: complex) -> tuple:
+    """dt1^dt2, dt1^dt3 and dt2^dt3 in the basis (w12, w13, w23), with
+    (dt1, dt2, dt3) the images of (d tau1, d tau2, d tau3) under
+    M^-1 = [[m11, m12], [m21, m22]]."""
     dt1 = (m11 * m11, 2 * m11 * m21, m21 * m21)
     dt2 = (m11 * m12, m11 * m22 + m12 * m21, m21 * m22)
     dt3 = (m12 * m12, 2 * m12 * m22, m22 * m22)
-    w12, w13, w23 = (_wedge_coefficients(dt1, dt2), _wedge_coefficients(dt1, dt3),
-                     _wedge_coefficients(dt2, dt3))
-    return tuple(h0 * a + h1 * b + h2 * c for a, b, c in zip(w12, w13, w23))
+    return (_wedge_coefficients(dt1, dt2), _wedge_coefficients(dt1, dt3),
+            _wedge_coefficients(dt2, dt3))
 
 
 def two_form_pullback(gamma: np.ndarray, tau, tol: float = 1e-10) -> np.ndarray:
@@ -133,32 +131,26 @@ def two_form_pullback(gamma: np.ndarray, tau, tol: float = 1e-10) -> np.ndarray:
     invariant one for the weight (3,1) transformation of the lattice sum;
     it pins the orientation of the third basis element to d tau2 ^ d tau3.
     """
-    pulled, shape = _pulled_forms(gamma, tau, tol)
-    return np.array(pulled).reshape(shape + (3,))
-
-
-def _pulled_forms(gamma, tau, tol: float) -> tuple:
-    """The coefficients of two_form_pullback as one tuple a point, and the
-    broadcast shape of the stacks."""
     tau = np.asarray(tau, dtype=complex)
     h = np.array(ez_eval(apply_moebius(gamma, tau), tol))  # (3, ...), as gamma tau
     M = np.linalg.inv(cocycle(gamma, tau))
-    pulled = [_pulled_form(*m, *hk)
-              for m, hk in zip(M.reshape(-1, 4).tolist(), h.reshape(3, -1).T.tolist())]
-    return pulled, M.shape[:-2]
+    wedges = np.array([_wedges(*m) for m in M.reshape(-1, 4).tolist()])
+    # h0 dt1^dt2 + h1 dt1^dt3 + h2 dt2^dt3, summed in that order, by numpy's
+    # array products as the forms of a single point always were
+    pulled = (h.reshape(3, -1).T[:, :, None] * wedges).sum(1)
+    return pulled.reshape(M.shape[:-2] + (3,))
 
 
 def ez_two_form_check(gamma: np.ndarray, tau, tol: float = 1e-10):
     """Max component residual of 2-form invariance under gamma at tau: a
     float, or an array of the broadcast shape for stacks as in
     two_form_pullback, with E_Z evaluated once at the stack tau itself."""
-    pulled, shape = _pulled_forms(gamma, tau, tol)
+    pulled = two_form_pullback(gamma, tau, tol)
     here = np.array(ez_eval(tau, tol))  # (3, ...), as tau
-    if shape:
-        here = np.broadcast_to(np.moveaxis(here, 0, -1), shape + (3,))
-    worst = [max(abs(p - q) for p, q in zip(row, at))
-             for row, at in zip(pulled, here.reshape(-1, 3).tolist())]
-    return np.array(worst).reshape(shape) if shape else worst[0]
+    if here.ndim > 1:
+        here = np.moveaxis(here, 0, -1)
+    worst = np.abs(pulled - here).max(-1)
+    return float(worst) if worst.ndim == 0 else worst
 
 
 # ---------------------------------------------------------------------------

@@ -772,7 +772,7 @@ def _gradient_sums(char: bytes, point: bytes, shape: tuple, tol) -> np.ndarray:
                 weight[x1 == 0] *= 0.5
             terms *= weight[:, None]
             terms.reshape(-1, 2)[:] *= column
-            grad[p, 0] += (x1 * terms.sum(1)).sum()
+            grad[p, 0] += (x1[:, None] * terms).sum()
             grad[p, 1] += (x2 * terms).sum()
     # the summand is even in x, so the rows with their mirrors give twice it
     grad = (2 * sign * grad).reshape(shape[:-2] + (2,))

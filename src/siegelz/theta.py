@@ -892,12 +892,13 @@ def _code(m, n: int) -> int:
 _EIGHTHS = tuple(Fraction(k, 8) for k in range(8))
 
 
-def _exponent(table: _Table, codes) -> Fraction:
-    """The exact character t, under the table's matrix, of the product over
-    the characteristics with these codes (_code), an even number of them."""
-    t = 4 * (len(codes) // 2) * table.kappa
-    for c in codes:
-        t += table.weights[c]
+def _exponent(table: _Table, ms) -> Fraction:
+    """The exact character t of the product over ms (pairs of characteristics
+    as wide as the table's matrix) under that matrix."""
+    n, weights = table.n, table.weights
+    t = 4 * (len(ms) // 2) * table.kappa
+    for m in ms:
+        t += weights[_code(m, n)]
     return _EIGHTHS[t % 8]
 
 
@@ -910,8 +911,7 @@ def slash_character_exact(ms, M: np.ndarray) -> Fraction:
     """
     if len(ms) % 2:
         raise ValueError("need an even number of characteristics")
-    table = _level2_table(M)
-    return _exponent(table, [_code(m, table.n) for m in ms])
+    return _exponent(_level2_table(M), ms)
 
 
 def character_value(t: Fraction) -> complex:
@@ -1021,8 +1021,7 @@ def pair_character_any_parity(m1, m2, M: np.ndarray) -> Fraction:
     reduction sign, and kappa^2 is unchanged (trace D3 - 3 = trace D - 2),
     so the genus-2 table of M gives it.
     """
-    table = _level2_table(M)
-    return _exponent(table, (_code(m1, table.n), _code(m2, table.n)))
+    return _exponent(_level2_table(M), (m1, m2))
 
 
 # ---------------------------------------------------------------------------
@@ -1069,7 +1068,7 @@ def igusa_residuals(ms, M: np.ndarray, tau, tol: float = 1e-12) -> tuple:
         # however small the product, and the cocycle power inflates nothing
         num = np.prod(th_m, axis=-1)
         den = np.prod(th_0, axis=-1) * det_j ** (len(ms) // 2)
-        chi = np.array([character_value(_exponent(table, codes)) for table in tables]).reshape(lead)
+        chi = np.array([character_value(_exponent(table, ms)) for table in tables]).reshape(lead)
         small = np.minimum(np.abs(th_m).min(-1), np.abs(th_0).min(-1)) <= tol
         np.divide(np.abs(num - chi * den), np.maximum(np.abs(num), np.abs(den)),
                   out=tup, where=~small)

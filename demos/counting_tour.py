@@ -26,7 +26,7 @@ for p in (3, 5):
           f"bijective={rep['bijective']}")
 
 print("\n== the degree-21 local factor ==")
-for p in (3, 5, 13):
+for p in (3, 5, 13, 41):
     h = h2_lpoly(p)
     print(f"p={p}: degree {h.degree()}, linear coefficient {h.poly[1]} "
           f"= -trace {trace_h2(p)}, Lefschetz residual {lefschetz_check(p)}")

@@ -1,14 +1,16 @@
 """Point counts over prime fields for the Fermat quartic tower.
 
-Naive counts and fiberwise character sums for the quartic surface, its
-tangent cone, the four-quadric model of the Satake variety Z in P^7, the
-blown-up model, and the thirty boundary lines, one stack of 2 x 4 matrices
-over F_p. A naive count splits the coordinates into a head and a tail, and
-counts the affine solutions of one equality between a value of the head
-and a value of the tail as a product of the two value histograms
-(`_affine_matches`); less the origin, over p - 1, they give the projective
-points, as the character sums do. Counts are exact integers; closed-form
-predictions are checked as integer residuals, never as floating point.
+Naive counts for the quartic surface, its tangent cone and the
+four-quadric model of the Satake variety Z in P^7; character sums for Z,
+its complement U2c and two slices, as O(p^2) sums over strata of F_p^4
+(`_z_strata`); the blown-up model; and the thirty boundary lines, one
+stack of 2 x 4 matrices over F_p. A naive count splits the coordinates
+into a head and a tail, and counts the affine solutions of one equality
+between a value of the head and a value of the tail as a product of the
+two value histograms (`_affine_matches`); less the origin, over p - 1,
+they give the projective points, as the character sums do. Counts are
+exact integers; closed-form predictions are checked as integer residuals,
+never as floating point.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ import numpy as np
 
 from .arith import is_prime, kronecker_char
 
-Z_CAP = 13   # passes over F_p^4
-SURFACE_CAP = 41
+Z_CAP = 13        # naive Z and the birational map (passes over F_p^4), the cone, U1c
+SURFACE_CAP = 41  # the surface, the curve and Z's O(p^2) character sums
 
 VARIETIES = (
     "FermatSurface",
@@ -123,23 +125,44 @@ def _chi_table(p: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _z_fibers(p: int) -> np.ndarray:
-    """The (p, p) array over (X0, X3) of the sum over X1, X2 of the number
-    of solutions Y of Y^2 = Q(X), the product of 1 + chi(Q_i(X)).
+def _z_strata(p: int) -> tuple[int, int, int]:
+    """The sum over X in F_p^4 of the number of solutions Y of Y^2 = Q(X),
+    the product of 1 + chi(Q_i(X)), as three exact ints: over all of F_p^4,
+    over X0 = 0, and over X0 != 0 = X3.
 
-    Built once per prime from one pass over F_p^4 (p^4 <= 28 561 entries at
-    the cap); every fiberwise count is a masked sum of it.  The all-zero X
-    contributes 1, the origin, which the counts that contain it subtract.
-    Read-only.
+    With a = X0X3, b = X1X2, c = X0X2 and d = X1X3 the quadrics are
+    2(a + b), 2(a - b), 2(c - d) and 2(c + d).  Each stratum with a zero
+    coordinate is a product of O(p) sums, since X2 -> X1X2 and the like are
+    bijections once X1 != 0.  On (F_p^*)^4, (a, b, c) takes every value
+    p - 1 times and d = ab/c, so that stratum is (p - 1) sum_t F(t)^2, where
+    F(t) sums (1 + chi(2(a + b)))(1 + chi(2(a - b))) over ab = t: the same
+    sum as over cd = t, the factor being even in b.  Only changes of
+    variables are used, never multiplicativity of chi, so the identities
+    hold for any table with chi[0] = 0.  The all-zero X contributes 1, the
+    origin, which the counts that contain it subtract.
     """
     chi = _chi_table(p)
     x = np.arange(p, dtype=np.int64)
-    fibers = 1
-    for q in z_quadrics(*np.ix_(x, x, x, x), p):
-        fibers = fibers * (1 + chi[q])
-    out = fibers.sum(axis=(1, 2))
-    out.flags.writeable = False
-    return out
+    one = 1 + chi[2 * x % p]                  # 1 + chi(2v)
+    h = int((one * one[-x % p]).sum())        # sum_v (1 + chi(2v))(1 + chi(-2v))
+    k = int((one[1:] * one[1:]).sum())        # sum_{v != 0} (1 + chi(2v))^2
+    # F(t) as the column sums of a (p - 1) x (p - 1) table, b = t/a
+    a, t = x[1:, None], x[None, 1:]
+    b = t * _inverse_mod(a, p) % p
+    f = (one[(a + b) % p] * one[(a - b) % p]).sum(axis=0)
+    x0_zero = p * p + (p - 1) * h * h         # X1 = 0, then X1 != 0
+    x3_zero = (p - 1) * (p + k * h)           # X2 = 0, then X2 != 0
+    # X0, X3 != 0: (X1, X2) zero, X1 = 0 only, X2 = 0 only, neither
+    rest = (p - 1) * (k + k * k + k * (h - 1) + int((f * f).sum()))
+    return x0_zero + x3_zero + rest, x0_zero, x3_zero
+
+
+def _check_charsum_prime(p: int):
+    _check_odd_prime(p)
+    # the strata sums are O(p^2); the cap is the surface count's, so that
+    # every closed form in |F| can still be checked
+    if p > SURFACE_CAP:
+        raise ValueError(f"character-sum counts capped at p <= {SURFACE_CAP}")
 
 
 def _z_points(total: int, p: int) -> int:
@@ -161,10 +184,11 @@ def count_variety(variety: str, p: int, method: str = "naive") -> int:
         raise ValueError(f"unknown method {method!r}")
 
     if variety == "Zsatake":
+        if method == "charsum":
+            _check_charsum_prime(p)
+            return _z_points(_z_strata(p)[0] - 1, p)
         if p > Z_CAP:
             raise ValueError(f"Z count capped at p <= {Z_CAP}")
-        if method == "charsum":
-            return _z_points(int(_z_fibers(p).sum()) - 1, p)
         # [Y : X], Y^2 = Q(X) coordinatewise: equal base-p codes of the four
         # values in [0, p) on each side are the four equations
         code = p ** np.arange(4, dtype=np.int64)
@@ -173,14 +197,12 @@ def count_variety(variety: str, p: int, method: str = "naive") -> int:
                                          np.stack(z_quadrics(*w.T, p), axis=1) @ code) - 1, p)
 
     if variety == "U2c":
-        # Z cap {X0 X3 = 0}, counted fiberwise over the X locus
+        # Z cap {X0 X3 = 0}: the strata X0 = 0 and X0 != 0 = X3
         if method == "naive":
             raise ValueError("naive method not defined for U2c")
-        if p > Z_CAP:
-            raise ValueError(f"U2c count capped at p <= {Z_CAP}")
-        fibers = _z_fibers(p)
-        total = int(fibers[0].sum() + fibers[1:, 0].sum())
-        return _z_points(total - 1, p)
+        _check_charsum_prime(p)
+        _, x0_zero, x3_zero = _z_strata(p)
+        return _z_points(x0_zero + x3_zero - 1, p)
 
     if method == "charsum":
         raise ValueError(f"charsum method not defined for {variety}")
@@ -222,12 +244,14 @@ def _ztilde(z: int, f: int, p: int) -> int:
 
 def count_z_slice_x0_zero(p: int) -> int:
     """Projective points of Z with X0 = 0."""
-    return _z_points(int(_z_fibers(p)[0].sum()) - 1, p)
+    _check_charsum_prime(p)
+    return _z_points(_z_strata(p)[1] - 1, p)
 
 
 def count_z_slice_x0_nonzero_x3_zero(p: int) -> int:
     """Projective points of Z with X0 != 0 and X3 = 0."""
-    return _z_points(int(_z_fibers(p)[1:, 0].sum()), p)
+    _check_charsum_prime(p)
+    return _z_points(_z_strata(p)[2], p)
 
 
 def verify_count_formulas(p: int, a_p: int) -> dict:

@@ -169,12 +169,12 @@ def test_z_fibers_built_once_per_prime_per_run(monkeypatch):
     builds = []
     real = pointcount._chi_table
 
-    def spy(p):  # called once by each build of the fiber array
+    def spy(p):  # called once by each build of Z's strata sums
         builds.append(p)
         return real(p)
 
     monkeypatch.setattr(pointcount, "_chi_table", spy)
-    pointcount._z_fibers.cache_clear()
+    pointcount._z_strata.cache_clear()
     reports, code = run(RunConfig(selected_suites=["counts", "lefschetz"]))
     assert code == 0 and reports
     assert sorted(builds) == [3, 5, 7, 11, 13]

@@ -2,12 +2,15 @@ import itertools
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from siegelz import pointcount
 from siegelz.cmform import a_p
+from siegelz.lfactors import lefschetz_check
 from siegelz.pointcount import (
     SURFACE_CAP,
     Z_CAP,
@@ -155,7 +158,7 @@ def test_each_legendre_flip_separates_the_z_counts(monkeypatch):
                     return table
 
                 monkeypatch.setattr(pointcount, "_chi_table", flipped)
-                pointcount._z_fibers.cache_clear()
+                pointcount._z_strata.cache_clear()
                 assert count_variety("Zsatake", p, "charsum") != naive, (p, k)
                 assert count_variety("Zsatake", p, "naive") == naive
                 reports = cli.suite_counts(cli.RunConfig(prime_list=[p]), {})
@@ -163,14 +166,14 @@ def test_each_legendre_flip_separates_the_z_counts(monkeypatch):
                 assert status == {q: "fail" if q == p else "pass" for q in (3, 5, 7)}, (p, k)
     finally:
         monkeypatch.undo()
-        pointcount._z_fibers.cache_clear()
+        pointcount._z_strata.cache_clear()
 
 
 def test_caps_enforced():
     with pytest.raises(ValueError):
         count_variety("Zsatake", 17, "naive")
     with pytest.raises(ValueError):
-        count_variety("Zsatake", 17, "charsum")
+        count_variety("Zsatake", 43, "charsum")
     with pytest.raises(ValueError):
         count_variety("FermatSurface", 43)
     with pytest.raises(ValueError):
@@ -193,6 +196,116 @@ def test_fermat_curve_count():
 def test_slice_example_at_three():
     # 2q^2 - q + 2 + (2q^2 - 2q) chi = 17 - 12 = 5 at q = 3
     assert count_z_slice_x0_zero(3) == 5
+
+
+def test_slice_counts_check_their_prime():
+    # as count_variety does: no odd prime, or past the character-sum cap
+    for count in (count_z_slice_x0_zero, count_z_slice_x0_nonzero_x3_zero):
+        for p in (2, 9, 15, SURFACE_CAP + 2):
+            with pytest.raises(ValueError):
+                count(p)
+    with pytest.raises(ValueError, match="character-sum counts capped"):
+        count_variety("U2c", SURFACE_CAP + 2, "charsum")
+
+
+def _reference_z_fibers(p, chi):
+    """The (p, p) array over (X0, X3) of the sum over X1, X2 of the product
+    of 1 + chi(Q_i(X)), from one pass over F_p^4: the oracle of the strata
+    sums."""
+    x = np.arange(p, dtype=np.int64)
+    fibers = 1
+    for q in z_quadrics(*np.ix_(x, x, x, x), p):
+        fibers = fibers * (1 + chi[q])
+    return fibers.sum(axis=(1, 2))
+
+
+def _reference_strata(fibers):
+    """The total, the X0 = 0 row and the X3 = 0 column below it."""
+    return int(fibers.sum()), int(fibers[0].sum()), int(fibers[1:, 0].sum())
+
+
+def test_z_strata_and_counts_equal_the_fiber_array():
+    for p in PRIMES:
+        fibers = _reference_z_fibers(p, pointcount._chi_table(p))
+        total, x0_zero, x3_zero = strata = pointcount._z_strata(p)
+        assert all(type(v) is int for v in strata)
+        assert strata == _reference_strata(fibers), p
+        z = (total - 1) // (p - 1)
+        assert count_variety("Zsatake", p, "charsum") == z
+        assert count_variety("U2c", p, "charsum") == (x0_zero + x3_zero - 1) // (p - 1)
+        assert count_variety("Ztilde", p) == z + 2 * count_variety("FermatSurface", p) - 2 * (p + 1)
+        assert count_z_slice_x0_zero(p) == (x0_zero - 1) // (p - 1)
+        assert count_z_slice_x0_nonzero_x3_zero(p) == x3_zero // (p - 1)
+
+
+@st.composite
+def _sign_tables(draw):
+    """An odd prime p <= 13 and a table of length p with entry 0 zero and
+    every other entry +-1, multiplicative or not."""
+    p = draw(st.sampled_from(PRIMES))
+    signs = draw(st.lists(st.sampled_from((-1, 1)), min_size=p - 1, max_size=p - 1))
+    return p, np.array([0] + signs, dtype=np.int64)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_sign_tables())
+def test_z_strata_equal_the_fiber_array_for_any_sign_table(case):
+    # the strata identities are changes of variables only, so they hold for
+    # any table; the uncached sum reads the patched one
+    p, chi = case
+    with mock.patch.object(pointcount, "_chi_table", lambda q: chi.copy()):
+        strata = pointcount._z_strata.__wrapped__(p)
+    assert strata == _reference_strata(_reference_z_fibers(p, chi))
+
+
+def test_closed_forms_hold_past_the_naive_cap():
+    """Past Z_CAP naive Z is not compared, so the closed forms in |F|, from
+    the surface count, are the evidence for the character sums there."""
+    for p in [q for q in ODD_PRIMES_TO_41 if q > Z_CAP]:
+        f = count_variety("FermatSurface", p)
+        chi1 = 1 if p % 4 == 1 else -1
+        z = count_variety("Zsatake", p, "charsum")
+        residuals = {
+            "satake": z - ((p - 1) * f + 2 * p + 2),
+            "u2_complement": count_variety("U2c", p, "charsum")
+            - (4 * p * p - 2 * p + 2 + (4 * p * p - 6 * p + 2) * chi1),
+            "resolution": count_variety("Ztilde", p) - (p + 1) * f,
+            "slice_x0_zero": count_z_slice_x0_zero(p)
+            - (2 * p * p - p + 2 + (2 * p * p - 2 * p) * chi1),
+            "slice_x3_zero": count_z_slice_x0_nonzero_x3_zero(p)
+            - (2 * p * p - p + (2 * p * p - 4 * p + 2) * chi1),
+        }
+        assert all(r == 0 for r in residuals.values()), (p, residuals)
+        assert lefschetz_check(p) == 0, p
+
+
+def test_each_legendre_flip_fails_the_closed_forms_at_eleven_and_thirteen(monkeypatch):
+    """Naive Z is compared only at 3, 5 and 7, so at 11 and 13 the closed
+    forms alone must catch a wrong Legendre table: flipping any one nonzero
+    entry of `_chi_table(p)` fails the `counts` claim of the closed forms."""
+    from siegelz import cli
+
+    real = pointcount._chi_table
+    try:
+        for p in (11, 13):
+            honest = cli.suite_counts(cli.RunConfig(prime_list=[p]), {})[1]
+            assert honest.status == "pass" and honest.details["p"] == p
+            for k in range(1, p):
+                def flipped(q, p=p, k=k):
+                    table = real(q)
+                    if q == p:
+                        table[k] = -table[k]
+                    return table
+
+                monkeypatch.setattr(pointcount, "_chi_table", flipped)
+                pointcount._z_strata.cache_clear()
+                report = cli.suite_counts(cli.RunConfig(prime_list=[p]), {})[1]
+                assert report.claim == honest.claim
+                assert report.status == "fail", (p, k)
+                monkeypatch.undo()
+    finally:
+        monkeypatch.undo()
+        pointcount._z_strata.cache_clear()
 
 
 def test_count_formulas_all_primes():

@@ -22,7 +22,7 @@ import numpy as np
 
 from .arith import is_prime, kronecker_char
 
-Z_CAP = 13        # naive Z and the birational map (passes over F_p^4), the cone, U1c
+Z_CAP = 13        # naive Z (passes over F_p^4), the cone, U1c and the birational map
 SURFACE_CAP = 41  # the surface, the curve and Z's O(p^2) character sums
 
 VARIETIES = (
@@ -115,6 +115,18 @@ def _affine_matches(left: np.ndarray, right: np.ndarray) -> int:
     """
     size = int(max(left.max(), right.max())) + 1
     return int(np.bincount(left[left >= 0], minlength=size) @ np.bincount(right, minlength=size))
+
+
+def _match_pairs(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (head, tail) that `_affine_matches` counts, as two index
+    arrays in lexicographic order: each head against the tails of its value,
+    read off the tails sorted stably by value, so the work is the pairs'."""
+    heads = np.flatnonzero(left >= 0)
+    sizes = np.bincount(right, minlength=int(max(left.max(), right.max())) + 1)
+    reps = sizes[left[heads]]
+    starts = (np.cumsum(sizes) - sizes)[left[heads]]
+    within = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+    return np.repeat(heads, reps), np.argsort(right, kind="stable")[np.repeat(starts, reps) + within]
 
 
 def _chi_table(p: int) -> np.ndarray:
@@ -368,12 +380,11 @@ def verify_birational_map(p: int) -> dict:
     _check_odd_prime(p)
     if p > Z_CAP:
         raise ValueError(f"birational check capped at p <= {Z_CAP}")
-    # U1 as a boolean mask over F_p^4: Z0^4 - Z1^4 = Z3^4 - Z2^4, Z0^2 + Z1^2 != 0
-    x = np.arange(p, dtype=np.int64)
-    x4 = _pow4(x, p)
-    diff = (x4[:, None] - x4[None, :]) % p
-    lhs = np.where((x[:, None] ** 2 + x[None, :] ** 2) % p != 0, diff, -1)
-    z = np.argwhere(lhs[:, :, None, None] == diff.T[None, None])
+    # U1, (Z0, Z1) against (Z2, Z3): Z0^4 - Z1^4 = Z3^4 - Z2^4, Z0^2 + Z1^2 != 0
+    g = _grid(p, 2)
+    left = np.where((g[:, 0] ** 2 + g[:, 1] ** 2) % p != 0, _quartic_diff(g[:, 0], g[:, 1], p), -1)
+    heads, tails = _match_pairs(left, _quartic_diff(g[:, 1], g[:, 0], p))
+    z = np.hstack([g[heads], g[tails]])
     w = np.stack(phi_image(1, z.T, p), axis=1)
     back = _proj_normalize(np.stack(phi_inverse(w.T, p), axis=1), p)
     misses = ~zsatake_vanishes(w, p)

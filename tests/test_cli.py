@@ -253,6 +253,34 @@ def test_verify_all_builds_each_exact_object_once(monkeypatch):
     assert len(keys) == 2 * passes and theta._theta_sums.cache_info().misses == passes
 
 
+def test_fz_phi_ratio_is_one_pass_with_the_bits_of_two_single_points(monkeypatch):
+    """Claim 3 evaluates F_Z at G0 tau and G2 tau as one stack of two, in
+    one theta pass, and records the ratio that two single-point evaluations
+    give, bit for bit."""
+    import numpy as np
+
+    from siegelz import theta
+
+    shapes = []
+    real_values = theta.theta_values
+
+    def values_spy(ms, tau, tol=1e-12):
+        shapes.append(np.shape(tau))
+        return real_values(ms, tau, tol)
+
+    monkeypatch.setattr(theta, "theta_values", values_spy)
+    reports, code = run(RunConfig(selected_suites=["fz-phi"]))
+    assert code == 0 and shapes == [(2, 2, 2)]
+    monkeypatch.undo()
+    tau = np.array([[0.3 + 0.9j, 0], [0, 8j]])
+    vals = []
+    for g in (theta.G0, theta.G2):
+        detj = complex(np.linalg.det(theta.cocycle(g, tau)))
+        vals.append(detj ** -3 * theta.fz_eval(theta.apply_moebius(g, tau), 1e-13))
+    ratio = vals[1] / vals[0]
+    assert reports[2].details["ratio"] == [ratio.real, ratio.imag]
+
+
 def test_no_fz_build_above_the_phi_match_order(monkeypatch):
     """At --order 300 both degeneration claims report what builds of F_Z at
     300 gave, with no F_Z build and no genus-2 product."""

@@ -41,12 +41,13 @@ class RunConfig:
         # a repeat would run and count its per-prime claims twice
         if len(set(self.prime_list)) < len(self.prime_list):
             raise ValueError("the prime list repeats a prime")
+        # the closed forms read the cone and U1c counts, capped at Z_CAP
         cap = pointcount.Z_CAP
         for p in self.prime_list:
             if p % 2 == 0 or not arith.is_prime(p):
                 raise ValueError(f"prime list entry {p} is not an odd prime")
             if p > cap:
-                raise ValueError(f"prime {p} exceeds the Satake counting cap ({cap})")
+                raise ValueError(f"prime {p} exceeds the cone and U1c counting cap ({cap})")
         if self.series_order < 1:
             raise ValueError("series order must be positive")
         # inf would pass every numeric claim, nan fail them all

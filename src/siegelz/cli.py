@@ -41,13 +41,14 @@ class RunConfig:
         # a repeat would run and count its per-prime claims twice
         if len(set(self.prime_list)) < len(self.prime_list):
             raise ValueError("the prime list repeats a prime")
-        # the closed forms read the cone and U1c counts, capped at Z_CAP
-        cap = pointcount.Z_CAP
+        # the tightest cap of the counts the selected suites read
+        cap, what = min((_PRIME_CAPS[s] for s in self.suites() if s in _PRIME_CAPS),
+                        default=(math.inf, None))
         for p in self.prime_list:
             if p % 2 == 0 or not arith.is_prime(p):
                 raise ValueError(f"prime list entry {p} is not an odd prime")
             if p > cap:
-                raise ValueError(f"prime {p} exceeds the cone and U1c counting cap ({cap})")
+                raise ValueError(f"prime {p} exceeds {what} ({cap})")
         if self.series_order < 1:
             raise ValueError("series order must be positive")
         # inf would pass every numeric claim, nan fail them all
@@ -56,6 +57,10 @@ class RunConfig:
         for s in self.selected_suites:
             if s != "all" and s not in SUITES:
                 raise ValueError(f"unknown suite {s!r}")
+
+    def suites(self) -> list:
+        """The names of the suites to run, in order."""
+        return list(SUITES) if "all" in self.selected_suites else self.selected_suites
 
 
 @dataclass
@@ -388,13 +393,19 @@ SUITE_RUNNERS = {
 }
 SUITES = tuple(SUITE_RUNNERS)
 
+# the counting cap of each suite whose per-prime claims count points: the
+# closed forms of counts and fermat read the cone and U1c counts, lefschetz
+# Ztilde's character sums; the other suites count nothing
+_CONE_CAP = (pointcount.Z_CAP, "the cone and U1c counting cap")
+_PRIME_CAPS = {"counts": _CONE_CAP, "fermat": _CONE_CAP,
+              "lefschetz": (pointcount.SURFACE_CAP, "the character-sum counting cap")}
+
 
 def run(cfg: RunConfig) -> tuple[list[VerificationReport], int]:
     cfg.validate()
-    selected = list(SUITES) if "all" in cfg.selected_suites else cfg.selected_suites
     reports = []
     shared: dict = {}
-    for name in selected:
+    for name in cfg.suites():
         reports.extend(SUITE_RUNNERS[name](cfg, shared))
     failed = any(r.status == "fail" for r in reports)
     return reports, (1 if failed else 0)

@@ -1,7 +1,8 @@
 """Theta characteristics and theta constants in genus 1 and 2.
 
 Exact truncated expansions, and numeric lattice sums with a proven tail
-bound, every characteristic at a point in one pass. One vectorized action
+bound: one cached pass gives every theta constant at a point, or an odd
+one's z-gradient, on the same rows and phases. One vectorized action
 of a symplectic matrix gives the unreduced images m M^-1 + (diag CD^T,
 diag AB^T) and the eighth-integer phases; a cached table per matrix turns
 them into each characteristic's share of the exact character, and the
@@ -507,15 +508,15 @@ def theta_values(ms, tau, tol: float = 1e-12) -> np.ndarray:
     weight in [0, 1], so the tail bound holds.  The phases are exact, so
     only the order of summation differs from one sum per characteristic,
     and each point is summed on its own, so a point of a stack gets the
-    bits of its own single call.  The pass is cached on the bytes and shape of tau,
-    the bytes of the characteristics, and tol; each call returns a fresh
-    array.
+    bits of its own single call.  The pass, in moment degree 0, is cached
+    with theta_gradient's, on the bytes and shape of tau, the bytes of the
+    characteristics, tol and the degree; each call returns a fresh array.
     """
     m = np.asarray(ms, dtype=np.int64) if len(ms) else np.zeros((0, 4), dtype=np.int64)
     if m.ndim != 2 or m.shape[1] != 4:
         raise ValueError("theta_values takes genus-2 characteristics of 4 entries")
     tau = _points(tau)
-    return _theta_sums(m.tobytes(), tau.tobytes(), tau.shape, tol).copy()
+    return _lattice_sums(m.tobytes(), tau.tobytes(), tau.shape, tol, 0)[..., 0, :].copy()
 
 
 def _window_radius(y: float, a0: float, a1: float, tol: float) -> float:
@@ -599,17 +600,18 @@ def _moment_sum(y: float) -> float:
     return 2 * r * math.exp(-math.pi * y * r * r) + 1 / (math.pi * y)
 
 
-# i^(b.m'') = i^(m'.m'') (-1)^(a.m'') for b = 2a + m', indexed by m' and m''
-# mod 2 (each as a binary number, first entry highest) and by the parities
-# of a1 and a2, plus the same for -x = (-a - m') + m'/2, whose a has the
-# parities of a + m' and whose term is x's: one term of each pair x, -x
-# stands for both.  Sums of the parity parts, not a matrix product: BLAS
-# wakes worker threads that spin on after the call and slow the code that
-# follows on small machines.
+# phase(x) + (-1)^d phase(-x), the weight of a term of moment degree d
+# standing for x and its mirror -x, for phase(x) = i^(b.m'') =
+# i^(m'.m'') (-1)^(a.m'') at b = 2a + m', indexed by d, by m' and m'' mod 2
+# (each as a binary number, first entry highest) and by the parities of a1
+# and a2; -x = (-a - m') + m'/2 has an a with the parities of a + m', and
+# x's term.  For an odd m in degree 1 it is 2 phase(x).  Sums of the parity
+# parts, not a matrix product: BLAS wakes worker threads that spin on after
+# the call and slow the code that follows on small machines.
 _PARITY_PHASES = np.array([(1, 1j, -1, -1j)[(c1 * e + c2 * f) % 4]
-                           * ((-1) ** (i * e + k * f) + (-1) ** ((i + c1) * e + (k + c2) * f))
-                           for c1, c2, e, f, i, k in itertools.product((0, 1), repeat=6)]
-                          ).reshape(4, 2, 2, 2, 2)
+                           * ((-1) ** (i * e + k * f) + (-1) ** (d + (i + c1) * e + (k + c2) * f))
+                           for d, c1, c2, e, f, i, k in itertools.product((0, 1), repeat=7)]
+                          ).reshape(2, 4, 2, 2, 2, 2)
 _PARITY_PHASES.flags.writeable = False
 
 # the cells of the largest block of terms a pass builds at once: a point's
@@ -680,44 +682,61 @@ def _chunks(t11, t12, t22, x1, start, width):
 
 
 @lru_cache(maxsize=128)
-def _theta_sums(ms: bytes, point: bytes, shape: tuple, tol: float) -> np.ndarray:
-    """The read-only values of theta_values for the int64 characteristics and
-    the complex points with these bytes (a point or stack of this shape)."""
+def _lattice_sums(ms: bytes, point: bytes, shape: tuple, tol, degree: int) -> np.ndarray:
+    """The read-only sums of theta_values (degree 0) and theta_gradient
+    (degree 1) for the int64 characteristics and the complex points with
+    these bytes (a point or stack of this shape), at tol, a float or a tuple
+    of one per point: shape shape[:-2] + (degree + 1, len(ms)), the weighted
+    terms' sum, or in degree 1 the sums of x1 and x2 times them."""
     tau = np.frombuffer(point, dtype=complex).reshape(-1, 2, 2)
-    h1, h2, index, weights = _class_weights(ms)
-    values = np.zeros((len(tau), len(index)), dtype=complex)
+    h1, h2, index, weights = _class_weights(ms, degree)
+    values = np.zeros((len(tau), degree + 1, len(index)), dtype=complex)
     if len(h1):
-        windows = _row_windows(tau.imag, tol)
+        windows = _row_windows(tau.imag, tol, degree)
+        integral = np.count_nonzero(h1 == 0)  # the classes come in order, integral ones first
         for p, (x1, chunks) in enumerate(_row_chunks(tau, windows, h1, h2)):
-            # each row's sums by the parity of a2: rows start at an even a2,
-            # so the cells pair up as a2 even, a2 odd
-            sums = np.concatenate([
-                np.add.reduceat(terms.reshape(-1, 2), np.arange(0, terms.size // 2, len(x2[0]) // 2))
-                for _, x2, terms in chunks])
-            sums[x1 == 0] *= 0.5  # the row x1 = 0 of an integral class is its own mirror
+            count = len(x1) // len(h1)  # rows a class
+            # each row's moment sums by the parity of a2: rows start at an
+            # even a2, so the cells pair up as a2 even, a2 odd
+            sums = [np.add.reduceat(_moments(rows, x2, terms, degree).reshape(degree + 1, -1, 2),
+                                    np.arange(0, terms.size // 2, len(x2[0]) // 2), axis=1)
+                    for rows, x2, terms in chunks]
+            sums = sums[0] if len(sums) == 1 else np.concatenate(sums, axis=1)
+            if integral:  # the row x1 = 0 of an integral class, its first, is its own mirror
+                sums[:, :integral * count:count] *= 0.5
             # each class summed over the four parity classes of (a1, a2): its
             # rows come in pairs a1 even, a1 odd
-            parts = np.add.reduceat(sums.reshape(-1, 4), np.arange(0, len(x1) // 2,
-                                                                   len(x1) // (2 * len(h1))))
-            values[p] = (parts[index] * weights).sum(-1)
-    values = values.reshape(shape[:-2] + (len(index),))
+            parts = np.add.reduceat(sums.reshape(degree + 1, -1, 4),
+                                    np.arange(0, len(x1) // 2, count // 2), axis=1)
+            values[p] = (parts.take(index, 1) * weights).sum(-1)
+    values = values.reshape(shape[:-2] + values.shape[1:])
     values.flags.writeable = False
     return values
 
 
+def _moments(x1, x2, terms, degree: int) -> np.ndarray:
+    """A chunk's terms (degree 0), or x1 and x2 times them (degree 1)."""
+    if not degree:
+        return terms[None]
+    moments = np.empty((2,) + terms.shape, dtype=complex)
+    np.multiply(terms, x1[:, None], out=moments[0])
+    np.multiply(terms, x2, out=moments[1])
+    return moments
+
+
 @lru_cache(maxsize=16)
-def _class_weights(ms: bytes):
+def _class_weights(ms: bytes, degree: int):
     """For the int64 characteristics with these bytes: the shifts (h1, h2) =
     m'/2 of each class m' mod 2 they need, the index of each one's class
     among those, and the weights of its class's four parity parts (a1 mod 2,
-    a2 mod 2): the phases of _PARITY_PHASES times the reduction sign
-    (-1)^(m'.k'') for m = m mod 2 + 2k."""
+    a2 mod 2) in this moment degree: the phases of _PARITY_PHASES times the
+    reduction sign (-1)^(m'.k'') for m = m mod 2 + 2k."""
     m = np.frombuffer(ms, dtype=np.int64).reshape(-1, 4)
     red = m % 2
     signs = 1 - 2 * ((red[:, :2] * (m[:, 2:] // 2)).sum(1) % 2)
     codes = 2 * red[:, 0] + red[:, 1]
     classes = np.flatnonzero(np.bincount(codes, minlength=4))
-    weights = signs[:, None] * _PARITY_PHASES[codes, red[:, 2], red[:, 3]].reshape(-1, 4)
+    weights = signs[:, None] * _PARITY_PHASES[degree, codes, red[:, 2], red[:, 3]].reshape(-1, 4)
     weights.flags.writeable = False
     return classes // 2 / 2, classes % 2 / 2, np.searchsorted(classes, codes), weights
 
@@ -729,17 +748,12 @@ def theta_gradient(m, tau, tol=1e-12) -> np.ndarray:
     (..., 2, 2): shape (..., 2), from one lattice pass.  tol is a float, or
     an array of one tol per point (broadcast to the stack).
 
-    Unreduced m are reduced as in theta_values, and the sum runs over the
-    windows of _row_windows in degree 1, in theta_values' rows x1 >= 0,
-    which start at even a2: i^(b.m'') is a row phase times a phase that
-    depends on a2 mod 2 alone, and each weighted term is summed with x1 and
-    with x2.  As x -> -x multiplies
-    i^(b.m'') by (-1)^(m'.m'') = -1, the summand is even, so twice the rows'
-    sum is the sum over their points and their mirrors, which weighs every
-    window point by 1 and every padding point by a weight in [0, 1]: the
-    tail bound holds.  As in theta_values, the pass is cached on the bytes
-    of m and tau, tau's shape, and tol (a tuple of floats for per-point
-    tols); each call returns a fresh array.
+    It is theta_values' pass in moment degree 1, on the windows of
+    _row_windows in that degree: the rows' terms times x1 and times x2,
+    weighted by the phases of x and -x, which sum to 2 i^(b.m'') as x -> -x
+    multiplies i^(b.m'') by (-1)^(m'.m'') = -1; the tail bound holds as in
+    theta_values.  It shares theta_values' cache, with tol a tuple of floats
+    for per-point tols; each call returns a fresh array.
     """
     m = tuple(int(v) for v in m)
     if genus_of(m) != 2 or parity(m) != "odd":
@@ -747,52 +761,8 @@ def theta_gradient(m, tau, tol=1e-12) -> np.ndarray:
     tau = _points(tau)
     if np.ndim(tol):
         tol = tuple(np.broadcast_to(np.asarray(tol, dtype=float), tau.shape[:-2]).ravel().tolist())
-    return _gradient_sums(np.array(m, dtype=np.int64).tobytes(), tau.tobytes(),
-                          tau.shape, tol).copy()
-
-
-_PHASES = np.array([1, 1j, -1, -1j])  # i^k at k mod 4
-
-
-@lru_cache(maxsize=128)
-def _gradient_sums(char: bytes, point: bytes, shape: tuple, tol) -> np.ndarray:
-    """The read-only value of theta_gradient for the int64 characteristic and
-    the complex points with these bytes (a point or stack of this shape), at
-    tol, a float or a tuple of one per point."""
-    tau = np.frombuffer(point, dtype=complex).reshape(-1, 2, 2)
-    sign, h1, h2, column, row_phase = _gradient_weights(char)
-    windows = _row_windows(tau.imag, tol, degree=1)
-    grad = np.zeros((len(tau), 2), dtype=complex)
-    for p, (_, chunks) in enumerate(_row_chunks(tau, windows, h1, h2)):
-        for x1, x2, terms in chunks:
-            # i^(b.m''): a row phase times a phase of a2 mod 2, the rows
-            # starting at an even a2; the row x1 = 0 is its own mirror
-            weight = _PHASES[(2 * x1).astype(np.int64) * row_phase % 4]
-            if not h1[0]:
-                weight[x1 == 0] *= 0.5
-            terms *= weight[:, None]
-            terms.reshape(-1, 2)[:] *= column
-            grad[p, 0] += (x1[:, None] * terms).sum()
-            grad[p, 1] += (x2 * terms).sum()
-    # the summand is even in x, so the rows with their mirrors give twice it
-    grad = (2 * sign * grad).reshape(shape[:-2] + (2,))
-    grad.flags.writeable = False
-    return grad
-
-
-@lru_cache(maxsize=16)
-def _gradient_weights(char: bytes) -> tuple:
-    """For the int64 characteristic m with these bytes: the reduction sign
-    (-1)^(m'.k''), the shifts (h1, h2) = m'/2 of its class, as in
-    _class_weights, the phases i^(b2 m2'') of a2 even and a2 odd, as
-    b2 = m2' + 2 a2 mod 4, and m1'' mod 2, whose row phase is
-    i^(2 x1 m1'')."""
-    m = np.frombuffer(char, dtype=np.int64).tolist()
-    red = [v % 2 for v in m]
-    sign = -1 if (red[0] * (m[2] // 2) + red[1] * (m[3] // 2)) % 2 else 1
-    column = _PHASES[(red[1] + 2 * np.arange(2)) * red[3] % 4]
-    column.flags.writeable = False
-    return sign, np.array([red[0] / 2]), np.array([red[1] / 2]), column, red[2]
+    return _lattice_sums(np.array(m, dtype=np.int64).tobytes(), tau.tobytes(),
+                         tau.shape, tol, 1)[..., 0].copy()
 
 
 def fz_eval(tau, tol: float = 1e-12):

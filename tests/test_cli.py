@@ -25,6 +25,25 @@ def test_run_config_validation():
         RunConfig(selected_suites=["nope"]).validate()
 
 
+def test_prime_caps_follow_the_counts_of_the_selected_suites(capsys):
+    """A prime is capped by the counts the selected suites read: counts and
+    fermat the cone and U1c counts, to 13; lefschetz Ztilde's character
+    sums, to 41; suites that count nothing add no cap."""
+    assert main(["lefschetz", "--primes", "17,41"]) == 0
+    assert main(["lfactors", "--primes", "17,41,43"]) == 0
+    RunConfig(prime_list=[43], selected_suites=["lfactors", "ez"]).validate()
+    capsys.readouterr()
+    cone, charsum = "the cone and U1c counting cap (13)", "the character-sum counting cap (41)"
+    for argv, cap in ((["lefschetz", "--primes", "43"], charsum),
+                      (["lfactors", "lefschetz", "--primes", "3,43"], charsum),
+                      (["all", "--primes", "17"], cone),
+                      (["counts", "--primes", "17"], cone),
+                      (["lefschetz", "fermat", "--primes", "17"], cone)):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"exceeds {cap}" in captured.err and "checks" not in captured.out
+
+
 def test_usage_error_exit_code():
     assert main(["counts", "--primes", "4,6"]) == 2
     assert main(["bogus-suite"]) == 2
@@ -219,38 +238,51 @@ def _spy_genus2_products(monkeypatch):
 def test_verify_all_builds_each_exact_object_once(monkeypatch):
     """One run of every suite never builds F_Z and makes no genus-2 product
     (both degeneration claims multiply the factors' degenerations in genus
-    1), asks for each theta lattice pass once, one per claim's stack of
-    points, and runs it once per distinct (tau, tol, characteristics), so a
-    second run in the process runs none, and splits the six-tuples into
-    orbits once."""
+    1), asks for each theta-constant lattice pass once, one per claim's
+    stack of points, and runs the shared lattice pass once per distinct
+    (degree, characteristics, tau, tol), theta constants in degree 0 and
+    gradients in degree 1, so a second run in the process runs none, and
+    splits the six-tuples into orbits once."""
     import numpy as np
 
-    from siegelz import theta
+    from siegelz import soudry, theta
 
     builds = _spy_fz_builds(monkeypatch)
     products = _spy_genus2_products(monkeypatch)
-    keys = []
-    real_values = theta.theta_values
+    keys = []  # (degree, characteristics, tau, tol) of each call
+    real_values, real_gradient = theta.theta_values, soudry.theta_gradient
 
     def values_spy(ms, tau, tol=1e-12):
-        keys.append((np.asarray(ms, dtype=np.int64).tobytes(),
+        keys.append((0, np.asarray(ms, dtype=np.int64).tobytes(),
                      np.asarray(tau, dtype=complex).tobytes(), tol))
         return real_values(ms, tau, tol)
 
+    def gradient_spy(m, tau, tol=1e-12):
+        keys.append((1, np.asarray(m, dtype=np.int64).tobytes(),
+                     np.asarray(tau, dtype=complex).tobytes(),
+                     np.asarray(tol, dtype=float).tobytes()))
+        return real_gradient(m, tau, tol)
+
+    def values_keys():
+        return [k for k in keys if k[0] == 0]
+
     monkeypatch.setattr(theta, "theta_values", values_spy)
-    theta._theta_sums.cache_clear()
+    monkeypatch.setattr(soudry, "theta_gradient", gradient_spy)
+    theta._lattice_sums.cache_clear()
     theta.orbit_decomposition.cache_clear()
     reports, code = run(RunConfig())
     assert code == 1 and len(reports) == 60
     assert builds == []
     assert products == []
-    # each miss of the pass's cache is one lattice pass
-    passes = theta._theta_sums.cache_info().misses
-    assert passes == len(set(keys)) == len(keys)
+    # each miss of the pass's cache is one lattice pass, in either degree
+    passes = theta._lattice_sums.cache_info().misses
+    values = values_keys()
+    assert passes == len(set(keys)) and len(set(values)) == len(values)
     info = theta.orbit_decomposition.cache_info()
     assert (info.misses, info.hits) == (1, 2)
     assert run(RunConfig())[1] == 1
-    assert len(keys) == 2 * passes and theta._theta_sums.cache_info().misses == passes
+    assert len(values_keys()) == 2 * len(values)
+    assert theta._lattice_sums.cache_info().misses == passes
 
 
 def test_fz_phi_ratio_is_one_pass_with_the_bits_of_two_single_points(monkeypatch):

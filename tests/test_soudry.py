@@ -284,10 +284,10 @@ def test_verify_ez_takes_each_gradient_pass_once(monkeypatch):
         return grads[-1]
 
     monkeypatch.setattr(soudry, "theta_gradient", spy)
-    theta._gradient_sums.cache_clear()
+    theta._lattice_sums.cache_clear()
     reports, _ = run(RunConfig(selected_suites=["ez"]))
     assert len(reports) == 8
-    assert theta._gradient_sums.cache_info().misses == len(set(keys)) < len(keys)
+    assert theta._lattice_sums.cache_info().misses == len(set(keys)) < len(keys)
     assert len({id(g) for g in grads}) == len(grads)
     assert all(g.flags.writeable for g in grads)
     tau = EZ_SAMPLE_POINTS[0]
@@ -296,8 +296,8 @@ def test_verify_ez_takes_each_gradient_pass_once(monkeypatch):
     first[:] = 0
     again = theta.theta_gradient(list(ODD_CHAR), tau.copy(), 1e-10)
     assert np.array_equal(again, want)
-    assert np.array_equal(again, theta._gradient_sums.__wrapped__(
-        np.array(ODD_CHAR, dtype=np.int64).tobytes(), tau.tobytes(), tau.shape, 1e-10))
+    assert np.array_equal(again, theta._lattice_sums.__wrapped__(
+        np.array(ODD_CHAR, dtype=np.int64).tobytes(), tau.tobytes(), tau.shape, 1e-10, 1)[..., 0])
 
 
 def test_e_z_on_a_stack_equals_its_points_one_by_one():

@@ -445,13 +445,37 @@ def test_theta_values_match_the_defining_sum():
 
 
 def test_cached_theta_values_are_fresh_arrays():
-    theta._theta_sums.cache_clear()
+    theta._lattice_sums.cache_clear()
     first = theta_values(FZ_TUPLE, TAU_B, 1e-13)
     expected = first.copy()
     first[:] = 0
     again = theta_values(list(FZ_TUPLE), TAU_B.copy(), 1e-13)
     assert again is not first and np.array_equal(again, expected)
-    assert theta._theta_sums.cache_info().misses == 1
+    assert theta._lattice_sums.cache_info().misses == 1
+
+
+def test_theta_constants_and_gradients_are_separate_entries_of_one_cache():
+    """theta_values and theta_gradient of one odd characteristic at one tau
+    and tol are two entries of the one lattice pass's cache, degree 0 and
+    degree 1, in either order of the calls: the theta constant is 0 and the
+    gradient is not, and every call returns a fresh, writable array."""
+    m = (1, 0, 1, 1)
+    calls = {"values": lambda: theta_values([m], TAU_B, 1e-13),
+             "gradient": lambda: theta_gradient(m, TAU_B, 1e-13)}
+    for order in (("values", "gradient"), ("gradient", "values")):
+        theta._lattice_sums.cache_clear()
+        got = {name: calls[name]() for name in order}
+        assert theta._lattice_sums.cache_info().misses == 2
+        assert np.array_equal(got["values"], [0])
+        assert got["gradient"].shape == (2,) and np.abs(got["gradient"]).min() > 1e-3
+        for name in order:
+            want = got[name].copy()
+            got[name][:] = 7
+            again = calls[name]()
+            assert again is not got[name] and again.flags.writeable
+            assert np.array_equal(again, want)
+        info = theta._lattice_sums.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
 
 
 def test_theta_expansion_cache_reads_the_characteristic_as_ints():
@@ -621,7 +645,7 @@ def test_theta_values_pass_peaks_near_its_block(monkeypatch):
     tau = _ill_conditioned_points()[2]
     assert theta._row_windows(tau.imag, 1e-13)[0][2:] == (80, 78.5)
     cells = _pass_cells(monkeypatch)
-    theta._theta_sums.cache_clear()
+    theta._lattice_sums.cache_clear()
     peak = _peak(theta_values, FZ_TUPLE, tau, 1e-13)
     classes = len({(m[0] % 2, m[1] % 2) for m in FZ_TUPLE})
     assert sum(cells) == classes * 82 * 160 and len(cells) > 1
@@ -638,12 +662,12 @@ def test_a_stacked_pass_peaks_no_higher_than_one_point(monkeypatch):
     points = np.stack(_level48_images() + _ill_conditioned_points())
     allchars = list(itertools.product((0, 1), repeat=4))
     cells = _pass_cells(monkeypatch)
-    theta._theta_sums.cache_clear()
+    theta._lattice_sums.cache_clear()
     peak = _peak(theta_values, allchars, points, 1e-13)
     assert sum(cells) > 9 * _ONE_POINT_BLOCK / 16
     assert max(cells) <= theta._CELL_BUDGET + 2 * 79 + 2
     assert peak <= 2.5 * _ONE_POINT_BLOCK, peak / _ONE_POINT_BLOCK
-    theta._gradient_sums.cache_clear()
+    theta._lattice_sums.cache_clear()
     peak = _peak(theta_gradient, (1, 0, 1, 1), points, 1e-15)
     assert peak <= 2.5 * _ONE_POINT_BLOCK, peak / _ONE_POINT_BLOCK
 

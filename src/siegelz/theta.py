@@ -600,14 +600,13 @@ def _moment_sum(y: float) -> float:
     return 2 * r * math.exp(-math.pi * y * r * r) + 1 / (math.pi * y)
 
 
-# phase(x) + (-1)^d phase(-x), the weight of a term of moment degree d
-# standing for x and its mirror -x, for phase(x) = i^(b.m'') =
-# i^(m'.m'') (-1)^(a.m'') at b = 2a + m', indexed by d, by m' and m'' mod 2
-# (each as a binary number, first entry highest) and by the parities of a1
-# and a2; -x = (-a - m') + m'/2 has an a with the parities of a + m', and
-# x's term.  For an odd m in degree 1 it is 2 phase(x).  Sums of the parity
-# parts, not a matrix product: BLAS wakes worker threads that spin on after
-# the call and slow the code that follows on small machines.
+# phase(x) + (-1)^d phase(-x), the weight of a degree-d term that stands for
+# x and its mirror -x, with phase(x) = i^(b.m'') = i^(m'.m'') (-1)^(a.m'') at
+# b = 2a + m', indexed by d, by m' and m'' mod 2 (each as a binary number,
+# first entry highest) and by the parities of a1 and a2: -x = (-a - m') + m'/2
+# has x's term and an a with the parities of a + m'.  It is 2 phase(x) for an
+# odd m in degree 1.  Sums of the parity parts, not a matrix product: BLAS wakes
+# worker threads that spin on after the call and slow what follows on small machines.
 _PARITY_PHASES = np.array([(1, 1j, -1, -1j)[(c1 * e + c2 * f) % 4]
                            * ((-1) ** (i * e + k * f) + (-1) ** (d + (i + c1) * e + (k + c2) * f))
                            for d, c1, c2, e, f, i, k in itertools.product((0, 1), repeat=7)]
@@ -689,11 +688,10 @@ def _lattice_sums(ms: bytes, point: bytes, shape: tuple, tol, degree: int) -> np
     of one per point: shape shape[:-2] + (degree + 1, len(ms)), the weighted
     terms' sum, or in degree 1 the sums of x1 and x2 times them."""
     tau = np.frombuffer(point, dtype=complex).reshape(-1, 2, 2)
-    h1, h2, index, weights = _class_weights(ms, degree)
+    h1, h2, integral, index, weights = _class_weights(ms, degree)
     values = np.zeros((len(tau), degree + 1, len(index)), dtype=complex)
     if len(h1):
         windows = _row_windows(tau.imag, tol, degree)
-        integral = np.count_nonzero(h1 == 0)  # the classes come in order, integral ones first
         for p, (x1, chunks) in enumerate(_row_chunks(tau, windows, h1, h2)):
             count = len(x1) // len(h1)  # rows a class
             # each row's moment sums by the parity of a2: rows start at an
@@ -727,10 +725,11 @@ def _moments(x1, x2, terms, degree: int) -> np.ndarray:
 @lru_cache(maxsize=16)
 def _class_weights(ms: bytes, degree: int):
     """For the int64 characteristics with these bytes: the shifts (h1, h2) =
-    m'/2 of each class m' mod 2 they need, the index of each one's class
-    among those, and the weights of its class's four parity parts (a1 mod 2,
-    a2 mod 2) in this moment degree: the phases of _PARITY_PHASES times the
-    reduction sign (-1)^(m'.k'') for m = m mod 2 + 2k."""
+    m'/2 of each class m' mod 2 they need, in order, and how many are
+    integral (h1 = 0, first); the index of each one's class among those,
+    and the weights of its class's four parity parts (a1 mod 2, a2 mod 2) in
+    this moment degree: the phases of _PARITY_PHASES times the reduction
+    sign (-1)^(m'.k'') for m = m mod 2 + 2k."""
     m = np.frombuffer(ms, dtype=np.int64).reshape(-1, 4)
     red = m % 2
     signs = 1 - 2 * ((red[:, :2] * (m[:, 2:] // 2)).sum(1) % 2)
@@ -738,7 +737,8 @@ def _class_weights(ms: bytes, degree: int):
     classes = np.flatnonzero(np.bincount(codes, minlength=4))
     weights = signs[:, None] * _PARITY_PHASES[degree, codes, red[:, 2], red[:, 3]].reshape(-1, 4)
     weights.flags.writeable = False
-    return classes // 2 / 2, classes % 2 / 2, np.searchsorted(classes, codes), weights
+    return (classes // 2 / 2, classes % 2 / 2, int((classes < 2).sum()),
+            np.searchsorted(classes, codes), weights)
 
 
 def theta_gradient(m, tau, tol=1e-12) -> np.ndarray:
@@ -748,12 +748,11 @@ def theta_gradient(m, tau, tol=1e-12) -> np.ndarray:
     (..., 2, 2): shape (..., 2), from one lattice pass.  tol is a float, or
     an array of one tol per point (broadcast to the stack).
 
-    It is theta_values' pass in moment degree 1, on the windows of
-    _row_windows in that degree: the rows' terms times x1 and times x2,
-    weighted by the phases of x and -x, which sum to 2 i^(b.m'') as x -> -x
-    multiplies i^(b.m'') by (-1)^(m'.m'') = -1; the tail bound holds as in
-    theta_values.  It shares theta_values' cache, with tol a tuple of floats
-    for per-point tols; each call returns a fresh array.
+    It is theta_values' pass in moment degree 1, on _row_windows' windows in
+    that degree: the rows' terms times x1 and x2, weighted by the phases of
+    x and -x, 2 i^(b.m'') as x -> -x multiplies i^(b.m'') by (-1)^(m'.m'') =
+    -1; the tail bound holds as in theta_values, whose cache it shares (tol a
+    tuple of floats for per-point tols); each call returns a fresh array.
     """
     m = tuple(int(v) for v in m)
     if genus_of(m) != 2 or parity(m) != "odd":

@@ -9,8 +9,10 @@ a dense box of product indices, compressed by the common stride of each
 exponent column, filled in slabs of bounded size and read off in sorted
 order.  A slab with few pairs is filled in one broadcast, a larger one
 term by term, so a small product costs a few numpy calls.  What the
-kernel reads of an input (its summary) is computed once per series and
-kept on it, and a factor of one term is a shift and a scale of the other.
+kernel reads of an input (its summary, lattice-aligned bounds and exact
+norms) is kept on the series: a series the package builds gets it from
+its builder, one made from outside data by one scan.  A factor of one
+term is a shift and a scale of the other.
 One bound, l1(small) * linf(big) below 2**62, proves every int64 partial
 sum exact, whatever order a fill sums in.  `series_product` multiplies
 many factors, squaring the product of one of each pair of equal ones.
@@ -227,8 +229,9 @@ class QuarterSeries:
     `exps` holds the exponent columns and `re` and `im` the coefficient
     parts; `coeffs` reads them as a mapping {index: GaussInt}.  A series is
     immutable, so the caches of the theta layer can share one.  The pair
-    kernel's summary of a series (_summary) is kept in the last slot once
-    computed; copies, pickles and == never read it.
+    kernel's summary of a series (_Summary) is kept in the last slot, given
+    by the builder of a series the package makes, or scanned on first use;
+    copies, pickles and == never read it.
     """
 
     __slots__ = ("genus", "order", "exps", "re", "im", "_kernel_summary")
@@ -255,27 +258,29 @@ class QuarterSeries:
         keep = (re != 0) | (im != 0)
         self._store(genus, order, [_int_array(x[keep]) for x in (*exps, re, im)])
 
-    def _store(self, genus, order, arrays):
+    def _store(self, genus, order, arrays, summary=None):
         """Store the arrays of nonzero terms with distinct indices in canonical
         order, each already int64 if every entry is below 2**62 and of Python
-        ints otherwise.  The kernel summary is computed on first use."""
+        ints otherwise, with the kernel summary their builder gives (see
+        _Summary), or none, to be scanned on first use."""
         if genus not in (1, 2):
             raise ValueError(f"genus must be 1 or 2, got {genus}")
         if order < 0:
             raise ValueError("order must be nonnegative")
         for x in arrays:
             x.flags.writeable = False
-        values = (genus, order, tuple(arrays[:-2]), *arrays[-2:], None)
+        values = (genus, order, tuple(arrays[:-2]), *arrays[-2:], summary)
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
     @classmethod
-    def _of_terms(cls, genus: int, order: int, arrays) -> "QuarterSeries":
+    def _of_terms(cls, genus: int, order: int, arrays, summary=None) -> "QuarterSeries":
         """The series of the arrays (exponent columns, then re and im) of
         nonzero terms with distinct indices in canonical order, each already
-        int64 if every entry is below 2**62 and of Python ints otherwise."""
+        int64 if every entry is below 2**62 and of Python ints otherwise,
+        carrying the kernel summary its builder gives, if any."""
         out = cls.__new__(cls)
-        out._store(genus, order, arrays)
+        out._store(genus, order, arrays, summary)
         return out
 
     def __setattr__(self, name, value):
@@ -300,8 +305,9 @@ class QuarterSeries:
 
     @classmethod
     def one(cls, genus: int, order: int) -> "QuarterSeries":
-        zero = np.zeros(1, np.int64)
-        return cls._of_terms(genus, order, [zero] * (2 * genus - 1) + [np.ones(1, np.int64), zero])
+        zero, k = np.zeros(1, np.int64), 2 * genus - 1
+        summary = _Summary(False, *([0] * k for _ in range(5)), 1, 1, (True, False))
+        return cls._of_terms(genus, order, [zero] * k + [np.ones(1, np.int64), zero], summary)
 
     @property
     def coeffs(self) -> "SeriesCoeffs":
@@ -442,13 +448,28 @@ _BROADCAST_PAIRS = 1 << 15
 
 class _Summary(NamedTuple):
     """What the pair kernel reads of one input, about its code columns (the
-    keys of the canonical order, _code_columns) and coefficients.  `wide`
-    says whether four times a code entry reaches 2**62.  Per column, as
-    Python ints: the minimum and maximum, min(c + d) and max(c - d) with d
-    the degree column, and the gcd of the differences.  `l1` and `linf` are
-    the sum and the maximum of |re| + |im| over the coefficients, as Python
-    ints, and `nonzero` says whether re and im each have a nonzero entry.
-    It holds no array, so that the series a cache keeps stay small."""
+    keys of the canonical order, _code_columns) and coefficients, as Python
+    ints.  Per column, lattice-aligned bounds: `low` is at most the
+    column's minimum and `high` at least its maximum, `gcd` divides every
+    difference of two entries and every entry is congruent to low modulo
+    it; `plus` is at most min(c + d) and `minus` at least max(c - d), with
+    d the degree column.  `wide` says whether four times a low or a high
+    reaches 2**62.  Exact: `l1` and `linf`, the sum and the maximum of
+    |re| + |im| over the coefficients, and `nonzero`, whether re and im
+    each have a nonzero entry; a built series leaves these three None
+    until the kernel first reads it (_kernel_summary).
+
+    Series made from outside data (the constructor, from_arrays, truncate)
+    are scanned once (_summary), which gives every bound exactly.  A series
+    the package builds carries its summary from its builder, and is never
+    scanned: theta series in closed form (theta._theta_series), pair
+    products from their box (_mul_schoolbook), and one-term products as a
+    shift of the other factor's (_mul_one_term).  Bounds suffice: the
+    kernel reads them only to lay out a box that holds every product, whose
+    cells step by the gcd from the lows, and to guard its int64 path, and a
+    looser bound only widens both.  A low off its lattice, though, would
+    put every product in a wrong cell.  It holds no array, so that the
+    series a cache keeps stay small."""
     wide: bool
     low: list
     high: list
@@ -467,8 +488,8 @@ def _code_columns(s: QuarterSeries, dtype=None) -> np.ndarray:
 
 
 def _summary(s: QuarterSeries) -> _Summary:
-    """The summary of s: one min and one max over its code columns stacked
-    with their sums and differences with the degree column."""
+    """The exact summary of s: one min and one max over its code columns
+    stacked with their sums and differences with the degree column."""
     def extremes(cols):
         ext = np.concatenate((cols, cols + cols[0], cols - cols[0]))
         return ext.min(1).tolist(), ext.max(1).tolist()
@@ -480,20 +501,35 @@ def _summary(s: QuarterSeries) -> _Summary:
     if wide and cols.dtype != object:
         cols = cols.astype(object)  # c + d could wrap in int64
         low, high = extremes(cols)
+    return _Summary(wide, low[:k], high[:k], low[k:2 * k], high[2 * k:],
+                    np.gcd.reduce(cols - cols[:, :1], axis=1).tolist(), *_norms(s))
+
+
+def _norms(s: QuarterSeries) -> tuple:
+    """The l1, linf and nonzero fields of the summary of s."""
     nonzero = bool(s.re.any()), bool(s.im.any())
     # exact: each part is below 2**62 in int64
     norms = np.abs(s.re) + np.abs(s.im) if nonzero[1] else np.abs(s.re)
     linf = int(norms.max())
     l1 = int(norms.sum()) if len(norms) * linf < _INT64_SAFE else sum(norms.tolist())
-    return _Summary(wide, low[:k], high[:k], low[k:2 * k], high[2 * k:],
-                    np.gcd.reduce(cols - cols[:, :1], axis=1).tolist(), l1, linf, nonzero)
+    return l1, linf, nonzero
+
+
+def _built_summary(low, high, plus, minus, gcd, norms=(None, None, None)) -> _Summary:
+    """The summary of a built series from bounds on its code columns (see
+    _Summary), with its norms if known."""
+    return _Summary(4 * max(map(abs, low + high)) >= _INT64_SAFE,
+                    low, high, plus, minus, gcd, *norms)
 
 
 def _kernel_summary(s: QuarterSeries) -> _Summary:
-    """_summary(s), computed once per series and kept on it."""
-    if s._kernel_summary is None:
-        object.__setattr__(s, "_kernel_summary", _summary(s))
-    return s._kernel_summary
+    """The summary kept on s, complete: scanned if s has none, its norms
+    computed if its builder left them out; kept on s either way."""
+    kept = s._kernel_summary
+    if kept is None or kept.l1 is None:
+        kept = _summary(s) if kept is None else _Summary(*kept[:6], *_norms(s))
+        object.__setattr__(s, "_kernel_summary", kept)
+    return kept
 
 
 class _Box(NamedTuple):
@@ -515,17 +551,19 @@ def _mul_schoolbook(a: QuarterSeries, b: QuarterSeries, order: int) -> QuarterSe
     add under multiplication, and the products are added into their cells
     with `np.add.at`; no sort is needed.  The set-up reads the summary
     kept on each input (_kernel_summary) and does the box and overflow
-    arithmetic on Python ints.  A factor of one term takes _mul_one_term.
+    arithmetic on Python ints; the output carries a summary made from its
+    box (_product_summary), so the kernel never scans a product it made.  A
+    factor of one term takes _mul_one_term.
 
     The box has one axis per code column, the keys of the canonical order
     (_term_order): the degree d (e, or e1 + e3), then e1 and e2 in genus 2
     (e3 = d - e1).  So the output is emitted in order, with no sort.  An
-    axis steps by the gcd of its column's differences over both inputs (4
-    or 8 for theta products).  It spans only the values that a pair of
-    degree at most the order can reach: c <= order + max(c - d) and
-    c >= min(c + d) - order, each extremum summed over the two inputs.  For
-    theta products that clips d, e1 and e3 to [0, order] and e2 to
-    [-order, order].
+    axis steps by the gcd of the two inputs' gcds of its column (4 or 8
+    for theta products), from the sum of their lows, and it spans only the
+    values that a pair of degree at most the order can reach: c <= order +
+    max(c - d) and c >= min(c + d) - order, each summed over the two inputs
+    from their summaries' bounds.  For theta products that clips d, e1 and
+    e3 to [0, order] and e2 to [-order, order].
 
     The box is filled in slabs of consecutive degrees, each of at most
     _BOX_CELLS cells (or of one degree, if that is more), so memory stays
@@ -636,19 +674,36 @@ def _mul_schoolbook(a: QuarterSeries, b: QuarterSeries, order: int) -> QuarterSe
         ks.append(code // r)
         code = code % r
     exps = [base + st * k for base, st, k in zip(box.base, box.step, (*ks, code))]
+    summary = _product_summary(box, ss, sb, exps[0]) if len(re) else None
     exps = exps if a.genus == 1 else [exps[1], exps[2], exps[0] - exps[1]]  # (e1, e2, e3)
-    if not int64:
-        return QuarterSeries.from_arrays(a.genus, order, exps, re, im)
-    return QuarterSeries._of_terms(a.genus, order, [*exps, re, im])  # below 2**62 by the bound
+    arrays = [*exps, re, im]  # below 2**62 on int64 by the bound
+    return QuarterSeries._of_terms(
+        a.genus, order, arrays if int64 else [_int_array(x) for x in arrays], summary)
+
+
+def _product_summary(box: _Box, ss: _Summary, sb: _Summary, degrees) -> _Summary:
+    """The summary of a nonzero pair product from its box, its ascending
+    degrees and its factors' summaries.  Every code entry lies on the box's
+    lattice, base + step * k with k < width; the degrees' ends are exact.
+    c + d is at least the sum of the factors' plus and at least low(c) +
+    low(d); c - d is at most the sum of their minus and at most high(c) -
+    low(d).  The norms are left to the first read."""
+    low = [int(degrees[0]), *box.base[1:]]
+    high = [int(degrees[-1]), *(v + st * (w - 1) for v, st, w in zip(
+        box.base[1:], box.step[1:], box.width[1:]))]
+    plus = [max(x + y, v + low[0]) for x, y, v in zip(ss.plus, sb.plus, low)]
+    minus = [min(x + y, v - low[0]) for x, y, v in zip(ss.minus, sb.minus, high)]
+    return _built_summary(low, high, plus, minus, box.step)
 
 
 def _mul_one_term(term: QuarterSeries, big: QuarterSeries, order: int) -> QuarterSeries:
     """The truncated product of big and a series of one term, c * q^s: big's
     indices shifted by s and its coefficients scaled by c.  The shift keeps
     the canonical order, so the truncation keeps a prefix, and c(r + i m) is
-    never 0 in Z[i].  As in the pair kernel, it runs on int64 when four
-    times every code entry of both inputs and l1(term) * linf(big) are
-    below 2**62: then each exponent sums two entries below 2**61, and
+    never 0 in Z[i]; the output's summary is big's shifted by s, its norms
+    left to the first read.  As in the pair kernel, it runs on int64 when
+    four times every code entry of both inputs and l1(term) * linf(big)
+    are below 2**62: then each exponent sums two entries below 2**61, and
     |cr r - ci m|, |cr m + ci r| <= (|cr| + |ci|) max(|r|, |m|)."""
     index = [int(x[0]) for x in term.exps]
     code = _term_order(index)
@@ -661,9 +716,13 @@ def _mul_one_term(term: QuarterSeries, big: QuarterSeries, order: int) -> Quarte
     exps = [x[:n].astype(dtype, copy=False) + v for x, v in zip(big.exps, index)]
     r, m = (x[:n].astype(dtype, copy=False) for x in (big.re, big.im))
     re, im = cr * r - ci * m, cr * m + ci * r
-    if not int64:
-        return QuarterSeries.from_arrays(big.genus, order, exps, re, im)
-    return QuarterSeries._of_terms(big.genus, order, [*exps, re, im])
+    summary = _built_summary(
+        [v + c for v, c in zip(sb.low, code)], [v + c for v, c in zip(sb.high, code)],
+        [v + c + code[0] for v, c in zip(sb.plus, code)],
+        [v + c - code[0] for v, c in zip(sb.minus, code)], sb.gcd) if n else None
+    arrays = [*exps, re, im]
+    return QuarterSeries._of_terms(
+        big.genus, order, arrays if int64 else [_int_array(x) for x in arrays], summary)
 
 
 def _box(ss: _Summary, sb: _Summary, order: int) -> _Box:

@@ -12,6 +12,7 @@ import argparse
 import itertools
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -57,6 +58,14 @@ class RunConfig:
         for s in self.selected_suites:
             if s != "all" and s not in SUITES:
                 raise ValueError(f"unknown suite {s!r}")
+        # else the report could not be written until every suite had run;
+        # checked without creating or truncating the file
+        if self.output_path:
+            if os.path.isdir(self.output_path):
+                raise ValueError(f"the report path {self.output_path!r} is a directory")
+            if not os.path.isdir(os.path.dirname(os.path.abspath(self.output_path))):
+                raise ValueError(f"the directory of the report path {self.output_path!r} "
+                                 "does not exist")
 
     def suites(self) -> list:
         """The names of the suites to run, in order."""

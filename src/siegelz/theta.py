@@ -30,7 +30,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import GaussInt, QuarterSeries, i_power, series_mul, series_product
+from .arith import (GaussInt, QuarterSeries, _built_summary, i_power, series_mul,
+                    series_product)
 
 # ---------------------------------------------------------------------------
 # characteristics
@@ -374,7 +375,8 @@ def theta_expansion(m, order: int) -> QuarterSeries:
     b = m' mod 2, b.m'' = m'.m'' mod 2 on the whole lattice, so every pair
     cancels for an odd m and none for an even one, and an unreduced
     characteristic m + 2k gives (-1)^(m'.k'') times the series of m.
-    Cached on (m as a tuple of ints, order); the series' arrays are read-only.
+    Cached on (m as a tuple of ints, order); the series' arrays are read-only,
+    and it carries its kernel summary in closed form (_theta_summary).
     """
     return _theta_series(tuple(map(int, m)), order)
 
@@ -403,7 +405,41 @@ def _theta_series(m: tuple, order: int) -> QuarterSeries:
     re = _MIRROR_SUMS[sum(x * k for x, k in zip(b, mpp)) % 4]
     if not any(c % 2 for c in mp):
         re[0] = 1  # b = 0, the only term of degree 0, is its own mirror
-    return QuarterSeries._of_terms(g, order, [*exps, re, np.zeros(len(re), np.int64)])
+    summary = _theta_summary([c % 2 for c in mp], order, len(re)) if len(re) else None
+    return QuarterSeries._of_terms(g, order, [*exps, re, np.zeros(len(re), np.int64)], summary)
+
+
+def _theta_summary(p: list, order: int, n: int):
+    """The kernel summary (arith._Summary) of an even theta series of the
+    given order with n > 0 terms and b = p mod 2, in closed form: exact but
+    for the gcds of a short series, which the gcds given here divide.
+
+    The code columns are the degree d = |b|^2, e1 = b1^2 and e2 = 2 b1 b2.
+    An even square is 0 mod 4 and an odd one 1 mod 8, so d steps by 8 if
+    b1 and b2 are both odd and by 4 otherwise, e1 by 8 or 4 as b1 is odd or
+    even, and e2 by 8 if b is even and by 4 otherwise.  As e1 + d =
+    2 b1^2 + b2^2, e1 - d = -b2^2, e2 + d = (b1 + b2)^2 and e2 - d =
+    -(b1 - b2)^2, the terms b = p and b = (p1, -p2) give the lows of d and
+    e1 and every plus and minus.  The other extremes are at the largest b2
+    of a row b1, as b2 -> -b2 maps e2 to -e2.  The coefficients are +-2,
+    and 1 at b = 0."""
+    norms = 2 * n - (not any(p)), 2 if n > (not any(p)) else 1, (True, False)
+    if len(p) == 1:
+        r = math.isqrt(order)
+        top = r - (r - p[0]) % 2
+        return _built_summary([p[0]], [top * top], [2 * p[0]], [0], [4 + 4 * p[0]], norms)
+    p1, p2 = p
+    rows = []  # (b1, the largest b2 = p2 mod 2 with b1^2 + b2^2 <= order)
+    for b1 in range(p1, math.isqrt(order) + 1, 2):
+        t = math.isqrt(order - b1 * b1)
+        if t >= p2:
+            rows.append((b1, t - (t - p2) % 2))
+    e2 = max(2 * b1 * b2 for b1, b2 in rows)
+    odd = p1 ^ p2
+    return _built_summary(
+        [p1 + p2, p1, -e2], [max(b1 * b1 + b2 * b2 for b1, b2 in rows), rows[-1][0] ** 2, e2],
+        [2 * (p1 + p2), 2 * p1 + p2, odd], [0, -p2, -odd],
+        [4 + 4 * (p1 & p2), 4 + 4 * p1, 8 - 4 * (p1 | p2)], norms)
 
 
 @lru_cache(maxsize=16)

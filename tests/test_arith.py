@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 import pickle
 import random
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from siegelz import arith
+from siegelz import arith, cmform, theta
 from siegelz.arith import (
     GaussInt,
     IntPolynomial,
@@ -837,26 +838,138 @@ def _reference_summary(s):
             (any(v.re for v in s.coeffs.values()), any(v.im for v in s.coeffs.values())))
 
 
+def _assert_summary_bounds(s):
+    """The summary s keeps, read by the kernel, bounds the scan of s as
+    _Summary states: each low at most the column's minimum and congruent to
+    its entries modulo the gcd, which divides every difference; each high,
+    plus and minus on the safe side; `wide` whenever the scan's is; the
+    norms and nonzero flags exact."""
+    kept, scan = arith._kernel_summary(s), arith._summary(s)
+    divides = lambda g, x: x % g == 0 if g else x == 0
+    for j in range(len(scan.low)):
+        assert divides(kept.gcd[j], scan.gcd[j]) and divides(kept.gcd[j], scan.low[j] - kept.low[j])
+        assert kept.low[j] <= scan.low[j] and kept.high[j] >= scan.high[j]
+        assert kept.plus[j] <= scan.plus[j] and kept.minus[j] >= scan.minus[j]
+    assert kept.wide >= scan.wide and kept[6:] == scan[6:]
+
+
+def _rescanned(s):
+    """A copy of s made from its arrays, which the kernel scans."""
+    return QuarterSeries.from_arrays(s.genus, s.order, s.exps, s.re, s.im)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.data(), st.sampled_from([1, 2]), st.integers(0, 12))
 def test_the_kernel_summary_is_computed_once_and_kept_on_the_series(data, genus, order):
-    """The summary a series keeps equals a fresh _summary and the Python
-    reference, for every way of making a series; copies and pickles, and ==,
+    """A series made from outside data keeps the summary of one scan, equal
+    to the Python reference; a series the package builds keeps the summary
+    its builder gave, which bounds that scan.  Copies and pickles, and ==,
     never carry or read it."""
     a, b = (data.draw(_ring_series(genus, order)) for _ in range(2))
     cut = data.draw(st.integers(0, order))
-    built = [a, QuarterSeries.from_arrays(genus, order, a.exps, a.re, a.im), series_mul(a, b),
-             series_mul(a, b, cut), a.truncate(cut), QuarterSeries.one(genus, order),
+    scanned = [a, _rescanned(a), a.truncate(cut)]
+    built = [series_mul(a, b), series_mul(a, b, cut), QuarterSeries.one(genus, order),
              theta_expansion((0, 1) if genus == 1 else (0, 1, 1, 0), order)]
-    for s in (s for s in built if not s.is_zero()):
-        twin = QuarterSeries.from_arrays(genus, s.order, s.exps, s.re, s.im)
+    for s in (s for s in scanned + built if not s.is_zero()):
         kept = arith._kernel_summary(s)
         assert arith._kernel_summary(s) is kept is s._kernel_summary
-        assert kept == arith._summary(s) and list(kept) == list(_reference_summary(s))
+        if any(s is t for t in scanned):
+            assert kept == arith._summary(s) and list(kept) == list(_reference_summary(s))
+        else:
+            _assert_summary_bounds(s)
+            assert list(arith._summary(s)) == list(_reference_summary(s))
         assert arith._code_columns(s).tolist() == [list(c) for c in zip(*(
             [(k,) for k in s.coeffs] if genus == 1 else _degree_major(s)))]
         for copied in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
-            assert copied == s == twin and copied._kernel_summary is None
+            assert copied == s == _rescanned(s) and copied._kernel_summary is None
+
+
+def test_theta_summaries_in_closed_form_bound_the_scan():
+    """The closed-form summary of every theta series, in both genera, for
+    all 16 genus-2 characteristics and unreduced ones, at orders 0 to 400,
+    bounds the scan (and is exact but for the gcd of a short series)."""
+    shifts = {1: [(0, 0), (2, -2), (-2, 3)], 2: [(0, 0, 0, 0), (2, 0, -2, 2), (0, -2, 3, 4)]}
+    for genus, orders in ((1, range(401)), (2, [*range(41), *range(41, 401, 9), 400])):
+        for m in itertools.product((0, 1), repeat=2 * genus):
+            for k in shifts[genus]:
+                for order in orders:
+                    s = theta._theta_series.__wrapped__(tuple(x + y for x, y in zip(m, k)), order)
+                    if not s.is_zero():
+                        _assert_summary_bounds(s)
+                        kept, scan = s._kernel_summary, arith._summary(s)
+                        assert kept._replace(gcd=scan.gcd) == scan
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_products_of_kept_summaries_equal_products_of_rescanned_copies(seed):
+    """Seeded six-theta products, built one factor at a time from the kept
+    summaries, equal, term for term and dtype for dtype, the chains of the
+    same products of rescanned copies; and every step's kept summary bounds
+    its scan.  A theta low off its lattice breaks the former."""
+    rng = random.Random(seed)
+    evens = theta.even_characteristics(2)
+    for _ in range(10):
+        ms = [tuple(x + 2 * rng.randint(-1, 1) for x in rng.choice(evens)) for _ in range(6)]
+        order = rng.randint(0, 90)
+        got = six_tuple_expansion(ms, order)
+        prod = QuarterSeries.one(2, order)
+        for m in ms:
+            factor = theta_expansion(m, order)
+            prod, kept = series_mul(_rescanned(prod), _rescanned(factor)), series_mul(prod, factor)
+            assert _terms(kept) == _terms(prod)
+            if not kept.is_zero():
+                _assert_summary_bounds(kept)
+        assert _terms(got) == _terms(prod)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from([1, 2]), st.integers(0, 12), _fills)
+def test_chains_of_built_products_and_shifts_match_rescanned_chains(data, genus, order, pairs):
+    """Products and one-term shifts of arbitrary series, wide exponents and
+    coefficients beyond int64 included, keep summaries that bound their
+    scans, and a chain of them equals the chain of rescanned copies, dtypes
+    included.  Strided series share their steps, so that products keep
+    lattices coarser than 1."""
+    steps = data.draw(_steps)
+
+    def strided():
+        if genus == 2:
+            return _strided_g2_series(order, steps, data.draw(_offsets))
+        e = st.integers(-3, 4).map(lambda k, o=data.draw(st.integers(-5, 7)): o + steps[0] * k)
+        return st.dictionaries(e.filter(lambda e: e <= order), _gauss, min_size=1,
+                               max_size=10).map(lambda d: QuarterSeries(1, order, d))
+
+    def draw():
+        return data.draw(st.one_of(_ring_series(genus, order), _one_term(genus, order),
+                                   strided(), strided()))
+    factors = [draw() for _ in range(data.draw(st.integers(2, 4)))]
+    with mock.patch.object(arith, "_BROADCAST_PAIRS", pairs):
+        kept, fresh = factors[0], factors[0]
+        for f in factors[1:]:
+            o = data.draw(st.integers(0, order))
+            kept, fresh = series_mul(kept, f, o), series_mul(_rescanned(fresh), f, o)
+            assert _terms(kept) == _terms(fresh)
+            _assert_stored_canonically(kept)
+            if not kept.is_zero():
+                _assert_summary_bounds(kept)
+            order = o
+
+
+def test_the_package_builds_scan_no_series(monkeypatch):
+    """The kernel scans no series while the package builds F_Z or the
+    newform's theta product from empty caches; it scans a series made by the
+    constructor once."""
+    calls = []
+    scan = arith._summary
+    monkeypatch.setattr(arith, "_summary", lambda s: calls.append(s) or scan(s))
+    theta._theta_series.cache_clear()
+    cmform._g_theta_product.cache_clear()
+    six_tuple_expansion(FZ_TUPLE, 200)
+    cmform.g_expansion("theta_product", 1200)
+    assert calls == []
+    a = QuarterSeries(1, 20, {0: 1, 4: 2, 8: -1})
+    series_mul(a, a), series_mul(a, theta_expansion((0, 1), 20))
+    assert calls == [a]
 
 
 @pytest.mark.parametrize("bits", [8, 16, 62, 63, 64, 72])

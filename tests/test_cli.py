@@ -64,6 +64,18 @@ def test_configs_that_change_what_a_run_checks_are_rejected(argv, capsys):
     assert "checks" not in captured.out
 
 
+@pytest.mark.parametrize("where", ["missing/report.json", "."], ids=["missing directory", "directory"])
+def test_a_report_path_that_cannot_be_written_is_rejected_before_any_suite(
+        where, tmp_path, monkeypatch, capsys):
+    # the run would end in a crash in open, with the exit code of a failed
+    # claim, after every suite had run
+    monkeypatch.setattr("siegelz.cli.SUITE_RUNNERS", {})  # any suite run raises KeyError
+    assert main(["counts", "--out", str(tmp_path / where)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("invalid configuration: ") and captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_counts_suite_passes(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["counts", "--primes", "3,5", "--out", str(out)])

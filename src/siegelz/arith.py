@@ -305,9 +305,8 @@ class QuarterSeries:
 
     @classmethod
     def one(cls, genus: int, order: int) -> "QuarterSeries":
-        zero, k = np.zeros(1, np.int64), 2 * genus - 1
-        summary = _Summary(False, *([0] * k for _ in range(5)), 1, 1, (True, False))
-        return cls._of_terms(genus, order, [zero] * k + [np.ones(1, np.int64), zero], summary)
+        zero = np.zeros(1, np.int64)
+        return cls._of_terms(genus, order, [zero] * (2 * genus - 1) + [np.ones(1, np.int64), zero])
 
     @property
     def coeffs(self) -> "SeriesCoeffs":
@@ -459,17 +458,18 @@ class _Summary(NamedTuple):
     each have a nonzero entry; a built series leaves these three None
     until the kernel first reads it (_kernel_summary).
 
-    Series made from outside data (the constructor, from_arrays, truncate)
-    are scanned once (_summary), which gives every bound exactly.  A series
-    the package builds carries its summary from its builder, and is never
-    scanned: theta series in closed form (theta._theta_series), pair
-    products from their box (_mul_schoolbook), and one-term products as a
-    shift of the other factor's (_mul_one_term).  Bounds suffice: the
-    kernel reads them only to lay out a box that holds every product, whose
-    cells step by the gcd from the lows, and to guard its int64 path, and a
-    looser bound only widens both.  A low off its lattice, though, would
-    put every product in a wrong cell.  It holds no array, so that the
-    series a cache keeps stay small."""
+    Theta series and products carry their summary from their builder and
+    are never scanned: theta series in closed form (theta._theta_series),
+    pair products from their box (_mul_schoolbook) and one-term products
+    as the other factor's, shifted (_mul_one_term).  Any other series, made
+    from outside data (the constructor, from_arrays, truncate) or by
+    QuarterSeries.one, is scanned on first use (_summary), which gives
+    every bound exactly.  Bounds suffice: the kernel reads them only to lay
+    out a box that holds every product and to guard its int64 path, and a
+    looser bound only widens the box and makes the guard stricter.  The
+    box's cells step by the gcd from the lows, though, so a low off its
+    lattice would put products in wrong cells.  It holds no array, so that
+    the series a cache keeps stay small."""
     wide: bool
     low: list
     high: list

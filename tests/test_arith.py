@@ -867,8 +867,8 @@ def test_the_kernel_summary_is_computed_once_and_kept_on_the_series(data, genus,
     never carry or read it."""
     a, b = (data.draw(_ring_series(genus, order)) for _ in range(2))
     cut = data.draw(st.integers(0, order))
-    scanned = [a, _rescanned(a), a.truncate(cut)]
-    built = [series_mul(a, b), series_mul(a, b, cut), QuarterSeries.one(genus, order),
+    scanned = [a, _rescanned(a), a.truncate(cut), QuarterSeries.one(genus, order)]
+    built = [series_mul(a, b), series_mul(a, b, cut),
              theta_expansion((0, 1) if genus == 1 else (0, 1, 1, 0), order)]
     for s in (s for s in scanned + built if not s.is_zero()):
         kept = arith._kernel_summary(s)

@@ -10,9 +10,9 @@ exponent column, filled in slabs of bounded size and read off in sorted
 order.  A slab with few pairs is filled in one broadcast, a larger one
 term by term, so a small product costs a few numpy calls.  What the
 kernel reads of an input (its summary, lattice-aligned bounds and exact
-norms) is kept on the series: a series the package builds gets it from
-its builder, one made from outside data by one scan.  A factor of one
-term is a shift and a scale of the other.
+norms) is kept on the series: a theta series or a product gets it from
+its builder, any other series by one scan.  A factor of one term is a
+shift and a scale of the other.
 One bound, l1(small) * linf(big) below 2**62, proves every int64 partial
 sum exact, whatever order a fill sums in.  `series_product` multiplies
 many factors, squaring the product of one of each pair of equal ones.
@@ -230,7 +230,7 @@ class QuarterSeries:
     parts; `coeffs` reads them as a mapping {index: GaussInt}.  A series is
     immutable, so the caches of the theta layer can share one.  The pair
     kernel's summary of a series (_Summary) is kept in the last slot, given
-    by the builder of a series the package makes, or scanned on first use;
+    by the builder of a theta series or a product, or scanned on first use;
     copies, pickles and == never read it.
     """
 

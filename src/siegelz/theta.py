@@ -1,13 +1,14 @@
 """Theta characteristics and theta constants in genus 1 and 2.
 
 Exact truncated expansions, and numeric lattice sums with a proven tail
-bound: one cached pass gives every theta constant at a point, or an odd
-one's z-gradient, on the same rows and phases. One vectorized action
-of a symplectic matrix gives the unreduced images m M^-1 + (diag CD^T,
-diag AB^T) and the eighth-integer phases; a cached table per matrix turns
-them into each characteristic's share of the exact character, and the
-same action mod 2 gives the generators' permutations of the ten evens as one
-array, whose orbits on six-subsets min-label propagation finds. Also: the
+bound: one cached pass gives every theta constant at a point or a stack of
+points, or an odd one's z-gradient, on one table of rows and the same
+phases. One vectorized action of a symplectic matrix, or of a stack of
+them, gives the unreduced images m M^-1 + (diag CD^T, diag AB^T) and the
+eighth-integer phases; cached tables turn them into each characteristic's
+share of the exact character, and the same action mod 2 gives the
+generators' permutations of the ten evens as one array, whose orbits on
+six-subsets min-label propagation finds. Also: the
 generators e_1..e_10 of Gamma(2)/Gamma(4,8) with their pair characters,
 the stabilizer generators and orbit of the six-theta product F_Z, and F_Z.
 
@@ -103,36 +104,53 @@ _EYE4 = np.eye(4, dtype=np.int64)
 J4.flags.writeable = _EYE4.flags.writeable = False
 
 
-def is_symplectic(M: np.ndarray) -> bool:
+def _each(ok):
+    """A bool for one matrix, the bool array of a stack as it is."""
+    return bool(ok) if ok.ndim == 0 else ok
+
+
+def is_symplectic(M: np.ndarray):
+    """M J M^T = J, for a matrix or each matrix of a stack (..., 2g, 2g): a
+    bool, or a bool array of the stack's shape."""
     M = np.asarray(M)
-    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] % 2:
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2] or M.shape[-1] % 2:
         return False
-    J = J4 if M.shape[0] == 4 else _symplectic_form(M.shape[0] // 2)
-    return bool(np.array_equal(M @ J @ M.T, J))
+    J = J4 if M.shape[-1] == 4 else _symplectic_form(M.shape[-1] // 2)
+    return _each((M @ J @ np.swapaxes(M, -1, -2) == J).all((-2, -1)))
 
 
-def in_gamma(M: np.ndarray, n: int) -> bool:
-    """Principal congruence condition M = 1 mod n (with -1 counted at n <= 2)."""
-    eye = _EYE4 if M.shape[0] == 4 else np.eye(M.shape[0], dtype=np.int64)
-    return is_symplectic(M) and bool(
-        np.all((M - eye) % n == 0) or (n <= 2 and np.all((M + eye) % n == 0))
-    )
+def in_gamma(M: np.ndarray, n: int):
+    """Principal congruence condition M = 1 mod n (with -1 counted at n <= 2),
+    for a matrix or each matrix of a stack, as is_symplectic."""
+    M = np.asarray(M)
+    symplectic = is_symplectic(M)
+    if symplectic is False:
+        return False
+    eye = _EYE4 if M.shape[-1] == 4 else np.eye(M.shape[-1], dtype=np.int64)
+    congruent = ((M - eye) % n == 0).all((-2, -1))
+    if n <= 2:
+        congruent |= ((M + eye) % n == 0).all((-2, -1))
+    return _each(symplectic & congruent)
 
 
-def in_igusa_group(M: np.ndarray, n: int) -> bool:
+def in_igusa_group(M: np.ndarray, n: int):
     """Membership in the group of level (n, 2n): M = 1 mod n with even-ish diagonals,
-    diag(B) = diag(C) = 0 mod 2n."""
-    if not in_gamma(M, n):
+    diag(B) = diag(C) = 0 mod 2n; for a matrix or each matrix of a stack, as
+    is_symplectic."""
+    M = np.asarray(M)
+    member = in_gamma(M, n)
+    if member is False:
         return False
-    _, B, C, _ = blocks(M)
-    return bool(np.all(np.diag(B) % (2 * n) == 0) and np.all(np.diag(C) % (2 * n) == 0))
+    g = M.shape[-1] // 2
+    diagonals = np.concatenate([np.diagonal(M, g, -2, -1), np.diagonal(M, -g, -2, -1)], -1)
+    return _each(member & (diagonals % (2 * n) == 0).all(-1))
 
 
-def in_gamma2(M) -> bool:
+def in_gamma2(M):
     return in_gamma(M, 2)
 
 
-def in_gamma48(M) -> bool:
+def in_gamma48(M):
     return in_igusa_group(M, 4)
 
 
@@ -227,6 +245,13 @@ def random_gamma2_elements(count: int, seed: int = 0) -> list[np.ndarray]:
     return found
 
 
+# the translation-type generators of Gamma(4,8) that random_gamma48_elements
+# multiplies: upper ones, then lower ones (transposes)
+_GAMMA48_UPPER = tuple(translation(b) for b in (
+    [[8, 0], [0, 0]], [[0, 0], [0, 8]], [[0, 4], [4, 0]], [[-8, 0], [0, 0]], [[0, -4], [-4, 0]]))
+_GAMMA48_LOWER = (_GAMMA48_UPPER[2].T.copy(), _GAMMA48_UPPER[4].T.copy())
+
+
 def random_gamma48_elements(count: int, seed: int = 0,
                             small_c: bool = False) -> list[np.ndarray]:
     """Random products of one to five translation-type generators of Gamma(4,8).
@@ -238,15 +263,7 @@ def random_gamma48_elements(count: int, seed: int = 0,
     import random as _random
 
     rng = _random.Random(seed)
-    ups = [
-        translation([[8, 0], [0, 0]]),
-        translation([[0, 0], [0, 8]]),
-        translation([[0, 4], [4, 0]]),
-        translation([[-8, 0], [0, 0]]),
-        translation([[0, -4], [-4, 0]]),
-    ]
-    lows = [translation([[0, 4], [4, 0]]).T.copy(),
-            translation([[0, -4], [-4, 0]]).T.copy()]
+    ups, lows = _GAMMA48_UPPER, _GAMMA48_LOWER
     gens = ups + lows
     out = []
     seen = set()
@@ -269,8 +286,8 @@ def random_gamma48_elements(count: int, seed: int = 0,
         if key in seen:
             continue
         seen.add(key)
-        assert in_gamma48(M)
         out.append(M)
+    assert not out or in_gamma48(np.stack(out)).all()
     return out
 
 
@@ -529,7 +546,7 @@ def theta_values(ms, tau, tol: float = 1e-12) -> np.ndarray:
     """Numeric genus-2 theta constants theta[m](tau) for every m in ms, each
     with its discarded tail below tol, at a period matrix tau or at each
     point of a stack (..., 2, 2): shape (..., len(ms)), from one cached
-    lattice pass over the whole stack, a point at a time.
+    lattice pass over the whole stack, a single point being a stack of one.
 
     The pass sums exp(pi i x.tau.x) over the lattice x = b/2,
     b = 2a + (m' mod 2), for each class m' mod 2 that ms needs: at each
@@ -537,16 +554,19 @@ def theta_values(ms, tau, tol: float = 1e-12) -> np.ndarray:
     that _row_windows proves enough there (the ellipsoid of Im tau, not a
     square box at its smallest eigenvalue).  As x -> -x keeps each term and
     maps the windows to themselves, each term of the rows stands for x and
-    -x (see _point_rows).  Each characteristic is the sum of its class's
-    rows weighted by the phases i^(b.m'') of x and -x, times the reduction
-    sign (-1)^(m'.k'') for m = m mod 2 + 2k: a sum around its reduced shift
-    in which every window point has weight 1 and every padding point a
-    weight in [0, 1], so the tail bound holds.  The phases are exact, so
-    only the order of summation differs from one sum per characteristic,
-    and each point is summed on its own, so a point of a stack gets the
-    bits of its own single call.  The pass, in moment degree 0, is cached
-    with theta_gradient's, on the bytes and shape of tau, the bytes of the
-    characteristics, tol and the degree; each call returns a fresh array.
+    -x (see _row_layout).  The rows of every point are one table, summed in
+    chunks of whole rows that may hold several points (see _lattice_sums).
+    Each characteristic is the sum of its class's rows weighted by the
+    phases i^(b.m'') of x and -x, times the reduction sign (-1)^(m'.k'')
+    for m = m mod 2 + 2k: a sum around its reduced shift in which every
+    window point has weight 1 and every padding point a weight in [0, 1],
+    so the tail bound holds.  The phases are exact, so only the order of
+    summation differs from one sum per characteristic, and each row and
+    each class of a point are summed on their own, so a point of a stack
+    gets the bits of its own single call.  The pass, in moment degree 0, is
+    cached with theta_gradient's, on the bytes and shape of tau, the bytes
+    of the characteristics, tol and the degree; each call returns a fresh
+    array.
     """
     m = np.asarray(ms, dtype=np.int64) if len(ms) else np.zeros((0, 4), dtype=np.int64)
     if m.ndim != 2 or m.shape[1] != 4:
@@ -649,71 +669,139 @@ _PARITY_PHASES = np.array([(1, 1j, -1, -1j)[(c1 * e + c2 * f) % 4]
                           ).reshape(2, 4, 2, 2, 2, 2)
 _PARITY_PHASES.flags.writeable = False
 
-# the cells of the largest block of terms a pass builds at once: a point's
-# rows are built in chunks of at most this many cells (one row at least),
-# whose transients peak near 60 bytes a cell, so a pass over any stack stays
-# below what a point with radii near 80 took as a single block
-_CELL_BUDGET = 1 << 12
+# the cells of the largest block of terms a pass builds at once: the rows of
+# a stack are summed in chunks of whole rows, from any number of points, of
+# at most this many cells (one row at least), whose transients peak near 60
+# bytes a cell (100 in moment degree 1), so a pass over any stack stays below
+# what a point with radii near 80 took as a single block
+_CELL_BUDGET = 1 << 11
 
 
-def _point_rows(t: float, R2: float, count: int, h1, h2):
-    """x1 and the x2 it starts at of each row x1 >= 0 of one point's windows
-    (t, R1, R2), in the classes x = (a1 + h1, a2 + h2), h1 and h2 one entry
-    per class, each 0 or 1/2: count rows a class, class after class, count
-    = floor(R1) + 1 made even.
+class _Layout(NamedTuple):
+    """The rows of a lattice pass as far as they do not depend on the points'
+    entries, one entry per row, point after point, class after class, x1
+    ascending (see _row_layout)."""
+    x1: np.ndarray
+    r2: np.ndarray      # R2 of the row's point
+    shift: np.ndarray   # h2 of the row's class
+    offset: np.ndarray  # h2 minus the cells of the pass before the row
+    point: np.ndarray   # the row's point
+    width: np.ndarray   # the row's cells, an even number
+    pairs: np.ndarray   # the cell pairs of the pass before the row
+    half: np.ndarray    # the row's weight: 1/2 at x1 = 0, else 1
+    first: list         # the first row pair of each class at each point
+    chunks: list        # (first row, end row, the cells before them) of each chunk
+
+
+def _row_layout(classes: tuple, shapes: tuple) -> _Layout:
+    """The layout of the rows x1 >= 0 of a pass in the classes
+    x = (a1 + h1, a2 + h2), classes holding (h1, h2) for each, each 0 or 1/2,
+    at points with windows of these shapes, (count, width, R2) for each:
+    count = floor(R1) + 1 made even rows a class, each of width an even
+    number of cells, at least 2 R2 + 2; and their chunks, each whole rows,
+    from any number of points, of at most _CELL_BUDGET cells, or one row.
 
     x -> -x maps each window to its mirror and keeps each term, so the rows
     x1 >= 0 stand for all: they run over an even number of a1 from 0 and
     hold x1 <= R1, and the row x1 = 0 of an integral class (h1 = 0), its own
-    mirror, is weighted 1/2 by the passes.  Each row starts at an even a2,
-    and an even number of columns, at least 2 R2 + 2, holds its window.
-    With the mirrors, the rows weigh every window point by 1 and every
-    padding point by 1/2 or 1, so the part of the lattice sum they miss is
-    at most the dropped tail that _row_windows bounds."""
-    x1 = (np.arange(count) + h1[:, None]).ravel()
-    shift = np.repeat(h2, count)
-    a2 = np.floor(-t * x1 - R2 - shift)
-    return x1, a2 - a2 % 2 + shift
+    mirror, has weight 1/2.  A pass depends on its points' windows only
+    through these shapes, so points with the same shapes can share a layout
+    (_kept_layout)."""
+    segments, counts, first, chunks = [], [], [], []
+    row = cell = chunk_row = chunk_cell = 0
+    for p, (count, width, r2) in enumerate(shapes):
+        rows = len(classes) * count
+        # in the k-th class a row's x1 is its index minus row + k count - h1,
+        # and the cells before it x1 width plus cell + (k count - h1) width
+        segments += [(row + k * count - h, r2, shift, (cell + (k * count - h) * width) / 2,
+                      width, p) for k, (h, shift) in enumerate(classes)]
+        counts += [count] * len(classes)
+        first += range(row // 2, (row + rows) // 2, count // 2)
+        j = 0
+        while j < rows:  # whole rows into the open chunk, a new one when it is full
+            take = min(rows - j, (chunk_cell + _CELL_BUDGET - cell - j * width) // width)
+            if take < 1 and chunk_row < row + j:
+                chunks.append((chunk_row, row + j, chunk_cell))
+                chunk_row, chunk_cell = row + j, cell + j * width
+            else:
+                j += max(take, 1)
+        row += rows
+        cell += rows * width
+    chunks.append((chunk_row, row, chunk_cell))
+    block = np.array(segments).T.repeat(counts, axis=1)
+    x1, r2, shift, offset, width, point = block
+    np.subtract(np.arange(row), x1, out=x1)
+    offset += x1 * width * 0.5
+    pairs, width, point = block[3:].astype(np.intp)
+    offset *= -2
+    offset += shift
+    return _Layout(x1, r2, shift, offset, point, width, pairs, np.where(x1, 1.0, 0.5),
+                   first, chunks)
 
 
-def _row_terms(t11: complex, t12: complex, t22: complex, x1, start, width: int):
-    """x2 and the terms exp(pi i x.tau.x) of the cells of these rows of width
-    cells from start, at the point tau with these entries: each (rows, width).
+# layouts of at most this many rows are kept, 64 of them, so that a point, or
+# a small stack, whose shapes a pass has seen pays no layout; a larger pass
+# builds its own, which it hardly notices, and keeps no memory for it
+_KEPT_ROWS = 256
+_kept_layout = lru_cache(maxsize=64)(_row_layout)
+
+
+class _Rows(NamedTuple):
+    """The row table of a lattice pass (see _row_table)."""
+    layout: _Layout
+    base: np.ndarray    # x2 at the row's first cell, minus the cells of the pass before it
+    coefs: tuple        # 2 tau12 x1, tau11 x1^2 and tau22 of the row's point
+
+
+def _row_table(tau, windows, classes: tuple) -> _Rows:
+    """The rows of the pass in these classes at the points tau (n, 2, 2),
+    whose windows (s, t, R1, R2) _row_windows gives: its layout, and for each
+    row the x2 at which it starts and the coefficients of its terms, formed
+    once a row.  Each row holds its window: it starts at the even a2 with
+    a2 + h2 <= -t x1 - R2 < a2 + h2 + 2 (x2 = a2 + h2), and has at least
+    2 R2 + 2 cells.  With the mirrors, the rows weigh every window point by
+    1 and every padding point by 1/2 or 1, so the part of the lattice sum
+    they miss is at most the dropped tail that _row_windows bounds."""
+    shapes = tuple((2 * (int(r1) // 2) + 2, 2 * math.ceil(r2) + 2, r2) for _, _, r1, r2 in windows)
+    rows = len(classes) * sum(count for count, _, _ in shapes)
+    layout = (_kept_layout if rows <= _KEPT_ROWS else _row_layout)(classes, shapes)
+    x1, point = layout.x1, layout.point
+    # 2 floor((-t x1 - R2 - h2) / 2) = a2 made even
+    base = np.array([-t for _, t, _, _ in windows])[point]
+    base *= x1
+    base -= layout.r2
+    base -= layout.shift
+    base *= 0.5
+    np.floor(base, out=base)
+    base *= 2
+    base += layout.offset
+    t11, t12, _, t22 = tau.reshape(-1, 4)[point].T
+    return _Rows(layout, base, ((2 * t12) * x1, t11 * x1 * x1, t22.copy()))
+
+
+def _row_terms(rows: _Rows, a: int, b: int, cells: int):
+    """Each cell's row, x2 and term exp(pi i x.tau.x), flat, row after row,
+    of the rows a to b of the row table, whose cells start at the cells-th
+    cell of the pass; x2 as complex numbers.
 
     Each term is formed as in the defining sum,
-    tau11 x1^2 + 2 tau12 x1 x2 + tau22 x2^2, so its bits depend neither on
-    where its row starts nor on the other rows."""
-    x2 = start[:, None] + np.arange(width)
-    terms = ((2 * t12) * x1)[:, None] * x2
-    terms += (t11 * x1 * x1)[:, None]
-    square = t22 * x2
+    tau11 x1^2 + 2 tau12 x1 x2 + tau22 x2^2, from its row's coefficients, so
+    its bits depend neither on where its row starts nor on the other rows."""
+    r = np.arange(a, b).repeat(rows.layout.width[a:b])
+    x2 = np.arange(cells, cells + len(r), dtype=complex)
+    x2 += rows.base[r]
+    linear, constant, square = rows.coefs
+    terms = linear[r]
+    terms *= x2
+    terms += constant[r]
+    square = square[r]
+    square *= x2
     square *= x2
     terms += square
     del square
     terms *= 1j * math.pi
     np.exp(terms, out=terms)
-    return x2, terms
-
-
-def _row_chunks(tau, windows, h1, h2):
-    """The lattice pass over the points tau (n, 2, 2) with the windows
-    (s, t, R1, R2) of _row_windows, in the classes (h1, h2) of _point_rows.
-    Yields, point after point, its rows' x1 and an iterator over chunks of
-    its rows, each the chunk's x1 with the x2 and terms of _row_terms.  A chunk holds at
-    most _CELL_BUDGET cells, or one row, so the pass peaks near one chunk
-    whatever the stack; a point's chunks depend on the point alone, so a
-    point of a stack gets the bits of its single call."""
-    for (t11, t12, _, t22), (_, tp, r1, r2) in zip(tau.reshape(-1, 4).tolist(), windows):
-        x1, start = _point_rows(tp, r2, 2 * (int(r1) // 2) + 2, h1, h2)
-        yield x1, _chunks(t11, t12, t22, x1, start, 2 * math.ceil(r2) + 2)
-
-
-def _chunks(t11, t12, t22, x1, start, width):
-    """The chunks of _row_chunks for one point's rows."""
-    step = max(1, _CELL_BUDGET // width)
-    for a in range(0, len(x1), step):
-        rows = slice(a, a + step)
-        yield (x1[rows], *_row_terms(t11, t12, t22, x1[rows], start[rows], width))
+    return r, x2, terms
 
 
 @lru_cache(maxsize=128)
@@ -722,38 +810,47 @@ def _lattice_sums(ms: bytes, point: bytes, shape: tuple, tol, degree: int) -> np
     (degree 1) for the int64 characteristics and the complex points with
     these bytes (a point or stack of this shape), at tol, a float or a tuple
     of one per point: shape shape[:-2] + (degree + 1, len(ms)), the weighted
-    terms' sum, or in degree 1 the sums of x1 and x2 times them."""
+    terms' sum, or in degree 1 the sums of x1 and x2 times them.
+
+    The rows of every point are one table (_row_table), whose coefficients
+    are formed once a row, summed in the chunks of its layout: whole rows,
+    from any number of points, of at most _CELL_BUDGET cells or one row.
+    Each row is reduced on its own, by the parity of a2, and each class of a
+    point on its own, so a point of a stack gets the bits of its single
+    call, and a single point goes through the same code as a stack of one."""
     tau = np.frombuffer(point, dtype=complex).reshape(-1, 2, 2)
-    h1, h2, integral, index, weights = _class_weights(ms, degree)
-    values = np.zeros((len(tau), degree + 1, len(index)), dtype=complex)
-    if len(h1):
-        windows = _row_windows(tau.imag, tol, degree)
-        for p, (x1, chunks) in enumerate(_row_chunks(tau, windows, h1, h2)):
-            count = len(x1) // len(h1)  # rows a class
-            # each row's moment sums by the parity of a2: rows start at an
-            # even a2, so the cells pair up as a2 even, a2 odd
-            sums = [np.add.reduceat(_moments(rows, x2, terms, degree).reshape(degree + 1, -1, 2),
-                                    np.arange(0, terms.size // 2, len(x2[0]) // 2), axis=1)
-                    for rows, x2, terms in chunks]
-            sums = sums[0] if len(sums) == 1 else np.concatenate(sums, axis=1)
-            if integral:  # the row x1 = 0 of an integral class, its first, is its own mirror
-                sums[:, :integral * count:count] *= 0.5
-            # each class summed over the four parity classes of (a1, a2): its
-            # rows come in pairs a1 even, a1 odd
-            parts = np.add.reduceat(sums.reshape(degree + 1, -1, 4),
-                                    np.arange(0, len(x1) // 2, count // 2), axis=1)
-            values[p] = (parts.take(index, 1) * weights).sum(-1)
+    classes, index, weights = _class_weights(ms, degree)
+    if not classes:
+        values = np.zeros((len(tau), degree + 1, 0), dtype=complex)
+    else:
+        rows = _row_table(tau, _row_windows(tau.imag, tol, degree), classes)
+        layout = rows.layout
+        # each row's moment sums by the parity of a2: rows start at an even
+        # a2, so the cells pair up as a2 even, a2 odd
+        sums = np.empty((degree + 1, len(layout.x1), 2), dtype=complex)
+        for a, b, cells in layout.chunks:
+            np.add.reduceat(_moments(layout.x1, *_row_terms(rows, a, b, cells), degree)
+                            .reshape(degree + 1, -1, 2),
+                            layout.pairs[a:b] - cells // 2, axis=1, out=sums[:, a:b])
+        # the row x1 = 0 of an integral class is its own mirror
+        np.multiply(sums, layout.half[:, None], out=sums)
+        # each class summed over the four parity classes of (a1, a2): its
+        # rows come in pairs a1 even, a1 odd
+        parts = np.add.reduceat(sums.reshape(degree + 1, -1, 4), layout.first, axis=1)
+        values = (parts.reshape(degree + 1, len(tau), len(classes), 4).take(index, 2)
+                  * weights).sum(-1).transpose(1, 0, 2)
     values = values.reshape(shape[:-2] + values.shape[1:])
     values.flags.writeable = False
     return values
 
 
-def _moments(x1, x2, terms, degree: int) -> np.ndarray:
-    """A chunk's terms (degree 0), or x1 and x2 times them (degree 1)."""
+def _moments(x1, r, x2, terms, degree: int) -> np.ndarray:
+    """A chunk's terms (degree 0), or x1 and x2 times them (degree 1), at
+    the cells x2 of the rows r, whose x1 the layout gives."""
     if not degree:
         return terms[None]
     moments = np.empty((2,) + terms.shape, dtype=complex)
-    np.multiply(terms, x1[:, None], out=moments[0])
+    np.multiply(terms, x1[r], out=moments[0])
     np.multiply(terms, x2, out=moments[1])
     return moments
 
@@ -761,11 +858,11 @@ def _moments(x1, x2, terms, degree: int) -> np.ndarray:
 @lru_cache(maxsize=16)
 def _class_weights(ms: bytes, degree: int):
     """For the int64 characteristics with these bytes: the shifts (h1, h2) =
-    m'/2 of each class m' mod 2 they need, in order, and how many are
-    integral (h1 = 0, first); the index of each one's class among those,
-    and the weights of its class's four parity parts (a1 mod 2, a2 mod 2) in
-    this moment degree: the phases of _PARITY_PHASES times the reduction
-    sign (-1)^(m'.k'') for m = m mod 2 + 2k."""
+    m'/2 of each class m' mod 2 they need, in order, as a tuple of pairs of
+    floats; the index of each one's class among those, and the weights of
+    its class's four parity parts (a1 mod 2, a2 mod 2) in this moment
+    degree: the phases of _PARITY_PHASES times the reduction sign
+    (-1)^(m'.k'') for m = m mod 2 + 2k."""
     m = np.frombuffer(ms, dtype=np.int64).reshape(-1, 4)
     red = m % 2
     signs = 1 - 2 * ((red[:, :2] * (m[:, 2:] // 2)).sum(1) % 2)
@@ -773,7 +870,7 @@ def _class_weights(ms: bytes, degree: int):
     classes = np.flatnonzero(np.bincount(codes, minlength=4))
     weights = signs[:, None] * _PARITY_PHASES[degree, codes, red[:, 2], red[:, 3]].reshape(-1, 4)
     weights.flags.writeable = False
-    return (classes // 2 / 2, classes % 2 / 2, int((classes < 2).sum()),
+    return (tuple((c // 2 / 2, c % 2 / 2) for c in classes.tolist()),
             np.searchsorted(classes, codes), weights)
 
 
@@ -812,34 +909,34 @@ def fz_eval(tau, tol: float = 1e-12):
 
 def _action(M: np.ndarray, ms) -> tuple[np.ndarray, np.ndarray]:
     """Unreduced images m M^-1 + (diag(C D^T), diag(A B^T)) of the rows of
-    ms, and the phases of the theta transformation law in eighths, mod 8.
+    ms, and the phases of the theta transformation law in eighths, mod 8;
+    for a stack of matrices (..., 2g, 2g), the images and phases under each,
+    from one pass.
 
     With m = (m', m'') the phase is (2 lin - quad)/8, where
     quad = m' D^T B m' - 2 m' B^T C m'' + m'' C^T A m'' and
     lin = (m' D^T - m'' C^T) . diag(A B^T).  M is not validated here.
     """
     A, B, C, D = blocks(M)
-    g = A.shape[0]
+    At, Bt, Ct, Dt = (np.swapaxes(X, -1, -2) for X in (A, B, C, D))
+    g = A.shape[-1]
     m = np.asarray(ms, dtype=np.int64).reshape(-1, 2 * g)
     mp, mpp = m[:, :g], m[:, g:]
-    ab = np.diag(A @ B.T)
-    first = mp @ D.T - mpp @ C.T
-    raw = np.hstack([first + np.diag(C @ D.T), mpp @ A.T - mp @ B.T + ab])
-    quad = (((mp @ (D.T @ B)) * mp).sum(1)
-            - 2 * ((mp @ (B.T @ C)) * mpp).sum(1)
-            + ((mpp @ (C.T @ A)) * mpp).sum(1))
-    return raw, (2 * (first @ ab) - quad) % 8
-
-
-def _kappa_flip(M: np.ndarray) -> int:
-    """1 where kappa(M)^2 = (-1)^(trace(D - 1)/2) is -1, else 0; level 2 only."""
-    g = M.shape[0] // 2
-    return (int(np.trace(M[g:, g:])) - g) // 2 % 2
+    ab = np.diagonal(A @ Bt, 0, -2, -1)[..., None, :]
+    first = mp @ Dt - mpp @ Ct
+    raw = np.concatenate([first + np.diagonal(C @ Dt, 0, -2, -1)[..., None, :],
+                          mpp @ At - mp @ Bt + ab], -1)
+    quad = (((mp @ (Dt @ B)) * mp).sum(-1)
+            - 2 * ((mp @ (Bt @ C)) * mpp).sum(-1)
+            + ((mpp @ (Ct @ A)) * mpp).sum(-1))
+    return raw, (2 * (first * ab).sum(-1) - quad) % 8
 
 
 class _Table(NamedTuple):
-    """The exact transformation data of one level-2 matrix, per characteristic
-    mod 2 (indexed by its bits read as a binary number, first entry highest)."""
+    """The exact transformation data of a level-2 matrix, per characteristic
+    mod 2 (indexed by its bits read as a binary number, first entry highest):
+    tuples of Python ints for one matrix (_table), or read-only int arrays
+    with one row, or entry, per matrix of a stack (_tables)."""
     n: int           # the width of the matrix and of its characteristics
     eighths: tuple   # the phase of the transformation law, in eighths
     weights: tuple   # the phase plus 4 x the reduction sign flip, mod 8
@@ -847,40 +944,75 @@ class _Table(NamedTuple):
 
 
 @lru_cache(maxsize=64)
-def _table(key: bytes, shape: tuple) -> _Table | None:
-    """The table of the int64 matrix with these bytes and shape, or None when
-    it is not in the level-2 group.
+def _tables(key: bytes, shape: tuple) -> _Table | None:
+    """The tables of the stack (k, n, n) of int64 matrices with these bytes,
+    from one _action pass, or None when one of them is not in the level-2
+    group.
 
     The character of a theta product is the sum of its factors' weights plus
     4 r kappa for r pairs; a weight depends on its characteristic only mod 2,
     since shifting m'' by 2k'' multiplies theta by the constant (-1)^(m'.k'')
-    and shifts of m' are invisible.
+    and shifts of m' are invisible.  On the level-2 group
+    kappa(M)^2 = (-1)^(trace(D - 1)/2).
     """
     M = np.frombuffer(key, dtype=np.int64).reshape(shape)
-    if not in_gamma2(M):
+    if not np.all(in_gamma2(M)):
         return None
-    n = M.shape[0]
+    n = shape[-1]
     g = n // 2
     chars = np.array(list(itertools.product((0, 1), repeat=n)), dtype=np.int64)
     raw, eighths = _action(M, chars)
     red = raw % 2
-    if not np.array_equal(red, chars):
+    if not (red == chars).all():
         raise AssertionError("level-2 matrix must fix characteristics mod 2")
-    flips = (red[:, :g] * ((raw[:, g:] - red[:, g:]) // 2)).sum(1) % 2
-    return _Table(n, tuple(eighths.tolist()),
-                  tuple(((eighths + 4 * flips) % 8).tolist()), _kappa_flip(M))
+    flips = (red[..., :g] * ((raw[..., g:] - red[..., g:]) // 2)).sum(-1) % 2
+    kappa = (np.trace(M[:, g:, g:], axis1=1, axis2=2) - g) // 2 % 2
+    tables = _Table(n, eighths, (eighths + 4 * flips) % 8, kappa)
+    for array in tables[1:]:
+        array.flags.writeable = False
+    return tables
+
+
+@lru_cache(maxsize=64)
+def _table(key: bytes, shape: tuple) -> _Table | None:
+    """The table of the int64 matrix with these bytes and shape, the one row
+    of the _tables of it alone, or None when it is not in the level-2 group."""
+    tables = _tables(key, (1,) + shape)
+    if tables is None:
+        return None
+    return _Table(tables.n, tuple(tables.eighths[0].tolist()),
+                  tuple(tables.weights[0].tolist()), int(tables.kappa[0]))
+
+
+def _int64(M) -> np.ndarray | None:
+    """M as int64, or None when an entry is not an integer (M is then off
+    the level-2 group)."""
+    A = np.asarray(M)
+    Mi = A.astype(np.int64, copy=False)
+    return Mi if Mi is A or np.array_equal(Mi, A) else None
 
 
 def _level2_table(M) -> _Table:
     """The cached table of M, read afresh from M's current entries; raises
     ValueError off the level-2 group."""
-    A = np.asarray(M)
-    Mi = A.astype(np.int64, copy=False)
-    integral = Mi is A or np.array_equal(Mi, A)  # else not in the level-2 group
-    table = _table(Mi.tobytes(), Mi.shape) if integral else None
+    Mi = _int64(M)
+    table = None if Mi is None else _table(Mi.tobytes(), Mi.shape)
     if table is None:
         raise ValueError("character only defined on the level-2 group")
     return table
+
+
+def _level2_tables(M) -> _Table:
+    """The cached tables of M, a matrix or a stack (..., n, n), one row per
+    matrix, read afresh; raises ValueError if one is off the level-2 group."""
+    Mi = _int64(M)
+    tables = None
+    if Mi is not None:
+        Mi = Mi.reshape((-1,) + Mi.shape[-2:])
+        tables = _tables(Mi.tobytes(), Mi.shape)
+    if tables is None:
+        raise ValueError("character only defined on the level-2 group")
+    return tables
 
 
 def _code(m, n: int) -> int:
@@ -1001,15 +1133,19 @@ def character_eighths(ms, M: np.ndarray) -> np.ndarray:
     """The exact characters of slash_character_exact in eighths, for the rows
     of the int array ms of shape (tuples, 2r, n), n the width of M: the
     weights of M's table at the tuple's characteristics (any parity) plus
-    4 r kappa, mod 8.  For a pair this is also pair_character_any_parity."""
+    4 r kappa, mod 8.  For a pair this is also pair_character_any_parity.
+    M may be a stack (..., n, n), whose tables come from one pass; the
+    result then has shape (..., tuples)."""
     ms = np.asarray(ms, dtype=np.int64)
-    table = _level2_table(M)
-    if ms.ndim != 3 or ms.shape[2] != table.n:
-        raise ValueError(f"characteristics do not have {table.n} entries")
+    M = np.asarray(M)
+    tables = _level2_tables(M)
+    if ms.ndim != 3 or ms.shape[2] != tables.n:
+        raise ValueError(f"characteristics do not have {tables.n} entries")
     if ms.shape[1] % 2:
         raise ValueError("need an even number of characteristics")
-    codes = (ms % 2) @ (1 << np.arange(table.n - 1, -1, -1))
-    return (np.array(table.weights)[codes].sum(1) + 4 * (ms.shape[1] // 2) * table.kappa) % 8
+    codes = (ms % 2) @ (1 << np.arange(tables.n - 1, -1, -1))
+    out = (tables.weights[:, codes].sum(-1) + 4 * (ms.shape[1] // 2) * tables.kappa[:, None]) % 8
+    return out.reshape(M.shape[:-2] + out.shape[1:])
 
 
 def table1_char(m1, m2, i: int) -> GaussInt:
@@ -1049,17 +1185,21 @@ def igusa_residuals(ms, M: np.ndarray, tau, tol: float = 1e-12) -> tuple:
     NaN where a single call gives None.  One lattice pass serves the images
     and one the points tau, whatever the stack.
     """
-    for m in ms:
-        if parity(m) != "even":
-            raise ValueError(f"odd characteristic {m} vanishes identically")
+    chars = np.asarray(ms, dtype=np.int64)
+    if chars.size:
+        g = chars.shape[-1] // 2
+        odd = (chars[..., :g] * chars[..., g:]).sum(-1) % 2
+        if odd.any():
+            raise ValueError(f"odd characteristic {ms[int(odd.argmax())]} vanishes identically")
     M = np.asarray(M)
     lead, n = M.shape[:-2], M.shape[-1]
-    tables = [_level2_table(A) for A in M.reshape(-1, n, n)]
-    codes = [_code(m, n) for m in ms]
-    eighths = np.array([[table.eighths[c] for c in codes] for table in tables],
-                       dtype=np.int64).reshape(lead + (len(ms),))
-    ksq = np.array([-1 if table.kappa else 1 for table in tables]).reshape(lead + (1,))
-    chars = np.asarray(ms, dtype=np.int64).reshape(-1, n)
+    tables = _level2_tables(M)
+    if chars.size and chars.shape[-1] != n:
+        raise ValueError(f"characteristic {tuple(ms[0])} does not have {n} entries")
+    chars = chars.reshape(-1, n)
+    codes = (chars % 2) @ (1 << np.arange(n - 1, -1, -1))
+    eighths = tables.eighths[:, codes].reshape(lead + (len(ms),))
+    ksq = np.where(tables.kappa, -1, 1).reshape(lead + (1,))
     tau = np.asarray(tau, dtype=complex)
     mtau = apply_moebius(M, tau)
     det_j = np.linalg.det(cocycle(M, tau))
@@ -1073,7 +1213,8 @@ def igusa_residuals(ms, M: np.ndarray, tau, tol: float = 1e-12) -> tuple:
         # however small the product, and the cocycle power inflates nothing
         num = np.prod(th_m, axis=-1)
         den = np.prod(th_0, axis=-1) * det_j ** (len(ms) // 2)
-        chi = np.array([character_value(_exponent(table, ms)) for table in tables]).reshape(lead)
+        ts = (tables.weights[:, codes].sum(-1) + 4 * (len(ms) // 2) * tables.kappa) % 8
+        chi = np.array([character_value(_EIGHTHS[t]) for t in ts.tolist()]).reshape(lead)
         small = np.minimum(np.abs(th_m).min(-1), np.abs(th_0).min(-1)) <= tol
         np.divide(np.abs(num - chi * den), np.maximum(np.abs(num), np.abs(den)),
                   out=tup, where=~small)

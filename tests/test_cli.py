@@ -510,23 +510,29 @@ def test_pair_character_claims_fail_under_each_mutation(monkeypatch, mutation):
     by 4, flipping one generator's kappa, or flipping the sign of the e9
     exponent of the closed form fails both.  Unmodified, both pass and 60
     mixed-parity pairs differ at the central element."""
+    import numpy as np
+
     from siegelz import cli, theta
 
-    real_table, real_exponent = theta._table, theta._table1_exponent
+    real_tables, real_exponent = theta._tables, theta._table1_exponent
 
-    def table(key, shape):
-        out = real_table(key, shape)
-        if mutation == "weight" and key == theta.E1.tobytes():
-            return out._replace(weights=((out.weights[0] + 4) % 8,) + out.weights[1:])
-        if mutation == "kappa" and key == theta.E6.tobytes():
-            return out._replace(kappa=1 - out.kappa)
-        return out
+    def tables(key, shape):
+        out = real_tables(key, shape)
+        Ms = np.frombuffer(key, dtype=np.int64).reshape(shape)
+        weights, kappa = out.weights.copy(), out.kappa.copy()
+        if mutation == "weight":
+            at = (Ms == theta.E1).all((1, 2))
+            weights[at, 0] = (weights[at, 0] + 4) % 8
+        if mutation == "kappa":
+            at = (Ms == theta.E6).all((1, 2))
+            kappa[at] = 1 - kappa[at]
+        return out._replace(weights=weights, kappa=kappa)
 
     def exponent(i, r, col):
         k = real_exponent(i, r, col)
         return -k if mutation == "e9 sign" and i == 9 else k
 
-    monkeypatch.setattr(theta, "_table", table)
+    monkeypatch.setattr(theta, "_tables", tables)
     monkeypatch.setattr(theta, "_table1_exponent", exponent)
     reports = cli.suite_theta_table(RunConfig(), {})
     pairs, odd = reports[1], reports[2]

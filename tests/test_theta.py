@@ -568,45 +568,48 @@ def test_theta_gradient_tail_bound_against_a_tighter_evaluation():
 def test_window_block_holds_one_term_of_each_mirror_pair():
     """The rows have no x1 < 0 and hold every window point, and each cell
     is the defining term exp(pi i x.tau.x), bit for bit, in every class, in
-    one block and in chunks of rows, and a point's chunks are the same alone
-    and in a stack.  (The 1/2 weight of the row x1 = 0 is checked by the
-    defining-sum tests.)"""
+    one block and in chunks of rows, and a point's terms are the same alone
+    and in a stack, whose chunks mix the points' rows.  (The 1/2 weight of
+    the row x1 = 0 is checked by the defining-sum tests.)"""
     points = np.stack([TAU_GENERIC, _ill_conditioned_points()[0]])
     windows = theta._row_windows(points.imag, 1e-13)
-    h = np.array([0, 0.5])
-    h1, h2 = np.repeat(h, 2), np.tile(h, 2)
-    stacked = theta._row_chunks(points, windows, h1, h2)
+    classes = ((0, 0), (0, 0.5), (0.5, 0), (0.5, 0.5))
+    stacked = theta._row_table(points, windows, classes)
+    in_stack = np.concatenate([theta._row_terms(stacked, *chunk)[2]
+                               for chunk in stacked.layout.chunks])
+    done = 0
     for p, tau in enumerate(points):
         _, t, R1, R2 = windows[p]
         count, width = 2 * (int(R1) // 2) + 2, 2 * math.ceil(R2) + 2
-        x1, start = theta._point_rows(t, R2, count, h1, h2)
-        for c, (a, b) in enumerate(zip(h1, h2)):
+        rows = theta._row_table(points[p:p + 1], windows[p:p + 1], classes)
+        layout = rows.layout
+        x1, start = layout.x1, rows.base + 2 * layout.pairs  # pairs: the cells before a row, halved
+        assert np.array_equal(layout.width, np.full(len(x1), width))
+        for c, (a, b) in enumerate(classes):
             r1, s2 = x1[c * count:(c + 1) * count], start[c * count:(c + 1) * count]
             assert r1[0] == a and r1.min() >= 0 and r1.max() >= R1 and count % 2 == 0
             assert width % 2 == 0 and np.all((s2 - b) % 2 == 0)
             # the points just outside each row are outside its window
             assert np.all(s2 - 1 < -t * r1 - R2) and np.all(s2 + width > -t * r1 + R2)
-        entries = tau.ravel()[[0, 1, 3]].tolist()
-        x2, terms = theta._row_terms(*entries, x1, start, width)
-        assert np.array_equal(x2, start[:, None] + np.arange(width))
+        _, x2, terms = theta._row_terms(rows, 0, len(x1), 0)
+        grid = start[:, None] + np.arange(width)
+        assert np.array_equal(x2, grid.ravel())
         X1 = x1[:, None]
-        want = np.exp(1j * np.pi * (tau[0, 0] * X1 * X1 + 2 * tau[0, 1] * X1 * x2
-                                    + tau[1, 1] * x2 * x2))
+        want = np.exp(1j * np.pi * (tau[0, 0] * X1 * X1 + 2 * tau[0, 1] * X1 * grid
+                                    + tau[1, 1] * grid * grid)).ravel()
         assert np.array_equal(terms, want)
         for step in (1, 3):
-            chunks = [theta._row_terms(*entries, x1[a:a + step], start[a:a + step], width)[1]
+            chunks = [theta._row_terms(rows, a, min(a + step, len(x1)), a * width)[2]
                       for a in range(0, len(x1), step)]
             assert np.array_equal(np.concatenate(chunks), want)
         # the pass's chunks, of this point alone and in the stack
-        ((alone_x1, alone),) = theta._row_chunks(points[p:p + 1], windows[p:p + 1], h1, h2)
-        stacked_x1, in_stack = next(stacked)
-        assert np.array_equal(alone_x1, x1) and np.array_equal(stacked_x1, x1)
-        alone, in_stack = list(alone), list(in_stack)
-        assert len(alone) == len(in_stack) == -(-len(x1) // (theta._CELL_BUDGET // width))
+        alone = [theta._row_terms(rows, *chunk)[2] for chunk in layout.chunks]
+        assert len(alone) == -(-len(x1) // (theta._CELL_BUDGET // width))
         assert len(alone) > 1 or p == 0  # the ill-conditioned point's rows come in chunks
-        for got in (alone, in_stack):
-            for part, full in zip(zip(*got), (x1, x2, terms)):
-                assert np.array_equal(np.concatenate(part), full)
+        for got in (np.concatenate(alone), in_stack[done:done + len(want)]):
+            assert np.array_equal(got, want)
+        done += len(want)
+    assert done == len(in_stack)
 
 
 def _pass_cells(monkeypatch):
@@ -615,9 +618,9 @@ def _pass_cells(monkeypatch):
     build = theta._row_terms
 
     def recorded(*args):
-        x2, terms = build(*args)
-        cells.append(terms.size)
-        return x2, terms
+        built = build(*args)
+        cells.append(built[-1].size)
+        return built
 
     monkeypatch.setattr(theta, "_row_terms", recorded)
     return cells
@@ -646,6 +649,7 @@ def test_theta_values_pass_peaks_near_its_block(monkeypatch):
     assert theta._row_windows(tau.imag, 1e-13)[0][2:] == (80, 78.5)
     cells = _pass_cells(monkeypatch)
     theta._lattice_sums.cache_clear()
+    theta._kept_layout.cache_clear()
     peak = _peak(theta_values, FZ_TUPLE, tau, 1e-13)
     classes = len({(m[0] % 2, m[1] % 2) for m in FZ_TUPLE})
     assert sum(cells) == classes * 82 * 160 and len(cells) > 1
@@ -663,13 +667,38 @@ def test_a_stacked_pass_peaks_no_higher_than_one_point(monkeypatch):
     allchars = list(itertools.product((0, 1), repeat=4))
     cells = _pass_cells(monkeypatch)
     theta._lattice_sums.cache_clear()
+    theta._kept_layout.cache_clear()
     peak = _peak(theta_values, allchars, points, 1e-13)
     assert sum(cells) > 9 * _ONE_POINT_BLOCK / 16
     assert max(cells) <= theta._CELL_BUDGET + 2 * 79 + 2
     assert peak <= 2.5 * _ONE_POINT_BLOCK, peak / _ONE_POINT_BLOCK
     theta._lattice_sums.cache_clear()
+    theta._kept_layout.cache_clear()
     peak = _peak(theta_gradient, (1, 0, 1, 1), points, 1e-15)
     assert peak <= 2.5 * _ONE_POINT_BLOCK, peak / _ONE_POINT_BLOCK
+
+
+def test_chunks_that_cross_points_keep_each_points_single_call_bits():
+    """The ill-conditioned images, whose rows fill many chunks, and cheap
+    points, in two orders, so that chunks hold the rows of more than one
+    point: each point of the stack gets the bits of its single call, for
+    all 16 characteristics and unreduced ones in degree 0, and for the odd
+    gradient in degree 1 with one tol per point."""
+    cheap = [TAU_A, TAU_B, TAU_GENERIC, EZ_SAMPLE_POINTS[2]]
+    ill = _ill_conditioned_points()
+    chars = list(itertools.product((0, 1), repeat=4)) + [(2, 1, 3, 0), (1, 2, 1, 3), (3, 3, 2, 1)]
+    classes = theta._class_weights(np.array(chars, dtype=np.int64).tobytes(), 0)[0]
+    for order in (ill + cheap, [p for pair in itertools.zip_longest(cheap, ill) for p in pair if p is not None]):
+        points = np.stack(order)
+        layout = theta._row_table(points, theta._row_windows(points.imag, 1e-13), classes).layout
+        assert any(layout.point[a] != layout.point[b - 1] for a, b, _ in layout.chunks)
+        theta._lattice_sums.cache_clear()
+        values = theta_values(chars, points, 1e-13)
+        tols = np.geomspace(1e-15, 1e-9, len(points))
+        gradients = theta_gradient((1, 0, 1, 1), points, tols)
+        for p, tau in enumerate(points):
+            assert values[p].tobytes() == theta_values(chars, tau, 1e-13).tobytes()
+            assert gradients[p].tobytes() == theta_gradient((1, 0, 1, 1), tau, tols[p]).tobytes()
 
 
 def _siegel_points_by_eigenvalues():
@@ -814,6 +843,84 @@ def test_congruence_predicates():
     t4 = translation([[4, 0], [0, 4]])
     assert in_gamma(t4, 4) and not in_gamma48(t4)
     assert in_igusa_group(translation([[4, 2], [2, 4]]), 2)
+
+
+def _membership_samples() -> list:
+    """Matrices in and out of each congruence group of the package: the ten
+    generators, J, translations by 8, 4 and (4, 2; 2, 4), words of level 2
+    and (4, 8), 1, -1, 3 (not symplectic) and an integer matrix with the
+    diagonal blocks of the identity and a lower block of 2 (not symplectic)."""
+    lower = np.eye(4, dtype=np.int64)
+    lower[2, 1] = 2
+    return (list(E_GENERATORS) + [J4, translation([[8, 0], [0, 8]]), translation([[4, 0], [0, 4]]),
+                                  translation([[4, 2], [2, 4]]), np.eye(4, dtype=np.int64),
+                                  -np.eye(4, dtype=np.int64),
+                                  3 * np.eye(4, dtype=np.int64), lower]
+            + random_gamma2_elements(6, seed=11) + random_gamma48_elements(6, seed=12))
+
+
+def test_membership_tests_on_a_stack_agree_with_single_matrices():
+    """Each congruence test on a stack gives the bool array of its single
+    calls, which give bools, and keeps the stack's shape."""
+    mats = _membership_samples()
+    stack = np.stack(mats)
+    for test, args in ((is_symplectic, ()), (in_gamma, (2,)), (in_gamma, (4,)), (in_gamma2, ()),
+                       (in_igusa_group, (2,)), (in_igusa_group, (4,)), (in_gamma48, ())):
+        single = [test(M, *args) for M in mats]
+        assert all(type(v) is bool for v in single), test
+        got = test(stack, *args)
+        assert got.dtype == bool and got.tolist() == single, test
+        assert test(stack.reshape(2, -1, 4, 4), *args).tolist() == np.reshape(single, (2, -1)).tolist()
+        assert any(single) and not all(single), test
+
+
+def test_random_gamma48_elements_checks_its_output_in_one_call(monkeypatch):
+    """The words come from the module's generators, and in_gamma48 checks
+    them all, as one stack: an element it rejects is caught."""
+    real = theta.in_gamma48
+    calls = []
+
+    def spy(M):
+        calls.append(np.shape(M))
+        return real(M)
+
+    monkeypatch.setattr(theta, "in_gamma48", spy)
+    words = random_gamma48_elements(10, seed=2)
+    assert calls == [(10, 4, 4)] and all(real(M) for M in words)
+    monkeypatch.setattr(theta, "in_gamma48", lambda M: np.arange(len(M)) != 3)
+    with pytest.raises(AssertionError):
+        random_gamma48_elements(10, seed=2)
+
+
+def test_stacked_level2_tables_equal_the_single_matrix_tables():
+    """The tables of a stack, from one action pass, are row by row those of
+    each matrix alone and the phases of its own action; the characters of
+    a stack are those of each matrix; a stack with one matrix off the
+    level-2 group is refused as that matrix is."""
+    words = random_gamma2_elements(12, seed=7) + list(E_GENERATORS)
+    stack = np.stack(words)
+    tables = theta._tables(stack.tobytes(), stack.shape)
+    chars = list(itertools.product((0, 1), repeat=4))
+    for k, M in enumerate(words):
+        one = theta._table(M.tobytes(), M.shape)
+        assert (tables.n, tuple(tables.eighths[k].tolist()), tuple(tables.weights[k].tolist()),
+                int(tables.kappa[k])) == one
+        assert tables.eighths[k].tolist() == theta._action(M, chars)[1].tolist()
+    pairs = np.array(chars)[np.array(list(itertools.combinations(range(16), 2)))]
+    assert np.array_equal(character_eighths(pairs, stack),
+                          [character_eighths(pairs, M) for M in words])
+    assert np.array_equal(character_eighths(pairs, stack.reshape(2, -1, 4, 4)),
+                          character_eighths(pairs, stack).reshape(2, -1, len(pairs)))
+    for bad in (J4, translation([[1, 0], [0, 0]]), E6 + 0.25):
+        mixed = np.stack(words[:3] + [bad] + words[3:5])
+        for call in (lambda M: character_eighths(pairs[:4], M),
+                     lambda M: igusa_residuals([(0, 0, 0, 0)], M, TAU_A)):
+            with pytest.raises(ValueError) as single:
+                call(bad)
+            with pytest.raises(ValueError) as stacked:
+                call(mixed)
+            assert str(stacked.value) == str(single.value) == \
+                "character only defined on the level-2 group"
 
 
 def _act(M, m):

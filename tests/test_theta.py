@@ -688,7 +688,8 @@ def test_chunks_that_cross_points_keep_each_points_single_call_bits():
     ill = _ill_conditioned_points()
     chars = list(itertools.product((0, 1), repeat=4)) + [(2, 1, 3, 0), (1, 2, 1, 3), (3, 3, 2, 1)]
     classes = theta._class_weights(np.array(chars, dtype=np.int64).tobytes(), 0)[0]
-    for order in (ill + cheap, [p for pair in itertools.zip_longest(cheap, ill) for p in pair if p is not None]):
+    interleaved = [p for pair in itertools.zip_longest(cheap, ill) for p in pair if p is not None]
+    for order in (ill + cheap, interleaved):
         points = np.stack(order)
         layout = theta._row_table(points, theta._row_windows(points.imag, 1e-13), classes).layout
         assert any(layout.point[a] != layout.point[b - 1] for a, b, _ in layout.chunks)

@@ -222,7 +222,7 @@ def suite_theta_table(cfg: RunConfig, shared: dict):
     th = theta.theta_values(evens, np.concatenate([tau[None], theta.apply_moebius(gens, tau)]),
                             1e-13)
     th_0, th_m = th[0], th[1:]
-    detj = np.linalg.det(theta.cocycle(gens, tau))
+    detj = theta.det2(theta.cocycle(gens, tau))
     closed = np.stack([theta.table1_eighths(pairs, i) for i in range(1, len(gens) + 1)])
     ratio = th_m[:, first] * th_m[:, second] / (th_0[first] * th_0[second] * detj[:, None])
     worst = float(np.abs(ratio - _UNITS[closed // 2]).max())
@@ -245,7 +245,7 @@ def suite_theta_table(cfg: RunConfig, shared: dict):
 
     gammas = np.stack(theta.gammaZ_generators() + theta.random_gamma48_elements(10, seed=2))
     gtau = theta.apply_moebius(gammas[:, None], pts)
-    detj = np.linalg.det(theta.cocycle(gammas[:, None], pts))
+    detj = theta.det2(theta.cocycle(gammas[:, None], pts))
     worst = float(np.abs(theta.fz_eval(gtau, 1e-13) / detj ** 3
                          - theta.fz_eval(pts, 1e-13)).max())
     out.add("six-theta product is fixed by its stabilizer generators "
@@ -305,7 +305,7 @@ def suite_fz_phi(cfg: RunConfig, shared: dict):
     # keeps the bits of its single call, and the weights are Python complex
     gs = np.stack([theta.G0, theta.G2])
     fz = theta.fz_eval(theta.apply_moebius(gs, tau), 1e-13)
-    dets = np.linalg.det(theta.cocycle(gs, tau))
+    dets = theta.det2(theta.cocycle(gs, tau))
     v0, v2 = (complex(d) ** -3 * complex(v) for d, v in zip(dets, fz))
     # an odd factor makes the product vanish at the probe, with no ratio
     ratio = v2 / v0 if v0 else None

@@ -32,7 +32,7 @@ import numpy as np
 from . import theta
 from .arith import QuarterSeries
 from .cmform import odd_coset_sum
-from .theta import apply_moebius, cocycle, theta_gradient
+from .theta import apply_moebius, cocycle, inv2
 
 
 class VectorValue(NamedTuple):
@@ -81,16 +81,24 @@ def ez_eval(tau, tol: float = 1e-10) -> VectorValue:
 
     S = -i theta_gradient((1, 0, 1, 1), tau, .) on theta's row windows of
     moment degree 1, each component within tol / 2M at its point.  With
-    a = pi lambda_min(Im tau), the sums of exp(-a n^2) and |n| exp(-a n^2)
-    over any c + Z are at most sqrt(pi/a) + 1 and 1/a + 2/sqrt(2ea)
-    (integral plus maxima); their product M bounds |S_k| and its windowed
-    truncations, so
+    a = pi lambda, lambda <= lambda_min(Im tau), the sums of exp(-a n^2) and
+    |n| exp(-a n^2) over any c + Z are at most sqrt(pi/a) + 1 and
+    1/a + 2/sqrt(2ea) (integral plus maxima); their product M bounds |S_k|
+    and its windowed truncations, so
     |S_i S_j - S~_i S~_j| <= |S_i - S~_i| |S_j| + |S~_i| |S_j - S~_j| <= tol.
+    lambda is theta.min_eigenvalue_bound, det / lambda_max less a rounding
+    margin of 8 eps min(y11, y22), proven below lambda_min; M decreases in
+    a, so it still bounds |S_k|.  Where the margin leaves no positive lambda,
+    which needs a condition number of Im tau above 3.7e14, the tolerance is
+    unreachable.  Each point is checked once (theta._points).
     """
     tau = theta._points(tau)
-    a = math.pi * np.linalg.eigvalsh(tau.imag)[..., 0]
+    lam = theta.min_eigenvalue_bound(tau.imag)
+    if not (lam > 0).all():
+        raise ValueError("tolerance unreachable at this tau")
+    a = math.pi * lam
     bound = (1 / a + 2 / np.sqrt(2 * math.e * a)) * (np.sqrt(math.pi / a) + 1)
-    s = -1j * theta_gradient((1, 0, 1, 1), tau, tol / (2 * bound))
+    s = -1j * theta._gradient((1, 0, 1, 1), tau, tol / (2 * bound))
     # the products of E_Z, and those of the 2-form's wedges, run a point at a
     # time on Python complex numbers, rounded as numpy rounds a product of
     # two scalars; its loop over arrays may round them otherwise, so a point
@@ -133,7 +141,7 @@ def two_form_pullback(gamma: np.ndarray, tau, tol: float = 1e-10) -> np.ndarray:
     """
     tau = np.asarray(tau, dtype=complex)
     h = np.array(ez_eval(apply_moebius(gamma, tau), tol))  # (3, ...), as gamma tau
-    M = np.linalg.inv(cocycle(gamma, tau))
+    M = inv2(cocycle(gamma, tau))
     wedges = np.array([_wedges(*m) for m in M.reshape(-1, 4).tolist()])
     # h0 dt1^dt2 + h1 dt1^dt3 + h2 dt2^dt3, summed in that order, by numpy's
     # array products as the forms of a single point always were

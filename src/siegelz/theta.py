@@ -11,6 +11,9 @@ generators' permutations of the ten evens as one array, whose orbits on
 six-subsets min-label propagation finds. Also: the
 generators e_1..e_10 of Gamma(2)/Gamma(4,8) with their pair characters,
 the stabilizer generators and orbit of the six-theta product F_Z, and F_Z.
+The 2x2 algebra of the numeric layer (products, determinants, inverses and
+a proven lower bound on the smallest eigenvalue) is in closed form, with no
+LAPACK or BLAS call.
 
 The degeneration to genus 1 keeps the terms with e1 = e2 = 0. As every theta
 term has e1 = b1^2 >= 0, it sends a theta product to the product of the
@@ -357,21 +360,99 @@ def _points(tau) -> np.ndarray:
     return tau
 
 
+# ---------------------------------------------------------------------------
+# 2x2 algebra in closed form
+#
+# Each operation takes a 2x2 matrix or a stack (..., 2, 2), stacks
+# broadcasting, and works on slices that keep both matrix axes, or a last
+# axis, to the end: every product is elementwise on arrays, never on numpy
+# scalars, which numpy rounds otherwise than its array loops, so each matrix
+# of a stack gets the bits of its own single call.  No LAPACK or BLAS routine
+# runs, so none of their code pages is ever mapped.
+
+# the signs of the adjugate [[x11, -x01], [-x10, x00]]
+_ADJUGATE_SIGNS = np.array([[1, -1], [-1, 1]])
+_ADJUGATE_SIGNS.flags.writeable = False
+
+
+def _det(X: np.ndarray) -> np.ndarray:
+    """x00 x11 - x01 x10 of the matrices X (..., 2, 2), with a last axis of 1."""
+    p = X[..., 0, :] * X[..., 1, ::-1]
+    return p[..., :1] - p[..., 1:]
+
+
+def mul2(X, Y) -> np.ndarray:
+    """The product X Y of 2x2 matrices, or of stacks of them; X may also
+    have any number of rows, (..., n, 2), and Y of columns."""
+    X, Y = np.asarray(X), np.asarray(Y)
+    XY = X[..., :, :1] * Y[..., :1, :]
+    XY += X[..., :, 1:] * Y[..., 1:, :]
+    return XY
+
+
+def det2(X) -> np.ndarray:
+    """det X of a 2x2 matrix, or of each of a stack, of the stack's shape."""
+    return _det(np.asarray(X))[..., 0]
+
+
+def inv2(X) -> np.ndarray:
+    """X^-1 = [[x11, -x01], [-x10, x00]] / det X, of a 2x2 matrix or of each
+    of a stack."""
+    X = np.asarray(X)
+    inv = np.swapaxes(X[..., ::-1, ::-1], -1, -2) / _det(X)[..., None]
+    inv *= _ADJUGATE_SIGNS
+    return inv
+
+
+def min_eigenvalue_bound(Y) -> np.ndarray:
+    """A lower bound on the smallest eigenvalue of the real symmetric
+    positive definite Y = [[a, b], [b, c]] (b read above the diagonal), or
+    of each matrix of a stack: det Y / lambda_max less 8 eps min(a, c),
+    proven against rounding in IEEE double precision, barring underflow and
+    overflow.
+
+    With u = eps/2 the unit roundoff and D = ac - b^2 > 0:
+    - d = fl(fl(ac) - fl(b^2)) has |d - D| <= u(ac + b^2) + u|fl(ac) - fl(b^2)|
+      <= 2u(1 + u) ac + u D, as b^2 < ac;
+    - lambda_max = (a + c)/2 + sqrt(((a - c)/2)^2 + b^2) comes out as
+      lambda_max (1 + t), |t| <= 4.01u: halving is exact, the sum under the
+      root of two nonnegative terms has relative error at most 4u, the
+      correctly rounded root at most 2u + u, and the last sum one more u;
+    - so q = fl(d / fl(lambda_max)) satisfies
+      q - lambda_min <= 6.2u lambda_min + 2.01u ac / lambda_max
+      <= 8.3u min(a, c), as lambda_max >= max(a, c) and lambda_min <=
+      min(a, c) (the Rayleigh quotients at the unit vectors).
+    The margin 8 eps min(a, c) = 16u min(a, c) is a power of two times
+    min(a, c), so exact, and q less it is at most lambda_min - 7.7u min(a, c);
+    rounding that difference adds at most u of its size if it is positive,
+    and keeps it nonpositive otherwise, so the result is below lambda_min.
+    As q - lambda_min >= -8.3u min(a, c) too, the result is positive
+    wherever min(a, c) < 3.7e14 lambda_min; it is not positive for a Y that
+    is not positive definite.
+    """
+    Y = np.asarray(Y, dtype=float)
+    a, b, c = Y[..., 0, :1], Y[..., 0, 1:], Y[..., 1, 1:]
+    half = (a - c) / 2
+    lam_max = (a + c) / 2 + np.sqrt(half * half + b * b)
+    bound = (a * c - b * b) / lam_max - 8 * sys.float_info.epsilon * np.minimum(a, c)
+    return bound[..., 0]
+
+
 def apply_moebius(M: np.ndarray, tau) -> np.ndarray:
     """M tau = (A tau + B)(C tau + D)^-1, broadcast over stacks of matrices
-    (..., 4, 4) and points (..., 2, 2); each point of a stack gets the bits
-    of its own single call."""
-    A, B, C, D = blocks(M)
-    tau = np.asarray(tau, dtype=complex)
-    num = A @ tau + B
-    den = C @ tau + D
-    return num @ np.linalg.inv(den)
+    (..., 4, 4) and points (..., 2, 2), in the closed forms above; each
+    point of a stack gets the bits of its own single call."""
+    M = np.asarray(M)
+    # A tau + B above C tau + D, from the columns [A; C] and [B; D] of M
+    frac = mul2(M[..., :2], np.asarray(tau, dtype=complex))
+    frac += M[..., 2:]
+    return mul2(frac[..., :2, :], inv2(frac[..., 2:, :]))
 
 
 def cocycle(M: np.ndarray, tau) -> np.ndarray:
     """C tau + D, broadcast as in apply_moebius."""
     _, _, C, D = blocks(M)
-    return C @ np.asarray(tau, dtype=complex) + D
+    return mul2(C, np.asarray(tau, dtype=complex)) + D
 
 
 # ---------------------------------------------------------------------------
@@ -584,11 +665,11 @@ def _window_radius(y: float, a0: float, a1: float, tol: float) -> float:
     # T0 >= 2 exp(-pi y R^2) and T1 >= 2 (R + 1/(2 pi y)) exp(-pi y R^2), so no R <= r
     # will do, at the r below and then, as T1's bound grows with R, at the r
     # it gives with R = r; r is infinite where the bound over tol overflows:
-    # too fine for floats
+    # too fine for floats.  The search starts at the first half-integer above r
     r = math.sqrt(max(0.0, math.log(2 * (a0 + a1 / (2 * c)) / tol)) / c)
     if a1 and r < 401:
         r = math.sqrt(max(0.0, math.log(2 * (a0 + a1 * (r + 1 / (2 * c))) / tol)) / c)
-    R = max(1, math.floor(2 * min(r, 401))) / 2
+    R = (math.floor(2 * min(r, 401)) + 1) / 2
     peak = 1 / math.sqrt(2 * c)  # where v exp(-pi y v^2) peaks
     while R <= 400:
         e = math.exp(-c * R * R)
@@ -890,7 +971,12 @@ def theta_gradient(m, tau, tol=1e-12) -> np.ndarray:
     m = tuple(int(v) for v in m)
     if genus_of(m) != 2 or parity(m) != "odd":
         raise ValueError(f"theta_gradient takes an odd genus-2 characteristic, not {m}")
-    tau = _points(tau)
+    return _gradient(m, _points(tau), tol)
+
+
+def _gradient(m: tuple, tau: np.ndarray, tol) -> np.ndarray:
+    """theta_gradient at the odd characteristic m, a tuple of ints, and the
+    points tau, which _points has checked."""
     if np.ndim(tol):
         tol = tuple(np.broadcast_to(np.asarray(tol, dtype=float), tau.shape[:-2]).ravel().tolist())
     return _lattice_sums(np.array(m, dtype=np.int64).tobytes(), tau.tobytes(),
@@ -1202,7 +1288,7 @@ def igusa_residuals(ms, M: np.ndarray, tau, tol: float = 1e-12) -> tuple:
     ksq = np.where(tables.kappa, -1, 1).reshape(lead + (1,))
     tau = np.asarray(tau, dtype=complex)
     mtau = apply_moebius(M, tau)
-    det_j = np.linalg.det(cocycle(M, tau))
+    det_j = det2(cocycle(M, tau))
     th_m = theta_values(chars % 2, mtau, tol)
     th_0 = theta_values(chars, tau, tol)
     phases = np.exp(1j * np.pi * eighths / 2)

@@ -154,6 +154,26 @@ def test_verify_all_reports_do_not_depend_on_warm_caches(tmp_path, capsys):
     assert sum(fn.cache_info().hits for fn in _all_lru_caches()) > 0
 
 
+def test_verify_all_calls_no_lapack_routine(monkeypatch, tmp_path, capsys):
+    """verify all does its 2x2 algebra in closed form: with np.linalg's det,
+    inv, eigvalsh and solve made to raise, it gives the 60 (suite, claim,
+    status) triples that the benchmark expects."""
+    import pathlib
+
+    import numpy as np
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify all called a LAPACK routine")
+
+    for name in ("det", "inv", "eigvalsh", "solve"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    out = tmp_path / "all.json"
+    assert main(["all", "--out", str(out)]) == 1
+    got = [[r["suite"], r["claim"], r["status"]] for r in json.loads(out.read_text())["reports"]]
+    expected = pathlib.Path(__file__).parents[1] / "bench" / "expected.json"
+    assert got == json.loads(expected.read_text())["verify_all"] and len(got) == 60
+
+
 def test_ez_suite_passes_at_the_given_tolerance():
     def level48_status(tol):
         reports, _ = run(RunConfig(selected_suites=["ez"], numeric_tol=tol))
@@ -257,12 +277,12 @@ def test_verify_all_builds_each_exact_object_once(monkeypatch):
     splits the six-tuples into orbits once."""
     import numpy as np
 
-    from siegelz import soudry, theta
+    from siegelz import theta
 
     builds = _spy_fz_builds(monkeypatch)
     products = _spy_genus2_products(monkeypatch)
     keys = []  # (degree, characteristics, tau, tol) of each call
-    real_values, real_gradient = theta.theta_values, soudry.theta_gradient
+    real_values, real_gradient = theta.theta_values, theta._gradient
 
     def values_spy(ms, tau, tol=1e-12):
         keys.append((0, np.asarray(ms, dtype=np.int64).tobytes(),
@@ -279,7 +299,7 @@ def test_verify_all_builds_each_exact_object_once(monkeypatch):
         return [k for k in keys if k[0] == 0]
 
     monkeypatch.setattr(theta, "theta_values", values_spy)
-    monkeypatch.setattr(soudry, "theta_gradient", gradient_spy)
+    monkeypatch.setattr(theta, "_gradient", gradient_spy)
     theta._lattice_sums.cache_clear()
     theta.orbit_decomposition.cache_clear()
     reports, code = run(RunConfig())

@@ -250,16 +250,17 @@ def test_tail_bound_against_tighter_evaluations(tol, ill_conditioned_with_oracle
 
 
 def test_ez_eval_takes_one_gradient_of_theta_1011(monkeypatch):
-    """Each ez_eval call reads S off one theta_gradient call, at a tighter
-    tolerance that carries the bound through the products."""
+    """Each ez_eval call reads S off one gradient pass (theta._gradient,
+    theta_gradient after its check of the points), at a tighter tolerance
+    that carries the bound through the products."""
     calls = []
-    real = soudry.theta_gradient
+    real = theta._gradient
 
     def spy(m, tau, tol):
         calls.append((m, tol))
         return real(m, tau, tol)
 
-    monkeypatch.setattr(soudry, "theta_gradient", spy)
+    monkeypatch.setattr(theta, "_gradient", spy)
     points = (*EZ_SAMPLE_POINTS, *_ill_conditioned_points())
     for tau in points:
         ez_eval(tau, 1e-9)
@@ -275,7 +276,7 @@ def test_verify_ez_takes_each_gradient_pass_once(monkeypatch):
     from siegelz.cli import RunConfig, run
 
     keys, grads = [], []
-    real = soudry.theta_gradient
+    real = theta._gradient
 
     def spy(m, tau, tol=1e-12):
         keys.append((tuple(m), np.asarray(tau, dtype=complex).tobytes(),
@@ -283,7 +284,7 @@ def test_verify_ez_takes_each_gradient_pass_once(monkeypatch):
         grads.append(real(m, tau, tol))
         return grads[-1]
 
-    monkeypatch.setattr(soudry, "theta_gradient", spy)
+    monkeypatch.setattr(theta, "_gradient", spy)
     theta._lattice_sums.cache_clear()
     reports, _ = run(RunConfig(selected_suites=["ez"]))
     assert len(reports) == 8

@@ -391,6 +391,58 @@ def test_row_windows_are_the_smallest_their_bound_allows(monkeypatch):
                 assert R == 0.5 or _stated_window_tail(y, R - 0.5, 0) >= tol
 
 
+def _radius_from_one_half(y, a0, a1, tol):
+    """_window_radius's search run from R = 1/2: the smallest half-integer
+    whose bound a0 T0(y, R) + a1 T1(y, R), as _window_radius forms it, is
+    below tol."""
+    c = math.pi * y
+    peak = 1 / math.sqrt(2 * c)
+    R = 0.5
+    while R <= 400:
+        e = math.exp(-c * R * R)
+        bound = a0 * (2 * e / -math.expm1(-2 * c * R))
+        if a1:
+            p = max(R, peak)
+            bound += a1 * (2 * p * math.exp(-c * p * p) + e / c)
+        if bound < tol:
+            return R
+        R += 0.5
+    return None
+
+
+def test_window_radius_equals_a_search_from_one_half(monkeypatch, capsys):
+    """_window_radius starts its search above the radius its bound's lower
+    estimate rules out, and finds what a search from R = 1/2 finds: at every
+    radius of a `verify all` from cold caches, and of the row windows, in
+    both degrees at four tols, and the genus-1 radii at the test points, the
+    ill-conditioned and level-(4,8) images among them.  Most searches start
+    above 1/2, so the start is exercised."""
+    from siegelz import cli
+
+    calls = []
+    rule = theta._window_radius
+
+    def recorded(*args):
+        calls.append((args, rule(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(theta, "_window_radius", recorded)
+    theta._lattice_sums.cache_clear()
+    assert cli.main(["all"]) == 1
+    capsys.readouterr()
+    suites = len(calls)
+    points = np.stack([*GRADIENT_POINTS, *(apply_moebius(M, TAU_GENERIC) for M in E_GENERATORS),
+                       *_level48_images(), *_ill_conditioned_points()])
+    for tol in (1e-4, 1e-8, 1e-13, 1e-16):
+        for degree in (0, 1):
+            theta._row_windows(points.imag, tol, degree)
+        for y in points.imag[:, 1, 1]:
+            theta_eval((1, 0), 1j * y, tol)
+    assert suites > 200 and len(calls) == suites + 4 * 5 * len(points)
+    assert all(R == _radius_from_one_half(*args) for args, R in calls)
+    assert sum(R > 1 for _, R in calls) > len(calls) / 2
+
+
 def _defining_sums(ms, tau, tol):
     """theta[m](tau) for each m in ms from its definition, term by term: the
     sum of exp(pi i x.tau.x) i^(2x.m'') over x = a + m'/2 with a + m' // 2 in
@@ -1052,6 +1104,127 @@ def test_a_stack_equals_its_points_one_by_one():
         assert np.array_equal(values[i, j], theta_values(allchars, tau, 1e-13))
         assert fz[i, j] == fz_eval(tau, 1e-13)
         assert np.array_equal(grads[i, j], theta_gradient((1, 0, 1, 1), tau, float(tols[i, j])))
+
+
+# ---------------------------------------------------------------------------
+# 2x2 algebra in closed form
+
+def _complex_matrices(seed: int, count: int = 400) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(count, 2, 2)) + 1j * rng.normal(size=(count, 2, 2))
+
+
+def _positive_definite(seed: int, count: int, digits: tuple) -> np.ndarray:
+    """Real symmetric matrices with eigenvalues high in [0.1, 10] and
+    high / 10^k, k uniform in digits, along a drawn angle."""
+    rng = np.random.default_rng(seed)
+    angle = rng.uniform(0, math.pi, count)
+    c, s = np.cos(angle), np.sin(angle)
+    high = rng.uniform(0.1, 10, count)
+    low = high / 10 ** rng.uniform(*digits, count)
+    Y = np.empty((count, 2, 2))
+    Y[:, 0, 0] = low * c * c + high * s * s
+    Y[:, 0, 1] = Y[:, 1, 0] = (low - high) * c * s
+    Y[:, 1, 1] = low * s * s + high * c * c
+    return Y
+
+
+def _hard_points() -> np.ndarray:
+    """The level-(4,8) images of the six-theta claim, with the ill-conditioned
+    ones among them, as one stack."""
+    return np.stack(_level48_images() + _ill_conditioned_points())
+
+
+def test_closed_forms_agree_with_lapack():
+    """det2, inv2 and min_eigenvalue_bound agree with np.linalg's det, inv
+    and smallest eigvalsh within 16 eps times the condition number, relative
+    to the value (the largest entry of the inverse), on seeded random stacks,
+    the level-(4,8) and ill-conditioned points, their Im tau and their
+    cocycles under level-2 words; mul2 agrees with @ within 4 eps of |X| |Y|."""
+    eps = np.finfo(float).eps
+    points = _hard_points()
+    words = np.stack(random_gamma2_elements(20, seed=1))[:, None]
+    for X in (_complex_matrices(3), points, cocycle(words, points).reshape(-1, 2, 2)):
+        kappa = np.linalg.cond(X)
+        want = np.linalg.det(X)
+        assert (np.abs(theta.det2(X) - want) <= 16 * eps * kappa * np.abs(want)).all()
+        want = np.linalg.inv(X)
+        scale = np.abs(want).max((-2, -1))
+        assert (np.abs(theta.inv2(X) - want).max((-2, -1)) <= 16 * eps * kappa * scale).all()
+        Y = X[::-1]
+        assert (np.abs(theta.mul2(X, Y) - X @ Y) <= 4 * eps * (np.abs(X) @ np.abs(Y))).all()
+    for Y in (_positive_definite(1, 400, (0, 8)), points.imag):
+        Y = np.triu(Y) + np.swapaxes(np.triu(Y, 1), -1, -2)  # symmetric as the bound reads it
+        want = np.linalg.eigvalsh(Y)[..., 0]
+        assert (np.abs(theta.min_eigenvalue_bound(Y) - want)
+                <= 16 * eps * np.linalg.cond(Y) * want).all()
+
+
+def test_closed_forms_give_each_matrix_of_a_stack_its_single_bits():
+    """mul2, det2, inv2 and min_eigenvalue_bound on a stack, of one or two
+    stack axes or broadcast against one matrix, and apply_moebius and
+    cocycle with one matrix against a stack of points and a stack of level-2
+    words against one point, give each entry the bits of its single call."""
+    X, Y = _complex_matrices(4), _complex_matrices(5)
+    sym = _positive_definite(6, 400, (0, 12))
+    grid = X.reshape(20, 20, 2, 2)
+    for k, (x, y) in enumerate(zip(X, Y)):
+        i, j = divmod(k, 20)
+        assert np.array_equal(theta.mul2(X, Y)[k], theta.mul2(x, y))
+        assert np.array_equal(theta.mul2(X[0], Y)[k], theta.mul2(X[0], y))
+        assert np.array_equal(theta.mul2(grid, Y[0])[i, j], theta.mul2(x, Y[0]))
+        assert theta.det2(X)[k] == theta.det2(x) == theta.det2(grid)[i, j]
+        assert np.array_equal(theta.inv2(X)[k], theta.inv2(x))
+        assert np.array_equal(theta.inv2(grid)[i, j], theta.inv2(x))
+        assert theta.min_eigenvalue_bound(sym)[k] == theta.min_eigenvalue_bound(sym[k])
+    points = _hard_points()
+    words = np.stack(random_gamma2_elements(20, seed=1))
+    for M, tau, at in ((E6, points, lambda k: (E6, points[k])),
+                       (words, TAU_GENERIC, lambda k: (words[k], TAU_GENERIC))):
+        images, cocycles = apply_moebius(M, tau), cocycle(M, tau)
+        for k in range(len(images)):
+            assert np.array_equal(images[k], apply_moebius(*at(k)))
+            assert np.array_equal(cocycles[k], cocycle(*at(k)))
+
+
+def test_cocycle_determinant_law_on_level2_words():
+    """det J(MN, tau) = det J(M, N tau) det J(N, tau), J(M, tau) = C tau + D,
+    for every pair of 12 seeded level-2 words at the theta-table points and
+    the ill-conditioned images, to a relative 1e-13."""
+    words = np.stack(random_gamma2_elements(12, seed=5))
+    M, N = words[:, None, None], words[None, :, None]
+    taus = np.stack([TAU_A, TAU_B, TAU_GENERIC, *_ill_conditioned_points()])
+    whole = theta.det2(cocycle(M @ N, taus))
+    parts = theta.det2(cocycle(M, apply_moebius(N, taus))) * theta.det2(cocycle(N, taus))
+    assert whole.shape == (12, 12, 6)
+    assert (np.abs(whole - parts) <= 1e-13 * np.abs(whole)).all()
+
+
+def _below_the_smallest_eigenvalue(Y, lam) -> bool:
+    """lam <= lambda_min of the symmetric [[a, b], [b, c]] read off Y's upper
+    triangle, exactly: lam <= (a + c)/2 and (a - lam)(c - lam) - b^2 >= 0."""
+    (a, b), (_, c) = [[Fraction(float(v)) for v in row] for row in Y]
+    lam = Fraction(float(lam))
+    return lam <= (a + c) / 2 and (a - lam) * (c - lam) - b * b >= 0
+
+
+def test_min_eigenvalue_bound_is_below_the_exact_eigenvalue():
+    """Read as exact rationals, every bound lies below the smallest
+    eigenvalue: on seeded matrices of condition numbers 1 to 1e16 and on the
+    Im tau of the level-(4,8) and ill-conditioned points (smallest
+    eigenvalues down to 0.0014).  The unguarded det / lambda_max, computed
+    the same way with no margin, lies above it at some of both: the margin
+    is needed."""
+    points = _hard_points()
+    assert 0.0013 < np.linalg.eigvalsh(points.imag)[:, 0].min() < 0.0015
+    for Y in (_positive_definite(7, 300, (0, 8)), _positive_definite(8, 300, (8, 16)), points.imag):
+        lam = theta.min_eigenvalue_bound(Y)
+        assert all(_below_the_smallest_eigenvalue(y, v) for y, v in zip(Y, lam))
+        a, b, c = Y[:, 0, 0], Y[:, 0, 1], Y[:, 1, 1]
+        half = (a - c) / 2
+        unguarded = (a * c - b * b) / ((a + c) / 2 + np.sqrt(half * half + b * b))
+        assert not all(_below_the_smallest_eigenvalue(y, v) for y, v in zip(Y, unguarded))
+    assert (theta.min_eigenvalue_bound(points.imag) > 0).all()
 
 
 def test_single_points_keep_their_shapes_and_stacks_broadcast():
